@@ -93,11 +93,7 @@ fn workload(spec: &SketchSpec, salt: u64, len: usize) -> Vec<EdgeUpdate> {
 /// Widens every bank of a spec-built sketch in place: the wide-lane
 /// reference twin, carrying the exact same seeds and parameters.
 fn widened(spec: &SketchSpec) -> AnySketch {
-    let mut s = spec.build();
-    for bank in s.banks_mut() {
-        bank.force_wide();
-    }
-    s
+    widen(spec.build())
 }
 
 /// Asserts two sketches hold bit-identical measurement state, comparing
@@ -232,6 +228,98 @@ fn simd_vs_scalar_bit_identity_across_all_tasks() {
         let (sd, scount) = scalar_drained;
         assert_eq!(vcount, scount, "{:?}: drained cell count", spec.task);
         assert_identical(spec.task, &sd, &vd);
+    }
+}
+
+/// Widens every bank of a sketch in place.
+fn widen(mut s: AnySketch) -> AnySketch {
+    for bank in s.banks_mut() {
+        bank.force_wide();
+    }
+    s
+}
+
+/// The dirty-driven merge: `CellBank::add` sums only the operand's dirty
+/// cells when they are sparse. Pinned bank by bank against the dense
+/// sweep (`add_dense`) for every task — lanes, poison, stamps and the
+/// bitmap union — with narrow and wide receivers and operands, on both
+/// kernel paths, for operands with one touched cell per bank, a few
+/// updates (the drained-shard case), a whole workload, and poison.
+#[test]
+fn sparse_merge_equals_dense_merge_across_all_tasks() {
+    for spec in specs() {
+        let mut acc = spec.build();
+        acc.absorb(&workload(&spec, 4, 160));
+        // One touched cell per bank: the sparse path on every bank.
+        let mut one_cell = spec.build();
+        for bank in one_cell.banks_mut() {
+            assert!(
+                bank.len() >= 16,
+                "{:?}: bank too small to be sparse",
+                spec.task
+            );
+            let i = bank.len() / 2;
+            bank.apply(i, -3, 7, gs_field::M61::new(5));
+        }
+        // A realistic small delta, and a dense one.
+        let mut few = spec.build();
+        few.absorb(&workload(&spec, 5, 3));
+        let mut dense = spec.build();
+        dense.absorb(&workload(&spec, 6, 160));
+        let mut poisoned = one_cell.clone();
+        let bank = &mut poisoned.banks_mut()[0];
+        bank.apply(0, i64::MAX, 0, gs_field::M61::ZERO);
+        bank.apply(0, i64::MAX, 0, gs_field::M61::ZERO);
+        for operand in [&one_cell, &few, &dense, &poisoned] {
+            for (wide_acc, wide_op) in [(false, false), (false, true), (true, false), (true, true)]
+            {
+                let a = if wide_acc {
+                    widen(acc.clone())
+                } else {
+                    acc.clone()
+                };
+                let b = if wide_op {
+                    widen(operand.clone())
+                } else {
+                    operand.clone()
+                };
+                for scalar in [false, true] {
+                    let _guard = scalar.then(ScalarGuard::force);
+                    for (i, (x, y)) in a.banks().iter().zip(b.banks()).enumerate() {
+                        let mut via_add = (*x).clone();
+                        via_add.add(y);
+                        let mut oracle = (*x).clone();
+                        oracle.add_dense(y);
+                        let what = format!(
+                            "{:?} bank {i} (wide acc {wide_acc}, wide operand {wide_op}, scalar {scalar})",
+                            spec.task
+                        );
+                        assert_eq!(via_add.w_lane(), oracle.w_lane(), "{what}: w");
+                        assert_eq!(
+                            via_add.s_lane().to_wide_vec(),
+                            oracle.s_lane().to_wide_vec(),
+                            "{what}: s"
+                        );
+                        assert_eq!(via_add.f_lane(), oracle.f_lane(), "{what}: f");
+                        assert_eq!(
+                            via_add.lane_overflow(),
+                            oracle.lane_overflow(),
+                            "{what}: poison"
+                        );
+                        assert_eq!(
+                            (via_add.generation(), via_add.drain_epoch()),
+                            (oracle.generation(), oracle.drain_epoch()),
+                            "{what}: stamps"
+                        );
+                        assert_eq!(
+                            via_add.dirty_indices(),
+                            oracle.dirty_indices(),
+                            "{what}: bitmap"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

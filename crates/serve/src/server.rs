@@ -18,13 +18,16 @@
 //! Each tenant owns a checkpoint *base* ([`SketchFile`]) plus a sharded
 //! [`SketchEngine`]. Delta records fold directly into the base; raw
 //! update batches flow through the engine. Sketch linearity makes the
-//! split sound: a query flushes the engine, merges base + engine shards,
-//! and decodes — bit-identical to a single-process decode of the same
-//! update multiset, in any arrival order. A checkpoint drains the engine
-//! (`delta_snapshot`) into the base and writes it with the wire-v2
-//! write-then-rename discipline, so an interrupted checkpoint leaves the
-//! previous file intact and a recovered server replays exactly the state
-//! of the last completed checkpoint.
+//! split sound, and it also means moving an engine shard's contents into
+//! the base never changes an answer. So `QUERY`, `SNAPSHOT` and
+//! `CHECKPOINT` share one read path: drain the engine into the base in
+//! place ([`SketchEngine::drain_into`], which resets each drained shard)
+//! and then decode, encode or persist the base itself — bit-identical to
+//! a single-process decode of the same update multiset, in any arrival
+//! order, with no per-request copy of any sketch. A checkpoint writes the
+//! drained base with the wire-v2 write-then-rename discipline, so an
+//! interrupted checkpoint leaves the previous file intact and a recovered
+//! server replays exactly the state of the last completed checkpoint.
 
 use graph_sketches::api::{SketchAnswer, SketchSpec};
 use graph_sketches::frame::{
@@ -108,41 +111,38 @@ struct Tenant {
     _claim: BudgetClaim,
     /// `true` iff state has changed since the last completed checkpoint.
     dirty: bool,
+    /// Set by `DROP`, under this tenant's lock, before its state file is
+    /// deleted: a checkpoint that took an `Arc` to the tenant earlier
+    /// must not write the file back.
+    dropped: bool,
     updates_ingested: u64,
     deltas_applied: u64,
     busy_rejections: u64,
     /// Memoized `QUERY` answers, keyed on the ingest counters above: a
-    /// query between two ingests is answered without merging or decoding
-    /// anything. Draining the engine into the base changes neither
-    /// counter nor the merged state, so the memo survives checkpoints.
+    /// query between two ingests is answered without draining or
+    /// decoding anything. Draining the engine into the base changes
+    /// neither counter nor the tenant's total state, so the memo survives
+    /// queries' and checkpoints' drains.
     cache: DecodeCache<SketchAnswer>,
     /// Nanoseconds spent serving the `QUERY` frames the cache answered.
     cached_answer_ns: u64,
 }
 
 impl Tenant {
-    /// Drains the engine into the base so `base` alone carries the full
-    /// state. Engine shards share the base's geometry by construction,
-    /// so a merge refusal is an internal invariant violation.
+    /// Drains the engine into the base in place, so `base` alone carries
+    /// the tenant's full state: the one merge path `QUERY`, `SNAPSHOT`
+    /// and `CHECKPOINT` share. Engine shards share the base's geometry by
+    /// construction, so a merge refusal is an internal invariant
+    /// violation (and leaves the refused shard in the engine).
+    ///
+    /// The base's bank stamps stay monotone across drains: each fold adds
+    /// the shard's whole generation count to the base, so the decode memo
+    /// kept for the base stays sound while shards restart from zero.
     fn drain_into_base(&mut self) -> Result<(), String> {
-        self.engine.flush();
-        for shard in self.engine.delta_snapshot() {
-            self.base
-                .state
-                .try_merge(&shard)
-                .map_err(|e| format!("engine shard refused to merge into base: {e}"))?;
-        }
-        Ok(())
-    }
-
-    /// The merged current state (base + engine), without draining.
-    fn merged_state(&mut self) -> Result<AnySketch, String> {
-        self.engine.flush();
-        let mut merged = self.base.state.clone();
-        merged
-            .try_merge(&self.engine.snapshot())
-            .map_err(|e| format!("engine snapshot refused to merge into base: {e}"))?;
-        Ok(merged)
+        let state = &mut self.base.state;
+        self.engine
+            .drain_into(|shard| state.try_merge(shard))
+            .map_err(|e| format!("engine shard refused to merge into base: {e}"))
     }
 
     fn stats(&self) -> TenantStats {
@@ -641,6 +641,7 @@ fn build_tenant(shared: &Shared, ntenants: usize, name: String, base: SketchFile
         engine,
         _claim: claim,
         dirty: true,
+        dropped: false,
         updates_ingested: 0,
         deltas_applied: 0,
         busy_rejections: 0,
@@ -714,9 +715,9 @@ fn handle_query(shared: &Shared, corr: u64, name: &str, payload: &[u8]) -> Respo
         n => DecodePlan::with_threads(n as usize),
     };
     // The memo key is the pair of ingest counters: both are bumped by
-    // exactly the operations that change the tenant's merged state, so
+    // exactly the operations that change the tenant's total state, so
     // equal keys certify the previous answer verbatim and a hit skips
-    // the flush-merge-decode path entirely.
+    // the drain-decode path entirely.
     let key = vec![BankStamp {
         generation: t.updates_ingested,
         drains: t.deltas_applied,
@@ -729,19 +730,17 @@ fn handle_query(shared: &Shared, corr: u64, name: &str, payload: &[u8]) -> Respo
             answer
         }
         None => {
-            let merged = match t.merged_state() {
-                Ok(m) => m,
-                Err(e) => {
-                    t.cache = cache;
-                    return err(corr, ErrCode::Internal, e);
-                }
-            };
+            if let Err(e) = t.drain_into_base() {
+                t.cache = cache;
+                return err(corr, ErrCode::Internal, e);
+            }
+            let base = &t.base.state;
             cache.answer_banked(key, |c| {
                 let mut inner: DecodeCache<SketchAnswer> = c
                     .take_detail()
                     .unwrap_or_else(|| DecodeCache::with_disabled(c.is_disabled()));
                 let (reused, recomputed) = (inner.groups_reused(), inner.groups_recomputed());
-                let a = merged.decode_cached(&mut inner, &plan);
+                let a = base.decode_cached(&mut inner, &plan);
                 c.note_groups(
                     inner.groups_reused() - reused,
                     inner.groups_recomputed() - recomputed,
@@ -763,32 +762,35 @@ fn handle_snapshot(shared: &Shared, corr: u64, name: &str) -> Response {
         return err(corr, ErrCode::NoSuchTenant, format!("no tenant {name:?}"));
     };
     let mut t = lock_tenant(&tenant);
-    let merged = match t.merged_state() {
-        Ok(m) => m,
-        Err(e) => return err(corr, ErrCode::Internal, e),
-    };
-    let file = match SketchFile::new(t.base.spec, merged) {
-        Ok(f) => f,
-        Err(e) => return err(corr, ErrCode::Internal, e.to_string()),
-    };
+    if let Err(e) = t.drain_into_base() {
+        return err(corr, ErrCode::Internal, e);
+    }
     Response::Ok {
         corr,
-        payload: file.to_bytes(),
+        payload: t.base.to_bytes(),
     }
 }
 
 fn handle_drop(shared: &Shared, corr: u64, name: &str) -> Response {
-    let removed = shared.registry_write().remove(name);
-    match removed {
-        Some(_) => {
-            let _ = std::fs::remove_file(state_path(&shared.state_dir, name));
-            shared.log(format_args!("dropped tenant {name}"));
-            Response::Ok {
-                corr,
-                payload: Vec::new(),
-            }
-        }
-        None => err(corr, ErrCode::NoSuchTenant, format!("no tenant {name:?}")),
+    let mut registry = shared.registry_write();
+    let Some(tenant) = registry.remove(name) else {
+        return err(corr, ErrCode::NoSuchTenant, format!("no tenant {name:?}"));
+    };
+    // Mark the tenant dropped under its own lock, and delete its file,
+    // while the registry write lock still holds off a same-name CREATE.
+    // A checkpoint that took an `Arc` to this tenant earlier has either
+    // finished (its file is deleted here) or will see the mark and skip,
+    // so it can neither rename the file back after the delete nor share
+    // a staging path with a new tenant of the same name.
+    let mut t = lock_tenant(&tenant);
+    t.dropped = true;
+    let _ = std::fs::remove_file(state_path(&shared.state_dir, name));
+    drop(t);
+    drop(registry);
+    shared.log(format_args!("dropped tenant {name}"));
+    Response::Ok {
+        corr,
+        payload: Vec::new(),
     }
 }
 
@@ -844,9 +846,10 @@ fn state_path(dir: &Path, tenant: &str) -> PathBuf {
 }
 
 /// Persists one tenant if dirty (write-then-rename, wire-v2 bytes).
-/// Returns whether a write happened.
+/// Returns whether a write happened. A dropped tenant is never written:
+/// the caller may hold an `Arc` taken before the `DROP`.
 fn checkpoint_tenant(t: &mut Tenant, dir: &Path) -> Result<bool, String> {
-    if !t.dirty {
+    if !t.dirty || t.dropped {
         return Ok(false);
     }
     t.drain_into_base()?;
@@ -999,6 +1002,61 @@ fn recover_tenants(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graph_sketches::api::SketchTask;
+
+    /// Regression for a dropped tenant coming back on restart: `DROP`
+    /// used to delete `<name>.state` without the tenant lock, so a
+    /// checkpoint working on an `Arc` taken before the `DROP` could
+    /// rename the file back afterwards — or, once a same-name `CREATE`
+    /// had run, overwrite the new tenant's file with the dropped one.
+    #[test]
+    fn checkpoint_through_an_arc_held_across_drop_writes_no_state_file() {
+        let dir = std::env::temp_dir().join(format!("gs-serve-drop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(ServeConfig {
+            state_dir: dir.clone(),
+            checkpoint_every: Duration::ZERO,
+            quiet: true,
+            ..ServeConfig::default()
+        })
+        .expect("server start");
+        let shared = &server.shared;
+        let created = |seed: u64| {
+            let spec = SketchSpec::new(SketchTask::Connectivity, 8).with_seed(seed);
+            matches!(
+                handle_create(shared, 1, "gone", spec.to_json().as_bytes()),
+                Response::Ok { .. }
+            )
+        };
+        assert!(created(3));
+        let path = state_path(&dir, "gone");
+        assert!(path.exists(), "CREATE checkpoints at once");
+
+        let held = lookup(shared, "gone").expect("registered");
+        assert!(matches!(
+            handle_drop(shared, 2, "gone"),
+            Response::Ok { .. }
+        ));
+        assert!(!path.exists());
+        // The dropped tenant has state no checkpoint has seen, yet a
+        // checkpoint through the old `Arc` writes nothing.
+        lock_tenant(&held).dirty = true;
+        assert_eq!(checkpoint_tenant(&mut lock_tenant(&held), &dir), Ok(false));
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+        assert!(left.is_empty(), "a dropped tenant left files: {left:?}");
+
+        // A same-name CREATE owns the name from now on: the old `Arc`
+        // still cannot touch its file.
+        assert!(created(4));
+        let fresh = std::fs::read(&path).expect("the new tenant's file");
+        assert_eq!(checkpoint_tenant(&mut lock_tenant(&held), &dir), Ok(false));
+        assert_eq!(std::fs::read(&path).unwrap(), fresh);
+        let file = SketchFile::from_bytes(&fresh).expect("state file verifies");
+        assert_eq!(file.spec.seed, 4, "the file is the new tenant's");
+
+        server.abort();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     /// Regression for the checkpoint-cadence bug: the old loop re-anchored
     /// `last = Instant::now()` after the checkpoint finished, so every

@@ -14,10 +14,11 @@
 //!   [`CellBank::fan`], a contiguous fan-out that applies one precomputed
 //!   `(Δw, Δs, Δf)` triple to a run of cells; callers hash once per index
 //!   and fan into every affected row instead of re-hashing per cell.
-//! * **Vectorizable merges.** [`CellBank::add`] is three contiguous
-//!   slice-add loops over primitive lanes, dispatched through the runtime
-//!   AVX2 kernels of [`crate::simd`] (the scalar loops are preserved there
-//!   as the bit-identity oracle).
+//! * **Vectorizable merges.** A dense [`CellBank::add`] is three
+//!   contiguous slice-add loops over primitive lanes, dispatched through
+//!   the runtime AVX2 kernels of [`crate::simd`] (the scalar loops are
+//!   preserved there as the bit-identity oracle); a sparse operand is
+//!   summed over its dirty cells only (see below).
 //! * **A wire-ready dump.** The lanes *are* the linear measurement state;
 //!   `graph_sketches::wire` format v2 ships them as raw little-endian
 //!   bytes, geometry-checked against a spec-built receiver (see the
@@ -65,6 +66,11 @@
 //! The bitmap never participates in equality or serialization; it is
 //! bookkeeping about *freshness*, not part of the measurement.
 //!
+//! The same invariant makes merges and resets cost O(touched cells):
+//! [`CellBank::add`] sums only an operand's dirty cells when they are
+//! sparse, and [`CellBank::reset`] returns a bank to its freshly built
+//! state by zeroing just its dirty cells.
+//!
 //! ## Generation counters and the decode cache
 //!
 //! On top of the bitmap each bank carries two monotone counters that the
@@ -84,7 +90,8 @@
 //!   to invalidate only the decode work whose input rows were touched.
 //!
 //! Like the bitmap, the counters never participate in equality or
-//! serialization.
+//! serialization. [`CellBank::reset`] is the one operation that moves
+//! them back (to a fresh bank's zeros): it starts a new lineage.
 
 use crate::lane::{AlignedBuf, LaneOverflow, LaneWidth, SLane};
 use crate::one_sparse::{OneSparseCell, OneSparseState};
@@ -150,6 +157,28 @@ impl BankGeometry {
     }
 }
 
+/// [`CellBank::add`] takes its sparse path when the operand's dirty set
+/// covers at most one cell in this many. Summing one dirty cell costs a
+/// bit scan and scattered access to three lanes of both banks, more than
+/// a cell of the streaming dense sweep; both paths are bit-identical, so
+/// this only decides speed.
+const SPARSE_ADD_RATIO: usize = 16;
+
+/// Flat indices of the set bits of a dirty bitmap, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(word_i, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let i = (word_i << 6) + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(i)
+        })
+    })
+}
+
 /// A struct-of-arrays store of 1-sparse cells: the shared, contiguous
 /// substrate every sketch's measurement state lives in.
 ///
@@ -174,7 +203,8 @@ pub struct CellBank {
     dirty: Vec<u64>,
     /// Sticky overflow mark: set by any ingest kernel that detects true
     /// lane overflow, cleared only when the whole state is replaced
-    /// ([`CellBank::try_overlay`]). Not part of equality or serialization.
+    /// ([`CellBank::try_overlay`], [`CellBank::reset`]). Not part of
+    /// equality or serialization.
     poison: Option<LaneOverflow>,
     /// Mutation counter: advanced by every mutator of the measurement
     /// lanes (see the module docs). Not part of equality or serialization.
@@ -221,7 +251,8 @@ impl CellBank {
     /// mutator of the measurement lanes ([`CellBank::apply`],
     /// [`CellBank::fan`], [`CellBank::add`], [`CellBank::try_overlay`],
     /// [`CellBank::drain_dirty`]). Two equal readings certify the lanes
-    /// are bit-identical in between — the decode cache's hit key.
+    /// are bit-identical in between — the decode cache's hit key. Only
+    /// [`CellBank::reset`] moves it back (to 0, a fresh bank's reading).
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -426,42 +457,40 @@ impl CellBank {
         self.w.iter().all(|&w| w == 0) && self.s.all_zero() && self.f.iter().all(|f| f.is_zero())
     }
 
-    /// Linear combination: adds another bank's measurements, lane by lane
-    /// through the [`crate::simd`] kernels. Works across widths by value:
-    /// a wide operand folding into a narrow receiver is range-checked per
-    /// cell (legacy-JSON state merging into a spec-built compact bank).
-    /// Overflow — and any poison carried by `other` — poisons `self`.
+    /// Linear combination: adds another bank's measurements. Works across
+    /// widths by value: a wide operand folding into a narrow receiver is
+    /// range-checked per cell (legacy-JSON state merging into a
+    /// spec-built compact bank). Overflow — and any poison carried by
+    /// `other` — poisons `self`.
+    ///
+    /// The sum is **dirty-driven**: by the delta invariant every cell
+    /// where `other` can be nonzero is dirty in `other`, so when its dirty
+    /// set is sparse only those cells are summed — a drained engine shard
+    /// that absorbed one frame since its last drain costs O(touched
+    /// cells), not a sweep of the whole bank. Denser operands take
+    /// [`CellBank::add_dense`], the lane-wise [`crate::simd`] sweep. Both
+    /// paths leave bit-identical lanes, poison, stamps and bitmaps
+    /// (`lane_gauntlet` pins it), so the cutoff only decides speed.
     ///
     /// # Panics
     /// Panics if the banks hold different cell counts (they would not be
     /// measurements of the same projection).
     pub fn add(&mut self, other: &Self) {
-        assert_eq!(
-            self.len(),
-            other.len(),
-            "adding cell banks of different sizes"
-        );
-        debug_assert!(
-            self.geom == other.geom
-                || self.geom == BankGeometry::flat(self.len())
-                || other.geom == BankGeometry::flat(other.len()),
-            "adding structured banks with different geometries"
-        );
-        // Every cell where `other` can be nonzero is dirty in `other` (the
-        // delta invariant), so the union keeps the invariant here.
-        //
-        // The generation absorbs `other`'s whole mutation history (plus 1
-        // for the add itself) rather than bumping by one: merge-on-read
-        // paths rebuild `clone + add` chains from scratch on every query,
-        // and the sum makes the rebuilt bank's stamp strictly monotone in
-        // the total mutations upstream — two rebuilds stamp equal iff no
-        // constituent changed, so the decode cache can key on a freshly
-        // merged sketch. Same for the drain epochs.
-        self.generation += other.generation + 1;
-        self.drains += other.drains;
-        for (a, b) in self.dirty.iter_mut().zip(&other.dirty) {
-            *a |= *b;
+        if other.dirty_count().saturating_mul(SPARSE_ADD_RATIO) <= other.len() {
+            self.add_sparse(other);
+        } else {
+            self.add_dense(other);
         }
+    }
+
+    /// The dense path of [`CellBank::add`]: three lane-wise slice sums
+    /// over every cell, through the [`crate::simd`] kernels. It is also
+    /// the bit-identity oracle for the sparse path.
+    ///
+    /// # Panics
+    /// Panics if the banks hold different cell counts.
+    pub fn add_dense(&mut self, other: &Self) {
+        self.begin_add(other);
         let mut ovf = simd::add_i64(&mut self.w, &other.w);
         match (&mut self.s, &other.s) {
             (SLane::Narrow(a), SLane::Narrow(b)) => {
@@ -499,6 +528,57 @@ impl CellBank {
             }
         }
         simd::add_m61(&mut self.f, &other.f);
+        self.finish_add(other, ovf);
+    }
+
+    /// The sparse path of [`CellBank::add`]: sums only `other`'s dirty
+    /// cells, with the dense path's per-cell arithmetic and overflow
+    /// rule.
+    fn add_sparse(&mut self, other: &Self) {
+        self.begin_add(other);
+        let mut ovf = false;
+        for i in set_bits(&other.dirty) {
+            let (w, o) = self.w[i].overflowing_add(other.w[i]);
+            self.w[i] = w;
+            ovf |= o | self.s.add_at(&other.s, i);
+            self.f[i] += other.f[i];
+        }
+        self.finish_add(other, ovf);
+    }
+
+    /// Shape checks and bookkeeping shared by both add paths.
+    fn begin_add(&mut self, other: &Self) {
+        assert_eq!(
+            self.len(),
+            other.len(),
+            "adding cell banks of different sizes"
+        );
+        debug_assert!(
+            self.geom == other.geom
+                || self.geom == BankGeometry::flat(self.len())
+                || other.geom == BankGeometry::flat(other.len()),
+            "adding structured banks with different geometries"
+        );
+        // Every cell where `other` can be nonzero is dirty in `other` (the
+        // delta invariant), so the union keeps the invariant here.
+        //
+        // The generation absorbs `other`'s whole mutation history (plus 1
+        // for the add itself) rather than bumping by one: a bank that
+        // absorbs drained shards in place, or a snapshot rebuilt by
+        // `clone + add`, then stamps strictly monotone in the total
+        // mutations upstream — two readings stamp equal iff nothing
+        // upstream changed, so the decode cache can key on the sum. Same
+        // for the drain epochs.
+        self.generation += other.generation + 1;
+        self.drains += other.drains;
+        for (a, b) in self.dirty.iter_mut().zip(&other.dirty) {
+            *a |= *b;
+        }
+    }
+
+    /// Poison bookkeeping shared by both add paths: overflow in the sum
+    /// itself, then any poison `other` carried.
+    fn finish_add(&mut self, other: &Self, ovf: bool) {
         if ovf {
             self.poison_at(None);
         }
@@ -632,13 +712,7 @@ impl CellBank {
     /// pending delta (the wire layer ships exactly these cells).
     pub fn dirty_indices(&self) -> Vec<usize> {
         let mut out = Vec::with_capacity(self.dirty_count());
-        for (word_i, &word) in self.dirty.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                out.push((word_i << 6) + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
+        out.extend(set_bits(&self.dirty));
         out
     }
 
@@ -649,19 +723,7 @@ impl CellBank {
     /// delta from scratch. The poison mark (if any) is **not** cleared:
     /// the drained delta was already computed from overflowed state.
     pub fn drain_dirty(&mut self) -> usize {
-        let mut drained = 0;
-        for (word_i, word) in self.dirty.iter_mut().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let i = (word_i << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.w[i] = 0;
-                self.s.zero(i);
-                self.f[i] = M61::ZERO;
-                drained += 1;
-            }
-            *word = 0;
-        }
+        let drained = self.zero_dirty_cells();
         if drained > 0 {
             // Cells were zeroed (a mutation) and their bits cleared (an
             // epoch event); an empty drain changed nothing.
@@ -669,6 +731,36 @@ impl CellBank {
             self.drains += 1;
         }
         drained
+    }
+
+    /// Resets the bank in place to exactly what a freshly constructed
+    /// bank of its geometry and width holds: the touched cells zeroed
+    /// through the bitmap (every other cell is already zero — the delta
+    /// invariant), the bitmap cleared, both stamp counters back to 0 and
+    /// the poison mark cleared. Equal to replacing the bank with a new
+    /// zeroed one in lanes, stamps and bitmap, at O(touched cells) and
+    /// without allocating. Unlike [`CellBank::drain_dirty`] this starts a
+    /// new lineage: the stamps restart, so a decode memo taken before the
+    /// reset must not be carried across it (see [`crate::cache`]).
+    pub fn reset(&mut self) {
+        self.zero_dirty_cells();
+        self.poison = None;
+        self.generation = 0;
+        self.drains = 0;
+    }
+
+    /// Zeroes every touched cell and clears the bitmap; returns how many
+    /// cells were touched.
+    fn zero_dirty_cells(&mut self) -> usize {
+        let mut zeroed = 0;
+        for i in set_bits(&self.dirty) {
+            self.w[i] = 0;
+            self.s.zero(i);
+            self.f[i] = M61::ZERO;
+            zeroed += 1;
+        }
+        self.dirty.fill(0);
+        zeroed
     }
 
     /// Marks every cell in `range` touched.
@@ -797,6 +889,22 @@ pub trait CellBanked {
             *fp = M61::ZERO;
         }
         drained
+    }
+
+    /// Resets the sketch in place to its freshly built state: every bank
+    /// is [`CellBank::reset`] and every fingerprint scalar zeroed. For a
+    /// sketch whose measurement state is exactly its banks and
+    /// fingerprints (every spec-built sketch — the contract wire v2
+    /// stands on), the result equals a new sketch from the same factory
+    /// in lanes, stamps, bitmaps and poison, without allocating one. The
+    /// engine's drain-on-read path resets drained shards this way.
+    fn reset(&mut self) {
+        for bank in self.banks_mut() {
+            bank.reset();
+        }
+        for fp in self.fingerprints_mut() {
+            *fp = M61::ZERO;
+        }
     }
 }
 
@@ -1196,6 +1304,79 @@ mod tests {
         cancelled.update(0, 3, -1, &h);
         assert_eq!(cancelled, fresh);
         assert_ne!(cancelled.generation(), fresh.generation());
+    }
+
+    /// Everything `add` leaves behind, for comparing its two paths.
+    fn add_outcome(b: &CellBank) -> (CellBank, Vec<usize>, Option<LaneOverflow>, u64, u64) {
+        (
+            b.clone(),
+            b.dirty_indices(),
+            b.lane_overflow(),
+            b.generation(),
+            b.drain_epoch(),
+        )
+    }
+
+    #[test]
+    fn sparse_add_equals_dense_add_across_widths() {
+        let h = h();
+        let geom = BankGeometry::new(2, 4, 40);
+        for (wa, wb) in [
+            (LaneWidth::Narrow, LaneWidth::Narrow),
+            (LaneWidth::Narrow, LaneWidth::Wide),
+            (LaneWidth::Wide, LaneWidth::Narrow),
+            (LaneWidth::Wide, LaneWidth::Wide),
+        ] {
+            let mut a = CellBank::with_width(geom, wa);
+            for i in (0..geom.len()).step_by(3) {
+                a.update(i, i as u64 * 7 + 1, 2, &h);
+            }
+            // Two touched cells of 320: the sparse path.
+            let mut b = CellBank::with_width(geom, wb);
+            b.update(5, 99, -4, &h);
+            b.update(200, 1234, 9, &h);
+            assert!(b.dirty_count() * SPARSE_ADD_RATIO <= b.len());
+            let mut sparse = a.clone();
+            sparse.add(&b);
+            let mut dense = a.clone();
+            dense.add_dense(&b);
+            assert_eq!(add_outcome(&sparse), add_outcome(&dense), "{wa:?}+{wb:?}");
+            // Overflow in the sum and a poisoned operand poison alike.
+            let mut hot = CellBank::with_width(geom, wb);
+            hot.apply(3, i64::MAX, 0, M61::ZERO); // a's cell 3 holds w = 2
+            hot.apply(6, 1, i128::MAX, M61::ZERO);
+            hot.apply(6, 1, i128::MAX, M61::ZERO);
+            let (mut sparse, mut dense) = (a.clone(), a.clone());
+            sparse.add(&hot);
+            dense.add_dense(&hot);
+            assert!(sparse.lane_overflow().is_some());
+            assert_eq!(
+                add_outcome(&sparse),
+                add_outcome(&dense),
+                "{wa:?}+{wb:?} hot"
+            );
+        }
+    }
+
+    #[test]
+    fn reset_restores_a_fresh_bank() {
+        let h = h();
+        for width in [LaneWidth::Narrow, LaneWidth::Wide] {
+            let geom = BankGeometry::new(1, 3, 50);
+            let fresh = CellBank::with_width(geom, width);
+            let mut bank = fresh.clone();
+            bank.update(3, 10, 4, &h);
+            let (dw, ds, df) = CellBank::deltas(77, -2, h.hash_m61(77));
+            bank.fan(60..140, dw, ds, df);
+            bank.drain_dirty();
+            bank.update(149, 11, 1, &h);
+            bank.apply(0, i64::MAX, 0, M61::ZERO);
+            bank.apply(0, 1, 0, M61::ZERO);
+            assert!(bank.lane_overflow().is_some());
+            bank.reset();
+            assert_eq!(add_outcome(&bank), add_outcome(&fresh), "{width:?}");
+            assert!(bank.is_zero());
+        }
     }
 
     #[test]

@@ -32,12 +32,15 @@
 //!   the cache-disabled CI job runs the full suite under.
 //!
 //! A cache belongs to one sketch **lineage**: the same sketch value
-//! evolving in place, or merge-on-read rebuilds over the same evolving
-//! constituents (rebuilt banks absorb their operands' counters, so their
-//! stamps stay strictly monotone in the upstream mutations). Callers
-//! that reset or replace the underlying state outside the counters'
-//! view — e.g. an engine swapping drained shards for zero sketches —
-//! must start a fresh cache or key the old one out themselves.
+//! evolving in place — including a base that absorbs drained engine
+//! shards, since `add` adds each operand's whole counter history — or
+//! merge-on-read rebuilds over the same evolving constituents (rebuilt
+//! banks absorb their operands' counters, so their stamps stay strictly
+//! monotone in the upstream mutations). Callers that reset or replace
+//! the underlying state outside the counters' view — e.g. an engine
+//! resetting drained shards (`CellBank::reset`) or swapping in zero
+//! sketches — must start a fresh cache or key the old one out
+//! themselves.
 //!
 //! The cache never changes an answer — only whether it is recomputed.
 //! Counters ([`DecodeCache::hits`], [`DecodeCache::misses`],

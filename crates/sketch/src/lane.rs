@@ -246,6 +246,42 @@ impl SLane {
         }
     }
 
+    /// Adds cell `i` of `other` into cell `i`, wrapping at this lane's
+    /// width; returns `true` on overflow, including a wide value that does
+    /// not fit a narrow lane (the dense merge's per-cell rule, for the
+    /// sparse merge path).
+    #[inline]
+    pub(crate) fn add_at(&mut self, other: &SLane, i: usize) -> bool {
+        match (self, other) {
+            (SLane::Narrow(a), SLane::Narrow(b)) => {
+                let (v, o) = a[i].overflowing_add(b[i]);
+                a[i] = v;
+                o
+            }
+            (SLane::Wide(a), SLane::Wide(b)) => {
+                let (v, o) = a[i].overflowing_add(b[i]);
+                a[i] = v;
+                o
+            }
+            (SLane::Wide(a), SLane::Narrow(b)) => {
+                let (v, o) = a[i].overflowing_add(b[i] as i128);
+                a[i] = v;
+                o
+            }
+            (SLane::Narrow(a), SLane::Wide(b)) => match i64::try_from(b[i]) {
+                Ok(y) => {
+                    let (v, o) = a[i].overflowing_add(y);
+                    a[i] = v;
+                    o
+                }
+                Err(_) => {
+                    a[i] = a[i].wrapping_add(b[i] as i64);
+                    true
+                }
+            },
+        }
+    }
+
     /// `true` iff cell `i` is zero.
     #[inline]
     pub fn is_zero_at(&self, i: usize) -> bool {

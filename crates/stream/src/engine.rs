@@ -16,26 +16,37 @@
 //! * **Backpressure.** Each worker is fed through a bounded channel;
 //!   [`SketchEngine::ingest`] blocks when a queue is full instead of
 //!   buffering without bound.
-//! * **Snapshot queries.** [`SketchEngine::snapshot`] merges *clones* of
-//!   the shard sketches without stopping ingestion — merge-on-read. The
-//!   snapshot is a true linear sketch of a sub-multiset of the ingested
-//!   updates (each routed batch is either fully reflected or not at all,
-//!   per shard), so it is queryable mid-stream; after [`SketchEngine::flush`]
-//!   it equals the central sketch of everything ingested so far, bit for
-//!   bit.
-//! * **Parallel merge tree.** Both reads fold the active shards through
-//!   [`merge_tree`]: a binary tree reduction over scoped threads whose
-//!   result is **bit-identical to the in-order sequential fold**, because
-//!   every sketch merge is an associative lane-wise sum (integer and
-//!   `F_{2^61−1}` addition). The O(shards) sequential merge chain on the
-//!   read path becomes O(log shards) merge depth across
-//!   [`default_workers`] threads.
+//! * **Drain on read.** [`SketchEngine::drain_into`] is how a resident
+//!   owner reads the engine: it flushes, then folds each active shard
+//!   into the caller's accumulator (a serving tenant's checkpoint base)
+//!   in shard order and **resets the shard in place**
+//!   ([`gs_sketch::CellBanked::reset`]: dirty cells zeroed through the
+//!   bitmap, stamps back to 0, poison cleared — exactly a fresh shard,
+//!   without allocating one). By linearity moving a shard's contents into
+//!   the accumulator never changes the sum, so the accumulator alone then
+//!   carries the full state and is decoded, encoded or persisted in
+//!   place: no per-read copy of any sketch. With the dirty-driven
+//!   [`gs_sketch::CellBank::add`], a drain costs O(cells touched since the
+//!   previous drain), not a sweep of every shard.
+//! * **Snapshot queries.** [`SketchEngine::snapshot`] reads without
+//!   draining and without stopping ingestion: it clones the first active
+//!   shard and folds the others into that clone in shard order — one
+//!   sketch copy per read. The snapshot is a true linear sketch of a
+//!   sub-multiset of the ingested updates (each routed batch is either
+//!   fully reflected or not at all, per shard), so it is queryable
+//!   mid-stream; after [`SketchEngine::flush`] it equals the central
+//!   sketch of everything ingested so far, bit for bit.
 //! * **Sealing.** [`SketchEngine::seal`] drains the queues, joins the
 //!   workers, and folds the shard sketches **in shard order**, preserving
 //!   the deterministic merge order that the E12 bit-identity experiments
 //!   rely on. Shards that never received an update are skipped (an
 //!   empty-constructed sketch is the zero of the merge group, so skipping
-//!   it is exact).
+//!   it is exact). `seal` owns its shards, so it folds them through
+//!   [`merge_tree`]: a binary tree reduction over scoped threads whose
+//!   result is **bit-identical to the in-order sequential fold**, because
+//!   every sketch merge is an associative lane-wise sum (integer and
+//!   `F_{2^61−1}` addition), at O(log shards) merge depth across
+//!   [`default_workers`] threads.
 //! * **Delta drains.** [`SketchEngine::delta_snapshot`] flushes, then
 //!   swaps every shard for a fresh zero sketch and hands back the drained
 //!   shards — each one the exact linear sketch of the updates that shard
@@ -44,7 +55,8 @@
 //!   drained rounds reconstructs the central sketch bit for bit; a
 //!   coordinator in another process applies them through
 //!   `graph_sketches::wire::SketchFile::apply_delta` instead of receiving
-//!   whole sketches.
+//!   whole sketches. Shipping shards out needs owned sketches, so this
+//!   path (unlike `drain_into`) swaps in zero clones.
 //! * **Live counters.** [`SketchEngine::stats`] reports updates routed,
 //!   in-flight updates, per-worker queue depths, delta drains, and
 //!   resident sketch bytes.
@@ -55,7 +67,7 @@
 
 use gs_field::SplitMix64;
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{BankStamp, DecodeCache, EdgeUpdate, LinearSketch, UpdateError};
+use gs_sketch::{BankStamp, CellBanked, DecodeCache, EdgeUpdate, LinearSketch, UpdateError};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -234,7 +246,8 @@ pub struct EngineStats {
     pub updates_pending: u64,
     /// Batches enqueued so far (one per worker per `ingest` call).
     pub batches_enqueued: u64,
-    /// Delta drains performed so far ([`SketchEngine::delta_snapshot`]).
+    /// Drains performed so far: [`SketchEngine::delta_snapshot`] calls
+    /// plus [`SketchEngine::drain_into`] calls that reset a shard.
     pub deltas_drained: u64,
     /// Batches refused by [`SketchEngine::offer`] because a worker queue
     /// was full (the caller was told to retry instead of blocking).
@@ -640,11 +653,56 @@ impl<S: LinearSketch + Send + 'static> SketchEngine<S> {
     }
 }
 
+impl<S: LinearSketch + CellBanked + Send + 'static> SketchEngine<S> {
+    /// Drains the engine into the caller's accumulator **in place**:
+    /// flushes, then walks the active shards in shard order, each under
+    /// its lock, calling `fold` on it and then resetting it to a fresh
+    /// shard ([`CellBanked::reset`]). Idle shards are skipped (they hold
+    /// the zero sketch). By linearity the accumulator plus the engine is
+    /// the same sum before and after, so an owner that folds into its
+    /// base (`base.try_merge(shard)`) holds the full state in the base
+    /// afterwards and can decode or persist it without copying anything.
+    ///
+    /// A `fold` error stops the walk and is returned: shards already
+    /// folded stay folded and reset, the refused shard and every later one
+    /// are untouched, so no update is lost or counted twice and a retry
+    /// picks up exactly where this call stopped. `fold` must therefore
+    /// leave its accumulator unchanged when it refuses (as
+    /// `AnySketch::try_merge` does).
+    ///
+    /// Any reset counts as a drain in [`EngineStats::deltas_drained`],
+    /// which keys [`SketchEngine::answer_cached`] out of its pre-drain
+    /// memo.
+    pub fn drain_into<E>(&mut self, mut fold: impl FnMut(&S) -> Result<(), E>) -> Result<(), E> {
+        self.flush();
+        let mut result = Ok(());
+        let mut drained = false;
+        for (slot, routed) in self.shards.iter().zip(&mut self.routed_per_shard) {
+            if *routed == 0 {
+                continue;
+            }
+            let mut shard = slot.lock().expect("shard mutex poisoned");
+            if let Err(e) = fold(&*shard) {
+                result = Err(e);
+                break;
+            }
+            shard.reset();
+            *routed = 0;
+            drained = true;
+        }
+        if drained {
+            self.deltas_drained += 1;
+        }
+        result
+    }
+}
+
 impl<S: LinearSketch + Send + Clone + 'static> SketchEngine<S> {
-    /// Merges clones of the shard sketches in shard order **without
-    /// stopping ingestion** and returns the merged sketch — merge-on-read
-    /// through the parallel [`merge_tree`] (bit-identical to the
-    /// sequential fold).
+    /// Merges the shard sketches in shard order **without stopping
+    /// ingestion** and returns the merged sketch: the first active shard
+    /// is cloned and every later active shard folded into the clone, so a
+    /// snapshot copies one sketch however many shards are active. Idle
+    /// shards are never locked.
     ///
     /// The result is a linear sketch of a sub-multiset of the ingested
     /// updates: each routed share is reflected fully or not at all, per
@@ -653,16 +711,20 @@ impl<S: LinearSketch + Send + Clone + 'static> SketchEngine<S> {
     /// per-site streams of §1.1 exhibit). After [`SketchEngine::flush`]
     /// the snapshot equals the central sketch of everything ingested.
     pub fn snapshot(&self) -> S {
-        // Idle shards are never locked or cloned — with many mostly-idle
-        // shards a snapshot costs one clone per *active* shard.
-        let active: Vec<S> = self
+        let mut merged: Option<S> = None;
+        for (slot, _) in self
             .shards
             .iter()
             .zip(&self.routed_per_shard)
             .filter(|(_, &routed)| routed > 0)
-            .map(|(slot, _)| slot.lock().expect("shard mutex poisoned").clone())
-            .collect();
-        merge_tree(active, default_workers()).unwrap_or_else(|| self.zero.clone())
+        {
+            let shard = slot.lock().expect("shard mutex poisoned");
+            match merged.as_mut() {
+                Some(acc) => acc.merge(&shard),
+                None => merged = Some(shard.clone()),
+            }
+        }
+        merged.unwrap_or_else(|| self.zero.clone())
     }
 
     /// The serving read path: a [`SketchEngine::snapshot`] decoded under

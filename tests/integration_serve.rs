@@ -192,6 +192,89 @@ fn restart_after_abort_reproduces_checkpointed_answers() {
     server.shutdown();
 }
 
+/// `QUERY`, `SNAPSHOT` and `CHECKPOINT` all drain the tenant's engine
+/// into its base in place. Interleaved with raw and delta ingest and with
+/// abort/restart, every `QUERY` must still equal the offline decode of
+/// the updates the server holds, and every `SNAPSHOT` the offline
+/// `to_bytes`, byte for byte. The suite also runs under
+/// `GS_NO_DECODE_CACHE=1`, which sends every query down the fresh path.
+#[test]
+fn interleaved_reads_checkpoints_and_restarts_match_the_offline_sketch() {
+    let scratch = Scratch::new("drain-on-read");
+    let mut server = start_server(scratch.path());
+    let mut client = connect(&server);
+    for (i, task) in [SketchTask::Connectivity, SketchTask::Mst]
+        .into_iter()
+        .enumerate()
+    {
+        let spec = SketchSpec::new(task, 14)
+            .with_max_weight(8)
+            .with_seed(0xD2A1 + i as u64);
+        let name = format!("drain-{}", task.command());
+        client.create(&name, &spec.to_json()).expect("create");
+        let updates = churn_updates(14, 61 + i as u64);
+        // `held` is what the server holds; `durable` the prefix of it
+        // covered by the last completed checkpoint.
+        let (mut held, mut durable): (Vec<EdgeUpdate>, usize) = (Vec::new(), 0);
+        let check = |client: &mut Client, held: &[EdgeUpdate], step: usize| {
+            let mut offline = spec.build();
+            offline.absorb(held);
+            let answer = offline.decode_with(&DecodePlan::with_threads(2));
+            let bytes = SketchFile::new(spec, offline).unwrap().to_bytes();
+            let query = |c: &mut Client| answer_of(&c.query(&name, 2).expect("query"));
+            // Alternate which read drains first; the repeated query is a
+            // cache hit unless the cache is disabled.
+            if step.is_multiple_of(2) {
+                assert_eq!(query(client), answer, "{task:?} step {step}: query");
+                assert_eq!(
+                    client.snapshot(&name).unwrap(),
+                    bytes,
+                    "{task:?} step {step}"
+                );
+            } else {
+                assert_eq!(
+                    client.snapshot(&name).unwrap(),
+                    bytes,
+                    "{task:?} step {step}"
+                );
+                assert_eq!(query(client), answer, "{task:?} step {step}: query");
+            }
+            assert_eq!(query(client), answer, "{task:?} step {step}: repeat");
+        };
+        for (step, chunk) in updates.chunks(23).enumerate() {
+            if step % 3 == 1 {
+                let mut site = SketchFile::new(spec, spec.build()).unwrap();
+                site.state.absorb(chunk);
+                match client.ingest_bytes(&name, site.delta_bytes()).unwrap() {
+                    Outcome::Ok(_) => {}
+                    Outcome::Busy { .. } => panic!("delta ingest answered BUSY"),
+                }
+            } else {
+                client
+                    .ingest_retry(&name, chunk, Duration::from_secs(10))
+                    .expect("raw ingest");
+            }
+            held.extend_from_slice(chunk);
+            check(&mut client, &held, step);
+            if step % 4 == 2 {
+                assert_eq!(client.checkpoint(&name).expect("checkpoint"), 1);
+                durable = held.len();
+                check(&mut client, &held, step);
+            }
+            if step % 5 == 4 {
+                // A crash loses exactly what the last checkpoint missed.
+                drop(client);
+                server.abort();
+                server = start_server(scratch.path());
+                client = connect(&server);
+                held.truncate(durable);
+                check(&mut client, &held, step);
+            }
+        }
+    }
+    server.shutdown();
+}
+
 /// A corrupt checkpoint costs one tenant (quarantined, typed log), never
 /// the service: healthy tenants recover next to it.
 #[test]
