@@ -102,13 +102,14 @@ mod serve_cmd;
 mod workload_cmd;
 
 use graph_sketches::api::{AnySketch, SketchAnswer, SketchSpec, SketchTask};
-use graph_sketches::wire::{SketchDelta, SketchFile};
+use graph_sketches::wire::{self, SketchDelta, SketchFile};
 use gs_sketch::par::DecodePlan;
 use gs_sketch::{EdgeUpdate, LinearSketch};
 use gs_stream::engine::{EngineConfig, EngineStats, SketchEngine};
 use parse::parse_line;
 use serde::{Serialize, Value};
-use std::io::BufRead;
+use std::io::{BufRead, Write};
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -471,12 +472,9 @@ fn emit_file(
     };
     match out {
         Some(path) => std::fs::write(path, bytes).map_err(|e| format!("{path}: {e}")),
-        None => {
-            use std::io::Write;
-            std::io::stdout()
-                .write_all(&bytes)
-                .map_err(|e| format!("stdout: {e}"))
-        }
+        None => std::io::stdout()
+            .write_all(&bytes)
+            .map_err(|e| format!("stdout: {e}")),
     }
 }
 
@@ -795,22 +793,25 @@ fn cmd_sync(args: &[String]) -> ExitCode {
         }
         cells += delta.touched_cells();
     }
-    // Replace the state atomically (write-then-rename): the accumulated
-    // rounds are unrecoverable — the workers drained when they emitted
-    // them — so a crashed or out-of-space write must not truncate the old
-    // state in place. The staging name is per-process so racing syncs
-    // cannot corrupt each other's half-written file; last-rename-wins
-    // between whole invocations is still the caller's to serialize (see
-    // the verb docs: one coordinator per state file).
+    // Replace the state atomically and durably (stream to a staging
+    // file, fsync, rename, fsync the directory): the accumulated rounds
+    // are unrecoverable — the workers drained when they emitted them — so
+    // a crashed or out-of-space write must not truncate the old state in
+    // place, and a power loss must not keep the rename but lose the data.
+    // The staging name is per-process so racing syncs cannot corrupt
+    // each other's half-written file; last-rename-wins between whole
+    // invocations is still the caller's to serialize (see the verb docs:
+    // one coordinator per state file).
     let staging = format!("{state_path}.tmp.{}", std::process::id());
-    if let Err(e) = emit_file(&Some(staging.clone()), format, &mut file) {
+    let replaced = wire::replace_file_durably(Path::new(&state_path), Path::new(&staging), |out| {
+        match format {
+            FileFormat::Json => writeln!(out, "{}", file.to_json()),
+            // `--format delta` was refused above.
+            FileFormat::Bin | FileFormat::Delta => file.write_to(out),
+        }
+    });
+    if let Err(e) = replaced {
         eprintln!("error: {e}");
-        let _ = std::fs::remove_file(&staging);
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::rename(&staging, &state_path) {
-        eprintln!("error: renaming {staging} over {state_path}: {e}");
-        let _ = std::fs::remove_file(&staging);
         return ExitCode::FAILURE;
     }
     eprintln!(

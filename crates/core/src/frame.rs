@@ -767,11 +767,14 @@ pub struct TenantStats {
     pub cached_answer_ns: u64,
     /// Engine worker threads this tenant claimed from the budget.
     pub workers: u64,
-    /// Resident sketch bytes (engine shards + checkpoint base), charged
-    /// at the format-frozen 32-byte wire cell.
+    /// Sketch bytes (engine shards + checkpoint base), charged at the
+    /// format-frozen 32-byte wire cell.
     pub bytes_resident: u64,
-    /// Width-aware resident lane bytes (engine shards + checkpoint
-    /// base): what the process actually holds after `s`-lane compaction.
+    /// Width-aware lane bytes (engine shards + checkpoint base): the
+    /// allocated lane storage after `s`-lane compaction. Both byte
+    /// counts are allocations, not what the process holds: lanes are
+    /// lazily zeroed, so the RSS of a tenant with few written cells can
+    /// be far lower.
     pub lane_bytes_resident: u64,
     /// Engine shards (plus the base, counted as one) carrying a sticky
     /// lane-overflow mark — true counter overflow was detected and those

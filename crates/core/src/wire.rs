@@ -80,6 +80,9 @@ use gs_sketch::bank::CellBanked;
 use gs_sketch::par::DecodePlan;
 use gs_sketch::{BankGeometry, LinearSketch, Mergeable};
 use serde::{Deserialize, Serialize, Value};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::Path;
 
 /// The JSON sketch-file wire version.
 pub const WIRE_FORMAT: u64 = 1;
@@ -100,16 +103,122 @@ pub const V2_MAGIC: &[u8; 8] = b"AGMSKB2\n";
 /// format 2): `D` for delta where the full dump has `B`.
 pub const DELTA_MAGIC: &[u8; 8] = b"AGMSKD2\n";
 
-/// The FNV-1a 64-bit checksum both binary layouts carry as their final
-/// word, computed over every preceding byte. Public so external tools
-/// (and the corruption tests) can re-seal a payload they have edited.
-pub fn v2_checksum(payload: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in payload {
+/// The FNV-1a 64-bit offset basis: the checksum state before any byte.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a running FNV-1a 64-bit state.
+#[inline]
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The FNV-1a 64-bit checksum both binary layouts carry as their final
+/// word, computed over every preceding byte. Public so external tools
+/// (and the corruption tests) can re-seal a payload they have edited.
+pub fn v2_checksum(payload: &[u8]) -> u64 {
+    fnv1a(FNV_OFFSET, payload)
+}
+
+/// A writer that folds every byte it passes on into a running FNV-1a
+/// state, so a binary layout can be streamed and then sealed with its
+/// [`v2_checksum`] without ever holding the whole payload.
+struct Checksummed<W: Write> {
+    out: W,
+    sum: u64,
+}
+
+impl<W: Write> Checksummed<W> {
+    fn new(out: W) -> Self {
+        Checksummed {
+            out,
+            sum: FNV_OFFSET,
+        }
+    }
+
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.sum = fnv1a(self.sum, bytes);
+        self.out.write_all(bytes)
+    }
+
+    fn put_u32(&mut self, x: u32) -> io::Result<()> {
+        self.put(&x.to_le_bytes())
+    }
+
+    /// Writes the checksum of everything put so far (the checksum word
+    /// itself is not hashed).
+    fn seal(mut self) -> io::Result<()> {
+        let sum = self.sum;
+        self.out.write_all(&sum.to_le_bytes())
+    }
+}
+
+/// Replaces the file at `path` durably with the bytes `write` emits.
+/// The bytes are streamed through a buffer into `staging` (created or
+/// truncated), which is fsynced and renamed over `path`; then the
+/// directory is fsynced, so the rename itself survives a power loss.
+/// Afterwards `path` holds the new bytes on stable storage, and a crash
+/// at any earlier point leaves the old file in place. `staging` must
+/// sit in the same directory as `path` (`rename(2)` is atomic only
+/// there).
+///
+/// # Errors
+/// Any I/O error, with the step and file named. The staging file is
+/// removed on every error; `path` is then untouched, unless only the
+/// final directory sync failed, in which case the rename has happened
+/// but may not yet be durable.
+pub fn replace_file_durably(
+    path: &Path,
+    staging: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
+    let result = stage_and_rename(path, staging, write);
+    if result.is_err() {
+        let _ = std::fs::remove_file(staging);
+    }
+    result
+}
+
+fn stage_and_rename(
+    path: &Path,
+    staging: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
+    let step = |what: &str, at: &Path| {
+        let what = format!("{what} {}", at.display());
+        move |e: io::Error| io::Error::new(e.kind(), format!("{what}: {e}"))
+    };
+    let mut out = BufWriter::new(File::create(staging).map_err(step("creating", staging))?);
+    write(&mut out).map_err(step("writing", staging))?;
+    let file = out
+        .into_inner()
+        .map_err(|e| e.into_error())
+        .map_err(step("writing", staging))?;
+    file.sync_all().map_err(step("syncing", staging))?;
+    drop(file);
+    std::fs::rename(staging, path).map_err(step("renaming over", path))?;
+    sync_parent_dir(path).map_err(step("syncing the directory of", path))
+}
+
+/// Fsyncs the directory holding `path`, making a rename into it durable.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
+}
+
+/// Directories cannot be opened for fsync off Unix; the rename there is
+/// as durable as the platform makes it.
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> io::Result<()> {
+    Ok(())
 }
 
 /// Appends the [`v2_checksum`] of everything written so far.
@@ -446,50 +555,78 @@ impl SketchFile {
 
     /// Serializes the file in the binary wire format (v2): the spec
     /// header, then the raw bank lanes and fingerprints, little-endian.
+    /// Collects in memory exactly the bytes [`SketchFile::write_to`]
+    /// streams.
+    ///
+    /// # Panics
+    /// Panics if a bank holds more than `u32::MAX` cells, which the
+    /// format cannot size.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(V2_MAGIC);
-        write_u32(&mut out, WIRE_FORMAT_BIN);
+        if let Err(e) = self.write_to(&mut out) {
+            // A `Vec` sink never fails, so this is the bank-size bound.
+            // gs-lint: allow(no-panic-paths, "encode-side bound on this process's own bank geometry; no wire bytes are parsed here")
+            panic!("{e}");
+        }
+        out
+    }
+
+    /// Streams the file in the binary wire format (v2) into `out`,
+    /// byte for byte what [`SketchFile::to_bytes`] returns. The trailing
+    /// checksum is folded from a running state as the bytes pass, so no
+    /// whole-file buffer is built; the lanes go out one word per write,
+    /// so hand a file or socket over in a [`BufWriter`].
+    ///
+    /// # Errors
+    /// Any error `out` reports, and [`io::ErrorKind::InvalidInput`] for
+    /// a bank of more than `u32::MAX` cells, which the format cannot size
+    /// (a prefix of the file has been written by then).
+    pub fn write_to(&self, out: impl Write) -> io::Result<()> {
+        let mut out = Checksummed::new(out);
+        out.put(V2_MAGIC)?;
+        out.put_u32(WIRE_FORMAT_BIN)?;
         let spec_json = self.spec.to_json();
-        write_u32(&mut out, spec_json.len() as u32);
-        out.extend_from_slice(spec_json.as_bytes());
+        out.put_u32(spec_json.len() as u32)?;
+        out.put(spec_json.as_bytes())?;
         let banks = self.state.banks();
-        write_u32(&mut out, banks.len() as u32);
+        out.put_u32(banks.len() as u32)?;
         for bank in banks {
             // Geometry axes ride as u32 (same invariant delta_bytes
             // guards): a larger bank would truncate silently into a
-            // checksum-valid but unloadable file, so refuse loudly.
-            // gs-lint: allow(no-panic-paths, "encode-side bound on this process's own bank geometry; no wire bytes are parsed here")
-            assert!(
-                bank.len() <= u32::MAX as usize,
-                "the binary format sizes banks as u32, bank holds {} cells",
-                bank.len()
-            );
+            // checksum-valid but unloadable file, so refuse it.
+            if bank.len() > u32::MAX as usize {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "the binary format sizes banks as u32, bank holds {} cells",
+                        bank.len()
+                    ),
+                ));
+            }
             let geom = bank.geometry();
-            write_u32(&mut out, geom.reps as u32);
-            write_u32(&mut out, geom.levels as u32);
-            write_u32(&mut out, geom.slots as u32);
+            out.put_u32(geom.reps as u32)?;
+            out.put_u32(geom.levels as u32)?;
+            out.put_u32(geom.slots as u32)?;
             for &x in bank.w_lane() {
-                out.extend_from_slice(&x.to_le_bytes());
+                out.put(&x.to_le_bytes())?;
             }
             // The wire always ships `s` as 16-byte words: a narrow
             // (i64-lane) bank widens here, so compaction never leaks
             // into the format and old readers stay byte-compatible.
             let s = bank.s_lane();
             for i in 0..bank.len() {
-                out.extend_from_slice(&s.get(i).to_le_bytes());
+                out.put(&s.get(i).to_le_bytes())?;
             }
             for &x in bank.f_lane() {
-                out.extend_from_slice(&x.value().to_le_bytes());
+                out.put(&x.value().to_le_bytes())?;
             }
         }
         let fps = self.state.fingerprints();
-        write_u32(&mut out, fps.len() as u32);
+        out.put_u32(fps.len() as u32)?;
         for fp in fps {
-            out.extend_from_slice(&fp.value().to_le_bytes());
+            out.put(&fp.value().to_le_bytes())?;
         }
-        seal(&mut out);
-        out
+        out.seal()
     }
 
     /// Parses a binary (v2) sketch file: magic, version, the trailing
@@ -1268,5 +1405,34 @@ mod tests {
         a.try_merge(&b).unwrap();
         let whole: Vec<EdgeUpdate> = first.into_iter().chain(second).collect();
         assert_eq!(a.state, fed(&spec, &whole));
+    }
+
+    #[test]
+    fn durable_replace_swaps_the_file_or_leaves_it_and_no_staging_file() {
+        let dir = std::env::temp_dir().join(format!("gs-wire-replace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (path, staging) = (dir.join("x.state"), dir.join("x.state.tmp"));
+        std::fs::write(&path, b"old").unwrap();
+
+        replace_file_durably(&path, &staging, |out| out.write_all(b"new")).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        assert!(!staging.exists());
+
+        let refused = replace_file_durably(&path, &staging, |out| {
+            out.write_all(b"half")?;
+            Err(io::Error::new(io::ErrorKind::WriteZero, "disk full"))
+        });
+        let e = refused.unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::WriteZero);
+        assert!(e.to_string().contains("writing"), "{e}");
+        assert_eq!(std::fs::read(&path).unwrap(), b"new", "old file kept");
+        assert!(!staging.exists(), "staging file removed on error");
+
+        // A missing directory fails at the first step, leaving nothing.
+        let nowhere = dir.join("missing").join("x.state");
+        let e =
+            replace_file_durably(&nowhere, &dir.join("missing").join("t"), |_| Ok(())).unwrap_err();
+        assert!(e.to_string().contains("creating"), "{e}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

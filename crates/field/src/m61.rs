@@ -139,6 +139,23 @@ impl M61 {
         // break the canonical-range invariant, not memory safety.
         unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr() as *mut u64, s.len()) }
     }
+
+    /// `len` zeros, allocated as `vec![0u64; len]` and cast in place.
+    /// std builds a zero-filled `Vec` of a primitive through the
+    /// allocator's zeroed path (`calloc`), which leaves a large buffer's
+    /// pages unwritten until first use; `vec![M61::ZERO; len]` would write
+    /// every element, because that path does not cover user types.
+    pub fn zeroed_vec(len: usize) -> Vec<M61> {
+        let mut words = std::mem::ManuallyDrop::new(vec![0u64; len]);
+        let (ptr, len, cap) = (words.as_mut_ptr(), words.len(), words.capacity());
+        // SAFETY: M61 is repr(transparent) over u64 (identical size and
+        // alignment), so the allocation's layout is unchanged and it is
+        // later freed with the layout it was allocated with; the
+        // ManuallyDrop wrapper gives up the original Vec's ownership, so
+        // the buffer has exactly one owner; every word is 0, which is
+        // M61::ZERO, a canonical element.
+        unsafe { Vec::from_raw_parts(ptr as *mut M61, len, cap) }
+    }
 }
 
 impl Add for M61 {
@@ -235,6 +252,17 @@ mod tests {
         let b = M61::new(P - 5);
         assert_eq!(a + b - b, a);
         assert_eq!(a - a, M61::ZERO);
+    }
+
+    #[test]
+    fn zeroed_vec_is_an_owned_vec_of_zeros() {
+        for len in [0usize, 1, 5, 1 << 16] {
+            let mut v = M61::zeroed_vec(len);
+            assert_eq!(v.len(), len);
+            assert!(v.iter().all(|x| x.is_zero()));
+            v.push(M61::ONE);
+            assert_eq!(v[len], M61::ONE);
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use graph_sketches::api::{SketchAnswer, SketchSpec};
 use graph_sketches::frame::{
     self, ErrCode, FrameError, Opcode, Request, Response, ServiceStats, TenantStats,
 };
-use graph_sketches::wire::{SketchDelta, WireError};
+use graph_sketches::wire::{self, SketchDelta, WireError};
 use graph_sketches::AnySketch;
 use graph_sketches::SketchFile;
 use gs_sketch::par::DecodePlan;
@@ -626,12 +626,17 @@ fn handle_create(shared: &Shared, corr: u64, name: &str, payload: &[u8]) -> Resp
 /// in, not read from the registry, because `handle_create` calls this
 /// while holding the registry write lock), never below the 1-worker
 /// floor.
+///
+/// The engine gets exactly one shard per worker. Worker `s % workers`
+/// absorbs shard `s`, so a second shard per worker would add no
+/// parallelism, only another sketch to hold and fold at every drain; by
+/// linearity the shard count never changes an answer.
 fn build_tenant(shared: &Shared, ntenants: usize, name: String, base: SketchFile) -> Tenant {
     let want = (shared.budget.total() / (ntenants + 1)).max(1);
     let claim = shared.budget.claim(want);
     let workers = claim.workers();
     let spec = base.spec;
-    let config = EngineConfig::new((workers * 2).max(2))
+    let config = EngineConfig::new(workers)
         .with_workers(workers)
         .with_seed(spec.seed);
     let engine = SketchEngine::new(config, || spec.build());
@@ -655,7 +660,7 @@ fn handle_ingest(shared: &Shared, corr: u64, name: &str, payload: &[u8]) -> Resp
         return err(corr, ErrCode::NoSuchTenant, format!("no tenant {name:?}"));
     };
     let mut t = lock_tenant(&tenant);
-    if payload.starts_with(graph_sketches::wire::DELTA_MAGIC) {
+    if payload.starts_with(wire::DELTA_MAGIC) {
         let delta = match SketchDelta::from_bytes(payload) {
             Ok(d) => d,
             Err(e) => return err(corr, ErrCode::from_wire(&e), e.to_string()),
@@ -845,20 +850,20 @@ fn state_path(dir: &Path, tenant: &str) -> PathBuf {
     dir.join(format!("{tenant}.state"))
 }
 
-/// Persists one tenant if dirty (write-then-rename, wire-v2 bytes).
-/// Returns whether a write happened. A dropped tenant is never written:
-/// the caller may hold an `Arc` taken before the `DROP`.
+/// Persists one tenant if dirty: the base's wire-v2 bytes are streamed
+/// into a staging file, fsynced, renamed over `<name>.state`, and the
+/// directory fsynced ([`wire::replace_file_durably`]), so a completed
+/// checkpoint survives a power loss. Returns whether a write happened.
+/// A dropped tenant is never written: the caller may hold an `Arc`
+/// taken before the `DROP`.
 fn checkpoint_tenant(t: &mut Tenant, dir: &Path) -> Result<bool, String> {
     if !t.dirty || t.dropped {
         return Ok(false);
     }
     t.drain_into_base()?;
-    let bytes = t.base.to_bytes();
     let tmp = dir.join(format!("{}.state.tmp.{}", t.name, std::process::id()));
-    let path = state_path(dir, &t.name);
-    std::fs::write(&tmp, &bytes).map_err(|e| format!("checkpoint write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, &path)
-        .map_err(|e| format!("checkpoint rename {}: {e}", path.display()))?;
+    wire::replace_file_durably(&state_path(dir, &t.name), &tmp, |out| t.base.write_to(out))
+        .map_err(|e| format!("checkpoint: {e}"))?;
     t.dirty = false;
     Ok(true)
 }

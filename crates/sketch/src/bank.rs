@@ -24,6 +24,14 @@
 //!   bytes, geometry-checked against a spec-built receiver (see the
 //!   [`CellBanked`] visitor below).
 //!
+//! The lanes are plain zeroed `Vec`s of primitive elements, which the
+//! allocator hands out as untouched pages (see [`crate::lane`]). A bank
+//! therefore pays physical memory only for the pages its written cells
+//! live on: building a sketch from its spec is nearly free, and a shard
+//! that never absorbs an update never becomes resident. Sizes reported
+//! by [`CellBank::resident_bytes`] count the allocation, an upper bound
+//! on what the process actually holds.
+//!
 //! ## Spec-derived lane width
 //!
 //! The `s` lane (`Σ i·x_i`) is stored as a width-tagged [`SLane`]: `i64`
@@ -93,7 +101,7 @@
 //! serialization. [`CellBank::reset`] is the one operation that moves
 //! them back (to a fresh bank's zeros): it starts a new lineage.
 
-use crate::lane::{AlignedBuf, LaneOverflow, LaneWidth, SLane};
+use crate::lane::{LaneOverflow, LaneWidth, SLane};
 use crate::one_sparse::{OneSparseCell, OneSparseState};
 use crate::simd;
 use gs_field::{Randomness, M61};
@@ -191,11 +199,11 @@ fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 pub struct CellBank {
     geom: BankGeometry,
     /// Σ x_i per cell.
-    w: AlignedBuf<i64>,
+    w: Vec<i64>,
     /// Σ i·x_i per cell, at the spec-derived width.
     s: SLane,
     /// Σ x_i·h(i) per cell, over F_{2^61−1}.
-    f: AlignedBuf<M61>,
+    f: Vec<M61>,
     /// Touched-slot bitmap (one bit per cell, `⌈len/64⌉` words): bit `i`
     /// is set iff cell `i` changed since the last [`CellBank::drain_dirty`].
     /// Unused tail bits of the last word stay zero. Not part of equality
@@ -237,9 +245,9 @@ impl CellBank {
         let len = geom.len();
         CellBank {
             geom,
-            w: AlignedBuf::zeroed(len),
+            w: vec![0; len],
             s: SLane::zeroed(width, len),
-            f: AlignedBuf::zeroed(len),
+            f: M61::zeroed_vec(len),
             dirty: vec![0; len.div_ceil(64)],
             poison: None,
             generation: 0,
@@ -287,9 +295,12 @@ impl CellBank {
         self.w.is_empty()
     }
 
-    /// Bytes of resident lane storage (`w` + `s` at its stored width +
+    /// Bytes of allocated lane storage (`w` + `s` at its stored width +
     /// `f` + the dirty bitmap) — the width-aware space accounting behind
-    /// `LinearSketch::space_bytes`.
+    /// `LinearSketch::resident_lane_bytes`. This counts the allocation,
+    /// not the pages the OS holds: lanes are lazily zeroed, so lane pages
+    /// holding no written cell take no physical memory (see
+    /// [`crate::lane`]).
     pub fn resident_bytes(&self) -> usize {
         self.w.len() * 8 + self.s.resident_bytes() + self.f.len() * 8 + self.dirty.len() * 8
     }
@@ -314,11 +325,7 @@ impl CellBank {
     /// overlay unbounded external sums (e.g. decode-side group proxies).
     pub fn force_wide(&mut self) {
         if let Some(n) = self.s.as_narrow() {
-            let mut wide = AlignedBuf::<i128>::zeroed(n.len());
-            for (dst, &src) in wide.iter_mut().zip(n.iter()) {
-                *dst = src as i128;
-            }
-            self.s = SLane::Wide(wide);
+            self.s = SLane::Wide(n.iter().map(|&x| x as i128).collect());
         }
     }
 

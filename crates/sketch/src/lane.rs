@@ -1,5 +1,5 @@
 //! Lane-width machinery for the [`crate::bank::CellBank`]: spec-derived
-//! `s`-lane compaction and aligned lane allocation.
+//! `s`-lane compaction and lazily zeroed lane storage.
 //!
 //! The bank's `s` lane (`Σ i·x_i` per cell) was born `i128` because indices
 //! range up to `C(n,2) ≈ 2^64` — but it is also **half the bytes the bank
@@ -20,8 +20,15 @@
 //!   exceeds the lane width. The declared bound is a *derivation hint*,
 //!   never a trusted limit: kernels detect true overflow regardless and
 //!   poison the bank instead of panicking (see `CellBank::lane_overflow`).
-//! * [`AlignedBuf`] — lane storage in 32-byte-aligned blocks so the
-//!   `core::arch` kernels in [`crate::simd`] run over aligned memory.
+//! * **Lazily zeroed storage.** Every lane is a plain `vec![0; len]` of a
+//!   primitive element (`i64`, `i128`, or `u64` words cast to `M61` by
+//!   [`gs_field::M61::zeroed_vec`]). std allocates those through the
+//!   allocator's zeroed path (`calloc`), which maps a large lane fresh
+//!   from the OS without writing it, so its pages stay backed by the
+//!   shared zero page: a spec-built sketch costs address space, not
+//!   resident memory, and a page becomes resident on its first write.
+//!   The AVX2 kernels in [`crate::simd`] use unaligned loads and stores
+//!   only, so lanes need no alignment beyond their element type's.
 //!
 //! The headroom choice is deliberately conservative: a `ForestSketch` over
 //! `n = 1000` has `max_index = C(1000,2) − 1 < 2^19`, so unit-delta streams
@@ -99,111 +106,25 @@ impl fmt::Display for LaneOverflow {
 
 impl std::error::Error for LaneOverflow {}
 
-/// Elements per aligned block. Chosen so an `i64` block is exactly one
-/// 32-byte AVX2 vector.
-const BLOCK_ELEMS: usize = 4;
-
-/// One 32-byte-aligned block of lane elements.
-#[derive(Clone, Copy)]
-#[repr(C, align(32))]
-struct Block<T: Copy>([T; BLOCK_ELEMS]);
-
-/// A fixed-length lane buffer whose storage starts on a 32-byte boundary,
-/// so the AVX2 kernels in [`crate::simd`] sweep aligned memory. Behaves as
-/// a `[T]` via `Deref`; length is fixed at construction (banks never grow).
-pub struct AlignedBuf<T: Copy + Default> {
-    blocks: Vec<Block<T>>,
-    len: usize,
-}
-
-impl<T: Copy + Default> AlignedBuf<T> {
-    /// A zero-initialized buffer of `len` elements.
-    pub fn zeroed(len: usize) -> Self {
-        let blocks = vec![Block([T::default(); BLOCK_ELEMS]); len.div_ceil(BLOCK_ELEMS)];
-        AlignedBuf { blocks, len }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` iff the buffer holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The elements as a contiguous slice (32-byte-aligned start).
-    pub fn as_slice(&self) -> &[T] {
-        // SAFETY: Block is repr(C) [T; 4] with 32-byte alignment, so
-        // `blocks` is a contiguous, aligned run of `4 · blocks.len() ≥ len`
-        // initialized `T`s; the constructed length invariant bounds `len`.
-        unsafe { std::slice::from_raw_parts(self.blocks.as_ptr() as *const T, self.len) }
-    }
-
-    /// Mutable counterpart of [`AlignedBuf::as_slice`].
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        // SAFETY: as in `as_slice` (repr(C) blocks give a contiguous,
-        // aligned run of at least `len` initialized `T`s); `&mut self`
-        // guarantees uniqueness, and tail elements beyond `len` are never
-        // exposed.
-        unsafe { std::slice::from_raw_parts_mut(self.blocks.as_mut_ptr() as *mut T, self.len) }
-    }
-}
-
-impl<T: Copy + Default> Clone for AlignedBuf<T> {
-    fn clone(&self) -> Self {
-        AlignedBuf {
-            blocks: self.blocks.clone(),
-            len: self.len,
-        }
-    }
-}
-
-impl<T: Copy + Default + fmt::Debug> fmt::Debug for AlignedBuf<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.as_slice().fmt(f)
-    }
-}
-
-impl<T: Copy + Default + PartialEq> PartialEq for AlignedBuf<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl<T: Copy + Default + Eq> Eq for AlignedBuf<T> {}
-
-impl<T: Copy + Default> std::ops::Deref for AlignedBuf<T> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        self.as_slice()
-    }
-}
-
-impl<T: Copy + Default> std::ops::DerefMut for AlignedBuf<T> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        self.as_mut_slice()
-    }
-}
-
 /// The width-tagged `s` (index-sum) lane of a bank. All kernels run at the
 /// stored width; [`SLane::get`] / [`SLane::to_wide_vec`] widen on the way
 /// out for export paths, which always speak `i128`.
 #[derive(Clone, Debug)]
 pub enum SLane {
     /// Compacted `i64` cells.
-    Narrow(AlignedBuf<i64>),
+    Narrow(Vec<i64>),
     /// Full-width `i128` cells.
-    Wide(AlignedBuf<i128>),
+    Wide(Vec<i128>),
 }
 
 impl SLane {
-    /// A zeroed lane of `len` cells at the given width.
+    /// A zeroed lane of `len` cells at the given width. The storage is
+    /// a zeroed allocation (see the module docs), so its pages become
+    /// resident only when cells are written.
     pub fn zeroed(width: LaneWidth, len: usize) -> Self {
         match width {
-            LaneWidth::Narrow => SLane::Narrow(AlignedBuf::zeroed(len)),
-            LaneWidth::Wide => SLane::Wide(AlignedBuf::zeroed(len)),
+            LaneWidth::Narrow => SLane::Narrow(vec![0; len]),
+            LaneWidth::Wide => SLane::Wide(vec![0; len]),
         }
     }
 
@@ -367,24 +288,6 @@ mod tests {
         );
         // Huge domains are always wide, whatever the delta bound.
         assert_eq!(LaneWidth::for_bounds(u64::MAX, 1), LaneWidth::Wide);
-    }
-
-    #[test]
-    fn aligned_buf_is_32_byte_aligned_and_slice_like() {
-        for len in [0usize, 1, 3, 4, 5, 64, 130] {
-            let mut b = AlignedBuf::<i64>::zeroed(len);
-            assert_eq!(b.len(), len);
-            assert!(b.iter().all(|&x| x == 0));
-            if len > 0 {
-                assert_eq!(b.as_slice().as_ptr() as usize % 32, 0, "len {len}");
-                b[len - 1] = 7;
-                assert_eq!(b[len - 1], 7);
-            }
-            let c = b.clone();
-            assert_eq!(b, c);
-        }
-        let w = AlignedBuf::<i128>::zeroed(9);
-        assert_eq!(w.as_slice().as_ptr() as usize % 32, 0);
     }
 
     #[test]

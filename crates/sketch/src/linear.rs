@@ -198,13 +198,14 @@ pub trait LinearSketch: Mergeable {
         None
     }
 
-    /// Width-aware resident measurement bytes: the actual allocated lane
-    /// footprint, which shrinks when a bank's `s`-lane is compacted to
-    /// `i64` (see `LaneWidth`). [`LinearSketch::space_bytes`] keeps
-    /// charging the format-frozen 32-byte wire cell regardless of lane
-    /// width; this method reports what the process really holds. The
-    /// default is `space_bytes` for implementations without bank-backed
-    /// storage; bank-backed sketches override it.
+    /// Width-aware measurement bytes: the allocated lane footprint,
+    /// which shrinks when a bank's `s`-lane is compacted to `i64` (see
+    /// `LaneWidth`). [`LinearSketch::space_bytes`] keeps charging the
+    /// format-frozen 32-byte wire cell regardless of lane width. Both
+    /// count allocated bytes; lanes are lazily zeroed, so the pages the
+    /// process actually holds (its RSS) can be far fewer until the cells
+    /// are written. The default is `space_bytes` for implementations
+    /// without bank-backed storage; bank-backed sketches override it.
     fn resident_lane_bytes(&self) -> usize {
         self.space_bytes()
     }

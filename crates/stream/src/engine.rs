@@ -258,13 +258,15 @@ pub struct EngineStats {
     /// ([`EngineConfig::queue_batches`]): a queue whose depth has reached
     /// this value blocks `ingest` and refuses `offer`.
     pub queue_capacity: usize,
-    /// Total resident shard-sketch size in bytes
-    /// ([`LinearSketch::space_bytes`] summed over shards).
+    /// Total shard-sketch size in bytes ([`LinearSketch::space_bytes`]
+    /// summed over shards), charged at the format-frozen wire cell.
     pub bytes_resident: usize,
-    /// Width-aware resident lane bytes summed over shards
-    /// ([`LinearSketch::resident_lane_bytes`]): what the process actually
-    /// holds after `s`-lane compaction, versus the format-frozen cell
-    /// accounting of `bytes_resident`.
+    /// Width-aware lane bytes summed over shards
+    /// ([`LinearSketch::resident_lane_bytes`]): the allocated lane
+    /// storage after `s`-lane compaction, versus the format-frozen cell
+    /// accounting of `bytes_resident`. Both count allocated bytes, not
+    /// what the process holds: lanes are lazily zeroed, so the RSS of
+    /// shards with few written cells can be far lower.
     pub lane_bytes_resident: usize,
     /// Shards whose sketch carries a sticky lane-overflow mark
     /// ([`LinearSketch::lane_overflow`]): an ingest kernel detected true

@@ -103,6 +103,53 @@ fn v2_merge_equals_central_for_every_task() {
     }
 }
 
+/// The v2 bytes of [`fed_file`] for every task, as `(length, checksum)`:
+/// pinned so any change to what the encoder writes fails here, not only
+/// changes a decoder round trip would notice.
+const PINNED_V2: [(SketchTask, usize, u64); 10] = [
+    (SketchTask::Connectivity, 32372, 0xf8ba_6600_2619_5051),
+    (SketchTask::Bipartite, 134525, 0x67d1_3c2c_0c74_628f),
+    (SketchTask::MinCut, 1209998, 0x5ea2_82e1_00f2_8500),
+    (SketchTask::SimpleSparsify, 1935946, 0xcd54_a2d8_ceb2_16fa),
+    (SketchTask::Sparsify, 4118740, 0xa127_8d13_4d83_ef39),
+    (
+        SketchTask::WeightedSparsify,
+        15486828,
+        0xfa4a_4dc7_0d3f_b983,
+    ),
+    (SketchTask::Subgraphs, 33189, 0x63ad_c49f_c6df_7142),
+    (SketchTask::Mst, 161435, 0x00b2_dc32_d183_3c83),
+    (SketchTask::KConnect, 64636, 0xd3a4_22d6_2dca_a832),
+    (SketchTask::KEdgeWitness, 64640, 0xf8ca_e68a_8fcf_f6f8),
+];
+
+#[test]
+fn v2_bytes_are_pinned_for_every_task() {
+    assert_eq!(PINNED_V2.map(|(task, ..)| task), SketchTask::ALL);
+    for (task, len, sum) in PINNED_V2 {
+        let bytes = fed_file(task).to_bytes();
+        let (content, word) = bytes.split_at(bytes.len() - 8);
+        assert_eq!(bytes.len(), len, "{task:?}: v2 length moved");
+        assert_eq!(v2_checksum(content), sum, "{task:?}: v2 bytes moved");
+        assert_eq!(word, sum.to_le_bytes(), "{task:?}: trailing checksum");
+    }
+}
+
+#[test]
+fn write_to_a_file_streams_exactly_the_to_bytes_bytes() {
+    let dir = std::env::temp_dir().join(format!("gs-wire-v2-write-to-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for task in SketchTask::ALL {
+        let file = fed_file(task);
+        let path = dir.join(format!("{task:?}.state"));
+        let mut out = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+        file.write_to(&mut out).unwrap();
+        drop(out.into_inner().unwrap());
+        assert_eq!(std::fs::read(&path).unwrap(), file.to_bytes(), "{task:?}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn v2_is_smaller_than_v1_json() {
     // The point of the binary dump: no JSON inflation of i128 strings and
