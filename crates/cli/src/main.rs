@@ -467,7 +467,12 @@ fn emit_file(
 ) -> Result<(), String> {
     let bytes = match format {
         FileFormat::Json => return emit(out, &file.to_json()),
-        FileFormat::Bin => file.to_bytes(),
+        FileFormat::Bin => {
+            // Poisoned state refuses to encode: an error, not a panic.
+            let mut bytes = Vec::new();
+            file.write_to(&mut bytes).map_err(|e| e.to_string())?;
+            bytes
+        }
         FileFormat::Delta => file.delta_bytes(),
     };
     match out {

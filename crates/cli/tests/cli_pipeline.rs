@@ -516,6 +516,34 @@ fn truncated_binary_file_fails_loudly() {
 }
 
 #[test]
+fn poisoned_sketch_is_refused_as_binary_output_not_panicking() {
+    // Two maximal-weight copies of one edge overflow a lane. The binary
+    // format has no poison mark, so the export is refused with an error
+    // and a non-zero exit: nothing is written, and no panic is reached.
+    let dir = Scratch::new("binpoison");
+    let f = dir.path("p.sketch2");
+    let max = i64::MAX;
+    let stream = format!("+ 0 1 {max}\n+ 0 1 {max}\n+ 2 3\n");
+    let args = [
+        "sketch",
+        "connectivity",
+        "--n",
+        "8",
+        "--format",
+        "bin",
+        "--out",
+        &f,
+    ];
+    let (_, err, code) = run(&args, &stream);
+    assert_eq!(code, 1, "{err}");
+    assert!(
+        err.contains("lane overflow") && !err.contains("panicked"),
+        "{err}"
+    );
+    assert!(!std::path::Path::new(&f).exists(), "nothing was written");
+}
+
+#[test]
 fn format_flag_is_refused_out_of_place() {
     // --format on a plain query, serve-demo, or decode is a mistake; it
     // must be refused, not silently ignored (PR 2 flag discipline).

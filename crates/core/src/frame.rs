@@ -334,7 +334,8 @@ pub enum ErrCode {
     /// The spec was refused ([`SpecError`] — degenerate or hostile).
     Spec = 6,
     /// A wire payload was refused ([`WireError`] — corrupt, truncated,
-    /// wrong geometry…).
+    /// wrong geometry…), or a tenant's state refused to encode as one
+    /// (`SNAPSHOT`/`CHECKPOINT` of a sketch poisoned by a lane overflow).
     Wire = 7,
     /// Sketch states refused to merge (`MergeError`).
     Merge = 8,

@@ -56,6 +56,17 @@
 //! *re-sealed* tampered file is caught too wherever the damage is
 //! detectable.
 //!
+//! Writing a full file costs its **written state**, not its allocation,
+//! while the bytes stay exactly the format above. [`SketchFile::write_to`]
+//! is dirty-driven: a bank's clean bitmap words are zero (the delta
+//! invariant of [`gs_sketch::CellBank`]), so their cells go out as zero
+//! runs without their lanes being read. The checksum kernel jumps over
+//! zeros: since FNV-1a maps a zero byte to `h·P`, a run of `k` zero
+//! bytes folds as one multiply by `P^k mod 2^64`. And
+//! [`replace_file_durably`] writes state files sparse, leaving every
+//! all-zero 4 KiB block as a hole. A sketch poisoned by a lane overflow
+//! is refused by the writer, since the format has no way to mark it.
+//!
 //! In all formats the payload carries the full [`SketchSpec`] —
 //! everything two sites must agree on for their measurements to be
 //! compatible — so the coordinator *checks* compatibility instead of
@@ -78,10 +89,10 @@ use crate::api::{AnySketch, MergeError, SketchAnswer, SketchSpec, SpecError};
 use gs_field::{m61, M61};
 use gs_sketch::bank::CellBanked;
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{BankGeometry, LinearSketch, Mergeable};
+use gs_sketch::{BankGeometry, LinearSketch, Mergeable, SLane};
 use serde::{Deserialize, Serialize, Value};
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// The JSON sketch-file wire version.
@@ -106,12 +117,77 @@ pub const DELTA_MAGIC: &[u8; 8] = b"AGMSKD2\n";
 /// The FNV-1a 64-bit offset basis: the checksum state before any byte.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Folds `bytes` into a running FNV-1a 64-bit state.
+/// The FNV-1a 64-bit prime `P`: each byte `b` maps the state `h` to
+/// `(h ^ b)·P mod 2^64`.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `P^n mod 2^64`, by square-and-multiply. A zero byte maps an FNV-1a
+/// state `h` to `h·P` (the xor is a no-op), so a run of `n` zero bytes
+/// folds into the state as one multiply by this power.
+const fn prime_pow(mut n: u64) -> u64 {
+    let (mut acc, mut base) = (1u64, FNV_PRIME);
+    while n > 0 {
+        if n & 1 == 1 {
+            acc = acc.wrapping_mul(base);
+        }
+        base = base.wrapping_mul(base);
+        n >>= 1;
+    }
+    acc
+}
+
+/// Folds a run of `n` zero bytes into a running FNV-1a 64-bit state, in
+/// O(log n) multiplies.
 #[inline]
+fn fnv1a_zeros(h: u64, n: u64) -> u64 {
+    h.wrapping_mul(prime_pow(n))
+}
+
+/// `true` iff every byte is zero. Scans 64-byte lines so that a nonzero
+/// buffer usually stops at its first line.
+fn is_zero(bytes: &[u8]) -> bool {
+    bytes
+        .chunks(64)
+        .all(|line| line.iter().fold(0, |acc, &b| acc | b) == 0)
+}
+
+/// Folds `bytes` into a running FNV-1a 64-bit state. The result is the
+/// byte-serial definition's, but zeros are jumped over: an all-zero
+/// 64-byte line folds as one multiply by `P^64`, an all-zero 8-byte word
+/// by `P^8`, and only the other words are folded byte by byte.
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    const ZERO_LINE: u64 = prime_pow(64);
+    let (lines, tail) = bytes.as_chunks::<64>();
+    for line in lines {
+        h = if is_zero(line) {
+            h.wrapping_mul(ZERO_LINE)
+        } else {
+            fnv1a_words(h, line)
+        };
+    }
+    fnv1a_words(h, tail)
+}
+
+/// [`fnv1a`] below the line level: all-zero 8-byte words fold by one
+/// multiply, the rest byte by byte.
+fn fnv1a_words(mut h: u64, bytes: &[u8]) -> u64 {
+    const ZERO_WORD: u64 = prime_pow(8);
+    let (words, tail) = bytes.as_chunks::<8>();
+    for word in words {
+        h = if u64::from_le_bytes(*word) == 0 {
+            h.wrapping_mul(ZERO_WORD)
+        } else {
+            fnv1a_bytes(h, word)
+        };
+    }
+    fnv1a_bytes(h, tail)
+}
+
+/// The byte-serial FNV-1a fold: one xor and one multiply per byte.
+#[inline]
+fn fnv1a_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -119,16 +195,27 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// The FNV-1a 64-bit checksum both binary layouts carry as their final
 /// word, computed over every preceding byte. Public so external tools
 /// (and the corruption tests) can re-seal a payload they have edited.
+/// Zero runs cost one multiply per 64-byte line rather than one per
+/// byte, so verifying a mostly-empty file (recovery, every delta record
+/// applied) runs at memory speed.
 pub fn v2_checksum(payload: &[u8]) -> u64 {
     fnv1a(FNV_OFFSET, payload)
 }
 
+/// Zeros to write from: zero runs go out in pieces of this size.
+static ZERO_BLOCK: [u8; 1 << 16] = [0; 1 << 16];
+
 /// A writer that folds every byte it passes on into a running FNV-1a
 /// state, so a binary layout can be streamed and then sealed with its
-/// [`v2_checksum`] without ever holding the whole payload.
+/// [`v2_checksum`] without ever holding the whole payload. Zero runs are
+/// put by length ([`Checksummed::put_zeros`]): consecutive runs coalesce,
+/// fold into the checksum by one multiply, and reach `out` as a few large
+/// writes of [`ZERO_BLOCK`].
 struct Checksummed<W: Write> {
     out: W,
     sum: u64,
+    /// Zero bytes put but not yet folded or written.
+    zeros: u64,
 }
 
 impl<W: Write> Checksummed<W> {
@@ -136,11 +223,13 @@ impl<W: Write> Checksummed<W> {
         Checksummed {
             out,
             sum: FNV_OFFSET,
+            zeros: 0,
         }
     }
 
     #[inline]
     fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.flush_zeros()?;
         self.sum = fnv1a(self.sum, bytes);
         self.out.write_all(bytes)
     }
@@ -149,22 +238,180 @@ impl<W: Write> Checksummed<W> {
         self.put(&x.to_le_bytes())
     }
 
+    /// Puts `n` zero bytes.
+    fn put_zeros(&mut self, n: usize) {
+        self.zeros += n as u64;
+    }
+
+    /// Folds and writes the pending zero run.
+    fn flush_zeros(&mut self) -> io::Result<()> {
+        self.sum = fnv1a_zeros(self.sum, self.zeros);
+        while self.zeros > 0 {
+            let n = self.zeros.min(ZERO_BLOCK.len() as u64);
+            let (zeros, _) = ZERO_BLOCK.split_at(n as usize);
+            self.out.write_all(zeros)?;
+            self.zeros -= n;
+        }
+        Ok(())
+    }
+
     /// Writes the checksum of everything put so far (the checksum word
     /// itself is not hashed).
     fn seal(mut self) -> io::Result<()> {
+        self.flush_zeros()?;
         let sum = self.sum;
         self.out.write_all(&sum.to_le_bytes())
     }
 }
 
+/// Streams one lane of a bank, one dirty-bitmap word (64 cells) at a
+/// time. A clean word's cells are zero by the bank's delta invariant
+/// ("clean ⇒ zero", see [`gs_sketch::CellBank::dirty_words`]), so they
+/// are put as a zero run without reading the lane; a dirty word's cells
+/// are encoded into one chunk and put with one call.
+fn put_lane<W: Write, T: Copy, const N: usize>(
+    out: &mut Checksummed<W>,
+    cells: &[T],
+    dirty: &[u64],
+    to_le: impl Fn(T) -> [u8; N],
+) -> io::Result<()> {
+    debug_assert_eq!(dirty.len(), cells.len().div_ceil(64));
+    let mut encoded = [[0u8; N]; 64];
+    for (chunk, &word) in cells.chunks(64).zip(dirty) {
+        if word == 0 {
+            debug_assert!(
+                chunk.iter().all(|&x| to_le(x) == [0; N]),
+                "a clean cell holds a nonzero value"
+            );
+            out.put_zeros(chunk.len() * N);
+            continue;
+        }
+        for (dst, &x) in encoded.iter_mut().zip(chunk) {
+            *dst = to_le(x);
+        }
+        let (encoded, _) = encoded.split_at(chunk.len());
+        out.put(encoded.as_flattened())?;
+    }
+    Ok(())
+}
+
+/// The block size [`replace_file_durably`] turns into a hole when the
+/// stream holds only zeros there: the usual filesystem block.
+const HOLE_BLOCK: usize = 4096;
+
+/// How many bytes [`SparseFile`] gathers from small writes before handing
+/// them to the file: sixteen blocks.
+const STAGE_BYTES: usize = 16 * HOLE_BLOCK;
+
+/// A writer into a fresh, empty file that leaves every all-zero,
+/// [`HOLE_BLOCK`]-aligned block of the stream unwritten: it seeks past
+/// the block, and [`SparseFile::finish`] sets the file's length at the
+/// end. A hole reads back as zeros, so the file holds exactly the bytes
+/// written, while only the nonzero blocks are allocated, written and
+/// synced.
+struct SparseFile {
+    file: File,
+    /// Stream bytes not yet handed to the file, from the block-aligned
+    /// stream offset `at`; fewer than [`STAGE_BYTES`].
+    pending: Vec<u8>,
+    /// Stream offset of the first byte of `pending`.
+    at: u64,
+    /// Offset of the file's cursor.
+    cursor: u64,
+}
+
+impl SparseFile {
+    fn new(file: File) -> Self {
+        SparseFile {
+            file,
+            pending: Vec::new(),
+            at: 0,
+            cursor: 0,
+        }
+    }
+
+    /// Hands `bytes`, which start at stream offset `at` (block-aligned),
+    /// to the file: each run of nonzero blocks in one write, each
+    /// all-zero block skipped.
+    fn emit(&mut self, mut bytes: &[u8]) -> io::Result<()> {
+        while !bytes.is_empty() {
+            let hole = bytes.chunks(HOLE_BLOCK).take_while(|b| is_zero(b)).count() * HOLE_BLOCK;
+            let (hole, rest) = bytes.split_at(hole.min(bytes.len()));
+            let data = rest.chunks(HOLE_BLOCK).take_while(|b| !is_zero(b)).count() * HOLE_BLOCK;
+            let (data, rest) = rest.split_at(data.min(rest.len()));
+            self.at += hole.len() as u64;
+            if !data.is_empty() {
+                if self.cursor != self.at {
+                    self.file.seek(SeekFrom::Start(self.at))?;
+                }
+                self.file.write_all(data)?;
+                self.at += data.len() as u64;
+                self.cursor = self.at;
+            }
+            bytes = rest;
+        }
+        Ok(())
+    }
+
+    /// Emits `pending` and empties it, keeping its allocation.
+    fn emit_pending(&mut self) -> io::Result<()> {
+        let pending = std::mem::take(&mut self.pending);
+        let emitted = self.emit(&pending);
+        self.pending = pending;
+        self.pending.clear();
+        emitted
+    }
+
+    /// Hands over the last partial block and sets the file's length to
+    /// the stream's, which also materializes a trailing hole.
+    fn finish(mut self) -> io::Result<File> {
+        self.emit_pending()?;
+        self.file.set_len(self.at)?;
+        Ok(self.file)
+    }
+}
+
+impl Write for SparseFile {
+    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+        if self.pending.len() + data.len() < STAGE_BYTES {
+            self.pending.extend_from_slice(data);
+            return Ok(data.len());
+        }
+        // Complete the partial block and hand over everything staged;
+        // then the whole blocks of `data` go straight from the caller's
+        // buffer. STAGE_BYTES is a multiple of HOLE_BLOCK and `pending`
+        // holds fewer bytes, so the block boundary lies within `data`.
+        let fill = self.pending.len().next_multiple_of(HOLE_BLOCK) - self.pending.len();
+        let (head, rest) = data.split_at(fill);
+        self.pending.extend_from_slice(head);
+        self.emit_pending()?;
+        let (blocks, tail) = rest.split_at(rest.len() - rest.len() % HOLE_BLOCK);
+        self.emit(blocks)?;
+        self.pending.extend_from_slice(tail);
+        Ok(data.len())
+    }
+
+    /// Bytes reach the file in whole blocks, the last partial one in
+    /// [`SparseFile::finish`]; nothing else is buffered.
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 /// Replaces the file at `path` durably with the bytes `write` emits.
-/// The bytes are streamed through a buffer into `staging` (created or
-/// truncated), which is fsynced and renamed over `path`; then the
-/// directory is fsynced, so the rename itself survives a power loss.
-/// Afterwards `path` holds the new bytes on stable storage, and a crash
-/// at any earlier point leaves the old file in place. `staging` must
-/// sit in the same directory as `path` (`rename(2)` is atomic only
-/// there).
+/// The bytes are streamed into `staging` (created or truncated), which
+/// is fsynced and renamed over `path`; then the directory is fsynced, so
+/// the rename itself survives a power loss. Afterwards `path` holds the
+/// new bytes on stable storage, and a crash at any earlier point leaves
+/// the old file in place. `staging` must sit in the same directory as
+/// `path` (`rename(2)` is atomic only there).
+///
+/// The staging file is written **sparse**: every all-zero, 4 KiB-aligned
+/// block of the stream becomes a hole instead of a write. Holes read
+/// back as zeros, so the file's bytes are unchanged, but only the
+/// nonzero blocks are written, synced and allocated on disk — a state
+/// file of a mostly-empty sketch costs the I/O and disk of its written
+/// cells.
 ///
 /// # Errors
 /// Any I/O error, with the step and file named. The staging file is
@@ -174,7 +421,7 @@ impl<W: Write> Checksummed<W> {
 pub fn replace_file_durably(
     path: &Path,
     staging: &Path,
-    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
 ) -> io::Result<()> {
     let result = stage_and_rename(path, staging, write);
     if result.is_err() {
@@ -186,18 +433,15 @@ pub fn replace_file_durably(
 fn stage_and_rename(
     path: &Path,
     staging: &Path,
-    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
 ) -> io::Result<()> {
     let step = |what: &str, at: &Path| {
         let what = format!("{what} {}", at.display());
         move |e: io::Error| io::Error::new(e.kind(), format!("{what}: {e}"))
     };
-    let mut out = BufWriter::new(File::create(staging).map_err(step("creating", staging))?);
+    let mut out = SparseFile::new(File::create(staging).map_err(step("creating", staging))?);
     write(&mut out).map_err(step("writing", staging))?;
-    let file = out
-        .into_inner()
-        .map_err(|e| e.into_error())
-        .map_err(step("writing", staging))?;
+    let file = out.finish().map_err(step("writing", staging))?;
     file.sync_all().map_err(step("syncing", staging))?;
     drop(file);
     std::fs::rename(staging, path).map_err(step("renaming over", path))?;
@@ -559,13 +803,15 @@ impl SketchFile {
     /// streams.
     ///
     /// # Panics
-    /// Panics if a bank holds more than `u32::MAX` cells, which the
-    /// format cannot size.
+    /// Panics where [`SketchFile::write_to`] refuses: a bank of more than
+    /// `u32::MAX` cells, or a sketch poisoned by a lane overflow. Callers
+    /// that can hold such state (a served tenant, a CLI export) call
+    /// `write_to` into a `Vec` and report the error instead.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         if let Err(e) = self.write_to(&mut out) {
-            // A `Vec` sink never fails, so this is the bank-size bound.
-            // gs-lint: allow(no-panic-paths, "encode-side bound on this process's own bank geometry; no wire bytes are parsed here")
+            // A `Vec` sink never fails, so this is a refusal of the state.
+            // gs-lint: allow(no-panic-paths, "encode-side refusal of this process's own state; no wire bytes are parsed here")
             panic!("{e}");
         }
         out
@@ -574,23 +820,29 @@ impl SketchFile {
     /// Streams the file in the binary wire format (v2) into `out`,
     /// byte for byte what [`SketchFile::to_bytes`] returns. The trailing
     /// checksum is folded from a running state as the bytes pass, so no
-    /// whole-file buffer is built; the lanes go out one word per write,
-    /// so hand a file or socket over in a [`BufWriter`].
+    /// whole-file buffer is built; headers and dirty chunks go out as
+    /// small writes, so hand a raw file or socket over in a
+    /// [`io::BufWriter`].
+    ///
+    /// The encoding is **dirty-driven**: each bank is walked one
+    /// dirty-bitmap word (64 cells) at a time. A clean word is zero by the
+    /// bank's delta invariant, so its `w`, `s` and `f` bytes go out as a
+    /// zero run, folded into the checksum by one multiply (`h·P^k`) and
+    /// never read from the lanes; a dirty word's cells go out as one chunk
+    /// per lane. Writing a freshly built sketch therefore costs its header
+    /// and a few large writes of zeros, not a pass over its allocation.
     ///
     /// # Errors
-    /// Any error `out` reports, and [`io::ErrorKind::InvalidInput`] for
-    /// a bank of more than `u32::MAX` cells, which the format cannot size
-    /// (a prefix of the file has been written by then).
+    /// Any error `out` reports; [`io::ErrorKind::InvalidInput`] for a bank
+    /// of more than `u32::MAX` cells, which the format cannot size; and
+    /// [`io::ErrorKind::InvalidData`], naming the bank and cell, for a
+    /// sketch poisoned by a lane overflow: its lanes hold wrapped values,
+    /// not a linear measurement, and the format carries no poison mark,
+    /// so a reader would take them as sound. Both refusals come before
+    /// any byte is written.
     pub fn write_to(&self, out: impl Write) -> io::Result<()> {
-        let mut out = Checksummed::new(out);
-        out.put(V2_MAGIC)?;
-        out.put_u32(WIRE_FORMAT_BIN)?;
-        let spec_json = self.spec.to_json();
-        out.put_u32(spec_json.len() as u32)?;
-        out.put(spec_json.as_bytes())?;
         let banks = self.state.banks();
-        out.put_u32(banks.len() as u32)?;
-        for bank in banks {
+        for (i, bank) in banks.iter().enumerate() {
             // Geometry axes ride as u32 (same invariant delta_bytes
             // guards): a larger bank would truncate silently into a
             // checksum-valid but unloadable file, so refuse it.
@@ -598,28 +850,43 @@ impl SketchFile {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
                     format!(
-                        "the binary format sizes banks as u32, bank holds {} cells",
+                        "the binary format sizes banks as u32, bank {i} holds {} cells",
                         bank.len()
                     ),
                 ));
             }
+            if let Some(overflow) = bank.lane_overflow() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "bank {i}: {overflow}; the poisoned sketch is no longer a linear \
+                         measurement and is not exported"
+                    ),
+                ));
+            }
+        }
+        let mut out = Checksummed::new(out);
+        out.put(V2_MAGIC)?;
+        out.put_u32(WIRE_FORMAT_BIN)?;
+        let spec_json = self.spec.to_json();
+        out.put_u32(spec_json.len() as u32)?;
+        out.put(spec_json.as_bytes())?;
+        out.put_u32(banks.len() as u32)?;
+        for bank in banks {
             let geom = bank.geometry();
             out.put_u32(geom.reps as u32)?;
             out.put_u32(geom.levels as u32)?;
             out.put_u32(geom.slots as u32)?;
-            for &x in bank.w_lane() {
-                out.put(&x.to_le_bytes())?;
-            }
+            let dirty = bank.dirty_words();
+            put_lane(&mut out, bank.w_lane(), dirty, i64::to_le_bytes)?;
             // The wire always ships `s` as 16-byte words: a narrow
             // (i64-lane) bank widens here, so compaction never leaks
             // into the format and old readers stay byte-compatible.
-            let s = bank.s_lane();
-            for i in 0..bank.len() {
-                out.put(&s.get(i).to_le_bytes())?;
+            match bank.s_lane() {
+                SLane::Narrow(s) => put_lane(&mut out, s, dirty, |x| i128::from(x).to_le_bytes())?,
+                SLane::Wide(s) => put_lane(&mut out, s, dirty, i128::to_le_bytes)?,
             }
-            for &x in bank.f_lane() {
-                out.put(&x.value().to_le_bytes())?;
-            }
+            put_lane(&mut out, bank.f_lane(), dirty, |x| x.value().to_le_bytes())?;
         }
         let fps = self.state.fingerprints();
         out.put_u32(fps.len() as u32)?;
@@ -1433,6 +1700,178 @@ mod tests {
         let e =
             replace_file_durably(&nowhere, &dir.join("missing").join("t"), |_| Ok(())).unwrap_err();
         assert!(e.to_string().contains("creating"), "{e}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The byte-serial FNV-1a definition: the oracle for the zero-jumping
+    /// kernel.
+    fn fnv1a_bytewise(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// A seeded splitmix64 stream, for test bytes.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// All-zero, random and sparse byte strings of length `len`. The
+    /// sparse one is nonzero in about one byte in twelve, so it holds
+    /// zero lines, zero words and words with zero high bytes.
+    fn test_bytes(len: usize, rng: &mut u64) -> [Vec<u8>; 3] {
+        let random = (0..len).map(|_| splitmix(rng) as u8).collect();
+        let sparse = (0..len)
+            .map(|_| match splitmix(rng) % 12 {
+                0 => splitmix(rng) as u8 | 1,
+                _ => 0,
+            })
+            .collect();
+        [vec![0; len], random, sparse]
+    }
+
+    #[test]
+    fn fnv1a_matches_the_byte_serial_loop() {
+        let mut rng = 0x5EED;
+        let lengths = (0..=200).chain(4095..=4097);
+        for len in lengths {
+            for bytes in test_bytes(len, &mut rng) {
+                for h in [FNV_OFFSET, 0, 1, splitmix(&mut rng)] {
+                    assert_eq!(
+                        fnv1a(h, &bytes),
+                        fnv1a_bytewise(h, &bytes),
+                        "len {len}, start {h:#x}"
+                    );
+                }
+            }
+        }
+        // Every count of zero high bytes in a word, at every offset of a
+        // 64-byte line.
+        for at in 0..64 {
+            for high_zeros in 0..8 {
+                let mut line = [0u8; 64];
+                line[at] = 0x80;
+                if let Some(low) = line.get_mut(at.saturating_sub(7 - high_zeros)..at) {
+                    low.fill(0x11);
+                }
+                assert_eq!(
+                    fnv1a(7, &line),
+                    fnv1a_bytewise(7, &line),
+                    "{at} {high_zeros}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fnv1a_zeros_equals_hashing_zero_bytes_and_runs_compose() {
+        let zeros = [0u8; 1024];
+        for h in [FNV_OFFSET, 0, 0xdead_beef_u64] {
+            for n in 0..=1024 {
+                assert_eq!(
+                    fnv1a_zeros(h, n as u64),
+                    fnv1a_bytewise(h, &zeros[..n]),
+                    "n {n}"
+                );
+            }
+        }
+        // P^a · P^b = P^(a+b), and two runs fold as one, far past any
+        // length a loop could check.
+        let runs = [0, 1, 63, 64, 4096, 90_439_806, 1 << 40, 12_345_678_901_234];
+        for a in runs {
+            for b in runs {
+                assert_eq!(
+                    prime_pow(a).wrapping_mul(prime_pow(b)),
+                    prime_pow(a + b),
+                    "{a} + {b}"
+                );
+                assert_eq!(
+                    fnv1a_zeros(fnv1a_zeros(FNV_OFFSET, a), b),
+                    fnv1a_zeros(FNV_OFFSET, a + b)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn write_to_refuses_a_poisoned_sketch_before_writing_a_byte() {
+        let spec = SketchSpec::new(SketchTask::Connectivity, 8).with_seed(9);
+        let wrap = EdgeUpdate {
+            u: 0,
+            v: 1,
+            delta: i64::MAX,
+        };
+        let poisoned = fed(&spec, &[wrap, wrap, EdgeUpdate::insert(2, 3)]);
+        let (bank, overflow) = poisoned
+            .banks()
+            .iter()
+            .enumerate()
+            .find_map(|(i, b)| b.lane_overflow().map(|e| (i, e)))
+            .expect("i64::MAX twice overflows a lane");
+        let file = SketchFile::new(spec, poisoned).unwrap();
+        let mut out = Vec::new();
+        let e = file.write_to(&mut out).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            e.to_string().contains(&format!("bank {bank}: {overflow}")),
+            "{e}"
+        );
+        assert!(out.is_empty(), "no byte written before the refusal");
+
+        let dir = std::env::temp_dir().join(format!("gs-wire-poison-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (path, staging) = (dir.join("p.state"), dir.join("p.state.tmp"));
+        std::fs::write(&path, b"last good").unwrap();
+        let e = replace_file_durably(&path, &staging, |out| file.write_to(out)).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read(&path).unwrap(), b"last good");
+        assert!(!staging.exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sparse_staging_keeps_leading_inner_and_trailing_zero_blocks_exact() {
+        let dir = std::env::temp_dir().join(format!("gs-wire-sparse-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (path, staging) = (dir.join("s.state"), dir.join("s.state.tmp"));
+        let block = HOLE_BLOCK;
+        let mut rng = 0xB10C;
+        // Starts and ends with zero blocks (a leading hole and a tail
+        // only `set_len` creates), with unaligned data and zero runs in
+        // between.
+        let mut stream = vec![0u8; 3 * block];
+        stream.extend((0..5000).map(|_| splitmix(&mut rng) as u8 | 1));
+        stream.extend(vec![0u8; 5 * block + 17]);
+        stream.extend([0xAB; 3]);
+        stream.extend(vec![0u8; STAGE_BYTES + 2 * block + 100]);
+        for pieces in [vec![stream.len()], vec![1, 7, 4096, 70_000], vec![333]] {
+            replace_file_durably(&path, &staging, |out| {
+                let mut rest = stream.as_slice();
+                for &n in pieces.iter().cycle() {
+                    if rest.is_empty() {
+                        return Ok(());
+                    }
+                    let (piece, tail) = rest.split_at(n.min(rest.len()));
+                    out.write_all(piece)?;
+                    rest = tail;
+                }
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), stream, "pieces {pieces:?}");
+        }
+        // All zeros, and nothing at all.
+        for stream in [vec![0u8; 2 * block + 5], Vec::new()] {
+            replace_file_durably(&path, &staging, |out| out.write_all(&stream)).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), stream);
+        }
+        assert!(!staging.exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

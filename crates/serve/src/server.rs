@@ -27,7 +27,9 @@
 //! order, with no per-request copy of any sketch. A checkpoint writes the
 //! drained base with the wire-v2 write-then-rename discipline, so an
 //! interrupted checkpoint leaves the previous file intact and a recovered
-//! server replays exactly the state of the last completed checkpoint.
+//! server replays exactly the state of the last completed checkpoint. A
+//! base poisoned by a lane overflow is never encoded: `SNAPSHOT` and
+//! `CHECKPOINT` answer `ERR wire`, and the last good file stays.
 
 use graph_sketches::api::{SketchAnswer, SketchSpec};
 use graph_sketches::frame::{
@@ -605,8 +607,8 @@ fn handle_create(shared: &Shared, corr: u64, name: &str, payload: &[u8]) -> Resp
     let tenant = Arc::new(Mutex::new(tenant));
     // Persist immediately so a freshly created tenant survives a crash
     // that happens before the first periodic checkpoint.
-    if let Err(e) = checkpoint_tenant(&mut lock_tenant(&tenant), &shared.state_dir) {
-        return err(corr, ErrCode::Internal, e);
+    if let Err((code, e)) = checkpoint_tenant(&mut lock_tenant(&tenant), &shared.state_dir) {
+        return err(corr, code, e);
     }
     registry.insert(name.to_string(), tenant);
     shared.log(format_args!(
@@ -770,10 +772,11 @@ fn handle_snapshot(shared: &Shared, corr: u64, name: &str) -> Response {
     if let Err(e) = t.drain_into_base() {
         return err(corr, ErrCode::Internal, e);
     }
-    Response::Ok {
-        corr,
-        payload: t.base.to_bytes(),
+    let mut payload = Vec::new();
+    if let Err(e) = t.base.write_to(&mut payload) {
+        return err(corr, export_code(&e), format!("snapshot: {e}"));
     }
+    Response::Ok { corr, payload }
 }
 
 fn handle_drop(shared: &Shared, corr: u64, name: &str) -> Response {
@@ -842,7 +845,7 @@ fn handle_checkpoint(shared: &Shared, corr: u64, name: &str) -> Response {
             corr,
             payload: format!("{}", persisted as u8).into_bytes(),
         },
-        Err(e) => err(corr, ErrCode::Internal, e),
+        Err((code, e)) => err(corr, code, e),
     }
 }
 
@@ -855,17 +858,30 @@ fn state_path(dir: &Path, tenant: &str) -> PathBuf {
 /// directory fsynced ([`wire::replace_file_durably`]), so a completed
 /// checkpoint survives a power loss. Returns whether a write happened.
 /// A dropped tenant is never written: the caller may hold an `Arc`
-/// taken before the `DROP`.
-fn checkpoint_tenant(t: &mut Tenant, dir: &Path) -> Result<bool, String> {
+/// taken before the `DROP`. A tenant poisoned by a lane overflow is
+/// refused with [`ErrCode::Wire`]: its previous file stays as it was and
+/// the tenant stays dirty.
+fn checkpoint_tenant(t: &mut Tenant, dir: &Path) -> Result<bool, (ErrCode, String)> {
     if !t.dirty || t.dropped {
         return Ok(false);
     }
-    t.drain_into_base()?;
+    t.drain_into_base().map_err(|e| (ErrCode::Internal, e))?;
     let tmp = dir.join(format!("{}.state.tmp.{}", t.name, std::process::id()));
     wire::replace_file_durably(&state_path(dir, &t.name), &tmp, |out| t.base.write_to(out))
-        .map_err(|e| format!("checkpoint: {e}"))?;
+        .map_err(|e| (export_code(&e), format!("checkpoint: {e}")))?;
     t.dirty = false;
     Ok(true)
+}
+
+/// The code for a failed export of a tenant's state. `write_to` refuses
+/// state it cannot encode soundly (a sketch poisoned by a lane overflow)
+/// with `InvalidData`, a refusal of the state; any other error is this
+/// server's own (its disk, its invariants).
+fn export_code(e: &std::io::Error) -> ErrCode {
+    match e.kind() {
+        std::io::ErrorKind::InvalidData => ErrCode::Wire,
+        _ => ErrCode::Internal,
+    }
 }
 
 /// Checkpoints every dirty tenant; returns how many were persisted.
@@ -877,7 +893,7 @@ fn checkpoint_all(shared: &Shared) -> usize {
         match checkpoint_tenant(&mut t, &shared.state_dir) {
             Ok(true) => persisted += 1,
             Ok(false) => {}
-            Err(e) => shared.log(format_args!("checkpoint of {} failed: {e}", t.name)),
+            Err((_, e)) => shared.log(format_args!("checkpoint of {} failed: {e}", t.name)),
         }
     }
     persisted

@@ -74,10 +74,12 @@
 //! The bitmap never participates in equality or serialization; it is
 //! bookkeeping about *freshness*, not part of the measurement.
 //!
-//! The same invariant makes merges and resets cost O(touched cells):
-//! [`CellBank::add`] sums only an operand's dirty cells when they are
-//! sparse, and [`CellBank::reset`] returns a bank to its freshly built
-//! state by zeroing just its dirty cells.
+//! The same invariant makes merges, resets and full dumps cost O(touched
+//! cells): [`CellBank::add`] sums only an operand's dirty cells when they
+//! are sparse, [`CellBank::reset`] returns a bank to its freshly built
+//! state by zeroing just its dirty cells, and the wire v2 writer reads
+//! [`CellBank::dirty_words`] to emit every clean 64-cell word as zeros
+//! without touching its lane pages.
 //!
 //! ## Generation counters and the decode cache
 //!
@@ -715,6 +717,15 @@ impl CellBank {
         self.dirty.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Read-only view of the touched-slot bitmap, `⌈len/64⌉` words: bit
+    /// `i & 63` of word `i >> 6` is set iff cell `i` was touched since the
+    /// last drain, and the unused tail bits of the last word are zero. A
+    /// zero word certifies its 64 cells are zero (the delta invariant),
+    /// which lets the v2 writer emit them without reading the lanes.
+    pub fn dirty_words(&self) -> &[u64] {
+        &self.dirty
+    }
+
     /// Flat indices of the touched cells, ascending — the support of the
     /// pending delta (the wire layer ships exactly these cells).
     pub fn dirty_indices(&self) -> Vec<usize> {
@@ -1106,6 +1117,7 @@ mod tests {
         bank.fan(60..129, dw, ds, df);
         assert_eq!(bank.dirty_indices(), (60..129).collect::<Vec<_>>());
         assert!(!bank.is_dirty(59) && !bank.is_dirty(129));
+        assert_eq!(bank.dirty_words(), [0xf << 60, !0, 1]);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! server that keeps serving.
 
 use graph_sketches::api::{SketchAnswer, SketchSpec, SketchTask};
-use graph_sketches::frame::{self, ErrCode, Opcode, Request, Response};
+use graph_sketches::frame::{self, ErrCode, Opcode, Request, Response, ServiceStats, TenantStats};
 use graph_sketches::wire::SketchFile;
 use gs_graph::gen;
-use gs_serve::{Client, Outcome, ServeConfig, Server};
+use gs_serve::{Client, ClientError, Outcome, ServeConfig, Server};
 use gs_sketch::par::DecodePlan;
 use gs_sketch::{EdgeUpdate, LinearSketch};
 use gs_stream::distributed::split_updates;
@@ -453,6 +453,152 @@ fn connection_cap_answers_busy() {
             .is_ok()
     });
     assert!(served, "the freed slot accepts again");
+    server.shutdown();
+}
+
+/// One tenant's `STATS` entry.
+fn tenant_stats(client: &mut Client, name: &str) -> TenantStats {
+    let stats = client.stats(name).expect("stats");
+    let stats = ServiceStats::from_value(&Value::from_json(&stats).expect("stats JSON"))
+        .expect("stats schema");
+    stats
+        .per_tenant
+        .into_iter()
+        .next()
+        .expect("the tenant's entry")
+}
+
+/// Regression: a checkpoint followed by a restart laundered lane-overflow
+/// poison. v2 carries no poison mark and a load clears it, so a poisoned
+/// tenant persisted its wrapped counters and came back from a restart
+/// answering from them as if they were sound. `CHECKPOINT` and
+/// `SNAPSHOT` of a poisoned tenant now answer a typed error, its last
+/// good state file stays as it was, and a restart recovers that.
+#[test]
+fn poisoned_tenant_refuses_checkpoint_and_snapshot_and_restarts_from_its_last_good_state() {
+    let scratch = Scratch::new("poison");
+    let spec = SketchSpec::new(SketchTask::Connectivity, 8).with_seed(0xB0B);
+    let path = scratch.path().join("p.state");
+    let server = start_server(scratch.path());
+    let mut client = connect(&server);
+    client.create("p", &spec.to_json()).expect("create");
+    let last_good = std::fs::read(&path).expect("CREATE checkpoints");
+    let wrap = EdgeUpdate {
+        u: 0,
+        v: 1,
+        delta: i64::MAX,
+    };
+    for update in [wrap, wrap, EdgeUpdate::insert(2, 3)] {
+        client
+            .ingest_retry("p", &[update], Duration::from_secs(10))
+            .expect("raw ingest");
+    }
+    // Both refusals drain the engine into the base first, so the
+    // overflow has reached the base by the time either encodes it.
+    let refusals = [
+        client.checkpoint("p").map(|_| ()),
+        client.snapshot("p").map(|_| ()),
+    ];
+    for refused in refusals {
+        match refused {
+            Err(ClientError::Server { code, msg }) => {
+                assert_eq!(code, ErrCode::Wire, "{msg}");
+                assert!(msg.contains("bank") && msg.contains("overflow"), "{msg}");
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+    }
+    // An all-tenant CHECKPOINT logs the failure and persists nothing.
+    assert_eq!(client.checkpoint("").expect("checkpoint all"), 0);
+    let stats = tenant_stats(&mut client, "p");
+    assert!(stats.dirty, "a refused checkpoint leaves the tenant dirty");
+    assert_eq!(stats.lane_overflows, 1);
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        last_good,
+        "old file untouched"
+    );
+    drop(client);
+    server.abort();
+
+    let server = start_server(scratch.path());
+    let mut client = connect(&server);
+    assert_eq!(tenant_stats(&mut client, "p").lane_overflows, 0);
+    assert_eq!(
+        answer_of(&client.query("p", 1).expect("query")),
+        spec.build().decode(),
+        "the restart recovers the CREATE-time empty state"
+    );
+    assert_eq!(client.snapshot("p").expect("snapshot"), last_good);
+    server.shutdown();
+}
+
+/// A freshly created tenant is the zero sketch. Its state file has the
+/// full v2 length, but only the blocks holding its header and trailer
+/// are written: every all-zero block of the stream is a hole. Linux
+/// only: allocated blocks come from `stat`.
+#[cfg(target_os = "linux")]
+#[test]
+fn created_tenant_state_file_is_sparse_and_recovers() {
+    use std::os::unix::fs::MetadataExt;
+    let scratch = Scratch::new("sparse");
+    // The ladder's ingest-powerlaw tenant. Its SNAPSHOT (86 MiB) exceeds
+    // the default frame cap, so both ends of this test raise it.
+    let spec = SketchSpec::new(SketchTask::Connectivity, 4096);
+    let max_frame = 128 << 20;
+    let start = || {
+        Server::start(ServeConfig {
+            state_dir: scratch.path().to_path_buf(),
+            tcp: Some("127.0.0.1:0".into()),
+            checkpoint_every: Duration::ZERO,
+            max_frame,
+            quiet: true,
+            ..ServeConfig::default()
+        })
+        .expect("server start")
+    };
+    let server = start();
+    connect(&server)
+        .create("big", &spec.to_json())
+        .expect("create");
+    let path = scratch.path().join("big.state");
+    let meta = std::fs::metadata(&path).expect("CREATE checkpoints");
+    assert_eq!(meta.len(), 90_439_806, "the full v2 length");
+    let allocated = meta.blocks() * 512;
+    assert!(
+        allocated < 1 << 20,
+        "an empty tenant's state file allocates {allocated} B"
+    );
+
+    let mut raw = TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
+    let snapshot = Request {
+        corr: 1,
+        op: Opcode::Snapshot,
+        tenant: "big".into(),
+        payload: Vec::new(),
+    };
+    frame::write_frame(&mut raw, &snapshot.encode(), max_frame).unwrap();
+    let body = frame::read_frame(&mut raw, max_frame).unwrap().unwrap();
+    match Response::decode(&body).unwrap() {
+        Response::Ok { payload, .. } => assert!(
+            std::fs::read(&path).unwrap() == payload,
+            "the state file's bytes are the SNAPSHOT"
+        ),
+        other => panic!("expected OK, got {other:?}"),
+    }
+    drop((raw, body));
+    server.abort();
+
+    let server = start();
+    let answer = answer_of(
+        &connect(&server)
+            .query("big", 2)
+            .expect("query after restart"),
+    );
+    assert_eq!(
+        answer,
+        spec.build().decode_with(&DecodePlan::with_threads(2))
+    );
     server.shutdown();
 }
 

@@ -9,10 +9,12 @@
 
 use graph_sketches::api::{SketchSpec, SketchTask};
 use graph_sketches::wire::{v2_checksum, SketchFile, WireError, V2_MAGIC, WIRE_FORMAT_BIN};
+use graph_sketches::AnySketch;
 use gs_graph::gen;
 use gs_sketch::bank::CellBanked;
-use gs_sketch::EdgeUpdate;
+use gs_sketch::{EdgeUpdate, LaneWidth, LinearSketch, Mergeable};
 use gs_stream::distributed::sketch_central;
+use gs_stream::engine::{EngineConfig, SketchEngine};
 use gs_stream::GraphStream;
 
 fn churn_updates(n: usize, p: f64, seed: u64) -> Vec<EdgeUpdate> {
@@ -148,6 +150,144 @@ fn write_to_a_file_streams_exactly_the_to_bytes_bytes() {
         assert_eq!(std::fs::read(&path).unwrap(), file.to_bytes(), "{task:?}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The v2 encoder before it became dirty-driven: every lane word written
+/// one at a time and the checksum folded byte by byte. It reads every
+/// cell, so it is the oracle for `write_to`, which writes each clean
+/// bitmap word as zeros without reading it.
+fn dense_v2_bytes(file: &SketchFile) -> Vec<u8> {
+    let mut out = V2_MAGIC.to_vec();
+    out.extend_from_slice(&WIRE_FORMAT_BIN.to_le_bytes());
+    let spec_json = file.spec.to_json();
+    out.extend_from_slice(&(spec_json.len() as u32).to_le_bytes());
+    out.extend_from_slice(spec_json.as_bytes());
+    let banks = file.state.banks();
+    out.extend_from_slice(&(banks.len() as u32).to_le_bytes());
+    for bank in banks {
+        let geom = bank.geometry();
+        for axis in [geom.reps, geom.levels, geom.slots] {
+            out.extend_from_slice(&(axis as u32).to_le_bytes());
+        }
+        for &x in bank.w_lane() {
+            out.extend_from_slice(&x.to_le_bytes());
+        }
+        let s = bank.s_lane();
+        for i in 0..bank.len() {
+            out.extend_from_slice(&s.get(i).to_le_bytes());
+        }
+        for &x in bank.f_lane() {
+            out.extend_from_slice(&x.value().to_le_bytes());
+        }
+    }
+    let fps = file.state.fingerprints();
+    out.extend_from_slice(&(fps.len() as u32).to_le_bytes());
+    for fp in fps {
+        out.extend_from_slice(&fp.value().to_le_bytes());
+    }
+    let mut sum = 0xcbf2_9ce4_8422_2325u64;
+    for &b in &out {
+        sum = (sum ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// One task's spec (at `n = 8`, to keep the weighted tasks small) and
+/// its sketch state after every path that produces state: each leaves a
+/// different dirty bitmap over the same kind of lanes.
+fn state_paths(task: SketchTask) -> (SketchSpec, Vec<(&'static str, AnySketch)>) {
+    let spec = SketchSpec {
+        n: 8,
+        ..spec_for(task)
+    };
+    let updates = task_updates(task, 8, 31);
+    let (first, second) = updates.split_at(updates.len() / 2);
+    let fed = |ups: &[EdgeUpdate]| {
+        let mut s = spec.build();
+        s.absorb(ups);
+        s
+    };
+    let mut paths = vec![("spec-built", spec.build()), ("fed", fed(&updates))];
+
+    let mut drained = fed(first);
+    drained.drain_dirty();
+    paths.push(("drained", drained.clone()));
+    drained.absorb(second);
+    paths.push(("drained, then fed", drained));
+
+    let mut reset = fed(&updates);
+    reset.reset();
+    paths.push(("reset", reset));
+
+    // One update touches a few cells per bank: `add` sums them sparsely.
+    let mut sparse = fed(first);
+    sparse.merge(&fed(&second[..1]));
+    paths.push(("sparse add", sparse));
+    let mut dense = fed(first);
+    let other = fed(second);
+    for (a, b) in dense.banks_mut().into_iter().zip(other.banks()) {
+        a.add_dense(b);
+    }
+    for (a, b) in dense
+        .fingerprints_mut()
+        .into_iter()
+        .zip(other.fingerprints())
+    {
+        *a += b;
+    }
+    paths.push(("dense add", dense));
+
+    let mut receiver = SketchFile::new(spec, fed(first)).unwrap();
+    let mut sender = SketchFile::new(spec, fed(second)).unwrap();
+    receiver.apply_delta(&sender.delta_bytes()).unwrap();
+    paths.push(("delta-applied", receiver.state));
+
+    // The served base: engine shards folded in place, twice.
+    let mut engine = SketchEngine::new(
+        EngineConfig::new(2).with_workers(2).with_seed(spec.seed),
+        || spec.build(),
+    );
+    let mut base = spec.build();
+    for half in [first, second] {
+        engine.ingest(half);
+        engine.drain_into(|shard| base.try_merge(shard)).unwrap();
+    }
+    paths.push(("engine-drained base", base));
+
+    let file = SketchFile::new(spec, fed(&updates)).unwrap();
+    let reloaded = SketchFile::from_bytes(&file.to_bytes()).unwrap().state;
+    assert!(reloaded.banks().iter().all(|b| b.dirty_count() == b.len()));
+    paths.push(("reloaded from v2", reloaded));
+    (spec, paths)
+}
+
+#[test]
+fn dirty_driven_write_to_equals_the_dense_encoder_on_every_state_path() {
+    let (mut narrow, mut ragged) = (false, false);
+    for task in SketchTask::ALL {
+        let (spec, paths) = state_paths(task);
+        for (path, state) in paths {
+            narrow |= state.banks().iter().any(|b| b.width() == LaneWidth::Narrow);
+            ragged |= state.banks().iter().any(|b| b.len() % 64 != 0);
+            let mut wide = state.clone();
+            for bank in wide.banks_mut() {
+                bank.force_wide();
+            }
+            let expected = dense_v2_bytes(&SketchFile::new(spec, state.clone()).unwrap());
+            for state in [state, wide] {
+                let file = SketchFile::new(spec, state).unwrap();
+                let mut streamed = Vec::new();
+                file.write_to(&mut streamed).unwrap();
+                assert!(streamed == expected, "{task:?}, {path}: bytes differ");
+            }
+        }
+    }
+    assert!(narrow, "a narrow-lane bank was covered");
+    assert!(
+        ragged,
+        "a bank of a length not a multiple of 64 was covered"
+    );
 }
 
 #[test]
