@@ -235,7 +235,7 @@ fn main() {
         .collect();
     let mut fan_banks: Vec<CellBank> = CONFIGS
         .iter()
-        .map(|&cfg| CellBank::with_width(BankGeometry::flat(FAN_LEN), cfg_width(cfg)))
+        .map(|&cfg| CellBank::with_width(BankGeometry::new(1, 1, FAN_LEN), cfg_width(cfg)))
         .collect();
 
     let mut mins = [[f64::INFINITY; 4]; 3]; // [kernel][config]

@@ -4,10 +4,10 @@
 //! ```text
 //! graph-sketch <command> --n <vertices> [options] < updates.txt
 //! graph-sketch --spec '<json>' [options] < updates.txt
-//! graph-sketch sketch     (<command> --n <v> | --spec '<json>') [--out FILE] [--format json|bin|delta] < updates.txt
-//! graph-sketch merge      <sketch-file>... [--out FILE] [--format json|bin]
+//! graph-sketch sketch     (<command> --n <v> | --spec '<json>') [--out FILE] [--format bin|delta] < updates.txt
+//! graph-sketch merge      <sketch-file>... [--out FILE]
 //! graph-sketch decode     <sketch-file> [--json] [--threads N]
-//! graph-sketch sync       --state FILE [--format json|bin] <delta-file>...
+//! graph-sketch sync       --state FILE <delta-file>...
 //! graph-sketch serve      --state-dir DIR (--tcp ADDR | --unix PATH) [options]
 //! graph-sketch client     (--tcp ADDR | --unix PATH) <action> ...
 //! graph-sketch workload   gen --generator '<json>' [--seed <int>] [--out FILE] [--format bin|jsonl|text]
@@ -28,7 +28,7 @@
 //!   kedge                 k-EDGECONNECT witness subgraph         [--k]
 //!
 //! verbs (the cross-process coordinator topology of S1.1):
-//!   sketch                ingest stdin, write a versioned sketch file
+//!   sketch                ingest stdin, write a binary sketch file
 //!                         (--format delta writes the incremental record
 //!                         instead: only the cells this stream touched)
 //!   merge                 fold sketch files from independent processes
@@ -75,11 +75,10 @@
 //!   --stats         report updates/sec and engine counters on stderr
 //!   --every <int>   serve-demo: snapshot-decode period, in updates
 //!   --out <file>    sketch/merge: write the sketch file here (default stdout)
-//!   --format <f>    sketch/merge/sync: output format, `json` (wire v1,
-//!                   default) or `bin` (wire v2, length-prefixed LE binary
-//!                   of the cell banks; the sync default); `sketch` also
-//!                   takes `delta` (binary record of only the touched
-//!                   cells). Loads always auto-detect
+//!   --format <f>    sketch: output format, `bin` (the default: a sketch
+//!                   file, the length-prefixed LE binary of the cell banks)
+//!                   or `delta` (binary record of only the touched cells).
+//!                   merge and sync always write sketch files
 //!   --state <file>  sync: the coordinator's resident sketch file
 //!   --threads <int> decode fan-out: how many threads the DecodeEngine
 //!                   may use (queries, serve-demo snapshots, and the
@@ -118,32 +117,31 @@ const DEFAULT_CHUNK: usize = 8192;
 /// Default serve-demo snapshot period, in updates.
 const DEFAULT_EVERY: u64 = 1000;
 
-/// On-disk sketch-file format selected by `--format` (loads always
-/// auto-detect by content, so the flag only governs what is written).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+/// What `sketch --format` writes.
+#[derive(Clone, Copy, Default)]
 enum FileFormat {
-    /// Wire format 1: one JSON object (the default).
+    /// A sketch file: length-prefixed little-endian binary (the default).
     #[default]
-    Json,
-    /// Wire format 2: length-prefixed little-endian binary.
     Bin,
-    /// The incremental delta record: only the touched cells (`sketch`
-    /// output only — a delta is a summand for `sync`, not a sketch file).
+    /// The incremental delta record: only the touched cells (a delta is a
+    /// summand for `sync`, not a sketch file).
     Delta,
 }
 
 impl FileFormat {
     fn parse(text: &str) -> Result<Self, String> {
         match text {
-            "json" => Ok(FileFormat::Json),
             "bin" => Ok(FileFormat::Bin),
             "delta" => Ok(FileFormat::Delta),
-            other => Err(format!(
-                "--format must be json, bin, or delta, got {other:?}"
-            )),
+            other => Err(format!("--format must be bin or delta, got {other:?}")),
         }
     }
 }
+
+/// The refusal of `--format` on every verb but `sketch`.
+const FORMAT_ONLY_ON_SKETCH: &str = "--format only applies to the sketch verb (merge and sync \
+                                     always write sketch files; delta records come from \
+                                     sketch --format delta)";
 
 struct Options {
     spec: SketchSpec,
@@ -174,10 +172,10 @@ fn usage() -> ExitCode {
          [--eps <f>] [--k <int>] [--max-weight <int>] [--seed <int>] \
          [--sites <int>] [--chunk <int>] [--threads <int>] [--stats] [--json] < stream\n\
          \x20      graph-sketch --spec '<json>' [options] < stream\n\
-         \x20      graph-sketch sketch (<command> --n <v> | --spec '<json>') [--out FILE] [--format json|bin|delta] < stream\n\
-         \x20      graph-sketch merge <sketch-file>... [--out FILE] [--format json|bin]\n\
+         \x20      graph-sketch sketch (<command> --n <v> | --spec '<json>') [--out FILE] [--format bin|delta] < stream\n\
+         \x20      graph-sketch merge <sketch-file>... [--out FILE]\n\
          \x20      graph-sketch decode <sketch-file> [--json] [--threads <int>]\n\
-         \x20      graph-sketch sync --state FILE [--format json|bin] <delta-file>...\n\
+         \x20      graph-sketch sync --state FILE <delta-file>...\n\
          \x20      graph-sketch serve --state-dir DIR (--tcp ADDR | --unix PATH) [--workers <int>] [--checkpoint-secs <f>] [--max-connections <int>] [--quiet]\n\
          \x20      graph-sketch client (--tcp ADDR | --unix PATH) (ping | create <tenant> <spec> | ingest <tenant> [--delta FILE]... [--trace FILE] | query <tenant> [--threads <int>] [--json] | snapshot <tenant> --out FILE | drop <tenant> | stats [tenant] | checkpoint [tenant])\n\
          \x20      graph-sketch serve-demo (<command> --n <v> | --spec '<json>') [--every <u>] < stream  (single-process demo; `serve` is the production path)",
@@ -436,43 +434,19 @@ fn ingest_stdin(opts: &Options, snapshots: bool) -> Result<(AnySketch, IngestRep
     ))
 }
 
-/// Consumes the value of a `--format` flag from an argument iterator —
-/// the shared plumbing of the merge and sync verbs (each caller refuses
-/// the variants that make no sense for its own output).
-fn take_format_flag(it: &mut std::slice::Iter<'_, String>) -> Result<FileFormat, String> {
-    match it.next() {
-        Some(value) => FileFormat::parse(value),
-        None => Err("missing value for --format".into()),
-    }
-}
-
-/// Writes `text` (plus a newline) to `--out` or stdout.
-fn emit(out: &Option<String>, text: &str) -> Result<(), String> {
-    match out {
-        Some(path) => std::fs::write(path, format!("{text}\n")).map_err(|e| format!("{path}: {e}")),
-        None => {
-            println!("{text}");
-            Ok(())
-        }
-    }
-}
-
 /// Writes a sketch file in the selected `--format` to `--out` or stdout
-/// (binary formats go to stdout raw — pipe or redirect them). Emitting a
-/// delta drains the carried sketch, which is why the file is `&mut`.
+/// (raw binary — pipe or redirect it). Emitting a delta drains the
+/// carried sketch, which is why the file is `&mut`.
 fn emit_file(
     out: &Option<String>,
     format: FileFormat,
     file: &mut SketchFile,
 ) -> Result<(), String> {
+    // Poisoned state refuses to encode, before anything is written or
+    // drained: an error naming the bank and cell, not a panic.
+    file.check_exportable().map_err(|e| e.to_string())?;
     let bytes = match format {
-        FileFormat::Json => return emit(out, &file.to_json()),
-        FileFormat::Bin => {
-            // Poisoned state refuses to encode: an error, not a panic.
-            let mut bytes = Vec::new();
-            file.write_to(&mut bytes).map_err(|e| e.to_string())?;
-            bytes
-        }
+        FileFormat::Bin => file.to_bytes(),
         FileFormat::Delta => file.delta_bytes(),
     };
     match out {
@@ -483,9 +457,8 @@ fn emit_file(
     }
 }
 
-/// Reads and parses a sketch file of either wire format (auto-detected by
-/// content, so `merge`/`decode` accept JSON and binary files
-/// interchangeably).
+/// Reads and parses a sketch file (a JSON file of the retired wire
+/// format 1 is refused with a typed error).
 fn load_sketch_file(path: &str) -> Result<SketchFile, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     SketchFile::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))
@@ -536,7 +509,7 @@ fn cmd_query(args: &[String], snapshots: bool) -> ExitCode {
         return usage();
     }
     if opts.format.is_some() {
-        eprintln!("error: --format only applies to the sketch and merge verbs");
+        eprintln!("error: {FORMAT_ONLY_ON_SKETCH}");
         return usage();
     }
     if opts.every.is_some() && !snapshots {
@@ -626,7 +599,6 @@ fn cmd_sketch(args: &[String]) -> ExitCode {
 fn cmd_merge(args: &[String]) -> ExitCode {
     let mut files: Vec<String> = Vec::new();
     let mut out: Option<String> = None;
-    let mut format = FileFormat::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -637,13 +609,10 @@ fn cmd_merge(args: &[String]) -> ExitCode {
                     return usage();
                 }
             },
-            "--format" => match take_format_flag(&mut it) {
-                Ok(f) => format = f,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            },
+            "--format" => {
+                eprintln!("error: {FORMAT_ONLY_ON_SKETCH}");
+                return usage();
+            }
             flag if flag.starts_with("--") => {
                 eprintln!("error: unknown flag {flag}");
                 return usage();
@@ -655,15 +624,6 @@ fn cmd_merge(args: &[String]) -> ExitCode {
         eprintln!("error: merge needs at least one sketch file");
         return usage();
     }
-    if format == FileFormat::Delta {
-        eprintln!(
-            "error: merge writes full sketch files; delta records are produced by \
-             sketch --format delta and consumed by sync"
-        );
-        return usage();
-    }
-    // Inputs auto-detect their format, so JSON and binary files from
-    // different sites fold together; --format picks the output encoding.
     let mut acc: Option<SketchFile> = None;
     for path in &files {
         let file = match load_sketch_file(path) {
@@ -685,7 +645,7 @@ fn cmd_merge(args: &[String]) -> ExitCode {
     }
     let mut merged = acc.expect("at least one file");
     eprintln!("merged {} sketch file(s)", files.len());
-    if let Err(e) = emit_file(&out, format, &mut merged) {
+    if let Err(e) = emit_file(&out, FileFormat::Bin, &mut merged) {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
@@ -710,7 +670,6 @@ fn cmd_merge(args: &[String]) -> ExitCode {
 fn cmd_sync(args: &[String]) -> ExitCode {
     let mut state: Option<String> = None;
     let mut deltas: Vec<String> = Vec::new();
-    let mut format = FileFormat::Bin;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -721,20 +680,10 @@ fn cmd_sync(args: &[String]) -> ExitCode {
                     return usage();
                 }
             },
-            "--format" => match take_format_flag(&mut it) {
-                Ok(FileFormat::Delta) => {
-                    eprintln!(
-                        "error: the sync state is a full sketch file; --format must be \
-                         json or bin"
-                    );
-                    return usage();
-                }
-                Ok(f) => format = f,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            },
+            "--format" => {
+                eprintln!("error: {FORMAT_ONLY_ON_SKETCH}");
+                return usage();
+            }
             flag if flag.starts_with("--") => {
                 eprintln!("error: unknown flag {flag}");
                 return usage();
@@ -809,11 +758,7 @@ fn cmd_sync(args: &[String]) -> ExitCode {
     // one coordinator per state file).
     let staging = format!("{state_path}.tmp.{}", std::process::id());
     let replaced = wire::replace_file_durably(Path::new(&state_path), Path::new(&staging), |out| {
-        match format {
-            FileFormat::Json => writeln!(out, "{}", file.to_json()),
-            // `--format delta` was refused above.
-            FileFormat::Bin | FileFormat::Delta => file.write_to(out),
-        }
+        file.write_to(out)
     });
     if let Err(e) = replaced {
         eprintln!("error: {e}");
@@ -852,10 +797,7 @@ fn cmd_decode(args: &[String]) -> ExitCode {
                 }
             },
             "--format" => {
-                eprintln!(
-                    "error: --format only applies to the sketch and merge verbs \
-                     (decode auto-detects the input format)"
-                );
+                eprintln!("error: {FORMAT_ONLY_ON_SKETCH}");
                 return usage();
             }
             flag if flag.starts_with("--") => {

@@ -179,8 +179,8 @@ fn merged_sketch_file_is_byte_identical_to_central_sketch_file() {
     );
     assert_eq!(code, 0);
     assert_eq!(
-        std::fs::read_to_string(&merged_file).unwrap(),
-        std::fs::read_to_string(&central_file).unwrap()
+        std::fs::read(&merged_file).unwrap(),
+        std::fs::read(&central_file).unwrap()
     );
 }
 
@@ -247,13 +247,14 @@ fn decode_refuses_future_wire_format() {
         &["sketch", "connectivity", "--n", "8", "--out", &a],
         &stream,
     );
-    let bumped = std::fs::read_to_string(&a)
-        .unwrap()
-        .replacen("\"format\":1", "\"format\":2", 1);
+    // The version word follows the 8-byte magic.
+    let mut bumped = std::fs::read(&a).unwrap();
+    assert_eq!(bumped[8..12], 3u32.to_le_bytes());
+    bumped[8..12].copy_from_slice(&4u32.to_le_bytes());
     std::fs::write(&a, bumped).unwrap();
     let (_, err, code) = run(&["decode", &a], "");
     assert_ne!(code, 0);
-    assert!(err.contains("wire format 2"), "unhelpful error: {err}");
+    assert!(err.contains("wire format 4"), "unhelpful error: {err}");
 }
 
 #[test]
@@ -389,43 +390,39 @@ fn decode_threads_flag_changes_nothing_but_wall_clock() {
 
 #[test]
 fn binary_pipeline_matches_json_pipeline() {
-    // The same three-site topology shipped through --format bin: site
-    // sketches, coordinator merge, decode — the decoded answer must be
-    // byte-identical to the JSON-format pipeline and to one process.
+    // The three-site topology through the binary pipeline, which replaced
+    // the JSON sketch-file pipeline: every site file and the coordinator's
+    // merge are binary sketch files (v2 magic) at the default format, an
+    // explicit --format bin writes the same bytes, and the decoded answer
+    // is the one the JSON pipeline had to give, one process's.
     let n = 12;
     let stream = demo_stream(n);
     let dir = Scratch::new("binpipe");
     let parts = split_lines(&stream, 3);
+    let site = ["sketch", "connectivity", "--n", "12", "--seed", "9"];
     let mut files = Vec::new();
     for (i, part) in parts.iter().enumerate() {
-        let f = dir.path(&format!("site{i}.sketch2"));
-        let (_, err, code) = run(
-            &[
-                "sketch",
-                "connectivity",
-                "--n",
-                "12",
-                "--seed",
-                "9",
-                "--format",
-                "bin",
-                "--out",
-                &f,
-            ],
-            part,
-        );
-        assert_eq!(code, 0, "binary sketch failed: {err}");
-        // The site file really is binary (v2 magic, not JSON).
+        let f = dir.path(&format!("site{i}.sketch"));
+        let (_, err, code) = run(&[&site[..], &["--out", &f]].concat(), part);
+        assert_eq!(code, 0, "sketch failed: {err}");
         let bytes = std::fs::read(&f).unwrap();
         assert!(bytes.starts_with(b"AGMSKB2\n"), "not a v2 file");
+        let explicit = dir.path(&format!("site{i}.bin"));
+        let (_, err, code) = run(
+            &[&site[..], &["--format", "bin", "--out", &explicit]].concat(),
+            part,
+        );
+        assert_eq!(code, 0, "sketch --format bin failed: {err}");
+        assert_eq!(std::fs::read(&explicit).unwrap(), bytes);
         files.push(f);
     }
-    let merged = dir.path("merged.sketch2");
+    let merged = dir.path("merged.sketch");
     let mut args: Vec<&str> = vec!["merge"];
     args.extend(files.iter().map(String::as_str));
-    args.extend(["--format", "bin", "--out", &merged]);
+    args.extend(["--out", &merged]);
     let (_, err, code) = run(&args, "");
-    assert_eq!(code, 0, "binary merge failed: {err}");
+    assert_eq!(code, 0, "merge failed: {err}");
+    assert!(std::fs::read(&merged).unwrap().starts_with(b"AGMSKB2\n"));
     let (decoded, _, code) = run(&["decode", &merged], "");
     assert_eq!(code, 0);
     let (central, _, code) = run(&["connectivity", "--n", "12", "--seed", "9"], &stream);
@@ -435,49 +432,45 @@ fn binary_pipeline_matches_json_pipeline() {
 
 #[test]
 fn merge_mixes_json_and_binary_sites() {
-    // Content sniffing: one site ships JSON, the other binary; the
-    // coordinator folds them without being told which is which.
-    let n = 10;
-    let stream = demo_stream(n);
+    // One site ships a file of the retired JSON format 1, the other a
+    // binary file of the same spec. The coordinator refuses the mix in
+    // either order with a typed error and exit 1, writing nothing; decode
+    // refuses the JSON file too, and a resident state file in the old
+    // format is refused by sync, not replaced.
     let dir = Scratch::new("mixed");
-    let parts = split_lines(&stream, 2);
-    let (a, b) = (dir.path("a.json"), dir.path("b.bin"));
-    run(
-        &[
-            "sketch",
-            "connectivity",
-            "--n",
-            "10",
-            "--seed",
-            "4",
-            "--out",
-            &a,
-        ],
-        &parts[0],
+    let site = ["sketch", "connectivity", "--n", "2", "--seed", "1"];
+    let bin_site = dir.path("b.sketch");
+    let (_, err, code) = run(&[&site[..], &["--out", &bin_site]].concat(), "+ 0 1\n");
+    assert_eq!(code, 0, "sketch failed: {err}");
+    let json_site = dir.path("a.json");
+    let text = include_str!("../../../tests/fixtures/v1_connectivity_n2.json");
+    std::fs::write(&json_site, text).unwrap();
+    let merged = dir.path("merged.sketch");
+    for args in [
+        vec!["decode", &json_site],
+        vec!["merge", &bin_site, &json_site, "--out", &merged],
+        vec!["merge", &json_site, &bin_site, "--out", &merged],
+    ] {
+        let (out, err, code) = run(&args, "");
+        assert_eq!(code, 1, "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?} wrote {out:?}");
+        assert!(
+            err.contains("JSON sketch files") && !err.contains("panicked"),
+            "{args:?}: {err}"
+        );
+        assert!(!std::path::Path::new(&merged).exists(), "{args:?} wrote");
+    }
+    let (state, delta) = (dir.path("old.state"), dir.path("round.delta"));
+    std::fs::copy(&json_site, &state).unwrap();
+    let (_, err, code) = run(
+        &[&site[..], &["--format", "delta", "--out", &delta]].concat(),
+        "+ 0 1\n",
     );
-    run(
-        &[
-            "sketch",
-            "connectivity",
-            "--n",
-            "10",
-            "--seed",
-            "4",
-            "--format",
-            "bin",
-            "--out",
-            &b,
-        ],
-        &parts[1],
-    );
-    let merged = dir.path("merged.json");
-    let (_, err, code) = run(&["merge", &a, &b, "--out", &merged], "");
-    assert_eq!(code, 0, "mixed-format merge failed: {err}");
-    let (decoded, _, code) = run(&["decode", &merged], "");
-    assert_eq!(code, 0);
-    let (central, _, code) = run(&["connectivity", "--n", "10", "--seed", "4"], &stream);
-    assert_eq!(code, 0);
-    assert_eq!(decoded, central, "mixed-format answer differs");
+    assert_eq!(code, 0, "sketch --format delta failed: {err}");
+    let (_, err, code) = run(&["sync", "--state", &state, &delta], "");
+    assert_eq!(code, 1, "{err}");
+    assert!(err.contains("JSON sketch files"), "{err}");
+    assert_eq!(std::fs::read_to_string(&state).unwrap(), text);
 }
 
 #[test]
@@ -517,36 +510,43 @@ fn truncated_binary_file_fails_loudly() {
 
 #[test]
 fn poisoned_sketch_is_refused_as_binary_output_not_panicking() {
-    // Two maximal-weight copies of one edge overflow a lane. The binary
-    // format has no poison mark, so the export is refused with an error
-    // and a non-zero exit: nothing is written, and no panic is reached.
+    // Two maximal-weight copies of one edge overflow a lane. Neither
+    // binary layout has a poison mark, so both exports are refused with
+    // an error naming the bank and a non-zero exit: nothing is written,
+    // and no panic is reached.
     let dir = Scratch::new("binpoison");
-    let f = dir.path("p.sketch2");
     let max = i64::MAX;
     let stream = format!("+ 0 1 {max}\n+ 0 1 {max}\n+ 2 3\n");
-    let args = [
-        "sketch",
-        "connectivity",
-        "--n",
-        "8",
-        "--format",
-        "bin",
-        "--out",
-        &f,
-    ];
-    let (_, err, code) = run(&args, &stream);
-    assert_eq!(code, 1, "{err}");
-    assert!(
-        err.contains("lane overflow") && !err.contains("panicked"),
-        "{err}"
-    );
-    assert!(!std::path::Path::new(&f).exists(), "nothing was written");
+    for format in ["bin", "delta"] {
+        let f = dir.path(&format!("p.{format}"));
+        let args = [
+            "sketch",
+            "connectivity",
+            "--n",
+            "8",
+            "--format",
+            format,
+            "--out",
+            &f,
+        ];
+        let (_, err, code) = run(&args, &stream);
+        assert_eq!(code, 1, "{format}: {err}");
+        assert!(
+            err.contains("bank 0: cell-bank lane overflow") && !err.contains("panicked"),
+            "{format}: {err}"
+        );
+        assert!(
+            !std::path::Path::new(&f).exists(),
+            "{format}: nothing was written"
+        );
+    }
 }
 
 #[test]
 fn format_flag_is_refused_out_of_place() {
-    // --format on a plain query, serve-demo, or decode is a mistake; it
-    // must be refused, not silently ignored (PR 2 flag discipline).
+    // --format on a plain query, serve-demo, decode, merge or sync is a
+    // mistake (only sketch chooses an output format); it must be refused,
+    // not silently ignored.
     let (_, err, code) = run(&["connectivity", "--n", "4", "--format", "bin"], "+ 0 1\n");
     assert_ne!(code, 0);
     assert!(err.contains("--format"), "unhelpful error: {err}");
@@ -556,19 +556,30 @@ fn format_flag_is_refused_out_of_place() {
     );
     assert_ne!(code, 0);
     assert!(err.contains("--format"), "unhelpful error: {err}");
-    let (_, err, code) = run(&["decode", "whatever.sketch", "--format", "bin"], "");
-    assert_ne!(code, 0);
-    assert!(err.contains("--format"), "unhelpful error: {err}");
-    // And a bad value is named.
-    let (_, err, code) = run(
-        &["sketch", "connectivity", "--n", "4", "--format", "xml"],
-        "+ 0 1\n",
-    );
-    assert_ne!(code, 0);
-    assert!(
-        err.contains("json, bin, or delta"),
-        "unhelpful error: {err}"
-    );
+    for verb in [
+        vec!["decode", "whatever.sketch"],
+        vec!["merge", "a.sketch", "b.sketch"],
+        vec!["sync", "--state", "s.state", "r.delta"],
+    ] {
+        for value in ["bin", "json"] {
+            let args = [&verb[..], &["--format", value]].concat();
+            let (_, err, code) = run(&args, "");
+            assert_eq!(code, 2, "{args:?}: {err}");
+            assert!(
+                err.contains("--format only applies to the sketch verb"),
+                "{args:?}: {err}"
+            );
+        }
+    }
+    // And a bad value is named, the retired json included.
+    for value in ["xml", "json"] {
+        let (_, err, code) = run(
+            &["sketch", "connectivity", "--n", "4", "--format", value],
+            "+ 0 1\n",
+        );
+        assert_ne!(code, 0);
+        assert!(err.contains("bin or delta"), "unhelpful error: {err}");
+    }
 }
 
 #[test]
@@ -733,7 +744,7 @@ fn delta_records_are_not_sketch_files_and_vice_versa() {
     let (_, err, code) = run(&["sync", "--state", &state, &full], "");
     assert_ne!(code, 0);
     assert!(err.contains("magic"), "unhelpful error: {err}");
-    // ...and merge won't write deltas.
+    // ...and merge takes no --format at all, so it won't write deltas.
     let (_, err, code) = run(&["merge", &full, "--format", "delta"], "");
     assert_ne!(code, 0);
     assert!(err.contains("sync"), "unhelpful error: {err}");

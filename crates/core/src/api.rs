@@ -451,7 +451,7 @@ impl std::error::Error for SpecError {}
 // every instance is long-lived and heap dominates — boxing would just
 // add an indirection to every dispatch.
 #[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum AnySketch {
     /// Spanning forest / connectivity.
     Forest(ForestSketch),

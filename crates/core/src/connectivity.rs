@@ -25,10 +25,9 @@ use gs_sketch::{
     level_count, EdgeUpdate, L0Detector, L0Result, LinearSketch, Mergeable, OneSparseCell,
     OneSparseState, CELL_BYTES,
 };
-use serde::{Deserialize, Error, Serialize, Value};
 
 /// Parameters for [`ForestSketch`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ForestParams {
     /// Boruvka rounds (each with its own detector bank). The default is
     /// `⌈log2 n⌉ + 2`: components at least halve per successful round and
@@ -101,10 +100,7 @@ impl Forest {
 /// repetition, and level — the shared substrate every scaling path
 /// exploits: updates hash once per round and fan into both endpoint rows,
 /// merges are three lane-wise slice adds over the whole sketch, and the
-/// binary wire format dumps the lanes verbatim. The pre-bank layout
-/// (`rounds × n` individually-allocated detectors) survives only as the
-/// JSON wire shape: serialization round-trips through [`L0Detector`]
-/// proxies so wire-format-v1 files are unchanged in both directions.
+/// binary wire format dumps the lanes verbatim.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ForestSketch {
     n: usize,
@@ -185,7 +181,8 @@ impl ForestSketch {
     }
 
     /// The per-round detector seed (the derivation the pre-bank
-    /// `Vec<L0Detector>` layout used, kept for wire compatibility).
+    /// `Vec<L0Detector>` layout used, kept so sketch files written by
+    /// earlier builds still measure the same projection).
     fn bank_seed(seed: u64, bank: usize) -> u64 {
         seed ^ (0xF0_0000 + bank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
@@ -291,8 +288,7 @@ impl ForestSketch {
     }
 
     /// An empty standalone detector with bank `b`'s hashes — the proxy
-    /// through which decode queries and the JSON wire shape reuse the
-    /// [`L0Detector`] machinery.
+    /// through which decode queries reuse the [`L0Detector`] machinery.
     fn proxy_detector(&self, bank: usize) -> L0Detector {
         L0Detector::with_params(
             edge_domain(self.n),
@@ -632,101 +628,6 @@ impl CellBanked for ForestSketch {
 
     fn fingerprints_mut(&mut self) -> Vec<&mut M61> {
         Vec::new()
-    }
-}
-
-// The JSON wire shape predates the contiguous bank: a forest sketch
-// serializes as `rounds × n` standalone detectors, each carrying its own
-// hashes and cell array. Round-tripping through [`L0Detector`] proxies
-// keeps wire-format-v1 files byte-compatible in both directions while the
-// in-memory layout is one bank.
-impl Serialize for ForestSketch {
-    fn to_value(&self) -> Value {
-        let rowlen = self.row_len();
-        let (w, f) = (self.cells.w_lane(), self.cells.f_lane());
-        // Widen once for the dump: the proxies (and the JSON shape) are
-        // always wide.
-        let s = self.cells.s_lane().to_wide_vec();
-        let mut detectors = Vec::with_capacity(self.bank_count() * self.n);
-        for b in 0..self.bank_count() {
-            for node in 0..self.n {
-                let mut d = self.proxy_detector(b);
-                let off = (b * self.n + node) * rowlen;
-                d.banks_mut()[0].overlay(
-                    w[off..off + rowlen].to_vec(),
-                    s[off..off + rowlen].to_vec(),
-                    f[off..off + rowlen].to_vec(),
-                );
-                detectors.push(d.to_value());
-            }
-        }
-        Value::Map(vec![
-            ("n".into(), self.n.to_value()),
-            ("params".into(), self.params.to_value()),
-            ("seed".into(), self.seed.to_value()),
-            ("detectors".into(), Value::Seq(detectors)),
-        ])
-    }
-}
-
-impl Deserialize for ForestSketch {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let n: usize = serde::field(v, "n")?;
-        let params: ForestParams = serde::field(v, "params")?;
-        let seed: u64 = serde::field(v, "seed")?;
-        let detectors: Vec<L0Detector> = serde::field(v, "detectors")?;
-        if n < 2 {
-            return Err(Error::msg("forest sketch needs n >= 2"));
-        }
-        if !(1..=MAX_DETECTOR_REPS).contains(&params.detector_reps) || params.rounds < 1 {
-            return Err(Error::msg("forest sketch reps/rounds out of range"));
-        }
-        // Untrusted input: every shape check precedes any allocation that
-        // the declared `n`/`params` could inflate — a corrupt file must
-        // fail with an error, never with an aborting huge allocation. The
-        // count checks bound `n` (and hence the bank) by the number of
-        // detectors (and cells) the file physically carried.
-        let banks = if params.share_rounds {
-            1
-        } else {
-            params.rounds
-        };
-        let expected = banks
-            .checked_mul(n)
-            .ok_or_else(|| Error::msg("forest sketch dimensions overflow"))?;
-        if detectors.len() != expected {
-            return Err(Error::msg(format!(
-                "expected {expected} detectors, found {}",
-                detectors.len()
-            )));
-        }
-        let rowlen = params.detector_reps * level_count(edge_domain(n)) as usize;
-        for d in &detectors {
-            if d.cell_count() != rowlen {
-                return Err(Error::msg(format!(
-                    "expected {rowlen} cells per detector, found {}",
-                    d.cell_count()
-                )));
-            }
-        }
-        let mut sk = ForestSketch::with_params(n, params, seed);
-        debug_assert_eq!(sk.row_len(), rowlen);
-        let total = detectors.len() * rowlen;
-        let mut w = Vec::with_capacity(total);
-        let mut s = Vec::with_capacity(total);
-        let mut f = Vec::with_capacity(total);
-        for d in &detectors {
-            let bank = d.banks()[0];
-            w.extend_from_slice(bank.w_lane());
-            s.extend(bank.s_lane().to_wide_vec());
-            f.extend_from_slice(bank.f_lane());
-        }
-        // Untrusted input: a narrow spec-built bank range-checks the
-        // incoming index-sums instead of truncating them.
-        sk.cells
-            .try_overlay(w, s, f)
-            .map_err(|e| Error::msg(format!("forest sketch import: {e}")))?;
-        Ok(sk)
     }
 }
 

@@ -18,10 +18,9 @@ use gs_graph::stoer_wagner;
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::par::DecodePlan;
 use gs_sketch::{DecodeCache, EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Single-pass bipartiteness tester for dynamic graph streams.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BipartitenessSketch {
     n: usize,
     /// Forest sketch of G itself.
@@ -187,7 +186,7 @@ impl LinearSketch for BipartitenessSketch {
 }
 
 /// Single-pass k-edge-connectivity tester.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct KConnectivitySketch {
     k: usize,
     inner: KEdgeConnectSketch,

@@ -21,10 +21,9 @@ use gs_graph::Graph;
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::par::DecodePlan;
 use gs_sketch::{DecodeCache, EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// How a recovered forest edge is removed from the next layer's sketch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SubtractMode {
     /// Remove one unit of multiplicity — multigraph semantics, where `m`
     /// parallel edges can serve `m` different forests (Definition 1
@@ -38,7 +37,7 @@ pub enum SubtractMode {
 }
 
 /// Sketch state for `k-EDGECONNECT`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct KEdgeConnectSketch {
     n: usize,
     k: usize,

@@ -24,11 +24,10 @@ use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::domain::edge_index;
 use gs_sketch::par::{par_map, DecodePlan};
 use gs_sketch::{DecodeCache, EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Parameters for [`MinCutSketch`] (and, with a different `k`, the
 /// sparsifiers built on the same level machinery).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MinCutParams {
     /// Levels `i = 0, …, levels−1`. The paper uses `1 + 2 log₂ n`; fewer
     /// levels suffice whenever `2^levels ≥ m/k` (deeper levels are empty).
@@ -88,7 +87,7 @@ impl MinCutParams {
 /// for &(u, v, w) in g.edges() { s.update_edge(u, v, w as i64); }
 /// assert_eq!(s.decode().unwrap().value, 2);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MinCutSketch {
     n: usize,
     params: MinCutParams,

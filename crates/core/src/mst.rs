@@ -29,10 +29,9 @@ use gs_graph::{Graph, UnionFind};
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::par::DecodePlan;
 use gs_sketch::{DecodeCache, EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Parameters for [`MstSketch`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MstParams {
     /// Approximation accuracy: output weight ≤ (1+ε)·OPT.
     pub eps: f64,
@@ -44,7 +43,7 @@ pub struct MstParams {
 
 /// Linear sketch for (1+ε)-approximate minimum spanning forests of
 /// weighted dynamic streams.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MstSketch {
     n: usize,
     params: MstParams,

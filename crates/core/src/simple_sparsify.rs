@@ -20,10 +20,9 @@ use gs_graph::{GomoryHuTree, Graph};
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::par::{par_map, DecodePlan};
 use gs_sketch::{DecodeCache, EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Parameters: the Fig. 2 instantiation of the level machinery.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SimpleSparsifyParams(pub MinCutParams);
 
 impl SimpleSparsifyParams {
@@ -56,7 +55,7 @@ impl SimpleSparsifyParams {
 }
 
 /// Sketch state of Fig. 2 (shares the MINCUT level machinery).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimpleSparsifySketch {
     inner: MinCutSketch,
 }

@@ -30,11 +30,10 @@ use gs_field::{BackendKind, HashBackend, Randomness};
 use gs_graph::Graph;
 use gs_sketch::{L0Detector, L0Result};
 use gs_stream::passes::Meter;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Parameters for [`baswana_sen`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BaswanaSenParams {
     /// Stretch parameter: the spanner satisfies `d_H ≤ (2k−1)·d_G` w.h.p.
     pub k: usize,

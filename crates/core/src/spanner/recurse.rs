@@ -33,11 +33,10 @@ use gs_graph::Graph;
 use gs_sketch::domain::{edge_domain, edge_index, edge_unindex};
 use gs_sketch::{L0Detector, L0Result};
 use gs_stream::passes::Meter;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Parameters for [`recurse_connect`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RecurseParams {
     /// The `k` of the `n^{1/k}` space/stretch trade-off. Stretch bound:
     /// `k^{log₂ 5} − 1`.

@@ -28,10 +28,9 @@ use gs_sketch::par::{par_map, DecodePlan};
 use gs_sketch::{
     DecodeCache, EdgeUpdate, LinearSketch, Mergeable, RecoveryPlan, SparseRecovery, CELL_BYTES,
 };
-use serde::{Deserialize, Serialize};
 
 /// Parameters for [`SparsifySketch`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SparsifyParams {
     /// Target accuracy ε of the final sparsifier.
     pub eps: f64,
@@ -73,7 +72,7 @@ impl SparsifyParams {
 }
 
 /// Sketch state of Fig. 3.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SparsifySketch {
     n: usize,
     params: SparsifyParams,

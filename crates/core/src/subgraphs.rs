@@ -27,11 +27,10 @@ use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::domain::{pair_slot, subset_domain, subset_rank};
 use gs_sketch::par::{par_map, DecodePlan};
 use gs_sketch::{DecodeCache, L0Result, L0Sampler, LinearSketch, Mergeable, CELL_BYTES};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Parameters for [`SubgraphSketch`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SubgraphParams {
     /// Number of independent ℓ0 samplers `s = O(ε⁻² log δ⁻¹)`.
     pub samples: usize,
@@ -65,7 +64,7 @@ impl SubgraphParams {
 /// for &(u, v, _) in g.edges() { s.update_edge(u, v, 1); }
 /// assert_eq!(s.estimate_gamma(&Pattern::triangle()), Some(1.0));
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SubgraphSketch {
     n: usize,
     k: usize,

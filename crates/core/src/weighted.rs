@@ -21,10 +21,9 @@ use gs_graph::Graph;
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::par::{par_map, DecodePlan};
 use gs_sketch::{DecodeCache, EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Parameters for [`WeightedSparsifySketch`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WeightedParams {
     /// Per-class Fig. 2 parameters (with `k` already carrying the L = 2
     /// factor of Lemma 3.6/3.7).
@@ -55,7 +54,7 @@ impl WeightedParams {
 }
 
 /// Single-pass ε-sparsifier for dynamic streams of **weighted** edges.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WeightedSparsifySketch {
     n: usize,
     params: WeightedParams,

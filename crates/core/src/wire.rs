@@ -1,16 +1,13 @@
-//! Cross-process sketch shipping: the versioned sketch-file formats.
+//! Cross-process sketch shipping: the binary sketch-file formats.
 //!
 //! §1.1's coordinator topology only becomes real once sketches cross a
-//! process boundary. Two on-disk formats carry a sketch, auto-detected on
-//! load by [`SketchFile::from_bytes`]:
+//! process boundary. Sketch state crosses it in exactly two binary
+//! layouts, a full file and a delta record; JSON appears only as the spec
+//! header inside them. JSON sketch files (the retired wire format 1,
+//! `{"format": 1, "spec": …, "state": …}`) are no longer read:
+//! [`SketchFile::from_bytes`] refuses them as [`WireError::BadMagic`].
 //!
-//! **Format 1 (JSON)** — one JSON object:
-//!
-//! ```json
-//! {"format": 1, "spec": { …SketchSpec… }, "state": { …AnySketch… }}
-//! ```
-//!
-//! **Format 2 (binary)** — a length-prefixed little-endian dump of the
+//! **Sketch file (format 2)** — a length-prefixed little-endian dump of the
 //! measurement state. A sketch's *structure* (hashes, seeds, parameters)
 //! is fully derivable from its spec, so only the [`gs_sketch::CellBank`]
 //! lanes and the `k-RECOVERY` verification fingerprints ship; the reader
@@ -26,7 +23,7 @@
 //! u64 FNV-1a checksum of every preceding byte
 //! ```
 //!
-//! **Delta record** — the incremental sibling of format 2, produced by
+//! **Delta record** — the incremental sibling of the sketch file, produced by
 //! [`SketchFile::delta_bytes`] and consumed by
 //! [`SketchFile::apply_delta`]. Instead of whole lanes it ships only the
 //! cells **touched since the last drain** (the bank dirty bitmaps of
@@ -65,19 +62,17 @@
 //! bytes folds as one multiply by `P^k mod 2^64`. And
 //! [`replace_file_durably`] writes state files sparse, leaving every
 //! all-zero 4 KiB block as a hole. A sketch poisoned by a lane overflow
-//! is refused by the writer, since the format has no way to mark it.
+//! is refused by both encoders, since neither layout can mark it.
 //!
-//! In all formats the payload carries the full [`SketchSpec`] —
-//! everything two sites must agree on for their measurements to be
-//! compatible — so the coordinator *checks* compatibility instead of
-//! trusting the sender. [`SketchFile::try_merge`] refuses (with a
-//! [`WireError`]) to fold files whose specs differ in any field or whose
-//! bank geometries disagree, [`SketchFile::apply_delta`] refuses deltas
-//! the same way, and loading validates the state against its *declared*
-//! spec (v1: a contained probe merge against a spec-built empty sketch,
-//! which also re-structures the flat-deserialized banks; v2: the per-bank
-//! geometry gate), so a corrupted or tampered file fails at load rather
-//! than aborting a coordinator mid-merge. The CLI's
+//! Both layouts carry the full [`SketchSpec`] — everything two sites must
+//! agree on for their measurements to be compatible — so the coordinator
+//! *checks* compatibility instead of trusting the sender.
+//! [`SketchFile::try_merge`] refuses (with a [`WireError`]) to fold files
+//! whose specs differ in any field or whose bank geometries disagree,
+//! [`SketchFile::apply_delta`] refuses deltas the same way, and loading
+//! checks every bank's declared geometry against the sketch its declared
+//! spec builds, so a corrupted or tampered file fails at load rather than
+//! aborting a coordinator mid-merge. The CLI's
 //! `sketch` / `merge` / `decode` / `sync` verbs are thin shells over this
 //! module; `tests/integration_wire.rs`, `tests/integration_wire_v2.rs`,
 //! `tests/integration_delta.rs`, and `tests/integration_wire_fuzz.rs`
@@ -89,16 +84,12 @@ use crate::api::{AnySketch, MergeError, SketchAnswer, SketchSpec, SpecError};
 use gs_field::{m61, M61};
 use gs_sketch::bank::CellBanked;
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{BankGeometry, LinearSketch, Mergeable, SLane};
-use serde::{Deserialize, Serialize, Value};
+use gs_sketch::{BankGeometry, LinearSketch, SLane};
 use std::fs::File;
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 
-/// The JSON sketch-file wire version.
-pub const WIRE_FORMAT: u64 = 1;
-
-/// The binary sketch-file wire version, carried in the `u32` after the
+/// The sketch-file wire version, carried in the `u32` after the
 /// magic. Version 2 was the pre-checksum binary layout; appending the
 /// trailing checksum word changed the byte layout, so the version was
 /// bumped to 3 — a version-2 file written by an older build is refused
@@ -106,12 +97,11 @@ pub const WIRE_FORMAT: u64 = 1;
 /// checksum corruption.
 pub const WIRE_FORMAT_BIN: u32 = 3;
 
-/// Magic prefix of a binary (format 2) sketch file. Starts with a byte
-/// that can never open a JSON document, so the two formats are sniffable.
+/// Magic prefix of a (format 2) sketch file.
 pub const V2_MAGIC: &[u8; 8] = b"AGMSKB2\n";
 
-/// Magic prefix of a binary delta record (the incremental sibling of
-/// format 2): `D` for delta where the full dump has `B`.
+/// Magic prefix of a delta record (the incremental sibling of the sketch
+/// file): `D` for delta where the full dump has `B`.
 pub const DELTA_MAGIC: &[u8; 8] = b"AGMSKD2\n";
 
 /// The FNV-1a 64-bit offset basis: the checksum state before any byte.
@@ -547,17 +537,16 @@ pub struct SketchFile {
 /// Why a sketch file failed to load or merge.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WireError {
-    /// The text is not valid JSON (or not the expected shape).
+    /// The spec header is not valid spec JSON.
     Json(String),
-    /// A required top-level field is missing or mistyped.
-    Missing(&'static str),
     /// The file declares an unsupported wire version.
     Format {
         /// The version the file declared.
         found: u64,
     },
-    /// The bytes are neither a binary sketch file (no recognizable magic)
-    /// nor JSON text.
+    /// The bytes do not start with the expected magic: not a sketch file
+    /// (a JSON sketch file of the retired wire format 1 included), or a
+    /// sketch file where a delta record was expected.
     BadMagic,
     /// A binary file ended before its declared contents.
     Truncated {
@@ -611,16 +600,16 @@ pub enum WireError {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::Json(e) => write!(f, "malformed sketch file: {e}"),
-            WireError::Missing(field) => write!(f, "sketch file is missing {field:?}"),
+            WireError::Json(e) => write!(f, "malformed spec header: {e}"),
             WireError::Format { found } => write!(
                 f,
-                "sketch file declares wire format {found}, this build reads formats \
-                 {WIRE_FORMAT} and {WIRE_FORMAT_BIN}"
+                "sketch file declares wire format {found}, this build reads format \
+                 {WIRE_FORMAT_BIN}"
             ),
             WireError::BadMagic => write!(
                 f,
-                "not a sketch file: neither the binary magic nor JSON text"
+                "not a sketch file: the binary magic is missing (JSON sketch files, wire \
+                 format 1, are no longer read)"
             ),
             WireError::Truncated { at } => {
                 write!(f, "binary sketch file truncated at byte {at}")
@@ -685,37 +674,17 @@ impl From<SpecError> for WireError {
     }
 }
 
-/// Merges `state` into a freshly spec-built empty sketch and returns the
-/// result, or `None` if the merge refuses. The per-sketch merge assertions
-/// (seeds, parameters, cell counts) are the source of truth for
-/// compatibility, so a file whose declared spec was tampered with — e.g.
-/// its seed edited to match a merge partner — is caught at load time
-/// instead of aborting a coordinator later. Because an empty sketch is the
-/// zero of the merge group, the returned sketch carries exactly the
-/// state's measurements **in the spec-built structure** — this is also
-/// what re-attaches the `reps × levels × slots` bank geometry that the
-/// legacy JSON cell arrays do not record. The probe is contained with
-/// `catch_unwind` (the sketches expose no fallible compatibility API, so
-/// the asserting merge is the only generic oracle) and requires the
-/// default unwinding panic runtime — under `panic = "abort"` a corrupted
-/// state aborts the load instead of returning an error.
-fn rebuild_from_spec(spec: &SketchSpec, state: &AnySketch) -> Option<AnySketch> {
-    contained(|| {
-        let mut probe = spec.build();
-        probe.merge(state);
-        probe
-    })
-}
-
-/// Runs `f`, converting a panic into `None`. Loading untrusted files is
-/// the one place a panic is an *expected* failure mode (the sketch
-/// constructors and merges assert rather than return errors), so the
-/// global panic hook is silenced for the call's duration — a rejection
-/// yields one clean [`WireError`], not a panic report. The gate serializes
-/// concurrent loads; an unrelated panic elsewhere in the process during
-/// this window loses only its hook output, not its unwind. Requires the
-/// default unwinding panic runtime — under `panic = "abort"` a corrupted
-/// file aborts the load instead of returning an error.
+/// Runs `f`, converting a panic into `None`. Building a sketch from an
+/// untrusted spec header (a loaded file's or a delta's) is the one place
+/// a panic is an *expected* failure mode: the sketch constructors assert
+/// on anything [`SketchSpec::validate`] cannot express, rather than
+/// return errors. The global panic hook is silenced for the call's
+/// duration, so a rejection yields one clean [`WireError`], not a panic
+/// report. The gate serializes concurrent builds; an unrelated panic
+/// elsewhere in the process during this window loses only its hook
+/// output, not its unwind. Requires the default unwinding panic runtime
+/// — under `panic = "abort"` an unconstructible spec aborts the load
+/// instead of returning an error.
 fn contained<R>(f: impl FnOnce() -> R) -> Option<R> {
     use std::panic;
     use std::sync::Mutex;
@@ -730,10 +699,10 @@ fn contained<R>(f: impl FnOnce() -> R) -> Option<R> {
 
 impl SketchFile {
     /// Packages a sketch with its spec, checking that the state really is
-    /// what the spec describes (same task, same `n`). Deep seed/parameter
-    /// consistency is probed at the untrusted boundary,
-    /// [`SketchFile::from_json`], not here — `new` is the trusted path for
-    /// states the caller just built from `spec`.
+    /// what the spec describes (same task, same `n`). `new` is the trusted
+    /// path for states the caller just built from `spec`; a loaded file
+    /// never carries foreign structure, since [`SketchFile::from_bytes`]
+    /// overlays its lanes onto a sketch built from its own spec header.
     pub fn new(spec: SketchSpec, state: AnySketch) -> Result<Self, WireError> {
         if state.task() != spec.task || LinearSketch::n(&state) != spec.n {
             return Err(WireError::StateMismatch);
@@ -741,60 +710,40 @@ impl SketchFile {
         Ok(SketchFile { spec, state })
     }
 
-    /// Serializes the file as one JSON object (`format` / `spec` /
-    /// `state`).
-    pub fn to_json(&self) -> String {
-        Value::Map(vec![
-            ("format".into(), Value::UInt(WIRE_FORMAT)),
-            ("spec".into(), self.spec.to_value()),
-            ("state".into(), self.state.to_value()),
-        ])
-        .to_json()
-    }
-
-    /// Parses and validates a sketch file: JSON shape, wire version, spec,
-    /// state, and spec↔state consistency. The returned state is the
-    /// declared measurements transplanted into a spec-built sketch, so its
-    /// bank geometry is fully structured regardless of the serialized
-    /// form.
-    pub fn from_json(text: &str) -> Result<Self, WireError> {
-        let v = Value::from_json(text).map_err(|e| WireError::Json(e.to_string()))?;
-        let format = v
-            .get("format")
-            .and_then(Value::as_u64)
-            .ok_or(WireError::Missing("format"))?;
-        if format != WIRE_FORMAT {
-            return Err(WireError::Format { found: format });
+    /// Checks that both encoders can export the carried state, before
+    /// they write or drain anything.
+    ///
+    /// # Errors
+    /// [`io::ErrorKind::InvalidInput`] for a bank of more than `u32::MAX`
+    /// cells, which the formats cannot size (geometry axes and delta
+    /// indices ride as u32, so a larger bank would truncate silently into
+    /// a checksum-valid but unloadable file); and
+    /// [`io::ErrorKind::InvalidData`], naming the bank and cell, for a
+    /// sketch poisoned by a lane overflow: its lanes hold wrapped values,
+    /// not a linear measurement, and neither format carries a poison mark,
+    /// so a reader would take them as sound.
+    pub fn check_exportable(&self) -> io::Result<()> {
+        for (i, bank) in self.state.banks().iter().enumerate() {
+            if bank.len() > u32::MAX as usize {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "the binary format sizes banks as u32, bank {i} holds {} cells",
+                        bank.len()
+                    ),
+                ));
+            }
+            if let Some(overflow) = bank.lane_overflow() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "bank {i}: {overflow}; the poisoned sketch is no longer a linear \
+                         measurement and is not exported"
+                    ),
+                ));
+            }
         }
-        let spec = SketchSpec::from_value(v.get("spec").ok_or(WireError::Missing("spec"))?)
-            .map_err(|e| WireError::Json(e.to_string()))?;
-        // Untrusted header: a degenerate spec is refused with a typed
-        // error before the probe merge builds anything from it.
-        spec.validate()?;
-        let state = AnySketch::from_value(v.get("state").ok_or(WireError::Missing("state"))?)
-            .map_err(|e| WireError::Json(e.to_string()))?;
-        let file = SketchFile::new(spec, state)?;
-        // Untrusted input: verify the state really measures the projection
-        // the file *declares* before any coordinator merges it, and keep
-        // the spec-built rebuild (same measurements, structured geometry).
-        let rebuilt = rebuild_from_spec(&file.spec, &file.state).ok_or(WireError::StateMismatch)?;
-        // The rebuild merges the declared values into the spec-built
-        // sketch; a value outside a compacted lane's range poisons the
-        // receiving bank there, which surfaces here as a typed refusal
-        // (the JSON format predates lane compaction, so this is the only
-        // place the legacy path can range-check).
-        if let Some((bank, e)) = rebuilt
-            .banks()
-            .iter()
-            .enumerate()
-            .find_map(|(i, b)| b.lane_overflow().map(|e| (i, e)))
-        {
-            return Err(WireError::LaneRange { bank, cell: e.cell });
-        }
-        Ok(SketchFile {
-            spec: file.spec,
-            state: rebuilt,
-        })
+        Ok(())
     }
 
     /// Serializes the file in the binary wire format (v2): the spec
@@ -803,10 +752,11 @@ impl SketchFile {
     /// streams.
     ///
     /// # Panics
-    /// Panics where [`SketchFile::write_to`] refuses: a bank of more than
-    /// `u32::MAX` cells, or a sketch poisoned by a lane overflow. Callers
-    /// that can hold such state (a served tenant, a CLI export) call
-    /// `write_to` into a `Vec` and report the error instead.
+    /// Panics where [`SketchFile::check_exportable`] refuses: a bank of
+    /// more than `u32::MAX` cells, or a sketch poisoned by a lane overflow.
+    /// Callers that can hold such state (a served tenant, a CLI export)
+    /// call `check_exportable` first, or `write_to` into a `Vec`, and
+    /// report the error instead.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         if let Err(e) = self.write_to(&mut out) {
@@ -833,38 +783,12 @@ impl SketchFile {
     /// and a few large writes of zeros, not a pass over its allocation.
     ///
     /// # Errors
-    /// Any error `out` reports; [`io::ErrorKind::InvalidInput`] for a bank
-    /// of more than `u32::MAX` cells, which the format cannot size; and
-    /// [`io::ErrorKind::InvalidData`], naming the bank and cell, for a
-    /// sketch poisoned by a lane overflow: its lanes hold wrapped values,
-    /// not a linear measurement, and the format carries no poison mark,
-    /// so a reader would take them as sound. Both refusals come before
-    /// any byte is written.
+    /// Any error `out` reports, and the refusals of
+    /// [`SketchFile::check_exportable`], which come before any byte is
+    /// written.
     pub fn write_to(&self, out: impl Write) -> io::Result<()> {
+        self.check_exportable()?;
         let banks = self.state.banks();
-        for (i, bank) in banks.iter().enumerate() {
-            // Geometry axes ride as u32 (same invariant delta_bytes
-            // guards): a larger bank would truncate silently into a
-            // checksum-valid but unloadable file, so refuse it.
-            if bank.len() > u32::MAX as usize {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "the binary format sizes banks as u32, bank {i} holds {} cells",
-                        bank.len()
-                    ),
-                ));
-            }
-            if let Some(overflow) = bank.lane_overflow() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "bank {i}: {overflow}; the poisoned sketch is no longer a linear \
-                         measurement and is not exported"
-                    ),
-                ));
-            }
-        }
         let mut out = Checksummed::new(out);
         out.put(V2_MAGIC)?;
         out.put_u32(WIRE_FORMAT_BIN)?;
@@ -896,11 +820,21 @@ impl SketchFile {
         out.seal()
     }
 
-    /// Parses a binary (v2) sketch file: magic, version, the trailing
-    /// checksum (verified before anything else is read), then the spec
-    /// header and the bank lanes overlaid onto a spec-built sketch with
-    /// per-bank geometry checks.
-    pub fn from_bytes_v2(bytes: &[u8]) -> Result<Self, WireError> {
+    /// Parses a sketch file: magic, version, the trailing checksum
+    /// (verified before anything else is read), then the spec header and
+    /// the bank lanes overlaid onto a spec-built sketch with per-bank
+    /// geometry checks. A delta record is *not* a sketch file (it is one
+    /// summand, not a sum) and is named in its rejection; any other bytes
+    /// without the magic, a JSON sketch file of the retired wire format 1
+    /// included, are [`WireError::BadMagic`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+        if bytes.starts_with(DELTA_MAGIC) {
+            return Err(WireError::Corrupt(
+                "this is a delta record, not a standalone sketch file; apply it to a \
+                 coordinator state (CLI: the sync verb)"
+                    .into(),
+            ));
+        }
         let (spec, mut r) = parse_binary_header(bytes, V2_MAGIC)?;
         // Untrusted header: refuse degenerate specs with a typed error,
         // and contain the build (the constructors assert) for anything
@@ -979,25 +913,6 @@ impl SketchFile {
         SketchFile::new(spec, state)
     }
 
-    /// Loads a sketch file of either wire format, auto-detected by
-    /// content: the binary magic selects format 2, anything else is
-    /// treated as format-1 JSON text. A delta record is *not* a sketch
-    /// file (it is one summand, not a sum) and is named in its rejection.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
-        if bytes.starts_with(V2_MAGIC) {
-            return Self::from_bytes_v2(bytes);
-        }
-        if bytes.starts_with(DELTA_MAGIC) {
-            return Err(WireError::Corrupt(
-                "this is a delta record, not a standalone sketch file; apply it to a \
-                 coordinator state (CLI: the sync verb)"
-                    .into(),
-            ));
-        }
-        let text = std::str::from_utf8(bytes).map_err(|_| WireError::BadMagic)?;
-        Self::from_json(text)
-    }
-
     /// Serializes and **drains** the sketch's pending delta: a
     /// [`DELTA_MAGIC`] record carrying only the cells touched since the
     /// last drain (see the module docs for the layout) plus every
@@ -1006,7 +921,18 @@ impl SketchFile {
     /// at a coordinator ([`SketchFile::apply_delta`]) reconstructs the
     /// full sketch bit for bit — the linearity law on the delta path. A
     /// call with nothing pending emits a valid empty delta.
+    ///
+    /// # Panics
+    /// Panics, before anything is written or drained, where
+    /// [`SketchFile::check_exportable`] refuses: a bank of more than
+    /// `u32::MAX` cells, or a sketch poisoned by a lane overflow. Callers
+    /// that can hold such state (a CLI export) call `check_exportable`
+    /// first and report the error instead.
     pub fn delta_bytes(&mut self) -> Vec<u8> {
+        if let Err(e) = self.check_exportable() {
+            // gs-lint: allow(no-panic-paths, "encode-side refusal of this process's own state; no wire bytes are parsed here")
+            panic!("{e}");
+        }
         let mut out = Vec::new();
         out.extend_from_slice(DELTA_MAGIC);
         write_u32(&mut out, WIRE_FORMAT_BIN);
@@ -1016,15 +942,6 @@ impl SketchFile {
         let banks = self.state.banks();
         write_u32(&mut out, banks.len() as u32);
         for bank in banks {
-            // Cell indices (and hence the touched count and every
-            // geometry axis) ride as u32; a larger bank would silently
-            // alias indices, so refuse loudly instead.
-            // gs-lint: allow(no-panic-paths, "encode-side bound on this process's own bank geometry; no wire bytes are parsed here")
-            assert!(
-                bank.len() <= u32::MAX as usize,
-                "a delta record indexes cells as u32, bank holds {} cells",
-                bank.len()
-            );
             let geom = bank.geometry();
             write_u32(&mut out, geom.reps as u32);
             write_u32(&mut out, geom.levels as u32);
@@ -1408,80 +1325,97 @@ mod tests {
         bytes[split..].copy_from_slice(&sum.to_le_bytes());
     }
 
+    /// The spec header of a sketch file: its byte range and its text.
+    fn spec_header(bytes: &[u8]) -> (std::ops::Range<usize>, String) {
+        let at = V2_MAGIC.len() + 4;
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        let range = at + 4..at + 4 + len;
+        let text = String::from_utf8(bytes[range.clone()].to_vec()).unwrap();
+        (range, text)
+    }
+
     #[test]
     fn file_round_trips_bit_for_bit() {
         let spec = SketchSpec::new(SketchTask::Connectivity, 8).with_seed(3);
         let state = fed(&spec, &[EdgeUpdate::insert(0, 1), EdgeUpdate::insert(2, 3)]);
         let file = SketchFile::new(spec, state).unwrap();
-        let back = SketchFile::from_json(&file.to_json()).unwrap();
+        let back = SketchFile::from_bytes(&file.to_bytes()).unwrap();
         assert_eq!(back, file);
     }
 
     #[test]
     fn wrong_format_version_is_rejected() {
         let spec = SketchSpec::new(SketchTask::Bipartite, 4);
-        let file = SketchFile::new(spec, spec.build()).unwrap();
-        let bumped = file.to_json().replacen("\"format\":1", "\"format\":2", 1);
+        let mut bytes = SketchFile::new(spec, spec.build()).unwrap().to_bytes();
+        // Version 2 was the pre-checksum layout: named, not misread.
+        let at = V2_MAGIC.len();
+        bytes[at..at + 4].copy_from_slice(&2u32.to_le_bytes());
         assert_eq!(
-            SketchFile::from_json(&bumped),
+            SketchFile::from_bytes(&bytes),
             Err(WireError::Format { found: 2 })
         );
     }
 
     #[test]
-    fn missing_fields_are_named() {
-        assert_eq!(
-            SketchFile::from_json("{}"),
-            Err(WireError::Missing("format"))
-        );
-        assert_eq!(
-            SketchFile::from_json("{\"format\":1}"),
-            Err(WireError::Missing("spec"))
-        );
-        assert!(SketchFile::from_json("not json").is_err());
-    }
-
-    #[test]
     fn tampered_spec_seed_is_caught_at_load() {
-        // Editing a file's declared seed to match a merge partner must not
-        // smuggle an incompatible state past the spec check into the
-        // panicking inner merge: load validates state against spec.
+        // Editing a file's declared seed to match a merge partner is
+        // caught by the checksum. A tamperer who re-seals gets a sketch
+        // built from the edited spec: its structure always comes from
+        // the header, so it can never reach a merge with a foreign
+        // structure (the asserting inner merge stays unreachable).
         let spec = SketchSpec::new(SketchTask::Connectivity, 6).with_seed(8);
-        let file = SketchFile::new(spec, spec.build()).unwrap();
-        let tampered = file.to_json().replacen("\"seed\":8", "\"seed\":7", 1);
-        assert!(tampered.contains("\"seed\":7"), "spec seed was rewritten");
-        assert_eq!(
-            SketchFile::from_json(&tampered),
-            Err(WireError::StateMismatch)
-        );
+        let file = SketchFile::new(spec, fed(&spec, &[EdgeUpdate::insert(0, 1)])).unwrap();
+        let mut tampered = file.to_bytes();
+        let (range, header) = spec_header(&tampered);
+        let edited = header.replacen("\"seed\":8", "\"seed\":7", 1);
+        assert_ne!(edited, header, "spec seed was rewritten");
+        tampered[range].copy_from_slice(edited.as_bytes());
+        match SketchFile::from_bytes(&tampered) {
+            Err(WireError::Corrupt(detail)) => assert!(detail.contains("checksum"), "{detail}"),
+            other => panic!("expected checksum rejection, got {other:?}"),
+        }
+        reseal(&mut tampered);
+        let loaded = SketchFile::from_bytes(&tampered).unwrap();
+        assert_eq!(loaded.spec, spec.with_seed(7));
+        let partner = spec.with_seed(7);
+        let mut partner = SketchFile::new(partner, partner.build()).unwrap();
+        partner.try_merge(&loaded).unwrap();
     }
 
     #[test]
     fn absurd_state_dimensions_fail_without_allocating() {
-        // A tiny corrupt v1 file whose *state* declares a huge n must be
-        // rejected by the shape checks, not abort the process trying to
-        // allocate the declared bank.
+        // A tiny re-sealed file whose first bank declares u32::MAX cells
+        // per axis must be refused by the geometry gate before any lane
+        // is read, not abort the process allocating the declared bank.
         let spec = SketchSpec::new(SketchTask::Connectivity, 5).with_seed(3);
-        let file = SketchFile::new(spec, spec.build()).unwrap();
-        let tampered = file.to_json().replace("\"n\":5", "\"n\":99999999999");
-        assert!(SketchFile::from_json(&tampered).is_err());
+        let mut bytes = SketchFile::new(spec, spec.build()).unwrap().to_bytes();
+        let (range, _) = spec_header(&bytes);
+        let geom = range.end + 4;
+        bytes[geom..geom + 12].fill(0xFF);
+        reseal(&mut bytes);
+        match SketchFile::from_bytes(&bytes) {
+            Err(WireError::Geometry {
+                bank: 0, declared, ..
+            }) => {
+                assert_eq!(declared.reps, u32::MAX as usize)
+            }
+            other => panic!("expected geometry rejection, got {other:?}"),
+        }
     }
 
     #[test]
     fn unconstructible_v2_spec_header_is_an_error_not_a_panic() {
         // Sketch constructors assert on out-of-range spec values; a v2
         // file whose header declares such a spec must fail with a
-        // WireError (the build is contained like the v1 probe).
+        // WireError (the build is contained).
         let spec = SketchSpec::new(SketchTask::Connectivity, 8).with_seed(4);
         let file = SketchFile::new(spec, spec.build()).unwrap();
         let mut bytes = file.to_bytes();
-        let at = V2_MAGIC.len() + 8;
-        let spec_len = u32::from_le_bytes(bytes[at - 4..at].try_into().unwrap()) as usize;
-        let header = String::from_utf8(bytes[at..at + spec_len].to_vec()).unwrap();
+        let (range, header) = spec_header(&bytes);
         // Same-length edit keeps the length prefix valid: n = 8 -> n = 1.
         let bad = header.replacen("\"n\":8", "\"n\":1", 1);
-        assert_eq!(bad.len(), spec_len);
-        bytes[at..at + spec_len].copy_from_slice(bad.as_bytes());
+        assert_ne!(bad, header);
+        bytes[range].copy_from_slice(bad.as_bytes());
         reseal(&mut bytes);
         match SketchFile::from_bytes(&bytes) {
             Err(WireError::Spec(e)) => {
@@ -1814,7 +1748,7 @@ mod tests {
             .enumerate()
             .find_map(|(i, b)| b.lane_overflow().map(|e| (i, e)))
             .expect("i64::MAX twice overflows a lane");
-        let file = SketchFile::new(spec, poisoned).unwrap();
+        let mut file = SketchFile::new(spec, poisoned).unwrap();
         let mut out = Vec::new();
         let e = file.write_to(&mut out).unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
@@ -1833,6 +1767,11 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), b"last good");
         assert!(!staging.exists());
         std::fs::remove_dir_all(&dir).unwrap();
+
+        // The delta encoder refuses too, before it drains anything.
+        let before = file.state.clone();
+        assert!(contained(|| file.delta_bytes()).is_none(), "refused");
+        assert_eq!(file.state, before, "nothing was drained");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!    stream — across absorb, merge, accumulate, and drain_dirty. The
 //!    scalar loops and wide lanes are the oracle; any divergence is a
 //!    kernel bug, full stop.
-//! 2. **Range safety.** Wire blobs, delta records, and legacy JSON may
-//!    carry `s` values that do not fit a receiver's compacted lane.
+//! 2. **Range safety.** Sketch files and delta records may carry `s`
+//!    values that do not fit a receiver's compacted lane.
 //!    Every import path must reject them with
 //!    [`WireError::LaneRange`] and leave the receiver untouched —
 //!    never wrap, never panic.
@@ -384,17 +384,6 @@ fn v2_import_rejects_out_of_range_narrow_values() {
 }
 
 #[test]
-fn json_import_rejects_out_of_range_narrow_values() {
-    let spec = SketchSpec::new(SketchTask::Connectivity, 24);
-    let donor = SketchFile::new(spec, out_of_range_donor(&spec)).unwrap();
-    let text = donor.to_json();
-    match SketchFile::from_json(&text) {
-        Err(WireError::LaneRange { .. }) => {}
-        other => panic!("expected LaneRange, got {other:?}"),
-    }
-}
-
-#[test]
 fn delta_import_rejects_out_of_range_values_and_leaves_receiver_unchanged() {
     let spec = SketchSpec::new(SketchTask::Connectivity, 24);
     let mut donor = SketchFile::new(spec, out_of_range_donor(&spec)).unwrap();
@@ -431,13 +420,6 @@ fn narrow_wire_round_trips_stay_bit_exact_for_every_task() {
             file.to_bytes(),
             back.to_bytes(),
             "{:?}: v2 round-trip drifted",
-            spec.task
-        );
-        let jback = SketchFile::from_json(&file.to_json()).unwrap();
-        assert_eq!(
-            file.to_bytes(),
-            jback.to_bytes(),
-            "{:?}: JSON round-trip drifted",
             spec.task
         );
     }

@@ -10,11 +10,10 @@
 use crate::m61::{M61, P};
 use crate::oracle::SplitMix64;
 use crate::Randomness;
-use serde::{Deserialize, Serialize};
 
 /// A hash function drawn from a k-wise independent family
 /// `h(x) = Σ_{i<k} a_i x^i mod (2^61 − 1)`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KWiseHash {
     coeffs: Vec<M61>,
 }

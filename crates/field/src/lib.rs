@@ -28,14 +28,12 @@ pub use m61::M61;
 pub use nisan::{NisanGenerator, NisanHash};
 pub use oracle::{OracleHash, SplitMix64};
 
-use serde::{Deserialize, Serialize};
-
 /// A runtime-selectable randomness backend.
 ///
 /// Sketch structures hold one of these per hash role, so an entire
 /// algorithm can be switched between the random-oracle assumption of §2.3
 /// and the Nisan-derandomized regime of §3.4 (experiment E9).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HashBackend {
     /// Seeded mixer standing in for a fully independent random function.
     Oracle(OracleHash),
@@ -92,7 +90,7 @@ impl Randomness for HashBackend {
 /// Which randomness regime a sketch is built under (§2.3 oracle assumption
 /// vs §3.4 Nisan derandomization). Stored alongside seeds in every sketch
 /// so that merges can verify the two sides measure the same projection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// Fully-independent-hash stand-in (default).
     #[default]

@@ -6,7 +6,6 @@
 //! families of [`crate::kwise`]. The Mersenne structure allows reduction
 //! without division.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
@@ -19,7 +18,7 @@ pub const P: u64 = (1u64 << 61) - 1;
 /// of field elements can be viewed as raw words
 /// ([`M61::slice_as_words`]) — the shape the vectorized lane kernels in
 /// `gs_sketch::simd` sweep.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[repr(transparent)]
 pub struct M61(u64);
 

@@ -32,10 +32,9 @@ use crate::kwise::KWiseHash;
 use crate::m61::M61;
 use crate::oracle::SplitMix64;
 use crate::Randomness;
-use serde::{Deserialize, Serialize};
 
 /// Nisan's generator with lazily evaluated output blocks.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NisanGenerator {
     /// The truly random start block `x`.
     x0: M61,
@@ -92,7 +91,7 @@ impl NisanGenerator {
 }
 
 /// A [`Randomness`] backend whose bits come from Nisan's generator.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NisanHash {
     gen: NisanGenerator,
     mask: u64,

@@ -8,12 +8,11 @@
 //! and is the conventional empirical substitute for a random oracle.
 
 use crate::Randomness;
-use serde::{Deserialize, Serialize};
 
 /// SplitMix64: a tiny, high-quality, seedable PRNG used for seed derivation
 /// throughout the workspace (it is the generator recommended for seeding
 /// other generators).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }
@@ -58,7 +57,7 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
 /// `OracleHash` instances derived from nearby seeds behave as independent
 /// functions — the sketches instantiate thousands of these (one per
 /// repetition per level per node).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OracleHash {
     k1: u64,
     k2: u64,

@@ -35,7 +35,7 @@ use graph_sketches::api::{SketchAnswer, SketchSpec};
 use graph_sketches::frame::{
     self, ErrCode, FrameError, Opcode, Request, Response, ServiceStats, TenantStats,
 };
-use graph_sketches::wire::{self, SketchDelta, WireError};
+use graph_sketches::wire::{self, SketchDelta};
 use graph_sketches::AnySketch;
 use graph_sketches::SketchFile;
 use gs_sketch::par::DecodePlan;
@@ -994,10 +994,7 @@ fn recover_tenants(shared: &Shared) {
             ));
             continue;
         }
-        let loaded = std::fs::read(&path)
-            .map_err(|e| WireError::Json(format!("unreadable: {e}")))
-            .and_then(|bytes| SketchFile::from_bytes(&bytes));
-        match loaded {
+        match load_state_file(&path) {
             Ok(base) => {
                 let recovered_so_far = shared.registry_read().len();
                 let mut tenant = build_tenant(shared, recovered_so_far, name.to_string(), base);
@@ -1012,18 +1009,37 @@ fn recover_tenants(shared: &Shared) {
             Err(e) => {
                 let quarantine = path.with_extension("state.quarantined");
                 let _ = std::fs::rename(&path, &quarantine);
-                shared.log(format_args!(
-                    "quarantined corrupt state file {fname:?}: {e}"
-                ));
+                shared.log(format_args!("quarantined state file {fname:?}: {e}"));
             }
         }
     }
+}
+
+/// Loads one state file, or says why it cannot become a tenant: an I/O
+/// error is `unreadable`, bytes that are not a sound sketch file are
+/// `corrupt`.
+fn load_state_file(path: &Path) -> Result<SketchFile, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
+    SketchFile::from_bytes(&bytes).map_err(|e| format!("corrupt: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use graph_sketches::api::SketchTask;
+
+    #[test]
+    fn state_file_refusals_tell_io_errors_from_corruption() {
+        let dir = std::env::temp_dir().join(format!("gs-serve-load-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("dir.state")).unwrap();
+        let e = load_state_file(&dir.join("dir.state")).unwrap_err();
+        assert!(e.starts_with("unreadable: "), "{e}");
+        std::fs::write(dir.join("json.state"), "{\"format\":1}").unwrap();
+        let e = load_state_file(&dir.join("json.state")).unwrap_err();
+        assert!(e.starts_with("corrupt: not a sketch file"), "{e}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     /// Regression for a dropped tenant coming back on restart: `DROP`
     /// used to delete `<name>.state` without the tenant lock, so a

@@ -50,13 +50,11 @@
 //! boundaries that export state check the mark and refuse with a typed
 //! error while the engine worker that owns the sketch keeps running.
 //!
-//! Serialization stays bit-compatible with the pre-bank JSON: a bank
-//! serializes as the same array of `{w, s, f}` cell objects that
-//! `Vec<OneSparseCell>` produced, so wire-format-v1 files written before
-//! the refactor still load (they deserialize with a
-//! [`BankGeometry::flat`] descriptor and a wide lane, re-structured when
-//! the state is transplanted into a spec-built sketch at the wire
-//! boundary — equality and [`CellBank::add`] work across widths by value).
+//! A bank has no serialized form of its own: the wire layer ships its
+//! lanes raw and overlays them onto a bank built from the sketch's spec
+//! ([`CellBank::try_overlay`]), so every bank carries its structured
+//! geometry, and equality and [`CellBank::add`] work across widths by
+//! value.
 //!
 //! ## Dirty tracking and the delta path
 //!
@@ -107,7 +105,6 @@ use crate::lane::{LaneOverflow, LaneWidth, SLane};
 use crate::one_sparse::{OneSparseCell, OneSparseState};
 use crate::simd;
 use gs_field::{Randomness, M61};
-use serde::{Deserialize, Error, Serialize, Value};
 use std::ops::Range;
 
 /// The logical shape of a [`CellBank`]: `reps` independent repetitions,
@@ -135,17 +132,6 @@ impl BankGeometry {
             reps,
             levels,
             slots,
-        }
-    }
-
-    /// A structureless descriptor for `len` cells (`1 × 1 × len`) — the
-    /// shape of a bank deserialized from a legacy cell array, where the
-    /// axes are not recorded in the serialized form.
-    pub fn flat(len: usize) -> Self {
-        BankGeometry {
-            reps: 1,
-            levels: 1,
-            slots: len,
         }
     }
 
@@ -195,8 +181,7 @@ fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 /// Equality compares the **measurements** (`w`/`s`/`f` lanes) only, by
 /// value — not the geometry descriptor, the dirty bitmap, the lane width,
 /// or the poison mark: two banks are equal iff they are the same linear
-/// measurement, regardless of whether one was deserialized with a
-/// [`BankGeometry::flat`] shape or stores its index-sums wide.
+/// measurement, whether or not one stores its index-sums wide.
 #[derive(Clone, Debug)]
 pub struct CellBank {
     geom: BankGeometry,
@@ -234,8 +219,7 @@ impl Eq for CellBank {}
 
 impl CellBank {
     /// A zeroed bank of the given geometry with a **wide** `s` lane — the
-    /// always-safe width for callers that declare no bounds (and the shape
-    /// legacy deserialization produces).
+    /// always-safe width for callers that declare no bounds.
     pub fn new(geom: BankGeometry) -> Self {
         Self::with_width(geom, LaneWidth::Wide)
     }
@@ -468,8 +452,7 @@ impl CellBank {
 
     /// Linear combination: adds another bank's measurements. Works across
     /// widths by value: a wide operand folding into a narrow receiver is
-    /// range-checked per cell (legacy-JSON state merging into a
-    /// spec-built compact bank). Overflow — and any poison carried by
+    /// range-checked per cell. Overflow — and any poison carried by
     /// `other` — poisons `self`.
     ///
     /// The sum is **dirty-driven**: by the delta invariant every cell
@@ -563,10 +546,8 @@ impl CellBank {
             "adding cell banks of different sizes"
         );
         debug_assert!(
-            self.geom == other.geom
-                || self.geom == BankGeometry::flat(self.len())
-                || other.geom == BankGeometry::flat(other.len()),
-            "adding structured banks with different geometries"
+            self.geom == other.geom,
+            "adding banks with different geometries"
         );
         // Every cell where `other` can be nonzero is dirty in `other` (the
         // delta invariant), so the union keeps the invariant here.
@@ -815,40 +796,6 @@ impl CellBank {
     }
 }
 
-// A bank serializes exactly as the `Vec<OneSparseCell>` it replaced — an
-// array of `{w, s, f}` objects (`s` always written wide) — so
-// wire-format-v1 JSON is unchanged in both directions regardless of the
-// resident lane width. The geometry axes and width are not serialized;
-// deserialized banks carry a `flat` descriptor and a wide lane until
-// transplanted into a spec-built sketch (the wire layer's load path does
-// exactly that, narrowing with range checks).
-impl Serialize for CellBank {
-    fn to_value(&self) -> Value {
-        Value::Seq((0..self.len()).map(|i| self.cell(i).to_value()).collect())
-    }
-}
-
-impl Deserialize for CellBank {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let cells = Vec::<OneSparseCell>::from_value(v)?;
-        let mut bank = CellBank::new(BankGeometry::flat(cells.len()));
-        let mut w = Vec::with_capacity(cells.len());
-        let mut s = Vec::with_capacity(cells.len());
-        let mut f = Vec::with_capacity(cells.len());
-        for c in &cells {
-            let (cw, cs, cf) = c.parts();
-            w.push(cw);
-            s.push(cs);
-            f.push(cf);
-        }
-        // A deserialized bank has no freshness record: everything counts
-        // as touched since the (never-happened) last drain. The bank is
-        // wide, so the overlay cannot fail.
-        bank.overlay(w, s, f);
-        Ok(bank)
-    }
-}
-
 /// Visitor access to every [`CellBank`] (and standalone verification
 /// fingerprint) making up a sketch's linear measurement state, in a
 /// deterministic order.
@@ -1069,27 +1016,10 @@ mod tests {
     }
 
     #[test]
-    fn serde_shape_is_the_legacy_cell_array() {
-        let h = h();
-        for width in [LaneWidth::Narrow, LaneWidth::Wide] {
-            let mut bank = CellBank::with_width(BankGeometry::new(1, 2, 1), width);
-            bank.update(0, 42, 7, &h);
-            let v = bank.to_value();
-            // Exactly what Vec<OneSparseCell> produced, at either width.
-            let legacy: Vec<OneSparseCell> = (0..2).map(|i| bank.cell(i)).collect();
-            assert_eq!(v, legacy.to_value());
-            let back = CellBank::from_value(&v).unwrap();
-            assert_eq!(back, bank);
-            assert_eq!(back.geometry(), BankGeometry::flat(2));
-            assert_eq!(back.width(), LaneWidth::Wide);
-        }
-    }
-
-    #[test]
     fn equality_ignores_geometry() {
         let h = h();
         let mut structured = CellBank::new(BankGeometry::new(2, 3, 1));
-        let mut flat = CellBank::new(BankGeometry::flat(6));
+        let mut flat = CellBank::new(BankGeometry::new(1, 1, 6));
         structured.update(4, 10, 2, &h);
         flat.update(4, 10, 2, &h);
         assert_eq!(structured, flat);
@@ -1161,7 +1091,15 @@ mod tests {
             src.f_lane().to_vec(),
         );
         assert_eq!(dst.dirty_count(), 3, "bulk import has no freshness record");
-        let back = CellBank::from_value(&src.to_value()).unwrap();
+        // Deserialization (the wire load path) overlays the shipped lanes
+        // onto a spec-built, possibly narrow, bank: the same rule.
+        let mut back = CellBank::with_width(BankGeometry::new(1, 3, 1), LaneWidth::Narrow);
+        back.try_overlay(
+            src.w_lane().to_vec(),
+            src.s_lane().to_wide_vec(),
+            src.f_lane().to_vec(),
+        )
+        .unwrap();
         assert_eq!(back.dirty_count(), 3);
     }
 

@@ -29,7 +29,6 @@ use crate::one_sparse::{OneSparseCell, OneSparseState};
 use crate::sparse_recovery::SparseRecovery;
 use crate::Mergeable;
 use gs_field::{BackendKind, HashBackend, Randomness, M61};
-use serde::{Deserialize, Serialize};
 
 /// Number of levels needed for a domain: `⌊log2 N⌋ + 1` capped to 64.
 ///
@@ -66,7 +65,7 @@ impl L0Result {
 }
 
 /// Cheap support detector: returns *some* non-zero coordinate w.h.p.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct L0Detector {
     domain: u64,
     levels: u32,
@@ -309,7 +308,7 @@ impl CellBanked for L0Detector {
 ///     other => panic!("{other:?}"),
 /// }
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct L0Sampler {
     domain: u64,
     levels: u32,

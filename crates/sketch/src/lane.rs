@@ -36,7 +36,6 @@
 //! carries values up to `2^40` on a large edge domain derives wide exactly
 //! as it must.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Accumulation headroom (log2) reserved on top of the declared per-update
@@ -45,7 +44,7 @@ use std::fmt;
 pub const LANE_HEADROOM_LOG2: u32 = 24;
 
 /// Width of a bank's `s` (index-sum) lane.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LaneWidth {
     /// `i64` cells — half the bandwidth of wide, derived only when the
     /// spec bounds `|Σ index·Δ|` far below `2^63`.
@@ -236,7 +235,7 @@ impl SLane {
         }
     }
 
-    /// The whole lane widened to `i128` (wire/serde export).
+    /// The whole lane widened to `i128` (width-oblivious export).
     pub fn to_wide_vec(&self) -> Vec<i128> {
         match self {
             SLane::Narrow(b) => b.iter().map(|&x| x as i128).collect(),
@@ -251,8 +250,8 @@ impl SLane {
 }
 
 /// Equality is by **value**, across widths: a narrow lane equals a wide
-/// lane holding the same index-sums (serde round-trips through legacy JSON
-/// come back wide; they are still the same linear measurement).
+/// lane holding the same index-sums (a widened twin is still the same
+/// linear measurement).
 impl PartialEq for SLane {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {

@@ -23,7 +23,6 @@
 //! DESIGN.md §4.2).
 
 use gs_field::{Randomness, M61};
-use serde::{Deserialize, Serialize};
 
 /// Decode outcome of a [`OneSparseCell`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,7 +41,7 @@ pub enum OneSparseState {
 /// and passed to [`update`](OneSparseCell::update) /
 /// [`decode`](OneSparseCell::decode) by reference, keeping the cell at 32
 /// bytes.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OneSparseCell {
     /// Σ x_i. Fits i64: graph streams never exceed |multiplicity| ≤ 2^40.
     w: i64,

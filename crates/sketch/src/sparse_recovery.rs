@@ -23,7 +23,6 @@ use crate::lane::LaneWidth;
 use crate::one_sparse::{OneSparseCell, OneSparseState};
 use crate::Mergeable;
 use gs_field::{BackendKind, HashBackend, Randomness, M61};
-use serde::{Deserialize, Serialize};
 
 /// Sketch-side state of `k-RECOVERY`.
 ///
@@ -35,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// s.update(17, -5); // cancels the first update
 /// assert_eq!(s.decode(), Some(vec![(999_999, -2)]));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SparseRecovery {
     domain: u64,
     k: usize,

@@ -141,12 +141,11 @@ mod tests {
     use gs_graph::gen;
     use gs_sketch::domain::{edge_domain, edge_index};
     use gs_sketch::{Mergeable, SparseRecovery};
-    use serde::{Deserialize, Serialize};
 
     /// Minimal LinearSketch used to test the distributed plumbing without
     /// depending on the algorithm crate: exact recovery of the net edge
     /// vector.
-    #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+    #[derive(Clone, Debug, PartialEq)]
     struct EdgeVectorSketch {
         n: usize,
         inner: SparseRecovery,

@@ -29,7 +29,7 @@ impl ToySketch {
     fn new(n: usize) -> Self {
         ToySketch {
             n,
-            bank: CellBank::with_width(BankGeometry::flat(CELLS), LaneWidth::Narrow),
+            bank: CellBank::with_width(BankGeometry::new(1, 1, CELLS), LaneWidth::Narrow),
         }
     }
 }

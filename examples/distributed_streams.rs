@@ -12,10 +12,11 @@
 //!    fold at the end.
 //! 2. **Resident**: [`SketchEngine`] — a long-lived engine answering
 //!    snapshot queries *while* the stream keeps flowing.
-//! 3. **Cross-process**: [`SketchFile`] — each site ships its sketch as
-//!    versioned JSON; the coordinator parses, checks compatibility, and
-//!    merges text it received, exactly what the CLI's
-//!    `sketch` / `merge` / `decode` verbs do between real processes.
+//! 3. **Cross-process**: [`SketchFile`] — each site receives the spec as
+//!    JSON text and ships its sketch as checksummed binary bytes; the
+//!    coordinator parses, checks compatibility, and merges bytes it
+//!    received, exactly what the CLI's `sketch` / `merge` / `decode`
+//!    verbs do between real processes.
 //!
 //! Run: `cargo run --release --example distributed_streams`
 
@@ -83,21 +84,21 @@ fn main() {
         );
     }
 
-    // ---- 3. cross-process shipping: sketches as versioned JSON ----
+    // ---- 3. cross-process shipping: sketches as binary sketch files ----
     let spec_json = spec.to_json(); // what the coordinator hands each site
     let mut coordinator: Option<SketchFile> = None;
     let mut wire_bytes = 0usize;
     for share in split_updates(&updates, sites, 23) {
-        // One "site process": parse the spec, sketch the share, ship JSON.
+        // One "site process": parse the spec, sketch the share, ship bytes.
         let site_spec = SketchSpec::from_json(&spec_json).expect("spec parses");
         let mut sk = site_spec.build();
         sk.absorb(&share);
         let shipped = SketchFile::new(site_spec, sk)
             .expect("state matches spec")
-            .to_json();
+            .to_bytes();
         wire_bytes += shipped.len();
         // The coordinator trusts nothing: parse + compatibility check.
-        let file = SketchFile::from_json(&shipped).expect("file parses");
+        let file = SketchFile::from_bytes(&shipped).expect("file parses");
         match &mut coordinator {
             None => coordinator = Some(file),
             Some(acc) => acc.try_merge(&file).expect("identical specs merge"),

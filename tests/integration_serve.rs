@@ -289,6 +289,13 @@ fn corrupt_state_files_are_quarantined_not_fatal() {
     }
     // A damaged sibling: right name shape, garbage bytes.
     std::fs::write(scratch.path().join("evil.state"), b"AGMSKB2\n****corrupt").unwrap();
+    // And a sketch file of the retired JSON format 1, which is no longer
+    // a state file either.
+    std::fs::write(
+        scratch.path().join("legacy.state"),
+        include_str!("fixtures/v1_connectivity_n2.json"),
+    )
+    .unwrap();
 
     let server = start_server(scratch.path());
     let mut client = connect(&server);
@@ -297,11 +304,16 @@ fn corrupt_state_files_are_quarantined_not_fatal() {
     let stats = frame::ServiceStats::from_value(&value).expect("stats schema");
     assert_eq!(stats.tenants, 1, "only the healthy tenant recovered");
     assert_eq!(stats.per_tenant[0].name, "good");
-    assert!(
-        scratch.path().join("evil.state.quarantined").exists(),
-        "corrupt file is renamed aside for inspection"
-    );
-    assert!(!scratch.path().join("evil.state").exists());
+    for name in ["evil", "legacy"] {
+        assert!(
+            scratch
+                .path()
+                .join(format!("{name}.state.quarantined"))
+                .exists(),
+            "{name}: corrupt file is renamed aside for inspection"
+        );
+        assert!(!scratch.path().join(format!("{name}.state")).exists());
+    }
     server.shutdown();
 }
 

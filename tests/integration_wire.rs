@@ -1,12 +1,13 @@
 //! Cross-process sketch shipping (§1.1), in-process: for **every**
-//! [`SketchSpec`] task, serializing each site's sketch to the versioned
-//! wire format, re-parsing it "in a different process" (a sketch rebuilt
-//! from nothing but the JSON text), and merging at a coordinator must
-//! reproduce the central sketch **bit for bit** — and incompatible or
-//! corrupted files must be refused, not mis-merged.
+//! [`SketchSpec`] task, each site building its sketch from the spec's
+//! JSON text and shipping it as a binary sketch file, re-parsing it "in a
+//! different process" (a sketch rebuilt from nothing but the shipped
+//! bytes), and merging at a coordinator must reproduce the central sketch
+//! **bit for bit** — and incompatible or corrupted files must be refused,
+//! not mis-merged.
 
 use graph_sketches::api::{MergeError, SketchSpec, SketchTask};
-use graph_sketches::wire::{SketchFile, WireError, WIRE_FORMAT};
+use graph_sketches::wire::{SketchFile, WireError, V2_MAGIC, WIRE_FORMAT_BIN};
 use gs_graph::gen;
 use gs_sketch::{EdgeUpdate, LinearSketch};
 use gs_stream::distributed::{sketch_central, split_updates};
@@ -41,14 +42,19 @@ fn task_updates(task: SketchTask, n: usize, seed: u64) -> Vec<EdgeUpdate> {
 }
 
 /// One simulated site process: everything it learns arrives as text (the
-/// spec JSON), everything it reports leaves as text (the sketch file).
-fn site_process(spec_json: &str, share: &[EdgeUpdate]) -> String {
+/// spec JSON), everything it reports leaves as bytes (the sketch file).
+fn site_process(spec_json: &str, share: &[EdgeUpdate]) -> Vec<u8> {
     let spec = SketchSpec::from_json(spec_json).expect("site parses the spec");
     let mut sketch = spec.build();
     sketch.absorb(share);
     SketchFile::new(spec, sketch)
         .expect("state matches spec")
-        .to_json()
+        .to_bytes()
+}
+
+/// A site's file for `spec` over `share`, as the coordinator parses it.
+fn received(spec: SketchSpec, share: &[EdgeUpdate]) -> SketchFile {
+    SketchFile::from_bytes(&site_process(&spec.to_json(), share)).expect("coordinator parses")
 }
 
 #[test]
@@ -64,12 +70,12 @@ fn wire_round_trip_is_bit_exact_for_every_task() {
         let central = sketch_central(&updates, || spec.build());
 
         // Three "processes" see disjoint shares and ship sketch files;
-        // the coordinator merges text it parsed, never in-memory state.
+        // the coordinator merges bytes it parsed, never in-memory state.
         let spec_json = spec.to_json();
         let mut coordinator: Option<SketchFile> = None;
         for share in split_updates(&updates, 3, 0xF00) {
             let shipped = site_process(&spec_json, &share);
-            let file = SketchFile::from_json(&shipped).expect("coordinator parses the file");
+            let file = SketchFile::from_bytes(&shipped).expect("coordinator parses the file");
             match &mut coordinator {
                 None => coordinator = Some(file),
                 Some(acc) => acc.try_merge(&file).expect("compatible sites merge"),
@@ -86,9 +92,16 @@ fn wire_round_trip_is_bit_exact_for_every_task() {
             "{task:?}: answers differ"
         );
 
-        // The merged file itself round-trips.
-        let reloaded = SketchFile::from_json(&merged.to_json()).expect("reload");
+        // The merged file itself round-trips, to the same bytes.
+        let bytes = merged.to_bytes();
+        let reloaded = SketchFile::from_bytes(&bytes).expect("reload");
         assert_eq!(reloaded, merged, "{task:?}: merged file round trip");
+        assert_eq!(
+            reloaded.decode(),
+            central.decode(),
+            "{task:?}: reloaded answer"
+        );
+        assert_eq!(reloaded.to_bytes(), bytes, "{task:?}: bytes unstable");
     }
 }
 
@@ -116,8 +129,8 @@ fn mismatched_spec_loads_refuse_to_merge() {
             SketchSpec::new(SketchTask::MinCut, 10).with_eps(0.25),
         ),
     ] {
-        let mut left = SketchFile::from_json(&site_process(&a.to_json(), &[])).unwrap();
-        let right = SketchFile::from_json(&site_process(&b.to_json(), &[])).unwrap();
+        let mut left = received(a, &[]);
+        let right = received(b, &[]);
         assert!(
             matches!(left.try_merge(&right), Err(WireError::SpecMismatch { .. })),
             "{a:?} vs {b:?} must refuse"
@@ -129,16 +142,16 @@ fn mismatched_spec_loads_refuse_to_merge() {
 fn format_version_gate_refuses_other_versions() {
     let spec = SketchSpec::new(SketchTask::Connectivity, 8);
     let good = site_process(&spec.to_json(), &[EdgeUpdate::insert(0, 1)]);
-    assert!(good.contains(&format!("\"format\":{WIRE_FORMAT}")));
-    for found in [0u64, 2, 7] {
-        let bad = good.replacen(
-            &format!("\"format\":{WIRE_FORMAT}"),
-            &format!("\"format\":{found}"),
-            1,
-        );
+    let at = V2_MAGIC.len();
+    assert_eq!(good[at..at + 4], WIRE_FORMAT_BIN.to_le_bytes());
+    for found in [0u32, 2, 7] {
+        let mut bad = good.clone();
+        bad[at..at + 4].copy_from_slice(&found.to_le_bytes());
         assert_eq!(
-            SketchFile::from_json(&bad),
-            Err(WireError::Format { found }),
+            SketchFile::from_bytes(&bad),
+            Err(WireError::Format {
+                found: found as u64
+            }),
             "version {found} must be refused"
         );
     }
@@ -148,22 +161,22 @@ fn format_version_gate_refuses_other_versions() {
 fn truncated_and_shapeless_files_fail_loudly() {
     let spec = SketchSpec::new(SketchTask::Mst, 8);
     let good = site_process(&spec.to_json(), &[]);
-    assert!(SketchFile::from_json(&good[..good.len() / 2]).is_err());
-    assert_eq!(
-        SketchFile::from_json("{\"format\":1}"),
-        Err(WireError::Missing("spec"))
-    );
-    assert_eq!(
-        SketchFile::from_json("{}"),
-        Err(WireError::Missing("format"))
-    );
-    assert!(SketchFile::from_json("[1,2,3]").is_err());
+    assert!(SketchFile::from_bytes(&good[..good.len() / 2]).is_err());
+    for shapeless in ["{\"format\":1}", "{}", "[1,2,3]", ""] {
+        assert_eq!(
+            SketchFile::from_bytes(shapeless.as_bytes()),
+            Err(WireError::BadMagic),
+            "{shapeless:?}"
+        );
+    }
 }
 
 #[test]
 fn try_merge_reports_task_and_size_mismatches() {
-    let mut conn = SketchSpec::new(SketchTask::Connectivity, 8).build();
-    let bip = SketchSpec::new(SketchTask::Bipartite, 8).build();
+    // The states as a coordinator holds them: shipped, then parsed.
+    let ship = |spec: SketchSpec, share: &[EdgeUpdate]| received(spec, share).state;
+    let mut conn = ship(SketchSpec::new(SketchTask::Connectivity, 8), &[]);
+    let bip = ship(SketchSpec::new(SketchTask::Bipartite, 8), &[]);
     assert_eq!(
         conn.try_merge(&bip),
         Err(MergeError::TaskMismatch {
@@ -171,17 +184,15 @@ fn try_merge_reports_task_and_size_mismatches() {
             right: SketchTask::Bipartite,
         })
     );
-    let small = SketchSpec::new(SketchTask::Connectivity, 4).build();
+    let small = ship(SketchSpec::new(SketchTask::Connectivity, 4), &[]);
     assert_eq!(
         conn.try_merge(&small),
         Err(MergeError::SizeMismatch { left: 8, right: 4 })
     );
     // And a compatible pair merges fine through the same path.
     let spec = SketchSpec::new(SketchTask::Connectivity, 8);
-    let mut a = spec.build();
-    let mut b = spec.build();
-    a.absorb(&[EdgeUpdate::insert(0, 1)]);
-    b.absorb(&[EdgeUpdate::insert(1, 2)]);
+    let mut a = ship(spec, &[EdgeUpdate::insert(0, 1)]);
+    let b = ship(spec, &[EdgeUpdate::insert(1, 2)]);
     a.try_merge(&b).unwrap();
     let mut whole = spec.build();
     whole.absorb(&[EdgeUpdate::insert(0, 1), EdgeUpdate::insert(1, 2)]);

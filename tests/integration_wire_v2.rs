@@ -1,10 +1,10 @@
-//! Wire format v2 (binary) — cross-format bit-identity and rejection.
+//! Wire format v2 (binary) — bit-identity and rejection.
 //!
-//! For **every** [`SketchSpec`] task the full format gauntlet must be
-//! bit-exact: sketch → write v1 (JSON) → read → write v2 (binary) → read
-//! → decode equals the in-process decode, with the states structurally
-//! equal at every hop. And malformed binary files — truncations at every
-//! prefix, geometry tampering, bad magic — must be refused with a typed
+//! For **every** [`SketchSpec`] task the encoder's bytes are pinned and
+//! shipping through them is bit-exact: sites' files merged at a
+//! coordinator equal the central sketch. And malformed files —
+//! truncations at every prefix, geometry tampering, bad magic, JSON
+//! sketch files of the retired format 1 — must be refused with a typed
 //! [`WireError`], never mis-loaded.
 
 use graph_sketches::api::{SketchSpec, SketchTask};
@@ -58,30 +58,6 @@ fn fed_file(task: SketchTask) -> SketchFile {
     let updates = task_updates(task, 12, 7);
     let central = sketch_central(&updates, || spec.build());
     SketchFile::new(spec, central).expect("state matches spec")
-}
-
-#[test]
-fn v1_to_v2_gauntlet_is_bit_exact_for_every_task() {
-    for task in SketchTask::ALL {
-        let file = fed_file(task);
-        let answer = file.decode();
-
-        // v1 JSON hop.
-        let v1_text = file.to_json();
-        let from_v1 = SketchFile::from_bytes(v1_text.as_bytes()).expect("v1 loads");
-        assert_eq!(from_v1.state, file.state, "{task:?}: v1 state drifted");
-
-        // v2 binary hop, written from the v1-loaded file.
-        let v2_bytes = from_v1.to_bytes();
-        assert!(v2_bytes.starts_with(V2_MAGIC));
-        let from_v2 = SketchFile::from_bytes(&v2_bytes).expect("v2 loads");
-        assert_eq!(from_v2.spec, file.spec, "{task:?}: spec drifted");
-        assert_eq!(from_v2.state, file.state, "{task:?}: v2 state drifted");
-        assert_eq!(from_v2.decode(), answer, "{task:?}: answers differ");
-
-        // The binary form re-round-trips to itself byte for byte.
-        assert_eq!(from_v2.to_bytes(), v2_bytes, "{task:?}: v2 bytes unstable");
-    }
 }
 
 #[test]
@@ -291,18 +267,6 @@ fn dirty_driven_write_to_equals_the_dense_encoder_on_every_state_path() {
 }
 
 #[test]
-fn v2_is_smaller_than_v1_json() {
-    // The point of the binary dump: no JSON inflation of i128 strings and
-    // per-cell object syntax. Not a strict contract, but a sanity bound a
-    // regression would trip loudly.
-    for task in [SketchTask::Connectivity, SketchTask::MinCut] {
-        let file = fed_file(task);
-        let (v1, v2) = (file.to_json().len(), file.to_bytes().len());
-        assert!(v2 < v1, "{task:?}: binary {v2} B >= JSON {v1} B");
-    }
-}
-
-#[test]
 fn truncated_v2_is_rejected_at_every_prefix() {
     let file = fed_file(SketchTask::Connectivity);
     let bytes = file.to_bytes();
@@ -334,6 +298,17 @@ fn bad_magic_is_rejected() {
         SketchFile::from_bytes(&[0xFFu8, 0xFE, 0x00, 0x01]),
         Err(WireError::BadMagic)
     );
+    // So is a sketch file of the retired JSON format 1, whose error
+    // names the format.
+    let v1 = include_str!("fixtures/v1_connectivity_n2.json");
+    assert!(v1.starts_with("{\"format\":1,"));
+    assert_eq!(
+        SketchFile::from_bytes(v1.as_bytes()),
+        Err(WireError::BadMagic)
+    );
+    assert!(WireError::BadMagic
+        .to_string()
+        .contains("JSON sketch files"));
 }
 
 #[test]
@@ -415,34 +390,4 @@ fn trailing_bytes_are_rejected() {
         }
         other => panic!("expected trailing-byte rejection, got {other:?}"),
     }
-}
-
-#[test]
-fn v2_geometry_survives_the_v1_hop() {
-    // A sketch loaded from legacy v1 JSON (whose cell arrays carry no
-    // geometry) must still write a fully-structured v2 file: the load
-    // transplants the state into a spec-built sketch.
-    let file = fed_file(SketchTask::KEdgeWitness);
-    let fresh_geoms: Vec<_> = file.state.banks().iter().map(|b| b.geometry()).collect();
-    let from_v1 = SketchFile::from_bytes(file.to_json().as_bytes()).unwrap();
-    let loaded_geoms: Vec<_> = from_v1.state.banks().iter().map(|b| b.geometry()).collect();
-    assert_eq!(loaded_geoms, fresh_geoms);
-    assert!(fresh_geoms.iter().any(|g| g.reps > 1 || g.levels > 1));
-}
-
-#[test]
-fn legacy_v1_cell_arrays_still_load() {
-    // Pin the v1 serialization of the bank: an array of {w,s,f} cell
-    // objects, exactly what Vec<OneSparseCell> wrote before the bank
-    // existed. If this shape ever changes, files written by older builds
-    // stop loading — fail here first.
-    let file = fed_file(SketchTask::Connectivity);
-    let text = file.to_json();
-    assert!(
-        text.contains("\"cells\":[{\"w\":"),
-        "v1 cell arrays changed shape"
-    );
-    let reloaded = SketchFile::from_bytes(text.as_bytes()).unwrap();
-    assert_eq!(reloaded.state, file.state);
-    assert_eq!(reloaded.decode(), file.decode());
 }
