@@ -18,6 +18,14 @@
 //! exact workload being measured — a number from a kernel that diverges
 //! from the oracle is worthless.
 //!
+//! One more row times served ingest into one tenant: 1024-update
+//! batches into the n = 4096 connectivity spec (the ladder's
+//! ingest-powerlaw tenant), absorbed three ways — `absorb` on one thread,
+//! `absorb_with` on two threads that split one sketch's rows, and the
+//! 2-shard [`SketchEngine`] gs-serve used to run (two workers absorbing
+//! two replicas; the merged shards are asserted equal to the single
+//! sketch, bit for bit, before anything is timed).
+//!
 //! Results append one record per run to `BENCH_bank.json` (override the
 //! path with `BENCH_BANK_OUT`): git sha, UTC date, detected kernel
 //! variant, per-kernel nanoseconds, and GB/s where the byte count is
@@ -29,12 +37,16 @@
 //! reported number is the minimum (least-noise estimator for a
 //! single-threaded CPU-bound kernel).
 
+use graph_sketches::api::{SketchSpec, SketchTask};
 use graph_sketches::connectivity::ForestParams;
 use graph_sketches::ForestSketch;
 use gs_field::M61;
 use gs_sketch::bank::CellBanked;
+use gs_sketch::cache::stamps_of;
 use gs_sketch::lane::LaneWidth;
+use gs_sketch::par::DecodePlan;
 use gs_sketch::{simd, BankGeometry, CellBank, EdgeUpdate, LinearSketch, Mergeable};
+use gs_stream::engine::{EngineConfig, SketchEngine};
 use std::hint::black_box;
 use std::process::Command;
 use std::time::Instant;
@@ -317,12 +329,14 @@ fn main() {
         }
     }
 
+    let served = served_ingest_row();
+
     let record = format!(
         "  {{\n    \"sha\": \"{}\",\n    \"date\": \"{}\",\n    \
          \"variant\": \"{}\",\n    \"n\": {n},\n    \"updates\": {},\n    \
          \"cells\": {cells},\n    \"kernels\": [\n{}\n    ],\n    \
          \"speedup_narrow_simd_vs_wide_scalar\": {{ \"absorb\": {:.2}, \
-         \"merge\": {:.2}, \"fan\": {:.2} }}\n  }}",
+         \"merge\": {:.2}, \"fan\": {:.2} }},\n    \"served_ingest\": {served}\n  }}",
         git_sha(),
         utc_date(),
         if simd_host { "avx2" } else { "scalar" },
@@ -344,6 +358,95 @@ fn main() {
         speedup[0], speedup[1], speedup[2]
     );
     println!("appended record to {out}");
+}
+
+/// The served-ingest row (see the module docs): nanoseconds per update,
+/// minimum over interleaved rounds, for a fresh tenant absorbing 16
+/// batches of 1024 updates each way. The engine figure covers routing,
+/// queueing and absorbing until flushed, not the later merge.
+fn served_ingest_row() -> String {
+    const N: usize = 4096;
+    const BATCH: usize = 1024;
+    let spec = SketchSpec::new(SketchTask::Connectivity, N).with_seed(41);
+    let updates = churn(N, 16 * BATCH);
+    let split_plan = DecodePlan::with_threads(2);
+    let single = || {
+        let mut s = spec.build();
+        for batch in updates.chunks(BATCH) {
+            s.absorb(batch);
+        }
+        s
+    };
+    let split = || {
+        let mut s = spec.build();
+        for batch in updates.chunks(BATCH) {
+            s.absorb_with(batch, &split_plan);
+        }
+        s
+    };
+    let engine = || {
+        let config = EngineConfig::new(2).with_workers(2).with_seed(spec.seed);
+        let mut engine = SketchEngine::new(config, || spec.build());
+        for batch in updates.chunks(BATCH) {
+            engine.ingest(batch);
+        }
+        engine.flush();
+        engine
+    };
+
+    // ---- identity gate, one sketch alive beside the reference at a time.
+    let reference = single();
+    let other = split();
+    assert!(other == reference, "absorb_with(2) lanes diverged");
+    assert_eq!(
+        stamps_of(&other),
+        stamps_of(&reference),
+        "absorb_with(2) stamps"
+    );
+    drop(other);
+    assert!(
+        engine().seal() == reference,
+        "merged engine shards diverged"
+    );
+    drop(reference);
+
+    let mut mins = [f64::INFINITY; 3];
+    for round in 0..=RUNS {
+        let times = [
+            time(|| black_box(single())),
+            time(|| black_box(split())),
+            time(|| black_box(engine())),
+        ];
+        if round > 0 {
+            for (min, t) in mins.iter_mut().zip(times) {
+                *min = min.min(t);
+            }
+        }
+    }
+    let per = |ns: f64| ns / updates.len() as f64;
+    println!(
+        "served ingest n={N}, {BATCH}-update batches: absorb {:.0} ns/update, \
+         absorb_with(2) {:.0}, 2-shard engine {:.0}",
+        per(mins[0]),
+        per(mins[1]),
+        per(mins[2])
+    );
+    format!(
+        "{{ \"n\": {N}, \"batch\": {BATCH}, \"updates\": {}, \
+         \"absorb_1_ns_per_update\": {:.1}, \"absorb_with_2_ns_per_update\": {:.1}, \
+         \"engine_2_shards_ns_per_update\": {:.1} }}",
+        updates.len(),
+        per(mins[0]),
+        per(mins[1]),
+        per(mins[2])
+    )
+}
+
+/// Wall-clock nanoseconds of `f`, including dropping what it returns.
+fn time<T>(f: impl FnOnce() -> T) -> f64 {
+    let t = Instant::now();
+    drop(f());
+    t.elapsed().as_nanos() as f64
 }
 
 fn cfg_width(cfg: Config) -> LaneWidth {

@@ -306,30 +306,6 @@ fn parse_spec_args(args: &[String]) -> Result<Options, String> {
     })
 }
 
-/// Per-update admission checks that used to require materializing the
-/// whole stream; running them per line keeps the line number in the error.
-fn check_update(spec: &SketchSpec, up: &EdgeUpdate) -> Result<(), String> {
-    let w = up.weight();
-    match spec.task {
-        // Weight-bounded tasks reject out-of-range weights deep inside the
-        // sketch (a panic); refuse here with context instead.
-        SketchTask::Mst | SketchTask::WeightedSparsify if w > spec.max_weight => Err(format!(
-            "update ({}, {}) carries weight {} > --max-weight {}",
-            up.u, up.v, w, spec.max_weight
-        )),
-        // The Fig. 4 squash encoding needs unit multiplicities (a weight-w
-        // line would set the wrong bitmask bit); reject, don't corrupt.
-        SketchTask::Subgraphs if w != 1 => Err(format!(
-            "update ({}, {}) carries weight {w}; the {} sketch requires a \
-             simple graph (unit weights only)",
-            up.u,
-            up.v,
-            spec.task.command()
-        )),
-        _ => Ok(()),
-    }
-}
-
 struct IngestReport {
     updates: u64,
     elapsed_secs: f64,
@@ -395,7 +371,8 @@ fn ingest_stdin(opts: &Options, snapshots: bool) -> Result<(AnySketch, IngestRep
             // the edge weight by mst / weighted-sparsify.
             delta: parsed.delta * parsed.w as i64,
         };
-        check_update(&spec, &up).map_err(|msg| format!("line {}: {msg}", i + 1))?;
+        spec.check_update(&up)
+            .map_err(|msg| format!("line {}: {msg}", i + 1))?;
         chunk.push(up);
         total += 1;
         if chunk.len() >= opts.chunk {

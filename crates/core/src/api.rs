@@ -33,6 +33,7 @@
 //! }
 //! ```
 
+use crate::absorb::{absorb_planned, AbsorbWork, SplitAbsorb};
 use crate::connectivity::{Forest, ForestParams};
 use crate::extras::{BipartitenessSketch, KConnectivitySketch};
 use crate::kedge::SubtractMode;
@@ -243,6 +244,35 @@ impl SketchSpec {
             });
         }
         Ok(())
+    }
+
+    /// Checks one update against everything this spec's sketch asserts
+    /// on ingest: Definition 1 ([`EdgeUpdate::validate`]: no self-loop,
+    /// both endpoints in `0..n`, a nonzero delta) plus the task's own
+    /// bounds — a weight of at most `max_weight` for `mst` and
+    /// `weighted-sparsify`, unit weights for `subgraphs`. The typed
+    /// boundary for untrusted update sources (CLI input lines, served
+    /// `INGEST` batches): an update that passes is absorbed without
+    /// panicking and encoded as the task defines.
+    pub fn check_update(&self, up: &EdgeUpdate) -> Result<(), String> {
+        up.validate(self.n).map_err(|e| e.to_string())?;
+        let w = up.weight();
+        match self.task {
+            SketchTask::Mst | SketchTask::WeightedSparsify if w > self.max_weight => Err(format!(
+                "update ({}, {}) carries weight {w} > max weight {}",
+                up.u, up.v, self.max_weight
+            )),
+            // The Fig. 4 squash encoding needs unit multiplicities (a
+            // weight-w update would set the wrong bitmask bit).
+            SketchTask::Subgraphs if w != 1 => Err(format!(
+                "update ({}, {}) carries weight {w}; the {} sketch requires a \
+                 simple graph (unit weights only)",
+                up.u,
+                up.v,
+                self.task.command()
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// Validates, then builds: the fallible counterpart of
@@ -581,6 +611,28 @@ impl Mergeable for AnySketch {
     }
 }
 
+impl SplitAbsorb for AnySketch {
+    fn absorb_work<'a>(
+        &'a mut self,
+        batch: &[EdgeUpdate],
+        parts: usize,
+        work: &mut AbsorbWork<'a>,
+    ) {
+        match self {
+            AnySketch::Forest(s) => s.absorb_work(batch, parts, work),
+            AnySketch::Bipartite(s) => s.absorb_work(batch, parts, work),
+            AnySketch::MinCut(s) => s.absorb_work(batch, parts, work),
+            AnySketch::SimpleSparsify(s) => s.absorb_work(batch, parts, work),
+            AnySketch::Sparsify(s) => s.absorb_work(batch, parts, work),
+            AnySketch::WeightedSparsify(s) => s.absorb_work(batch, parts, work),
+            AnySketch::Subgraph(s) => s.absorb_work(batch, parts, work),
+            AnySketch::Mst(s) => s.absorb_work(batch, parts, work),
+            AnySketch::KConnect(s) => s.absorb_work(batch, parts, work),
+            AnySketch::KEdgeWitness(s) => s.absorb_work(batch, parts, work),
+        }
+    }
+}
+
 impl LinearSketch for AnySketch {
     type Output = SketchAnswer;
 
@@ -618,18 +670,12 @@ impl LinearSketch for AnySketch {
     /// sketch's bank-backed kernel (the path the engine's shard workers
     /// and every `absorb` caller take), instead of once per update.
     fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        match self {
-            AnySketch::Forest(s) => s.absorb(batch),
-            AnySketch::Bipartite(s) => s.absorb(batch),
-            AnySketch::MinCut(s) => s.absorb(batch),
-            AnySketch::SimpleSparsify(s) => s.absorb(batch),
-            AnySketch::Sparsify(s) => s.absorb(batch),
-            AnySketch::WeightedSparsify(s) => s.absorb(batch),
-            AnySketch::Subgraph(s) => s.absorb(batch),
-            AnySketch::Mst(s) => s.absorb(batch),
-            AnySketch::KConnect(s) => s.absorb(batch),
-            AnySketch::KEdgeWitness(s) => s.absorb(batch),
-        }
+        absorb_planned(self, batch, &DecodePlan::sequential());
+    }
+
+    /// The split absorb of the concrete sketch, in one fork-join.
+    fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
+        absorb_planned(self, batch, plan);
     }
 
     /// First poisoned bank across the whole sketch, if any (a lane truly

@@ -13,14 +13,15 @@
 //! deliberately reuses one bank to measure how much that matters in
 //! practice.
 
+use crate::absorb::{absorb_planned, AbsorbWork, SplitAbsorb};
 use crate::incidence::sign_for;
 use gs_field::{BackendKind, HashBackend, Randomness, M61};
 use gs_graph::UnionFind;
-use gs_sketch::bank::{BankGeometry, CellBank, CellBanked};
+use gs_sketch::bank::{BankGeometry, BankPart, BankSplit, CellBank, CellBanked};
 use gs_sketch::cache::{BankStamp, DecodeCache};
 use gs_sketch::domain::{edge_domain, edge_index, edge_unindex};
 use gs_sketch::lane::{LaneOverflow, LaneWidth};
-use gs_sketch::par::{par_map, DecodePlan};
+use gs_sketch::par::{even_ranges, par_map, DecodePlan, Job};
 use gs_sketch::{
     level_count, EdgeUpdate, L0Detector, L0Result, LinearSketch, Mergeable, OneSparseCell,
     OneSparseState, CELL_BYTES,
@@ -245,13 +246,27 @@ impl ForestSketch {
         }
     }
 
-    /// Batched ingestion — the bank kernel. Bit-identical to looping
-    /// [`ForestSketch::update_edge`] (linearity makes application order
-    /// irrelevant), but processes the batch **bank by bank**: each bank's
-    /// cell region is contiguous, so one pass over the batch stays in a
-    /// cache-resident window instead of striding across every bank per
-    /// update.
+    /// Batched ingestion — the bank kernel, run on the calling thread.
+    /// Bit-identical to looping [`ForestSketch::update_edge`] (linearity
+    /// makes application order irrelevant), but processes the batch
+    /// **bank by bank**: each bank's cell region is contiguous, so one
+    /// pass over the batch stays in a cache-resident window instead of
+    /// striding across every bank per update. This is the one-thread
+    /// case of [`LinearSketch::absorb_with`].
     pub fn absorb_batch(&mut self, batch: &[EdgeUpdate]) {
+        absorb_planned(self, batch, &DecodePlan::sequential());
+    }
+
+    /// The split absorb of `batch`: the bank's `(round, node)` row
+    /// groups are cut into contiguous, equal ranges, each a disjoint
+    /// part of the bank — one per round, or `parts` ranges when more
+    /// parts than rounds are asked for. The part owning a range walks
+    /// the batch once per round it covers and fans only the endpoints
+    /// whose rows it owns, so an update is hashed twice only in a round
+    /// that two ranges share, and with one part per round never. Parts
+    /// finer than the thread count let the threads that run them balance
+    /// each other. Updates are validated here, on the calling thread.
+    pub(crate) fn forest_work(&mut self, batch: &[EdgeUpdate], parts: usize) -> ForestWork<'_> {
         // Validate and pre-index once per update, not once per bank.
         let prepared: Vec<(u64, i64, u32, u32)> = batch
             .iter()
@@ -268,17 +283,31 @@ impl ForestSketch {
                 })
             })
             .collect();
+        let total = self.bank_count() * self.n;
+        let rowlen = self.row_len();
+        let cuts: Vec<usize> = even_ranges(total, parts.max(self.bank_count()).min(total))[1..]
+            .iter()
+            .map(|groups| groups.start * rowlen)
+            .collect();
         let reps = self.params.detector_reps;
-        let mut lmax = vec![0u32; reps];
-        for b in 0..self.bank_count() {
-            for &(idx, du, u, v) in &prepared {
-                for (r, lm) in lmax.iter_mut().enumerate() {
-                    *lm = self.level_hash[b * reps + r].subsample_level(idx, self.levels - 1);
-                }
-                let (dw, ds, df) = CellBank::deltas(idx, du, self.finger[b].hash_m61(idx));
-                self.fan_rows(b, u as usize, &lmax, dw, ds, df);
-                self.fan_rows(b, v as usize, &lmax, -dw, -ds, -df);
-            }
+        let ForestSketch {
+            n,
+            levels,
+            cells,
+            level_hash,
+            finger,
+            ..
+        } = self;
+        ForestWork {
+            rows: ForestRows {
+                n: *n,
+                levels: *levels,
+                reps,
+                level_hash,
+                finger,
+            },
+            prepared,
+            split: cells.split_mut(&cuts),
         }
     }
 
@@ -601,6 +630,102 @@ struct ForestDecodeMemo {
     rounds: Vec<RoundMemo>,
 }
 
+/// The hashes and shape a forest's absorb jobs share.
+struct ForestRows<'a> {
+    n: usize,
+    levels: u32,
+    reps: usize,
+    level_hash: &'a [HashBackend],
+    finger: &'a [HashBackend],
+}
+
+impl ForestRows<'_> {
+    /// Absorbs the prepared updates into the `(bank, node)` row groups
+    /// `part` holds: per bank, in batch order, hash an update only if the
+    /// part owns one of its endpoint rows and fan only those rows — the
+    /// per-cell adds of the sequential kernel, in its order.
+    fn absorb_part(&self, prepared: &[(u64, i64, u32, u32)], part: &mut BankPart<'_>) {
+        let (n, reps, levels) = (self.n, self.reps, self.levels as usize);
+        let rowlen = reps * levels;
+        // Parts are cut at row-group boundaries: group `bank·n + node`.
+        let cells = part.range();
+        let groups = cells.start / rowlen..cells.end / rowlen;
+        // Stack buffer for the per-rep levels (with_params caps reps).
+        let mut lmax = [0u32; MAX_DETECTOR_REPS];
+        let lmax = &mut lmax[..reps];
+        for b in groups.start / n..groups.end.div_ceil(n) {
+            let nodes = groups.start.max(b * n) - b * n..groups.end.min((b + 1) * n) - b * n;
+            // A part holding the whole round owns every endpoint.
+            let whole = nodes.len() == n;
+            for &(idx, du, u, v) in prepared {
+                let (u, v) = (u as usize, v as usize);
+                let own_u = whole || nodes.contains(&u);
+                let own_v = whole || nodes.contains(&v);
+                if !(own_u || own_v) {
+                    continue;
+                }
+                for (r, lm) in lmax.iter_mut().enumerate() {
+                    *lm = self.level_hash[b * reps + r].subsample_level(idx, self.levels - 1);
+                }
+                let (dw, ds, df) = CellBank::deltas(idx, du, self.finger[b].hash_m61(idx));
+                if own_u {
+                    fan_row_group(part, (b * n + u) * rowlen, levels, lmax, (dw, ds, df));
+                }
+                if own_v {
+                    fan_row_group(part, (b * n + v) * rowlen, levels, lmax, (-dw, -ds, -df));
+                }
+            }
+        }
+    }
+}
+
+/// Fans an update triple into one `(bank, node)` row group starting at
+/// cell `base`: levels `0..=lmax[r]` of each rep `r`.
+#[inline]
+fn fan_row_group(
+    part: &mut BankPart<'_>,
+    mut base: usize,
+    levels: usize,
+    lmax: &[u32],
+    (dw, ds, df): (i64, i128, M61),
+) {
+    for &lm in lmax {
+        part.fan(base..base + lm as usize + 1, dw, ds, df);
+        base += levels;
+    }
+}
+
+/// One forest's share of a split absorb (see
+/// [`ForestSketch::forest_work`]): its bank split into row-group parts,
+/// one job each. Dropping it folds the split back into the bank.
+pub(crate) struct ForestWork<'a> {
+    rows: ForestRows<'a>,
+    /// `(edge index, signed delta, u, v)` per nonzero update.
+    prepared: Vec<(u64, i64, u32, u32)>,
+    split: BankSplit<'a>,
+}
+
+impl ForestWork<'_> {
+    /// Adds one job per part.
+    pub(crate) fn push_jobs<'s>(&'s mut self, jobs: &mut Vec<Job<'s>>) {
+        let (rows, prepared) = (&self.rows, &self.prepared[..]);
+        for part in self.split.parts_mut() {
+            jobs.push(Box::new(move || rows.absorb_part(prepared, part)));
+        }
+    }
+}
+
+impl SplitAbsorb for ForestSketch {
+    fn absorb_work<'a>(
+        &'a mut self,
+        batch: &[EdgeUpdate],
+        parts: usize,
+        work: &mut AbsorbWork<'a>,
+    ) {
+        work.forest(self.forest_work(batch, parts));
+    }
+}
+
 impl Mergeable for ForestSketch {
     fn merge(&mut self, other: &Self) {
         assert_eq!(
@@ -644,6 +769,10 @@ impl LinearSketch for ForestSketch {
 
     fn absorb(&mut self, batch: &[EdgeUpdate]) {
         self.absorb_batch(batch);
+    }
+
+    fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
+        absorb_planned(self, batch, plan);
     }
 
     fn resident_lane_bytes(&self) -> usize {
@@ -855,6 +984,39 @@ mod tests {
                 looped.update_edge(up.u, up.v, up.delta);
             }
             assert_eq!(batched, looped, "share_rounds = {share_rounds}");
+        }
+    }
+
+    /// More parts than rounds cut rounds by node: with `share_rounds`
+    /// (one bank) every split below cuts a round, so parts share bitmap
+    /// words at unaligned cuts and hash the updates they share twice.
+    #[test]
+    fn split_absorb_cutting_rounds_by_node_is_bit_identical() {
+        let g = gen::connected_gnp(30, 0.2, 91);
+        let updates = GraphStream::with_churn(&g, 250, 93).edge_updates();
+        for share_rounds in [false, true] {
+            let mut params = ForestParams::for_n(30);
+            params.share_rounds = share_rounds;
+            let mut looped = ForestSketch::with_params(30, params, 95);
+            for up in &updates {
+                looped.update_edge(up.u, up.v, up.delta);
+            }
+            for threads in [2, 3, 8, 64] {
+                let mut split = ForestSketch::with_params(30, params, 95);
+                split.absorb_with(&updates, &DecodePlan::with_threads(threads));
+                let label = format!("share_rounds = {share_rounds}, {threads} parts");
+                assert_eq!(split, looped, "{label}");
+                assert_eq!(
+                    split.cells.dirty_words(),
+                    looped.cells.dirty_words(),
+                    "{label}"
+                );
+                assert_eq!(
+                    split.cells.generation(),
+                    looped.cells.generation(),
+                    "{label}"
+                );
+            }
         }
     }
 

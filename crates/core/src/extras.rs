@@ -11,6 +11,7 @@
 //!   `k-EDGECONNECT` witness is (Theorem 2.3's witness preserves every
 //!   cut value up to `k`).
 
+use crate::absorb::{absorb_planned, AbsorbWork, SplitAbsorb};
 use crate::connectivity::{ForestParams, ForestSketch};
 use crate::kedge::KEdgeConnectSketch;
 use gs_field::M61;
@@ -73,31 +74,6 @@ impl BipartitenessSketch {
         self.cover.update_edge(self.n + u, v, delta);
     }
 
-    /// Batched ingestion: the base forest takes the batch as-is, the
-    /// double cover takes the doubled batch, each through the forest's
-    /// batched kernel.
-    pub fn absorb_batch(&mut self, batch: &[EdgeUpdate]) {
-        self.base.absorb_batch(batch);
-        let cover_batch: Vec<EdgeUpdate> = batch
-            .iter()
-            .flat_map(|up| {
-                [
-                    EdgeUpdate {
-                        u: up.u,
-                        v: self.n + up.v,
-                        delta: up.delta,
-                    },
-                    EdgeUpdate {
-                        u: self.n + up.u,
-                        v: up.v,
-                        delta: up.delta,
-                    },
-                ]
-            })
-            .collect();
-        self.cover.absorb_batch(&cover_batch);
-    }
-
     /// `true` iff the streamed graph is bipartite (w.h.p.): the double
     /// cover has exactly twice as many components as the graph. An odd
     /// cycle merges its two cover copies into one component.
@@ -144,6 +120,39 @@ impl CellBanked for BipartitenessSketch {
     }
 }
 
+impl SplitAbsorb for BipartitenessSketch {
+    /// The base forest absorbs the batch as-is, the double cover the
+    /// doubled batch on twice the nodes: about twice the base's work, so
+    /// the cover gets twice the parts.
+    fn absorb_work<'a>(
+        &'a mut self,
+        batch: &[EdgeUpdate],
+        parts: usize,
+        work: &mut AbsorbWork<'a>,
+    ) {
+        let n = self.n;
+        let cover_batch: Vec<EdgeUpdate> = batch
+            .iter()
+            .flat_map(|up| {
+                [
+                    EdgeUpdate {
+                        u: up.u,
+                        v: n + up.v,
+                        delta: up.delta,
+                    },
+                    EdgeUpdate {
+                        u: n + up.u,
+                        v: up.v,
+                        delta: up.delta,
+                    },
+                ]
+            })
+            .collect();
+        work.forest(self.base.forest_work(batch, parts.div_ceil(2)));
+        work.forest(self.cover.forest_work(&cover_batch, parts));
+    }
+}
+
 impl LinearSketch for BipartitenessSketch {
     type Output = bool;
 
@@ -156,7 +165,11 @@ impl LinearSketch for BipartitenessSketch {
     }
 
     fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        self.absorb_batch(batch);
+        absorb_planned(self, batch, &DecodePlan::sequential());
+    }
+
+    fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
+        absorb_planned(self, batch, plan);
     }
 
     fn lane_overflow(&self) -> Option<gs_sketch::lane::LaneOverflow> {
@@ -279,6 +292,18 @@ impl CellBanked for KConnectivitySketch {
     }
 }
 
+impl SplitAbsorb for KConnectivitySketch {
+    /// The witness layers' split absorb.
+    fn absorb_work<'a>(
+        &'a mut self,
+        batch: &[EdgeUpdate],
+        parts: usize,
+        work: &mut AbsorbWork<'a>,
+    ) {
+        self.inner.absorb_work(batch, parts, work);
+    }
+}
+
 impl LinearSketch for KConnectivitySketch {
     type Output = bool;
 
@@ -291,7 +316,11 @@ impl LinearSketch for KConnectivitySketch {
     }
 
     fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        self.inner.absorb_batch(batch);
+        absorb_planned(self, batch, &DecodePlan::sequential());
+    }
+
+    fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
+        absorb_planned(self, batch, plan);
     }
 
     fn lane_overflow(&self) -> Option<gs_sketch::lane::LaneOverflow> {

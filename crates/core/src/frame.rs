@@ -766,20 +766,21 @@ pub struct TenantStats {
     /// Total nanoseconds spent serving the cache-hit `QUERY` frames
     /// counted by `decode_cache_hits`.
     pub cached_answer_ns: u64,
-    /// Engine worker threads this tenant claimed from the budget.
+    /// Ingest threads this tenant claimed from the budget: its absorber
+    /// splits each batch across them.
     pub workers: u64,
-    /// Sketch bytes (engine shards + checkpoint base), charged at the
-    /// format-frozen 32-byte wire cell.
+    /// Bytes of the tenant's one sketch, charged at the format-frozen
+    /// 32-byte wire cell.
     pub bytes_resident: u64,
-    /// Width-aware lane bytes (engine shards + checkpoint base): the
+    /// Width-aware lane bytes of the tenant's one sketch: the
     /// allocated lane storage after `s`-lane compaction. Both byte
     /// counts are allocations, not what the process holds: lanes are
     /// lazily zeroed, so the RSS of a tenant with few written cells can
     /// be far lower.
     pub lane_bytes_resident: u64,
-    /// Engine shards (plus the base, counted as one) carrying a sticky
-    /// lane-overflow mark — true counter overflow was detected and those
-    /// measurements must not be trusted.
+    /// 1 if the tenant's sketch carries a sticky lane-overflow mark —
+    /// true counter overflow was detected and its measurements must not
+    /// be trusted — else 0.
     pub lane_overflows: u64,
     /// `true` iff the tenant has unpersisted state.
     pub dirty: bool,

@@ -15,6 +15,7 @@
 //! picked), and every cut of `H` has value ≥ `min(k, its value in G)` —
 //! the "witness" property used by Figs. 1 and 2.
 
+use crate::absorb::{absorb_planned, AbsorbWork, SplitAbsorb};
 use crate::connectivity::{ForestParams, ForestSketch};
 use gs_field::M61;
 use gs_graph::Graph;
@@ -128,15 +129,6 @@ impl KEdgeConnectSketch {
         }
     }
 
-    /// Batched ingestion: each forest layer runs its own batched kernel
-    /// (layers have independent seeds, so hash work is per layer, but
-    /// within a layer each update hashes once per detector bank).
-    pub fn absorb_batch(&mut self, batch: &[EdgeUpdate]) {
-        for f in &mut self.forests {
-            f.absorb_batch(batch);
-        }
-    }
-
     /// Total size in 1-sparse cells (`O(k n log² n)` per Theorem 2.3).
     pub fn cell_count(&self) -> usize {
         self.forests.iter().map(|f| f.cell_count()).sum()
@@ -240,6 +232,22 @@ impl CellBanked for KEdgeConnectSketch {
     }
 }
 
+impl SplitAbsorb for KEdgeConnectSketch {
+    /// Every forest layer absorbs the whole batch (layers have
+    /// independent seeds, so hash work is per layer).
+    fn absorb_work<'a>(
+        &'a mut self,
+        batch: &[EdgeUpdate],
+        parts: usize,
+        work: &mut AbsorbWork<'a>,
+    ) {
+        let each = parts.div_ceil(self.forests.len());
+        for f in &mut self.forests {
+            work.forest(f.forest_work(batch, each));
+        }
+    }
+}
+
 impl LinearSketch for KEdgeConnectSketch {
     type Output = Graph;
 
@@ -252,7 +260,11 @@ impl LinearSketch for KEdgeConnectSketch {
     }
 
     fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        self.absorb_batch(batch);
+        absorb_planned(self, batch, &DecodePlan::sequential());
+    }
+
+    fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
+        absorb_planned(self, batch, plan);
     }
 
     fn lane_overflow(&self) -> Option<gs_sketch::lane::LaneOverflow> {

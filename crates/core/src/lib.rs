@@ -60,6 +60,7 @@
 //! paper's constants (the paper's own constants are available via the
 //! `paper_*` constructors); see DESIGN.md.
 
+mod absorb;
 pub mod api;
 pub mod connectivity;
 pub mod extras;

@@ -16,6 +16,7 @@
 //! proof of Theorem 3.2 ("if G_i is not k-edge-connected, we can correctly
 //! find a minimum cut in G_i using the corresponding witness").
 
+use crate::absorb::{absorb_planned, AbsorbWork, SplitAbsorb};
 use crate::connectivity::ForestParams;
 use crate::kedge::{KEdgeConnectSketch, SubtractMode};
 use gs_field::{BackendKind, HashBackend, Randomness, M61};
@@ -183,28 +184,6 @@ impl MinCutSketch {
         }
     }
 
-    /// Batched ingestion: each update's subsampling level is hashed once,
-    /// the batch is partitioned into the nested per-level sub-batches
-    /// (level `i` sees every update with `ℓ(e) ≥ i`), and each
-    /// `k-EDGECONNECT` level runs its own batched kernel.
-    pub fn absorb_batch(&mut self, batch: &[EdgeUpdate]) {
-        let mut per_level: Vec<Vec<EdgeUpdate>> = vec![Vec::new(); self.params.levels];
-        for &up in batch {
-            let idx = edge_index(self.n, up.u, up.v);
-            let lmax = self
-                .level_hash
-                .subsample_level(idx, self.params.levels as u32 - 1);
-            for level in per_level.iter_mut().take(lmax as usize + 1) {
-                level.push(up);
-            }
-        }
-        for (i, share) in per_level.into_iter().enumerate() {
-            if !share.is_empty() {
-                self.levels[i].absorb_batch(&share);
-            }
-        }
-    }
-
     /// Sketch size in 1-sparse cells (`O(ε⁻² n log⁴ n)` per Thm 3.2).
     pub fn cell_count(&self) -> usize {
         self.levels.iter().map(|l| l.cell_count()).sum()
@@ -318,6 +297,36 @@ impl CellBanked for MinCutSketch {
     }
 }
 
+impl SplitAbsorb for MinCutSketch {
+    /// Each update's subsampling level is hashed once, the batch is
+    /// partitioned into the nested per-level sub-batches (level `i` sees
+    /// every update with `ℓ(e) ≥ i`), and each `k-EDGECONNECT` level
+    /// absorbs its share.
+    fn absorb_work<'a>(
+        &'a mut self,
+        batch: &[EdgeUpdate],
+        parts: usize,
+        work: &mut AbsorbWork<'a>,
+    ) {
+        let mut per_level: Vec<Vec<EdgeUpdate>> = vec![Vec::new(); self.params.levels];
+        for &up in batch {
+            let idx = edge_index(self.n, up.u, up.v);
+            let lmax = self
+                .level_hash
+                .subsample_level(idx, self.params.levels as u32 - 1);
+            for level in per_level.iter_mut().take(lmax as usize + 1) {
+                level.push(up);
+            }
+        }
+        let each = parts.div_ceil(per_level.iter().filter(|s| !s.is_empty()).count().max(1));
+        for (level, share) in self.levels.iter_mut().zip(&per_level) {
+            if !share.is_empty() {
+                level.absorb_work(share, each, work);
+            }
+        }
+    }
+}
+
 impl LinearSketch for MinCutSketch {
     type Output = Option<MinCutEstimate>;
 
@@ -330,7 +339,11 @@ impl LinearSketch for MinCutSketch {
     }
 
     fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        self.absorb_batch(batch);
+        absorb_planned(self, batch, &DecodePlan::sequential());
+    }
+
+    fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
+        absorb_planned(self, batch, plan);
     }
 
     fn lane_overflow(&self) -> Option<gs_sketch::lane::LaneOverflow> {

@@ -23,6 +23,7 @@
 //! weights for the same edge are the caller's responsibility (an edge is
 //! one object with one weight, as in §3.5).
 
+use crate::absorb::{absorb_planned, AbsorbWork, SplitAbsorb};
 use crate::connectivity::{ForestParams, ForestSketch};
 use gs_field::M61;
 use gs_graph::{Graph, UnionFind};
@@ -139,36 +140,6 @@ impl MstSketch {
         }
     }
 
-    /// Batched ingestion in the value-carrying convention
-    /// (`delta = sign · w`): the batch is partitioned into per-threshold
-    /// sub-batches of unit-delta updates, and each threshold forest runs
-    /// its own batched kernel.
-    pub fn absorb_batch(&mut self, batch: &[EdgeUpdate]) {
-        let mut per_level: Vec<Vec<EdgeUpdate>> = vec![Vec::new(); self.thresholds.len()];
-        for up in batch {
-            assert!(up.delta != 0, "value-carrying update must be non-zero");
-            let w = up.weight();
-            assert!(
-                w >= 1 && w <= self.params.max_weight,
-                "weight {w} out of range"
-            );
-            for (i, &t) in self.thresholds.iter().enumerate() {
-                if w <= t {
-                    per_level[i].push(EdgeUpdate {
-                        u: up.u,
-                        v: up.v,
-                        delta: up.sign(),
-                    });
-                }
-            }
-        }
-        for (i, share) in per_level.into_iter().enumerate() {
-            if !share.is_empty() {
-                self.levels[i].absorb_batch(&share);
-            }
-        }
-    }
-
     /// Decodes a spanning forest whose total weight (with each edge
     /// charged its level threshold) is within `(1+ε)` of the minimum
     /// spanning forest weight, w.h.p.
@@ -239,6 +210,43 @@ impl CellBanked for MstSketch {
     }
 }
 
+impl SplitAbsorb for MstSketch {
+    /// Value-carrying convention (`delta = sign · w`): the batch is
+    /// partitioned into per-threshold sub-batches of unit-delta updates,
+    /// and each threshold forest absorbs its share.
+    fn absorb_work<'a>(
+        &'a mut self,
+        batch: &[EdgeUpdate],
+        parts: usize,
+        work: &mut AbsorbWork<'a>,
+    ) {
+        let mut per_level: Vec<Vec<EdgeUpdate>> = vec![Vec::new(); self.thresholds.len()];
+        for up in batch {
+            assert!(up.delta != 0, "value-carrying update must be non-zero");
+            let w = up.weight();
+            assert!(
+                w >= 1 && w <= self.params.max_weight,
+                "weight {w} out of range"
+            );
+            for (i, &t) in self.thresholds.iter().enumerate() {
+                if w <= t {
+                    per_level[i].push(EdgeUpdate {
+                        u: up.u,
+                        v: up.v,
+                        delta: up.sign(),
+                    });
+                }
+            }
+        }
+        let each = parts.div_ceil(per_level.iter().filter(|s| !s.is_empty()).count().max(1));
+        for (level, share) in self.levels.iter_mut().zip(&per_level) {
+            if !share.is_empty() {
+                work.forest(level.forest_work(share, each));
+            }
+        }
+    }
+}
+
 impl LinearSketch for MstSketch {
     type Output = Graph;
 
@@ -255,7 +263,11 @@ impl LinearSketch for MstSketch {
     }
 
     fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        self.absorb_batch(batch);
+        absorb_planned(self, batch, &DecodePlan::sequential());
+    }
+
+    fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
+        absorb_planned(self, batch, plan);
     }
 
     fn lane_overflow(&self) -> Option<gs_sketch::lane::LaneOverflow> {

@@ -14,6 +14,7 @@
 //! `λ_e(H_i)` is answered for **all** edges with one Gomory–Hu tree per
 //! level.
 
+use crate::absorb::{absorb_planned, AbsorbWork, SplitAbsorb};
 use crate::mincut::{MinCutParams, MinCutSketch};
 use gs_field::{BackendKind, M61};
 use gs_graph::{GomoryHuTree, Graph};
@@ -100,11 +101,6 @@ impl SimpleSparsifySketch {
     /// Applies a stream update.
     pub fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
         self.inner.update_edge(u, v, delta);
-    }
-
-    /// Batched ingestion through the level machinery's batched kernel.
-    pub fn absorb_batch(&mut self, batch: &[EdgeUpdate]) {
-        self.inner.absorb_batch(batch);
     }
 
     /// Sketch size in 1-sparse cells (`O(ε⁻² n log⁵ n)`, Lemma 3.2).
@@ -252,6 +248,18 @@ impl Mergeable for SimpleSparsifySketch {
     }
 }
 
+impl SplitAbsorb for SimpleSparsifySketch {
+    /// The level machinery's split absorb.
+    fn absorb_work<'a>(
+        &'a mut self,
+        batch: &[EdgeUpdate],
+        parts: usize,
+        work: &mut AbsorbWork<'a>,
+    ) {
+        self.inner.absorb_work(batch, parts, work);
+    }
+}
+
 impl LinearSketch for SimpleSparsifySketch {
     type Output = Graph;
 
@@ -264,7 +272,11 @@ impl LinearSketch for SimpleSparsifySketch {
     }
 
     fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        self.inner.absorb_batch(batch);
+        absorb_planned(self, batch, &DecodePlan::sequential());
+    }
+
+    fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
+        absorb_planned(self, batch, plan);
     }
 
     fn lane_overflow(&self) -> Option<gs_sketch::lane::LaneOverflow> {

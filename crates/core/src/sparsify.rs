@@ -18,6 +18,7 @@
 //! (`Σ_u k-RECOVERY(x^u) = k-RECOVERY(Σ_u x^u)`, §3.3). Step 4d assigns
 //! every edge to exactly one Gomory–Hu cut, so no edge is double-counted.
 
+use crate::absorb::{absorb_planned, AbsorbWork, SplitAbsorb};
 use crate::incidence::{sign_for, update_both_endpoints};
 use crate::simple_sparsify::{SimpleSparsifyParams, SimpleSparsifySketch};
 use gs_field::{BackendKind, HashBackend, Randomness, M61};
@@ -28,6 +29,7 @@ use gs_sketch::par::{par_map, DecodePlan};
 use gs_sketch::{
     DecodeCache, EdgeUpdate, LinearSketch, Mergeable, RecoveryPlan, SparseRecovery, CELL_BYTES,
 };
+use std::sync::Arc;
 
 /// Parameters for [`SparsifySketch`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -158,32 +160,6 @@ impl SparsifySketch {
         }
     }
 
-    /// Batched ingestion: the rough sparsifier runs its own batched
-    /// kernel; for the recovery banks, all `n` node recoveries of a level
-    /// share one projection, so each update's recovery hashes are computed
-    /// **once per level** and applied to both endpoints.
-    pub fn absorb_batch(&mut self, batch: &[EdgeUpdate]) {
-        self.rough.absorb_batch(batch);
-        let mut plan = RecoveryPlan::default();
-        for up in batch {
-            let (u, v, delta) = (up.u, up.v, up.delta);
-            if delta == 0 {
-                continue;
-            }
-            let idx = edge_index(self.n, u, v);
-            let lmax = self
-                .level_hash
-                .subsample_level(idx, self.params.levels as u32 - 1);
-            let du = sign_for(u, v) * delta;
-            for i in 0..=lmax as usize {
-                let base = i * self.n;
-                self.recoveries[base + u].plan_update(idx, &mut plan);
-                self.recoveries[base + u].apply_planned(idx, du, &plan);
-                self.recoveries[base + v].apply_planned(idx, -du, &plan);
-            }
-        }
-    }
-
     /// Sketch size in 1-sparse cells: rough part + samplers
     /// (`O(n(log⁵n + ε⁻² log⁴n))`, Theorem 3.4).
     pub fn cell_count(&self) -> usize {
@@ -298,6 +274,53 @@ impl CellBanked for SparsifySketch {
     }
 }
 
+impl SplitAbsorb for SparsifySketch {
+    /// The rough sparsifier's split absorb, plus one job per recovery
+    /// level. All `n` node recoveries of a level share one projection, so
+    /// a level's job computes each update's recovery hashes **once** and
+    /// applies them to both endpoints; an update's subsampling level is
+    /// hashed once, here.
+    fn absorb_work<'a>(
+        &'a mut self,
+        batch: &[EdgeUpdate],
+        parts: usize,
+        work: &mut AbsorbWork<'a>,
+    ) {
+        let top = self.params.levels as u32 - 1;
+        // (edge index, signed delta, u, v, subsampling level) per update.
+        let prepared: Vec<_> = batch
+            .iter()
+            .filter(|up| up.delta != 0)
+            .map(|up| {
+                let idx = edge_index(self.n, up.u, up.v);
+                let lmax = self.level_hash.subsample_level(idx, top);
+                (idx, sign_for(up.u, up.v) * up.delta, up.u, up.v, lmax)
+            })
+            .collect();
+        let prepared = Arc::new(prepared);
+        let SparsifySketch {
+            n,
+            rough,
+            recoveries,
+            ..
+        } = self;
+        rough.absorb_work(batch, parts, work);
+        for (level, nodes) in recoveries.chunks_mut(*n).enumerate() {
+            let prepared = Arc::clone(&prepared);
+            work.job(Box::new(move || {
+                let mut plan = RecoveryPlan::default();
+                for &(idx, du, u, v, lmax) in prepared.iter() {
+                    if level <= lmax as usize {
+                        nodes[u].plan_update(idx, &mut plan);
+                        nodes[u].apply_planned(idx, du, &plan);
+                        nodes[v].apply_planned(idx, -du, &plan);
+                    }
+                }
+            }));
+        }
+    }
+}
+
 impl LinearSketch for SparsifySketch {
     type Output = Graph;
 
@@ -310,7 +333,11 @@ impl LinearSketch for SparsifySketch {
     }
 
     fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        self.absorb_batch(batch);
+        absorb_planned(self, batch, &DecodePlan::sequential());
+    }
+
+    fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
+        absorb_planned(self, batch, plan);
     }
 
     fn lane_overflow(&self) -> Option<gs_sketch::lane::LaneOverflow> {

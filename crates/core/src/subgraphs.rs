@@ -21,13 +21,17 @@
 //! multiplicity-1 edge in row 1. Dynamic streams are fine as long as the
 //! *net* graph stays simple, which is Definition 1's regime for γ_H.
 
+use crate::absorb::{absorb_planned, AbsorbWork, SplitAbsorb};
 use gs_field::{BackendKind, M61};
 use gs_graph::subgraph::Pattern;
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::domain::{pair_slot, subset_domain, subset_rank};
 use gs_sketch::par::{par_map, DecodePlan};
-use gs_sketch::{DecodeCache, L0Result, L0Sampler, LinearSketch, Mergeable, CELL_BYTES};
+use gs_sketch::{
+    DecodeCache, EdgeUpdate, L0Result, L0Sampler, LinearSketch, Mergeable, CELL_BYTES,
+};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Parameters for [`SubgraphSketch`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -160,45 +164,12 @@ impl SubgraphSketch {
         if delta == 0 {
             return;
         }
-        let k = self.k;
-        let (lo, hi) = if u < v { (u, v) } else { (v, u) };
-        // Enumerate the C(n−2, k−2) completions of {u,v} to a k-subset.
-        let mut others: Vec<usize> = Vec::with_capacity(k - 2);
-        self.for_each_completion(lo, hi, 0, &mut others, delta);
-    }
-
-    fn for_each_completion(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        start: usize,
-        others: &mut Vec<usize>,
-        delta: i64,
-    ) {
-        if others.len() == self.k - 2 {
-            // Assemble the sorted subset and locate the (lo, hi) pair.
-            let mut subset: Vec<usize> = others.clone();
-            subset.push(lo);
-            subset.push(hi);
-            subset.sort_unstable();
-            let pa = subset.iter().position(|&x| x == lo).expect("lo present");
-            let pb = subset.iter().position(|&x| x == hi).expect("hi present");
-            let col = subset_rank(&subset);
-            let slot = pair_slot(pa, pb, self.k);
-            let val = delta * (1i64 << slot);
-            for s in &mut self.samplers {
-                s.update(col, val);
+        let samplers = &mut self.samplers;
+        for_each_column(self.n, self.k, u, v, &mut |col, slot| {
+            for s in samplers.iter_mut() {
+                s.update(col, delta * (1i64 << slot));
             }
-            return;
-        }
-        for w in start..self.n {
-            if w == lo || w == hi {
-                continue;
-            }
-            others.push(w);
-            self.for_each_completion(lo, hi, w + 1, others, delta);
-            others.pop();
-        }
+        });
     }
 
     /// Draws the available column samples: `(bitmask, sampler index)` per
@@ -263,6 +234,72 @@ impl SubgraphSketch {
     }
 }
 
+/// Calls `f(column, slot)` for each of the `C(n−2, k−2)` order-`k`
+/// vertex subsets containing both `u` and `v`: the subset's rank and the
+/// pair slot of `{u, v}` inside it, in ascending order of the other
+/// members.
+fn for_each_column(n: usize, k: usize, u: usize, v: usize, f: &mut impl FnMut(u64, u32)) {
+    fn walk(
+        (n, k, lo, hi): (usize, usize, usize, usize),
+        start: usize,
+        others: &mut Vec<usize>,
+        f: &mut impl FnMut(u64, u32),
+    ) {
+        if others.len() == k - 2 {
+            // Assemble the sorted subset and locate the (lo, hi) pair.
+            let mut subset: Vec<usize> = others.clone();
+            subset.push(lo);
+            subset.push(hi);
+            subset.sort_unstable();
+            let pa = subset.iter().position(|&x| x == lo).expect("lo present");
+            let pb = subset.iter().position(|&x| x == hi).expect("hi present");
+            f(subset_rank(&subset), pair_slot(pa, pb, k));
+            return;
+        }
+        for w in start..n {
+            if w == lo || w == hi {
+                continue;
+            }
+            others.push(w);
+            walk((n, k, lo, hi), w + 1, others, f);
+            others.pop();
+        }
+    }
+    let (lo, hi) = if u < v { (u, v) } else { (v, u) };
+    walk((n, k, lo, hi), 0, &mut Vec::with_capacity(k - 2), f);
+}
+
+impl SplitAbsorb for SubgraphSketch {
+    /// The samplers split into `parts` groups, one job each; a job walks
+    /// the batch and its columns and updates only its own samplers.
+    fn absorb_work<'a>(
+        &'a mut self,
+        batch: &[EdgeUpdate],
+        parts: usize,
+        work: &mut AbsorbWork<'a>,
+    ) {
+        let (n, k) = (self.n, self.k);
+        for up in batch {
+            assert!(up.u != up.v && up.u < n && up.v < n);
+        }
+        let batch: Arc<Vec<EdgeUpdate>> =
+            Arc::new(batch.iter().filter(|up| up.delta != 0).copied().collect());
+        let per = self.samplers.len().div_ceil(parts.max(1));
+        for group in self.samplers.chunks_mut(per) {
+            let batch = Arc::clone(&batch);
+            work.job(Box::new(move || {
+                for up in batch.iter() {
+                    for_each_column(n, k, up.u, up.v, &mut |col, slot| {
+                        for s in group.iter_mut() {
+                            s.update(col, up.delta * (1i64 << slot));
+                        }
+                    });
+                }
+            }));
+        }
+    }
+}
+
 impl Mergeable for SubgraphSketch {
     fn merge(&mut self, other: &Self) {
         assert_eq!(
@@ -313,6 +350,14 @@ impl LinearSketch for SubgraphSketch {
 
     fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
         SubgraphSketch::update_edge(self, u, v, delta);
+    }
+
+    fn absorb(&mut self, batch: &[EdgeUpdate]) {
+        absorb_planned(self, batch, &DecodePlan::sequential());
+    }
+
+    fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
+        absorb_planned(self, batch, plan);
     }
 
     fn lane_overflow(&self) -> Option<gs_sketch::lane::LaneOverflow> {

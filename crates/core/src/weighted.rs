@@ -14,6 +14,7 @@
 //! sampling probability times its weight, exactly the estimator of
 //! Lemma 3.6). Class sparsifiers merge by adding weighted graphs.
 
+use crate::absorb::{absorb_planned, AbsorbWork, SplitAbsorb};
 use crate::kedge::SubtractMode;
 use crate::simple_sparsify::{SimpleSparsifyParams, SimpleSparsifySketch};
 use gs_field::{BackendKind, M61};
@@ -135,28 +136,6 @@ impl WeightedSparsifySketch {
         self.classes[c].update_edge(u, v, delta * w as i64);
     }
 
-    /// Batched ingestion in the value-carrying convention
-    /// (`delta = sign · w`): the batch is partitioned by weight class and
-    /// each class sparsifier runs its own batched kernel.
-    pub fn absorb_batch(&mut self, batch: &[EdgeUpdate]) {
-        let mut per_class: Vec<Vec<EdgeUpdate>> = vec![Vec::new(); self.classes.len()];
-        for up in batch {
-            assert!(up.delta != 0, "value-carrying update must be non-zero");
-            let c = self.class_of(up.weight());
-            assert!(
-                c < per_class.len(),
-                "weight {} exceeds configured maximum (class {c})",
-                up.weight()
-            );
-            per_class[c].push(*up);
-        }
-        for (c, share) in per_class.into_iter().enumerate() {
-            if !share.is_empty() {
-                self.classes[c].absorb_batch(&share);
-            }
-        }
-    }
-
     /// Sketch size in 1-sparse cells (`O(n(log⁷n + ε⁻²log⁶n))` with the
     /// paper's constants, Theorem 3.8).
     pub fn cell_count(&self) -> usize {
@@ -222,6 +201,36 @@ impl Mergeable for WeightedSparsifySketch {
     }
 }
 
+impl SplitAbsorb for WeightedSparsifySketch {
+    /// Value-carrying convention (`delta = sign · w`): the batch is
+    /// partitioned by weight class and each class sparsifier absorbs its
+    /// share.
+    fn absorb_work<'a>(
+        &'a mut self,
+        batch: &[EdgeUpdate],
+        parts: usize,
+        work: &mut AbsorbWork<'a>,
+    ) {
+        let mut per_class: Vec<Vec<EdgeUpdate>> = vec![Vec::new(); self.classes.len()];
+        for up in batch {
+            assert!(up.delta != 0, "value-carrying update must be non-zero");
+            let c = self.class_of(up.weight());
+            assert!(
+                c < per_class.len(),
+                "weight {} exceeds configured maximum (class {c})",
+                up.weight()
+            );
+            per_class[c].push(*up);
+        }
+        let each = parts.div_ceil(per_class.iter().filter(|s| !s.is_empty()).count().max(1));
+        for (class, share) in self.classes.iter_mut().zip(&per_class) {
+            if !share.is_empty() {
+                class.absorb_work(share, each, work);
+            }
+        }
+    }
+}
+
 impl LinearSketch for WeightedSparsifySketch {
     type Output = Graph;
 
@@ -237,7 +246,11 @@ impl LinearSketch for WeightedSparsifySketch {
     }
 
     fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        self.absorb_batch(batch);
+        absorb_planned(self, batch, &DecodePlan::sequential());
+    }
+
+    fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
+        absorb_planned(self, batch, plan);
     }
 
     fn lane_overflow(&self) -> Option<gs_sketch::lane::LaneOverflow> {

@@ -6,10 +6,11 @@
 //!
 //! The one-shot CLI pipeline (`sketch | merge | sync | decode`) pays
 //! process startup, file I/O, and a full state reload for every round.
-//! This crate turns the same building blocks — the sharded
-//! [`gs_stream::SketchEngine`], wire-v2 checksummed snapshots and delta
-//! records, parallel [`gs_sketch::par::DecodePlan`] decodes — into a
-//! server that ingests continuously and answers queries in place:
+//! This crate turns the same building blocks — the split absorb kernel
+//! ([`gs_sketch::LinearSketch::absorb_with`]), wire-v2 checksummed
+//! snapshots and delta records, parallel [`gs_sketch::par::DecodePlan`]
+//! decodes — into a server that ingests continuously and answers
+//! queries in place:
 //!
 //! - **[`server`]** — [`Server`](server::Server): listeners, the tenant
 //!   registry, the checkpoint thread, and crash recovery. std-only,
@@ -18,11 +19,13 @@
 //!   at-a-time client used by the CLI `client` verb, the tests, and the
 //!   benches.
 //!
-//! Because every sketch is *linear*, the server's concurrency story is
-//! simple: raw update batches flow through each tenant's engine shards
-//! (order irrelevant), delta records fold into the tenant's checkpoint
-//! base, and a query merges base + engine into one state whose decode is
-//! bit-identical to a single-process run over the same update multiset.
+//! Each tenant holds exactly one sketch, its checkpoint base. Raw update
+//! batches are queued for the tenant's absorber thread, which absorbs
+//! each one with several threads writing disjoint rows of that sketch;
+//! delta records fold into it directly (linearity makes the order
+//! irrelevant); and a query waits for the queue to empty and decodes the
+//! sketch in place, bit-identical to a single-process run over the same
+//! update multiset.
 //! The protocol grammar, error taxonomy, and crash-recovery invariants
 //! are specified in DESIGN.md §1.9.
 

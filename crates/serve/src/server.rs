@@ -13,22 +13,32 @@
 //! checkpoint, [`Server::abort`] (and `Drop`) deliberately does not —
 //! that is what the crash-recovery tests use to simulate a SIGKILL.
 //!
+//! Each tenant also runs one absorber thread (see below), which takes
+//! worker threads from the process-wide budget for the batches it
+//! absorbs.
+//!
 //! ## Consistency model
 //!
-//! Each tenant owns a checkpoint *base* ([`SketchFile`]) plus a sharded
-//! [`SketchEngine`]. Delta records fold directly into the base; raw
-//! update batches flow through the engine. Sketch linearity makes the
-//! split sound, and it also means moving an engine shard's contents into
-//! the base never changes an answer. So `QUERY`, `SNAPSHOT` and
-//! `CHECKPOINT` share one read path: drain the engine into the base in
-//! place ([`SketchEngine::drain_into`], which resets each drained shard)
-//! and then decode, encode or persist the base itself — bit-identical to
-//! a single-process decode of the same update multiset, in any arrival
-//! order, with no per-request copy of any sketch. A checkpoint writes the
-//! drained base with the wire-v2 write-then-rename discipline, so an
-//! interrupted checkpoint leaves the previous file intact and a recovered
-//! server replays exactly the state of the last completed checkpoint. A
-//! base poisoned by a lane overflow is never encoded: `SNAPSHOT` and
+//! Each tenant owns exactly one sketch, its checkpoint *base*
+//! ([`SketchFile`]). Delta records fold directly into the base. Raw
+//! update batches are acknowledged once they are queued for the tenant's
+//! absorber thread, which absorbs each batch into the base with the
+//! split kernel (`LinearSketch::absorb_with`): the threads the tenant
+//! claimed write disjoint rows of the one sketch, bit-identical to a
+//! sequential absorb. A full queue answers `BUSY`.
+//!
+//! Lock order is tenant → sketch; the absorber takes only the sketch
+//! lock. `QUERY`, `SNAPSHOT` and `CHECKPOINT` share one read path: while
+//! holding the tenant lock (so no new batch can be queued) they wait
+//! until the absorber has absorbed every queued batch, then decode,
+//! encode or persist the base in place — bit-identical to a
+//! single-process decode of the same update multiset, in any arrival
+//! order, with no copy or merge of any sketch. A dead absorber is
+//! reported as `ERR internal`, never waited on. A checkpoint writes the
+//! base with the wire-v2 write-then-rename discipline, so an interrupted
+//! checkpoint leaves the previous file intact and a recovered server
+//! replays exactly the state of the last completed checkpoint. A base
+//! poisoned by a lane overflow is never encoded: `SNAPSHOT` and
 //! `CHECKPOINT` answer `ERR wire`, and the last good file stays.
 
 use graph_sketches::api::{SketchAnswer, SketchSpec};
@@ -36,11 +46,10 @@ use graph_sketches::frame::{
     self, ErrCode, FrameError, Opcode, Request, Response, ServiceStats, TenantStats,
 };
 use graph_sketches::wire::{self, SketchDelta};
-use graph_sketches::AnySketch;
 use graph_sketches::SketchFile;
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{BankStamp, DecodeCache, LinearSketch};
-use gs_stream::engine::{BudgetClaim, EngineConfig, OfferError, SketchEngine, WorkerBudget};
+use gs_sketch::{BankStamp, DecodeCache, EdgeUpdate, LinearSketch};
+use gs_stream::engine::{BudgetClaim, WorkerBudget};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -49,7 +58,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -65,8 +75,10 @@ pub struct ServeConfig {
     /// left by a killed server is detected (nothing accepts on it) and
     /// replaced.
     pub unix: Option<PathBuf>,
-    /// Process-wide engine worker budget shared by all tenants
-    /// (0 = [`gs_stream::engine::default_workers`]).
+    /// Process-wide budget of ingest threads shared by all tenants
+    /// (0 = [`gs_stream::engine::default_workers`]): each tenant claims
+    /// an even share, and its absorber splits every batch across that
+    /// many threads writing disjoint rows of the tenant's one sketch.
     pub worker_budget: usize,
     /// Cap on simultaneous client connections across all listeners.
     pub max_connections: usize,
@@ -99,18 +111,126 @@ impl Default for ServeConfig {
     }
 }
 
-/// One resident tenant: the durable base, the hot engine, and counters.
+/// Raw update batches a tenant's absorber queue holds before `INGEST`
+/// answers `BUSY`: eight 1024-update frames, the backlog of the
+/// per-worker engine queues this queue replaced.
+const ABSORB_QUEUE_BATCHES: usize = 8;
+
+/// The absorber keeps appending queued batches to the one it absorbs
+/// while it holds fewer updates than this.
+const ABSORB_COALESCE_UPDATES: usize = 16 * 1024;
+
+/// A tenant's absorber: one thread fed by a bounded queue of raw update
+/// batches, which it absorbs into the tenant's sketch, split across the
+/// tenant's claimed threads (`LinearSketch::absorb_with`). Batches that
+/// are already queued when it takes one are absorbed in the same pass,
+/// so a backlog pays one fork-join per pass rather than per frame (the
+/// result is the same: absorbing a concatenation is absorbing its parts
+/// in order). Dropping the absorber closes the queue and joins the
+/// thread once it has absorbed what was queued.
+struct Absorber {
+    /// `None` only while dropping.
+    queue: Option<SyncSender<Vec<EdgeUpdate>>>,
+    /// Updates queued and not yet absorbed.
+    pending: Arc<AtomicU64>,
+    thread: Option<thread::JoinHandle<()>>,
+}
+
+impl Absorber {
+    fn spawn(
+        name: &str,
+        base: Arc<Mutex<SketchFile>>,
+        plan: DecodePlan,
+    ) -> std::io::Result<Absorber> {
+        let (queue, batches) = sync_channel::<Vec<EdgeUpdate>>(ABSORB_QUEUE_BATCHES);
+        let pending = Arc::new(AtomicU64::new(0));
+        let left = Arc::clone(&pending);
+        let thread = thread::Builder::new()
+            .name(format!("gs-absorb-{name}"))
+            .spawn(move || {
+                while let Ok(mut batch) = batches.recv() {
+                    while batch.len() < ABSORB_COALESCE_UPDATES {
+                        match batches.try_recv() {
+                            Ok(more) => batch.extend(more),
+                            Err(_) => break,
+                        }
+                    }
+                    lock_sketch(&base).state.absorb_with(&batch, &plan);
+                    // Counted down only once the sketch lock is released:
+                    // a flush that sees zero then reads the whole batch.
+                    left.fetch_sub(batch.len() as u64, Ordering::SeqCst);
+                }
+            })?;
+        Ok(Absorber {
+            queue: Some(queue),
+            pending,
+            thread: Some(thread),
+        })
+    }
+
+    /// Queues a batch without blocking: `Ok(false)` when the queue is
+    /// full (the caller answers `BUSY`), an error when the absorber is
+    /// gone.
+    fn offer(&self, batch: Vec<EdgeUpdate>) -> Result<bool, String> {
+        let count = batch.len() as u64;
+        let Some(queue) = &self.queue else {
+            return Err("the absorber is stopping".into());
+        };
+        self.pending.fetch_add(count, Ordering::SeqCst);
+        let refused = match queue.try_send(batch) {
+            Ok(()) => return Ok(true),
+            Err(TrySendError::Full(_)) => Ok(false),
+            Err(TrySendError::Disconnected(_)) => Err("the absorber thread exited".into()),
+        };
+        self.pending.fetch_sub(count, Ordering::SeqCst);
+        refused
+    }
+
+    /// Waits until every queued update is absorbed. The caller holds the
+    /// tenant lock, so nothing new is queued meanwhile. An absorber that
+    /// died with updates queued is an error, not a wait.
+    fn flush(&self) -> Result<(), String> {
+        loop {
+            let pending = self.pending.load(Ordering::SeqCst);
+            if pending == 0 {
+                return Ok(());
+            }
+            if self.thread.as_ref().is_none_or(|t| t.is_finished()) {
+                return Err(format!(
+                    "the absorber thread exited with {pending} update(s) pending"
+                ));
+            }
+            thread::sleep(Duration::from_micros(20));
+        }
+    }
+}
+
+impl Drop for Absorber {
+    fn drop(&mut self) {
+        self.queue = None;
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// One resident tenant: its one sketch, the absorber feeding it, and
+/// counters.
 struct Tenant {
     name: String,
-    /// Checkpoint base: the spec plus every update already drained out
-    /// of the engine or applied from delta records.
-    base: SketchFile,
-    /// Hot path for raw update batches.
-    engine: SketchEngine<AnySketch>,
-    /// The engine's workers, claimed from the process-wide budget;
-    /// holding the claim for the tenant's lifetime is what returns the
-    /// workers to the pool when the tenant drops.
-    _claim: BudgetClaim,
+    /// The tenant's spec (also inside `base`), readable without the
+    /// sketch lock.
+    spec: SketchSpec,
+    /// The tenant's one sketch and checkpoint base: the spec plus every
+    /// update absorbed or applied from delta records. Locked after the
+    /// tenant (lock order tenant → sketch); the absorber takes only this
+    /// lock.
+    base: Arc<Mutex<SketchFile>>,
+    absorber: Absorber,
+    /// The threads the absorber splits batches across, claimed from the
+    /// process-wide budget; holding the claim for the tenant's lifetime
+    /// is what returns them to the pool when the tenant drops.
+    claim: BudgetClaim,
     /// `true` iff state has changed since the last completed checkpoint.
     dirty: bool,
     /// Set by `DROP`, under this tenant's lock, before its state file is
@@ -121,50 +241,38 @@ struct Tenant {
     deltas_applied: u64,
     busy_rejections: u64,
     /// Memoized `QUERY` answers, keyed on the ingest counters above: a
-    /// query between two ingests is answered without draining or
-    /// decoding anything. Draining the engine into the base changes
-    /// neither counter nor the tenant's total state, so the memo survives
-    /// queries' and checkpoints' drains.
+    /// query between two ingests is answered without flushing or
+    /// decoding anything.
     cache: DecodeCache<SketchAnswer>,
     /// Nanoseconds spent serving the `QUERY` frames the cache answered.
     cached_answer_ns: u64,
 }
 
 impl Tenant {
-    /// Drains the engine into the base in place, so `base` alone carries
-    /// the tenant's full state: the one merge path `QUERY`, `SNAPSHOT`
-    /// and `CHECKPOINT` share. Engine shards share the base's geometry by
-    /// construction, so a merge refusal is an internal invariant
-    /// violation (and leaves the refused shard in the engine).
-    ///
-    /// The base's bank stamps stay monotone across drains: each fold adds
-    /// the shard's whole generation count to the base, so the decode memo
-    /// kept for the base stays sound while shards restart from zero.
-    fn drain_into_base(&mut self) -> Result<(), String> {
-        let state = &mut self.base.state;
-        self.engine
-            .drain_into(|shard| state.try_merge(shard))
-            .map_err(|e| format!("engine shard refused to merge into base: {e}"))
+    /// Waits for the absorber, then locks the base: the one read path
+    /// `QUERY`, `SNAPSHOT` and `CHECKPOINT` share. The base then carries
+    /// every acknowledged update.
+    fn flushed_base(&self) -> Result<MutexGuard<'_, SketchFile>, String> {
+        self.absorber.flush()?;
+        Ok(lock_sketch(&self.base))
     }
 
     fn stats(&self) -> TenantStats {
-        let e = self.engine.stats();
+        let base = lock_sketch(&self.base);
         TenantStats {
             name: self.name.clone(),
-            task: self.base.spec.task.command().to_string(),
-            n: self.base.spec.n as u64,
+            task: self.spec.task.command().to_string(),
+            n: self.spec.n as u64,
             updates_ingested: self.updates_ingested,
             deltas_applied: self.deltas_applied,
             busy_rejections: self.busy_rejections,
             decode_cache_hits: self.cache.hits(),
             decode_cache_invalidations: self.cache.invalidations(),
             cached_answer_ns: self.cached_answer_ns,
-            workers: e.workers as u64,
-            bytes_resident: (e.bytes_resident + self.base.state.space_bytes()) as u64,
-            lane_bytes_resident: (e.lane_bytes_resident + self.base.state.resident_lane_bytes())
-                as u64,
-            lane_overflows: e.lane_overflows as u64
-                + self.base.state.lane_overflow().is_some() as u64,
+            workers: self.claim.workers() as u64,
+            bytes_resident: base.state.space_bytes() as u64,
+            lane_bytes_resident: base.state.resident_lane_bytes() as u64,
+            lane_overflows: base.state.lane_overflow().is_some() as u64,
             dirty: self.dirty,
         }
     }
@@ -212,8 +320,16 @@ impl Shared {
 /// [`Shared::registry_read`]: a tenant abandoned mid-mutation stays
 /// `dirty`, so the write-then-rename checkpoint discipline still never
 /// persists a torn state file.
-fn lock_tenant(tenant: &Mutex<Tenant>) -> std::sync::MutexGuard<'_, Tenant> {
+fn lock_tenant(tenant: &Mutex<Tenant>) -> MutexGuard<'_, Tenant> {
     tenant.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Sketch lock that survives poisoning. The absorber is the only code
+/// that can panic while holding it; its pending updates then never
+/// drain, so every read path refuses with `ERR internal` and no
+/// checkpoint persists the torn state.
+fn lock_sketch(base: &Mutex<SketchFile>) -> MutexGuard<'_, SketchFile> {
+    base.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The running server. Bind with [`Server::start`], stop with
@@ -603,8 +719,16 @@ fn handle_create(shared: &Shared, corr: u64, name: &str, payload: &[u8]) -> Resp
             format!("tenant {name:?} already exists"),
         );
     }
-    let tenant = build_tenant(shared, registry.len(), name.to_string(), base);
-    let tenant = Arc::new(Mutex::new(tenant));
+    let tenant = match build_tenant(shared, registry.len(), name.to_string(), base) {
+        Ok(t) => Arc::new(Mutex::new(t)),
+        Err(e) => {
+            return err(
+                corr,
+                ErrCode::Internal,
+                format!("starting the absorber: {e}"),
+            )
+        }
+    };
     // Persist immediately so a freshly created tenant survives a crash
     // that happens before the first periodic checkpoint.
     if let Err((code, e)) = checkpoint_tenant(&mut lock_tenant(&tenant), &shared.state_dir) {
@@ -622,31 +746,30 @@ fn handle_create(shared: &Shared, corr: u64, name: &str, payload: &[u8]) -> Resp
     }
 }
 
-/// Assembles a tenant around a base file, claiming engine workers from
+/// Assembles a tenant around a base file, claiming absorb threads from
 /// the shared budget: an even share of the budget among all tenants
 /// including this one (`ntenants` = tenants registered so far — passed
 /// in, not read from the registry, because `handle_create` calls this
-/// while holding the registry write lock), never below the 1-worker
-/// floor.
-///
-/// The engine gets exactly one shard per worker. Worker `s % workers`
-/// absorbs shard `s`, so a second shard per worker would add no
-/// parallelism, only another sketch to hold and fold at every drain; by
-/// linearity the shard count never changes an answer.
-fn build_tenant(shared: &Shared, ntenants: usize, name: String, base: SketchFile) -> Tenant {
+/// while holding the registry write lock), never below the 1-thread
+/// floor. The tenant holds one sketch, whatever its share.
+fn build_tenant(
+    shared: &Shared,
+    ntenants: usize,
+    name: String,
+    base: SketchFile,
+) -> std::io::Result<Tenant> {
     let want = (shared.budget.total() / (ntenants + 1)).max(1);
     let claim = shared.budget.claim(want);
-    let workers = claim.workers();
     let spec = base.spec;
-    let config = EngineConfig::new(workers)
-        .with_workers(workers)
-        .with_seed(spec.seed);
-    let engine = SketchEngine::new(config, || spec.build());
-    Tenant {
+    let base = Arc::new(Mutex::new(base));
+    let plan = DecodePlan::with_threads(claim.workers());
+    let absorber = Absorber::spawn(&name, Arc::clone(&base), plan)?;
+    Ok(Tenant {
         name,
+        spec,
         base,
-        engine,
-        _claim: claim,
+        absorber,
+        claim,
         dirty: true,
         dropped: false,
         updates_ingested: 0,
@@ -654,7 +777,7 @@ fn build_tenant(shared: &Shared, ntenants: usize, name: String, base: SketchFile
         busy_rejections: 0,
         cache: DecodeCache::new(),
         cached_answer_ns: 0,
-    }
+    })
 }
 
 fn handle_ingest(shared: &Shared, corr: u64, name: &str, payload: &[u8]) -> Response {
@@ -667,7 +790,7 @@ fn handle_ingest(shared: &Shared, corr: u64, name: &str, payload: &[u8]) -> Resp
             Ok(d) => d,
             Err(e) => return err(corr, ErrCode::from_wire(&e), e.to_string()),
         };
-        if let Err(e) = t.base.apply_delta_parsed(&delta) {
+        if let Err(e) = lock_sketch(&t.base).apply_delta_parsed(&delta) {
             return err(corr, ErrCode::from_wire(&e), e.to_string());
         }
         t.deltas_applied += 1;
@@ -682,23 +805,37 @@ fn handle_ingest(shared: &Shared, corr: u64, name: &str, payload: &[u8]) -> Resp
             Ok(u) => u,
             Err(e) => return err(corr, ErrCode::Malformed, e.to_string()),
         };
-        return match t.engine.offer(&updates) {
-            Ok(()) => {
-                t.updates_ingested += updates.len() as u64;
+        // The whole batch is refused before anything is queued: the
+        // absorber must never meet an update its sketch asserts on.
+        for (at, up) in updates.iter().enumerate() {
+            if let Err(e) = t.spec.check_update(up) {
+                return err(corr, ErrCode::Update, format!("update {at} of batch: {e}"));
+            }
+        }
+        let count = updates.len() as u64;
+        if count == 0 {
+            return Response::Ok {
+                corr,
+                payload: Vec::new(),
+            };
+        }
+        return match t.absorber.offer(updates) {
+            Ok(true) => {
+                t.updates_ingested += count;
                 t.dirty = true;
                 Response::Ok {
                     corr,
                     payload: Vec::new(),
                 }
             }
-            Err(OfferError::Busy { .. }) => {
+            Ok(false) => {
                 t.busy_rejections += 1;
                 Response::Busy {
                     corr,
                     retry_after_ms: shared.retry_after_ms,
                 }
             }
-            Err(OfferError::Invalid(e)) => err(corr, ErrCode::Update, e.to_string()),
+            Err(e) => err(corr, ErrCode::Internal, e),
         };
     }
     err(
@@ -722,9 +859,10 @@ fn handle_query(shared: &Shared, corr: u64, name: &str, payload: &[u8]) -> Respo
         n => DecodePlan::with_threads(n as usize),
     };
     // The memo key is the pair of ingest counters: both are bumped by
-    // exactly the operations that change the tenant's total state, so
-    // equal keys certify the previous answer verbatim and a hit skips
-    // the drain-decode path entirely.
+    // exactly the operations that change the tenant's total state, and
+    // a miss reads the base only after the absorber has absorbed every
+    // counted update, so equal keys certify the previous answer verbatim
+    // and a hit skips the flush-decode path entirely.
     let key = vec![BankStamp {
         generation: t.updates_ingested,
         drains: t.deltas_applied,
@@ -734,20 +872,15 @@ fn handle_query(shared: &Shared, corr: u64, name: &str, payload: &[u8]) -> Respo
     let answer = match cache.answer_hit(&key) {
         Some(answer) => {
             t.cached_answer_ns += started.elapsed().as_nanos() as u64;
-            answer
+            Ok(answer)
         }
-        None => {
-            if let Err(e) = t.drain_into_base() {
-                t.cache = cache;
-                return err(corr, ErrCode::Internal, e);
-            }
-            let base = &t.base.state;
+        None => t.flushed_base().map(|base| {
             cache.answer_banked(key, |c| {
                 let mut inner: DecodeCache<SketchAnswer> = c
                     .take_detail()
                     .unwrap_or_else(|| DecodeCache::with_disabled(c.is_disabled()));
                 let (reused, recomputed) = (inner.groups_reused(), inner.groups_recomputed());
-                let a = base.decode_cached(&mut inner, &plan);
+                let a = base.state.decode_cached(&mut inner, &plan);
                 c.note_groups(
                     inner.groups_reused() - reused,
                     inner.groups_recomputed() - recomputed,
@@ -755,12 +888,15 @@ fn handle_query(shared: &Shared, corr: u64, name: &str, payload: &[u8]) -> Respo
                 c.set_detail(inner);
                 a
             })
-        }
+        }),
     };
     t.cache = cache;
-    Response::Ok {
-        corr,
-        payload: answer.to_json().into_bytes(),
+    match answer {
+        Ok(answer) => Response::Ok {
+            corr,
+            payload: answer.to_json().into_bytes(),
+        },
+        Err(e) => err(corr, ErrCode::Internal, e),
     }
 }
 
@@ -768,12 +904,13 @@ fn handle_snapshot(shared: &Shared, corr: u64, name: &str) -> Response {
     let Some(tenant) = lookup(shared, name) else {
         return err(corr, ErrCode::NoSuchTenant, format!("no tenant {name:?}"));
     };
-    let mut t = lock_tenant(&tenant);
-    if let Err(e) = t.drain_into_base() {
-        return err(corr, ErrCode::Internal, e);
-    }
+    let t = lock_tenant(&tenant);
+    let base = match t.flushed_base() {
+        Ok(base) => base,
+        Err(e) => return err(corr, ErrCode::Internal, e),
+    };
     let mut payload = Vec::new();
-    if let Err(e) = t.base.write_to(&mut payload) {
+    if let Err(e) = base.write_to(&mut payload) {
         return err(corr, export_code(&e), format!("snapshot: {e}"));
     }
     Response::Ok { corr, payload }
@@ -865,10 +1002,11 @@ fn checkpoint_tenant(t: &mut Tenant, dir: &Path) -> Result<bool, (ErrCode, Strin
     if !t.dirty || t.dropped {
         return Ok(false);
     }
-    t.drain_into_base().map_err(|e| (ErrCode::Internal, e))?;
+    let base = t.flushed_base().map_err(|e| (ErrCode::Internal, e))?;
     let tmp = dir.join(format!("{}.state.tmp.{}", t.name, std::process::id()));
-    wire::replace_file_durably(&state_path(dir, &t.name), &tmp, |out| t.base.write_to(out))
+    wire::replace_file_durably(&state_path(dir, &t.name), &tmp, |out| base.write_to(out))
         .map_err(|e| (export_code(&e), format!("checkpoint: {e}")))?;
+    drop(base);
     t.dirty = false;
     Ok(true)
 }
@@ -997,14 +1135,21 @@ fn recover_tenants(shared: &Shared) {
         match load_state_file(&path) {
             Ok(base) => {
                 let recovered_so_far = shared.registry_read().len();
-                let mut tenant = build_tenant(shared, recovered_so_far, name.to_string(), base);
-                // `build_tenant` marks fresh tenants dirty; a recovered
-                // tenant is byte-identical to its file until new ingest.
-                tenant.dirty = false;
-                shared
-                    .registry_write()
-                    .insert(name.to_string(), Arc::new(Mutex::new(tenant)));
-                shared.log(format_args!("recovered tenant {name}"));
+                match build_tenant(shared, recovered_so_far, name.to_string(), base) {
+                    Ok(mut tenant) => {
+                        // `build_tenant` marks fresh tenants dirty; a
+                        // recovered tenant is byte-identical to its file
+                        // until new ingest.
+                        tenant.dirty = false;
+                        shared
+                            .registry_write()
+                            .insert(name.to_string(), Arc::new(Mutex::new(tenant)));
+                        shared.log(format_args!("recovered tenant {name}"));
+                    }
+                    Err(e) => shared.log(format_args!(
+                        "tenant {name} not recovered: starting its absorber failed: {e}"
+                    )),
+                }
             }
             Err(e) => {
                 let quarantine = path.with_extension("state.quarantined");
@@ -1093,6 +1238,22 @@ mod tests {
 
         server.abort();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A dead absorber is an error on every later flush and offer, never
+    /// a wait. Here it dies on a self-loop that skipped the admission
+    /// check `INGEST` runs.
+    #[test]
+    fn a_dead_absorber_is_reported_not_waited_on() {
+        let spec = SketchSpec::new(SketchTask::Connectivity, 8);
+        let base = SketchFile::new(spec, spec.build()).expect("base");
+        let base = Arc::new(Mutex::new(base));
+        let absorber = Absorber::spawn("dead", base, DecodePlan::sequential()).expect("spawn");
+        assert_eq!(absorber.offer(vec![EdgeUpdate::insert(3, 3)]), Ok(true));
+        let e = absorber.flush().expect_err("the absorber died");
+        assert!(e.contains("exited with 1 update(s) pending"), "{e}");
+        assert!(absorber.offer(vec![EdgeUpdate::insert(0, 1)]).is_err());
+        assert!(absorber.flush().is_err());
     }
 
     /// Regression for the checkpoint-cadence bug: the old loop re-anchored

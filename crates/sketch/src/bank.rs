@@ -72,12 +72,19 @@
 //! The bitmap never participates in equality or serialization; it is
 //! bookkeeping about *freshness*, not part of the measurement.
 //!
-//! The same invariant makes merges, resets and full dumps cost O(touched
-//! cells): [`CellBank::add`] sums only an operand's dirty cells when they
-//! are sparse, [`CellBank::reset`] returns a bank to its freshly built
-//! state by zeroing just its dirty cells, and the wire v2 writer reads
-//! [`CellBank::dirty_words`] to emit every clean 64-cell word as zeros
-//! without touching its lane pages.
+//! The same invariant makes merges and full dumps cost O(touched cells):
+//! [`CellBank::add`] sums only an operand's dirty cells when they are
+//! sparse, and the wire v2 writer reads [`CellBank::dirty_words`] to emit
+//! every clean 64-cell word as zeros without touching its lane pages.
+//!
+//! ## Split ingest
+//!
+//! [`CellBank::split_mut`] cuts a bank into contiguous [`BankPart`]s,
+//! disjoint `&mut` views of the lanes that threads fan into at once (a
+//! forest sketch's rounds and nodes are independent row groups of one
+//! bank). Dropping the [`BankSplit`] folds the parts' bitmap words at the
+//! cuts, fan counts and poison back into the bank, which then equals the
+//! bank the same fans applied directly would have left.
 //!
 //! ## Generation counters and the decode cache
 //!
@@ -98,8 +105,7 @@
 //!   to invalidate only the decode work whose input rows were touched.
 //!
 //! Like the bitmap, the counters never participate in equality or
-//! serialization. [`CellBank::reset`] is the one operation that moves
-//! them back (to a fresh bank's zeros): it starts a new lineage.
+//! serialization, and they never move backwards.
 
 use crate::lane::{LaneOverflow, LaneWidth, SLane};
 use crate::one_sparse::{OneSparseCell, OneSparseState};
@@ -198,8 +204,8 @@ pub struct CellBank {
     dirty: Vec<u64>,
     /// Sticky overflow mark: set by any ingest kernel that detects true
     /// lane overflow, cleared only when the whole state is replaced
-    /// ([`CellBank::try_overlay`], [`CellBank::reset`]). Not part of
-    /// equality or serialization.
+    /// ([`CellBank::try_overlay`]). Not part of equality or
+    /// serialization.
     poison: Option<LaneOverflow>,
     /// Mutation counter: advanced by every mutator of the measurement
     /// lanes (see the module docs). Not part of equality or serialization.
@@ -245,8 +251,7 @@ impl CellBank {
     /// mutator of the measurement lanes ([`CellBank::apply`],
     /// [`CellBank::fan`], [`CellBank::add`], [`CellBank::try_overlay`],
     /// [`CellBank::drain_dirty`]). Two equal readings certify the lanes
-    /// are bit-identical in between — the decode cache's hit key. Only
-    /// [`CellBank::reset`] moves it back (to 0, a fresh bank's reading).
+    /// are bit-identical in between — the decode cache's hit key.
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -414,6 +419,74 @@ impl CellBank {
         simd::fan_m61(&mut self.f[range], df);
         if ovf {
             self.poison_at(None);
+        }
+    }
+
+    /// Splits the bank into disjoint mutable parts at the ascending cell
+    /// indices `cuts`: part `i` covers cells `cuts[i-1]..cuts[i]` (from 0,
+    /// to the bank's end), so the parts are contiguous and cover the
+    /// bank. Each part can [`BankPart::fan`] into its own cells on its
+    /// own thread. When the returned [`BankSplit`] drops, it folds the
+    /// parts' bookkeeping back into the bank: the dirty bits a part set in
+    /// a bitmap word whose first cell lies in an earlier part, the
+    /// generation count of every fan, and the first part's poison mark in
+    /// part order. The bank is then exactly what fanning the same triples
+    /// into it directly would have left (range fans mark no overflow
+    /// cell, so the poison mark does not depend on which part saw it).
+    ///
+    /// # Panics
+    /// Panics if `cuts` is not ascending or a cut lies past the bank.
+    pub fn split_mut(&mut self, cuts: &[usize]) -> BankSplit<'_> {
+        let len = self.len();
+        assert!(
+            cuts.windows(2).all(|c| c[0] <= c[1]) && cuts.last().is_none_or(|&c| c <= len),
+            "bank cuts must ascend within the bank"
+        );
+        let CellBank {
+            w,
+            s,
+            f,
+            dirty,
+            poison,
+            generation,
+            ..
+        } = self;
+        let (mut w, mut f, mut dirty) = (&mut w[..], &mut f[..], &mut dirty[..]);
+        let mut s = match s {
+            SLane::Narrow(s) => SPart::Narrow(s),
+            SLane::Wide(s) => SPart::Wide(s),
+        };
+        let mut parts = Vec::with_capacity(cuts.len() + 1);
+        let (mut start, mut first_word) = (0, 0);
+        for end in cuts.iter().copied().chain([len]) {
+            let cells = end - start;
+            let (pw, rest) = std::mem::take(&mut w).split_at_mut(cells);
+            w = rest;
+            let (pf, rest) = std::mem::take(&mut f).split_at_mut(cells);
+            f = rest;
+            let (ps, rest) = s.split_at(cells);
+            s = rest;
+            // A bitmap word belongs to the part holding its first cell.
+            let end_word = end.div_ceil(64);
+            let (pd, rest) = std::mem::take(&mut dirty).split_at_mut(end_word - first_word);
+            dirty = rest;
+            parts.push(BankPart {
+                start,
+                first_word,
+                w: pw,
+                s: ps,
+                f: pf,
+                dirty: pd,
+                head: 0,
+                fans: 0,
+                poison: None,
+            });
+            (start, first_word) = (end, end_word);
+        }
+        BankSplit {
+            parts,
+            generation,
+            poison,
         }
     }
 
@@ -722,7 +795,14 @@ impl CellBank {
     /// delta from scratch. The poison mark (if any) is **not** cleared:
     /// the drained delta was already computed from overflowed state.
     pub fn drain_dirty(&mut self) -> usize {
-        let drained = self.zero_dirty_cells();
+        let mut drained = 0;
+        for i in set_bits(&self.dirty) {
+            self.w[i] = 0;
+            self.s.zero(i);
+            self.f[i] = M61::ZERO;
+            drained += 1;
+        }
+        self.dirty.fill(0);
         if drained > 0 {
             // Cells were zeroed (a mutation) and their bits cleared (an
             // epoch event); an empty drain changed nothing.
@@ -732,53 +812,15 @@ impl CellBank {
         drained
     }
 
-    /// Resets the bank in place to exactly what a freshly constructed
-    /// bank of its geometry and width holds: the touched cells zeroed
-    /// through the bitmap (every other cell is already zero — the delta
-    /// invariant), the bitmap cleared, both stamp counters back to 0 and
-    /// the poison mark cleared. Equal to replacing the bank with a new
-    /// zeroed one in lanes, stamps and bitmap, at O(touched cells) and
-    /// without allocating. Unlike [`CellBank::drain_dirty`] this starts a
-    /// new lineage: the stamps restart, so a decode memo taken before the
-    /// reset must not be carried across it (see [`crate::cache`]).
-    pub fn reset(&mut self) {
-        self.zero_dirty_cells();
-        self.poison = None;
-        self.generation = 0;
-        self.drains = 0;
-    }
-
-    /// Zeroes every touched cell and clears the bitmap; returns how many
-    /// cells were touched.
-    fn zero_dirty_cells(&mut self) -> usize {
-        let mut zeroed = 0;
-        for i in set_bits(&self.dirty) {
-            self.w[i] = 0;
-            self.s.zero(i);
-            self.f[i] = M61::ZERO;
-            zeroed += 1;
-        }
-        self.dirty.fill(0);
-        zeroed
-    }
-
     /// Marks every cell in `range` touched.
     #[inline]
     fn mark_dirty_range(&mut self, range: Range<usize>) {
         debug_assert!(range.end <= self.len());
         let mut i = range.start;
         while i < range.end {
-            let word = i >> 6;
-            let hi = range.end.min((word + 1) << 6);
-            // Bits i..hi of this word: (hi-i) ones shifted up to bit i&63.
-            let run = hi - i;
-            let mask = if run == 64 {
-                !0
-            } else {
-                ((1u64 << run) - 1) << (i & 63)
-            };
+            let (word, mask) = range_word_mask(i, range.end);
             self.dirty[word] |= mask;
-            i = hi;
+            i = (word + 1) << 6;
         }
     }
 
@@ -792,6 +834,159 @@ impl CellBank {
             if let Some(last) = self.dirty.last_mut() {
                 *last = (1u64 << tail) - 1;
             }
+        }
+    }
+}
+
+/// The bitmap word holding cell `i`, and the bits in it of the cells
+/// `i..end` (up to the word's last cell).
+#[inline]
+fn range_word_mask(i: usize, end: usize) -> (usize, u64) {
+    let word = i >> 6;
+    let hi = end.min((word + 1) << 6);
+    // Bits i..hi of this word: (hi-i) ones shifted up to bit i&63.
+    let run = hi - i;
+    let mask = if run == 64 {
+        !0
+    } else {
+        ((1u64 << run) - 1) << (i & 63)
+    };
+    (word, mask)
+}
+
+/// A mutable `s`-lane slice at its stored width.
+#[derive(Debug)]
+enum SPart<'a> {
+    Narrow(&'a mut [i64]),
+    Wide(&'a mut [i128]),
+}
+
+impl<'a> SPart<'a> {
+    fn split_at(self, mid: usize) -> (SPart<'a>, SPart<'a>) {
+        match self {
+            SPart::Narrow(s) => {
+                let (a, b) = s.split_at_mut(mid);
+                (SPart::Narrow(a), SPart::Narrow(b))
+            }
+            SPart::Wide(s) => {
+                let (a, b) = s.split_at_mut(mid);
+                (SPart::Wide(a), SPart::Wide(b))
+            }
+        }
+    }
+}
+
+/// One contiguous cell range of a [`CellBank`] under
+/// [`CellBank::split_mut`]: disjoint `&mut` views of its lanes and of
+/// the bitmap words whose first cell it holds, plus the bookkeeping the
+/// split folds back into the bank.
+#[derive(Debug)]
+pub struct BankPart<'a> {
+    /// The part's first cell, as a bank index.
+    start: usize,
+    /// The first bitmap word whose first cell lies in this part.
+    first_word: usize,
+    w: &'a mut [i64],
+    s: SPart<'a>,
+    f: &'a mut [M61],
+    /// Bitmap words `first_word..`, through the one holding the part's
+    /// last cell.
+    dirty: &'a mut [u64],
+    /// Dirty bits this part set in word `start / 64` when that word
+    /// belongs to an earlier part.
+    head: u64,
+    /// Fans applied: the generation count this part adds to the bank.
+    fans: u64,
+    /// Set by the first fan that truly overflowed.
+    poison: Option<LaneOverflow>,
+}
+
+impl BankPart<'_> {
+    /// The bank cells this part covers.
+    pub fn range(&self) -> Range<usize> {
+        self.start..self.start + self.w.len()
+    }
+
+    /// [`CellBank::fan`] into this part's cells: `range` is in bank
+    /// indices and must lie inside [`BankPart::range`]. Same lanes, dirty
+    /// bits, overflow rule and generation count as the bank's own fan,
+    /// whose kernel this repeats over the part's lane slices.
+    ///
+    /// # Panics
+    /// Panics if `range` leaves the part.
+    #[inline]
+    pub fn fan(&mut self, range: Range<usize>, dw: i64, ds: i128, df: M61) {
+        self.fans += 1;
+        let mut i = range.start;
+        while i < range.end {
+            let (word, mask) = range_word_mask(i, range.end);
+            match word.checked_sub(self.first_word) {
+                Some(k) => self.dirty[k] |= mask,
+                None => self.head |= mask,
+            }
+            i = (word + 1) << 6;
+        }
+        let r = range.start - self.start..range.end - self.start;
+        let mut ovf = simd::fan_i64(&mut self.w[r.clone()], dw);
+        match &mut self.s {
+            SPart::Narrow(s) => match i64::try_from(ds) {
+                Ok(d) => ovf |= simd::fan_i64(&mut s[r.clone()], d),
+                Err(_) => {
+                    let _ = simd::fan_i64(&mut s[r.clone()], ds as i64);
+                    ovf = true;
+                }
+            },
+            SPart::Wide(s) => {
+                for x in &mut s[r.clone()] {
+                    let (v, o) = x.overflowing_add(ds);
+                    *x = v;
+                    ovf |= o;
+                }
+            }
+        }
+        simd::fan_m61(&mut self.f[r], df);
+        if ovf && self.poison.is_none() {
+            self.poison = Some(LaneOverflow { cell: None });
+        }
+    }
+}
+
+/// A [`CellBank`] split into [`BankPart`]s by [`CellBank::split_mut`].
+/// Dropping it folds the parts' bookkeeping back into the bank.
+#[derive(Debug)]
+pub struct BankSplit<'a> {
+    parts: Vec<BankPart<'a>>,
+    generation: &'a mut u64,
+    poison: &'a mut Option<LaneOverflow>,
+}
+
+impl<'a> BankSplit<'a> {
+    /// The parts, in bank order.
+    pub fn parts_mut(&mut self) -> &mut [BankPart<'a>] {
+        &mut self.parts
+    }
+}
+
+impl Drop for BankSplit<'_> {
+    fn drop(&mut self) {
+        for i in 1..self.parts.len() {
+            let (head, word) = (self.parts[i].head, self.parts[i].start >> 6);
+            if head == 0 {
+                continue;
+            }
+            // The word's first cell lies in an earlier part, which holds
+            // the word.
+            let owner = self.parts[..i]
+                .iter_mut()
+                .rev()
+                .find(|p| p.first_word <= word && word < p.first_word + p.dirty.len());
+            if let Some(owner) = owner {
+                owner.dirty[word - owner.first_word] |= head;
+            }
+        }
+        *self.generation += self.parts.iter().map(|p| p.fans).sum::<u64>();
+        if self.poison.is_none() {
+            *self.poison = self.parts.iter().find_map(|p| p.poison);
         }
     }
 }
@@ -854,22 +1049,6 @@ pub trait CellBanked {
             *fp = M61::ZERO;
         }
         drained
-    }
-
-    /// Resets the sketch in place to its freshly built state: every bank
-    /// is [`CellBank::reset`] and every fingerprint scalar zeroed. For a
-    /// sketch whose measurement state is exactly its banks and
-    /// fingerprints (every spec-built sketch — the contract wire v2
-    /// stands on), the result equals a new sketch from the same factory
-    /// in lanes, stamps, bitmaps and poison, without allocating one. The
-    /// engine's drain-on-read path resets drained shards this way.
-    fn reset(&mut self) {
-        for bank in self.banks_mut() {
-            bank.reset();
-        }
-        for fp in self.fingerprints_mut() {
-            *fp = M61::ZERO;
-        }
     }
 }
 
@@ -1316,23 +1495,57 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_a_fresh_bank() {
+    fn split_fans_equal_direct_fans_at_ragged_cuts() {
         let h = h();
+        let geom = BankGeometry::new(1, 1, 300);
+        let mut fans: Vec<(Range<usize>, i64, i128, M61)> = (0..90)
+            .map(|k| {
+                let start = (k * 37) % 290;
+                let (dw, ds, df) =
+                    CellBank::deltas(k as u64 * 11, 1 - (k as i64 % 3), h.hash_m61(k as u64));
+                (start..start + 1 + k % 10, dw, ds, df)
+            })
+            .collect();
+        // Two maximal fans over the same cells overflow wherever they land.
+        fans.push((140..147, i64::MAX, i128::from(i64::MAX), M61::ZERO));
+        fans.push((140..147, i64::MAX, i128::from(i64::MAX), M61::ZERO));
+        let cut_sets: [&[usize]; 5] = [
+            &[],
+            &[150],
+            &[7, 7, 100, 130, 200],
+            &[1, 2, 3, 64, 65, 128, 299, 300],
+            &[10, 20, 30, 40, 50, 60, 63, 70, 250],
+        ];
         for width in [LaneWidth::Narrow, LaneWidth::Wide] {
-            let geom = BankGeometry::new(1, 3, 50);
-            let fresh = CellBank::with_width(geom, width);
-            let mut bank = fresh.clone();
-            bank.update(3, 10, 4, &h);
-            let (dw, ds, df) = CellBank::deltas(77, -2, h.hash_m61(77));
-            bank.fan(60..140, dw, ds, df);
-            bank.drain_dirty();
-            bank.update(149, 11, 1, &h);
-            bank.apply(0, i64::MAX, 0, M61::ZERO);
-            bank.apply(0, 1, 0, M61::ZERO);
-            assert!(bank.lane_overflow().is_some());
-            bank.reset();
-            assert_eq!(add_outcome(&bank), add_outcome(&fresh), "{width:?}");
-            assert!(bank.is_zero());
+            for cuts in cut_sets {
+                let bounds: Vec<usize> = [0].iter().chain(cuts).chain(&[300]).copied().collect();
+                // Fans inside one part: the split path applies those only.
+                let fits =
+                    |r: &Range<usize>| bounds.windows(2).any(|b| b[0] <= r.start && r.end <= b[1]);
+                let mut direct = CellBank::with_width(geom, width);
+                direct.update(5, 9, 2, &h);
+                let mut split = direct.clone();
+                for (r, dw, ds, df) in fans.iter().filter(|f| fits(&f.0)) {
+                    direct.fan(r.clone(), *dw, *ds, *df);
+                }
+                let mut parts = split.split_mut(cuts);
+                for part in parts.parts_mut() {
+                    let own = part.range();
+                    for (r, dw, ds, df) in fans.iter().filter(|f| fits(&f.0)) {
+                        if own.start <= r.start && r.end <= own.end {
+                            part.fan(r.clone(), *dw, *ds, *df);
+                        }
+                    }
+                }
+                drop(parts);
+                assert!(direct.lane_overflow().is_some());
+                assert_eq!(
+                    add_outcome(&split),
+                    add_outcome(&direct),
+                    "{width:?} cuts {cuts:?}"
+                );
+                assert_eq!(split.dirty_words(), direct.dirty_words());
+            }
         }
     }
 

@@ -183,6 +183,21 @@ pub trait LinearSketch: Mergeable {
         }
     }
 
+    /// [`LinearSketch::absorb`] under a [`DecodePlan`]: one batch absorbed
+    /// by up to `plan.threads()` threads that write disjoint parts of
+    /// this one sketch (a forest sketch's independent rounds and nodes,
+    /// a composite's sub-sketches), in a single scoped fork-join clamped
+    /// to the machine's parallelism. **Bit-identical** to `absorb` at
+    /// every thread count — lanes, fingerprints, dirty bitmaps, the
+    /// poison mark and the generation counts — because every cell sees
+    /// the same adds in the same order; `absorb` is its one-thread case.
+    /// The default implementation ignores the plan and absorbs
+    /// sequentially.
+    fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
+        let _ = plan;
+        self.absorb(batch);
+    }
+
     /// Resident size of the sketch in bytes (space accounting; counts the
     /// linear measurement state, not constant-size seeds/parameters).
     fn space_bytes(&self) -> usize;

@@ -16,9 +16,14 @@
 //! ([`crate::LinearSketch::decode_with`]): how many OS threads a decode
 //! may fan out over. `threads = 1` runs every loop inline (no spawns at
 //! all) and is the pinned reference the parity tests compare against.
+//!
+//! Ingest takes the same plan ([`crate::LinearSketch::absorb_with`]): a
+//! batch is cut into [`Job`]s that each write a disjoint part of one
+//! sketch, and [`run_jobs`] runs them in one fork-join.
 
 use std::num::NonZeroUsize;
-use std::sync::OnceLock;
+use std::ops::Range;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// How a decode call may parallelize. Answers are **bit-identical** for
 /// every `threads` value (see the module docs); the plan trades wall
@@ -170,6 +175,54 @@ fn hardware_threads() -> usize {
     })
 }
 
+/// One unit of ingest work for [`run_jobs`]: a closure holding the
+/// `&mut` to the disjoint part of a sketch it writes.
+pub type Job<'a> = Box<dyn FnOnce() + Send + 'a>;
+
+/// Runs every job once across at most `threads` scoped threads, clamped
+/// to the machine's available parallelism like [`par_map_with`]: one
+/// fork-join, whatever the number of jobs. Threads pull jobs from one
+/// shared queue in list order, so uneven jobs balance themselves; with
+/// one effective thread the jobs run inline, in list order, and no
+/// thread is spawned.
+///
+/// Each job owns the `&mut` it writes and no two jobs write the same
+/// state, so which thread runs a job never changes what it writes: the
+/// absorb kernels built on this are bit-identical to their sequential
+/// loops at every thread count.
+pub fn run_jobs(jobs: Vec<Job<'_>>, threads: usize) {
+    let threads = threads.max(1).min(jobs.len()).min(hardware_threads());
+    if threads <= 1 {
+        jobs.into_iter().for_each(|job| job());
+        return;
+    }
+    let queue = Mutex::new(jobs.into_iter());
+    let work = || loop {
+        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+        match next {
+            Some(job) => job(),
+            None => return,
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
+    });
+}
+
+/// `0..total` cut into `parts` contiguous ranges (at least one) whose
+/// lengths differ by at most one; range `i` is
+/// `i·total/parts .. (i+1)·total/parts`, so it depends only on `total`
+/// and `parts`.
+pub fn even_ranges(total: usize, parts: usize) -> Vec<Range<usize>> {
+    let parts = parts.max(1);
+    (0..parts)
+        .map(|i| i * total / parts..(i + 1) * total / parts)
+        .collect()
+}
+
 /// [`par_map_with`] without per-thread scratch.
 pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
@@ -239,6 +292,38 @@ mod tests {
         for (i, &(x, seen)) in got.iter().enumerate() {
             assert_eq!(x as usize, i);
             assert!(seen >= 1);
+        }
+    }
+
+    #[test]
+    fn run_jobs_runs_every_job_once_at_every_width() {
+        for threads in [1, 2, 3, 8] {
+            let mut slots = vec![0u32; 37];
+            let jobs: Vec<Job<'_>> = slots
+                .iter_mut()
+                .enumerate()
+                .map(|(i, slot)| Box::new(move || *slot += i as u32 + 1) as Job<'_>)
+                .collect();
+            run_jobs(jobs, threads);
+            let want: Vec<u32> = (1..=37).collect();
+            assert_eq!(slots, want, "threads = {threads}");
+        }
+        run_jobs(Vec::new(), 4);
+    }
+
+    #[test]
+    fn even_ranges_cover_in_order_and_differ_by_at_most_one() {
+        for (total, parts) in [(10, 3), (3, 8), (0, 2), (61_440, 2), (7, 1), (5, 0)] {
+            let ranges = even_ranges(total, parts);
+            assert_eq!(ranges.len(), parts.max(1));
+            assert_eq!(ranges[0].start, 0);
+            assert_eq!(ranges.last().unwrap().end, total);
+            for pair in ranges.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start);
+            }
+            let lens: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
+            let (lo, hi) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+            assert!(hi - lo <= 1, "{total}/{parts}: {lens:?}");
         }
     }
 

@@ -2,8 +2,13 @@
 //!
 //! [`crate::distributed::sketch_distributed`] realizes §1.1 as a one-shot
 //! batch job: split, sketch, merge, done. This module is the long-lived
-//! counterpart — the shape a serving system needs when the stream never
-//! ends and queries arrive *while* updates keep flowing:
+//! counterpart — the shape a long-running ingest needs when the stream
+//! never ends and queries arrive *while* updates keep flowing. It runs
+//! the CLI's `--sites` ingest and the experiment runner. Every shard is
+//! a whole replica of the sketch, so the resident server does not use
+//! it: a `gs-serve` tenant holds one sketch and splits each batch across
+//! threads writing disjoint rows of it
+//! ([`gs_sketch::LinearSketch::absorb_with`]).
 //!
 //! * **Sharding.** A [`SketchEngine`] owns `shards` private sketches (all
 //!   built from the same factory, hence mutually mergeable). Updates are
@@ -16,18 +21,6 @@
 //! * **Backpressure.** Each worker is fed through a bounded channel;
 //!   [`SketchEngine::ingest`] blocks when a queue is full instead of
 //!   buffering without bound.
-//! * **Drain on read.** [`SketchEngine::drain_into`] is how a resident
-//!   owner reads the engine: it flushes, then folds each active shard
-//!   into the caller's accumulator (a serving tenant's checkpoint base)
-//!   in shard order and **resets the shard in place**
-//!   ([`gs_sketch::CellBanked::reset`]: dirty cells zeroed through the
-//!   bitmap, stamps back to 0, poison cleared — exactly a fresh shard,
-//!   without allocating one). By linearity moving a shard's contents into
-//!   the accumulator never changes the sum, so the accumulator alone then
-//!   carries the full state and is decoded, encoded or persisted in
-//!   place: no per-read copy of any sketch. With the dirty-driven
-//!   [`gs_sketch::CellBank::add`], a drain costs O(cells touched since the
-//!   previous drain), not a sweep of every shard.
 //! * **Snapshot queries.** [`SketchEngine::snapshot`] reads without
 //!   draining and without stopping ingestion: it clones the first active
 //!   shard and folds the others into that clone in shard order — one
@@ -56,7 +49,7 @@
 //!   coordinator in another process applies them through
 //!   `graph_sketches::wire::SketchFile::apply_delta` instead of receiving
 //!   whole sketches. Shipping shards out needs owned sketches, so this
-//!   path (unlike `drain_into`) swaps in zero clones.
+//!   path swaps in zero clones.
 //! * **Live counters.** [`SketchEngine::stats`] reports updates routed,
 //!   in-flight updates, per-worker queue depths, delta drains, and
 //!   resident sketch bytes.
@@ -67,7 +60,7 @@
 
 use gs_field::SplitMix64;
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{BankStamp, CellBanked, DecodeCache, EdgeUpdate, LinearSketch, UpdateError};
+use gs_sketch::{BankStamp, DecodeCache, EdgeUpdate, LinearSketch, UpdateError};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -91,9 +84,9 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// A process-wide worker-thread budget shared by many engines — the
-/// multi-tenant serving shape, where every tenant owns a
-/// [`SketchEngine`] but the process owns one machine. Each engine
+/// A process-wide worker-thread budget shared by many ingest paths — the
+/// multi-tenant serving shape, where every tenant ingests with threads of
+/// its own but the process owns one machine. Each tenant
 /// [`WorkerBudget::claim`]s a share when it is built and releases it when
 /// the returned [`BudgetClaim`] drops (tenant teardown), so the fleet's
 /// total worker count tracks the live tenant set instead of growing
@@ -246,8 +239,7 @@ pub struct EngineStats {
     pub updates_pending: u64,
     /// Batches enqueued so far (one per worker per `ingest` call).
     pub batches_enqueued: u64,
-    /// Drains performed so far: [`SketchEngine::delta_snapshot`] calls
-    /// plus [`SketchEngine::drain_into`] calls that reset a shard.
+    /// Drains performed so far ([`SketchEngine::delta_snapshot`] calls).
     pub deltas_drained: u64,
     /// Batches refused by [`SketchEngine::offer`] because a worker queue
     /// was full (the caller was told to retry instead of blocking).
@@ -483,11 +475,10 @@ impl<S: LinearSketch + Send + 'static> SketchEngine<S> {
     /// worker queue the routed batch would land on is already full, the
     /// **whole** batch is refused with [`OfferError::Busy`] instead of
     /// blocking — nothing is enqueued, the engine is exactly as it was
-    /// (same all-or-nothing contract as a refused invalid batch). This is
-    /// the serving-layer ingest path: a resident server converts the
-    /// refusal into protocol-level flow control (`BUSY(retry-after)`)
-    /// rather than letting one firehose tenant stall the connection
-    /// thread.
+    /// (same all-or-nothing contract as a refused invalid batch). A
+    /// resident owner converts the refusal into flow control (a
+    /// `BUSY(retry-after)` response) rather than letting one firehose
+    /// stall its caller.
     ///
     /// The full-queue check is sound, not just heuristic: this engine is
     /// the queues' only sender (`&mut self`), and workers only *shrink*
@@ -652,50 +643,6 @@ impl<S: LinearSketch + Send + 'static> SketchEngine<S> {
             .map(|(sketch, _)| sketch)
             .collect();
         merge_tree(active, default_workers()).expect("some shard was active")
-    }
-}
-
-impl<S: LinearSketch + CellBanked + Send + 'static> SketchEngine<S> {
-    /// Drains the engine into the caller's accumulator **in place**:
-    /// flushes, then walks the active shards in shard order, each under
-    /// its lock, calling `fold` on it and then resetting it to a fresh
-    /// shard ([`CellBanked::reset`]). Idle shards are skipped (they hold
-    /// the zero sketch). By linearity the accumulator plus the engine is
-    /// the same sum before and after, so an owner that folds into its
-    /// base (`base.try_merge(shard)`) holds the full state in the base
-    /// afterwards and can decode or persist it without copying anything.
-    ///
-    /// A `fold` error stops the walk and is returned: shards already
-    /// folded stay folded and reset, the refused shard and every later one
-    /// are untouched, so no update is lost or counted twice and a retry
-    /// picks up exactly where this call stopped. `fold` must therefore
-    /// leave its accumulator unchanged when it refuses (as
-    /// `AnySketch::try_merge` does).
-    ///
-    /// Any reset counts as a drain in [`EngineStats::deltas_drained`],
-    /// which keys [`SketchEngine::answer_cached`] out of its pre-drain
-    /// memo.
-    pub fn drain_into<E>(&mut self, mut fold: impl FnMut(&S) -> Result<(), E>) -> Result<(), E> {
-        self.flush();
-        let mut result = Ok(());
-        let mut drained = false;
-        for (slot, routed) in self.shards.iter().zip(&mut self.routed_per_shard) {
-            if *routed == 0 {
-                continue;
-            }
-            let mut shard = slot.lock().expect("shard mutex poisoned");
-            if let Err(e) = fold(&*shard) {
-                result = Err(e);
-                break;
-            }
-            shard.reset();
-            *routed = 0;
-            drained = true;
-        }
-        if drained {
-            self.deltas_drained += 1;
-        }
-        result
     }
 }
 

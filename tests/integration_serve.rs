@@ -192,11 +192,11 @@ fn restart_after_abort_reproduces_checkpointed_answers() {
     server.shutdown();
 }
 
-/// `QUERY`, `SNAPSHOT` and `CHECKPOINT` all drain the tenant's engine
-/// into its base in place. Interleaved with raw and delta ingest and with
-/// abort/restart, every `QUERY` must still equal the offline decode of
-/// the updates the server holds, and every `SNAPSHOT` the offline
-/// `to_bytes`, byte for byte. The suite also runs under
+/// `QUERY`, `SNAPSHOT` and `CHECKPOINT` all flush the tenant's absorber
+/// and read its one sketch in place. Interleaved with raw and delta
+/// ingest and with abort/restart, every `QUERY` must still equal the
+/// offline decode of the updates the server holds, and every `SNAPSHOT`
+/// the offline `to_bytes`, byte for byte. The suite also runs under
 /// `GS_NO_DECODE_CACHE=1`, which sends every query down the fresh path.
 #[test]
 fn interleaved_reads_checkpoints_and_restarts_match_the_offline_sketch() {
@@ -505,8 +505,8 @@ fn poisoned_tenant_refuses_checkpoint_and_snapshot_and_restarts_from_its_last_go
             .ingest_retry("p", &[update], Duration::from_secs(10))
             .expect("raw ingest");
     }
-    // Both refusals drain the engine into the base first, so the
-    // overflow has reached the base by the time either encodes it.
+    // Both refusals flush the absorber first, so the overflow has
+    // reached the base by the time either encodes it.
     let refusals = [
         client.checkpoint("p").map(|_| ()),
         client.snapshot("p").map(|_| ()),
@@ -638,6 +638,61 @@ fn refused_ingest_leaves_served_answers_unchanged() {
 
     let after = answer_of(&client.query("t", 1).expect("query"));
     assert_eq!(after, before, "refused delta must leave no residue");
+    server.shutdown();
+}
+
+/// Regression for task bounds on served ingest: raw `INGEST` used to
+/// check only Definition 1, so an MST tenant acknowledged a weight above
+/// its `max_weight`, its ingest worker then panicked on it and every
+/// later `QUERY` of the tenant closed the connection; a subgraphs tenant
+/// acknowledged a non-unit weight and encoded it into the wrong bitmask
+/// bit. Both batches must be refused whole, before anything is
+/// acknowledged, and both tenants must keep answering.
+#[test]
+fn task_bound_violations_are_refused_before_ingest_is_acknowledged() {
+    let scratch = Scratch::new("bounds");
+    let server = start_server(scratch.path());
+    let mut client = connect(&server);
+    let deadline = Duration::from_secs(10);
+    let refused = |outcome: Result<(), ClientError>, what: &str| match outcome {
+        Err(ClientError::Server {
+            code: ErrCode::Update,
+            msg,
+        }) => msg,
+        other => panic!("{what} must be refused with ERR update, got {other:?}"),
+    };
+
+    let mst = SketchSpec::new(SketchTask::Mst, 8)
+        .with_max_weight(64)
+        .with_seed(5);
+    client.create("mst", &mst.to_json()).expect("create");
+    let fine = [EdgeUpdate::weighted(2, 3, 64, 1)];
+    client.ingest_retry("mst", &fine, deadline).expect("ingest");
+    let heavy = [
+        EdgeUpdate::weighted(0, 1, 7, 1),
+        EdgeUpdate::weighted(0, 1, 100, 1),
+    ];
+    let msg = refused(client.ingest_retry("mst", &heavy, deadline), "weight 100");
+    assert!(msg.contains("update 1 of batch"), "{msg}");
+    let mut offline = mst.build();
+    offline.absorb(&fine);
+    let served = client.query("mst", 1).expect("the tenant still answers");
+    assert_eq!(
+        answer_of(&served),
+        offline.decode(),
+        "no residue of the batch"
+    );
+
+    let sub = SketchSpec::new(SketchTask::Subgraphs, 6).with_seed(7);
+    client.create("sub", &sub.to_json()).expect("create");
+    let triple = [EdgeUpdate {
+        u: 0,
+        v: 1,
+        delta: 3,
+    }];
+    refused(client.ingest_retry("sub", &triple, deadline), "weight 3");
+    let served = client.query("sub", 1).expect("the tenant still answers");
+    assert_eq!(answer_of(&served), sub.build().decode());
     server.shutdown();
 }
 

@@ -1,8 +1,7 @@
 //! A tenant's resident memory follows the cells it has written. Creating
-//! a tenant builds a base and one engine shard per worker, all lazily
-//! zeroed, and streams the base's first checkpoint to disk, so CREATE
-//! must not make the process touch the sketches' lane pages or buffer a
-//! whole state file.
+//! a tenant builds its one sketch, lazily zeroed, and streams the
+//! sketch's first checkpoint to disk, so CREATE must not make the
+//! process touch the sketch's lane pages or buffer a whole state file.
 //!
 //! Linux-only: the peak resident set is read from `/proc/self/status`.
 //! The binary holds this single test, so nothing else allocates in the
@@ -28,7 +27,7 @@ fn peak_rss_kib() -> u64 {
 }
 
 #[test]
-fn create_touches_no_lane_pages_and_holds_one_shard_per_worker() {
+fn create_touches_no_lane_pages_and_holds_one_sketch() {
     let dir = std::env::temp_dir().join(format!("gs-serve-memory-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let server = Server::start(ServeConfig {
@@ -41,8 +40,8 @@ fn create_touches_no_lane_pages_and_holds_one_shard_per_worker() {
     .expect("server start");
     let addr = server.tcp_addr().expect("tcp listener").to_string();
     let mut client = Client::connect_tcp(&addr).expect("connect");
-    // The ladder's ingest-powerlaw tenant: about 65 MiB of lanes per
-    // sketch, so touching even one sketch's pages breaks the bound.
+    // The ladder's ingest-powerlaw tenant: about 65 MiB of lanes, so
+    // touching the sketch's pages breaks the bound.
     let spec = SketchSpec::new(SketchTask::Connectivity, 4096).with_seed(41);
 
     let before = peak_rss_kib();
@@ -59,9 +58,8 @@ fn create_touches_no_lane_pages_and_holds_one_shard_per_worker() {
     let tenant = &stats.per_tenant[0];
     let per_sketch = spec.build().resident_lane_bytes() as u64;
     assert_eq!(
-        tenant.lane_bytes_resident,
-        (tenant.workers + 1) * per_sketch,
-        "a tenant holds its base plus one shard per worker"
+        tenant.lane_bytes_resident, per_sketch,
+        "a tenant holds one sketch, whatever its worker share"
     );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

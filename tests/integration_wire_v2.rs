@@ -12,9 +12,9 @@ use graph_sketches::wire::{v2_checksum, SketchFile, WireError, V2_MAGIC, WIRE_FO
 use graph_sketches::AnySketch;
 use gs_graph::gen;
 use gs_sketch::bank::CellBanked;
+use gs_sketch::par::DecodePlan;
 use gs_sketch::{EdgeUpdate, LaneWidth, LinearSketch, Mergeable};
 use gs_stream::distributed::sketch_central;
-use gs_stream::engine::{EngineConfig, SketchEngine};
 use gs_stream::GraphStream;
 
 fn churn_updates(n: usize, p: f64, seed: u64) -> Vec<EdgeUpdate> {
@@ -192,10 +192,6 @@ fn state_paths(task: SketchTask) -> (SketchSpec, Vec<(&'static str, AnySketch)>)
     drained.absorb(second);
     paths.push(("drained, then fed", drained));
 
-    let mut reset = fed(&updates);
-    reset.reset();
-    paths.push(("reset", reset));
-
     // One update touches a few cells per bank: `add` sums them sparsely.
     let mut sparse = fed(first);
     sparse.merge(&fed(&second[..1]));
@@ -219,17 +215,13 @@ fn state_paths(task: SketchTask) -> (SketchSpec, Vec<(&'static str, AnySketch)>)
     receiver.apply_delta(&sender.delta_bytes()).unwrap();
     paths.push(("delta-applied", receiver.state));
 
-    // The served base: engine shards folded in place, twice.
-    let mut engine = SketchEngine::new(
-        EngineConfig::new(2).with_workers(2).with_seed(spec.seed),
-        || spec.build(),
-    );
+    // The served base: each half absorbed by three threads splitting
+    // the sketch's rows.
     let mut base = spec.build();
     for half in [first, second] {
-        engine.ingest(half);
-        engine.drain_into(|shard| base.try_merge(shard)).unwrap();
+        base.absorb_with(half, &DecodePlan::with_threads(3));
     }
-    paths.push(("engine-drained base", base));
+    paths.push(("split-absorbed base", base));
 
     let file = SketchFile::new(spec, fed(&updates)).unwrap();
     let reloaded = SketchFile::from_bytes(&file.to_bytes()).unwrap().state;
