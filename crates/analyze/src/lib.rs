@@ -5,7 +5,7 @@
 //! [`rules`] walks that stream enforcing the project's load-bearing
 //! conventions as typed `file:line` diagnostics. See the module docs in
 //! [`rules`] for the rule set and the pragma grammar, and DESIGN.md
-//! §1.13 for the rationale.
+//! §1.12 for the rationale.
 //!
 //! Entry points: [`analyze_source`] for one file (used by the fixture
 //! tests) and [`analyze_workspace`] for a tree walk (used by the CLI

@@ -7,7 +7,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graph_sketches::api::{SketchSpec, SketchTask};
 use graph_sketches::ForestSketch;
-use gs_bench::aos::AosForest;
 use gs_graph::gen;
 use gs_sketch::{LinearSketch, Mergeable};
 use gs_stream::distributed::sketch_distributed;
@@ -93,10 +92,8 @@ fn bench_engine_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cell-bank kernels against the preserved pre-refactor AoS baseline
-/// (`gs_bench::aos`, bit-identical measurement state): batched absorb
-/// (hash-once fan-out vs per-cell re-hashing) and merge (contiguous lane
-/// adds vs per-cell struct adds). `bench_bank` measures the same pair and
+/// The cell-bank kernels: batched absorb (hash-once fan-out) and merge
+/// (contiguous lane adds). `bench_bank` measures the same pair and
 /// writes the `BENCH_bank.json` artifact for CI.
 fn bench_bank_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("bank_kernels");
@@ -104,17 +101,6 @@ fn bench_bank_kernels(c: &mut Criterion) {
     let n = 96;
     let g = gen::gnp(n, 0.2, 21);
     let updates = GraphStream::with_churn(&g, 2 * g.m(), 22).edge_updates();
-    group.bench_with_input(
-        BenchmarkId::new("absorb_aos", updates.len()),
-        &(),
-        |b, _| {
-            b.iter(|| {
-                let mut s = AosForest::new(n, 23);
-                s.absorb(&updates);
-                s
-            })
-        },
-    );
     group.bench_with_input(
         BenchmarkId::new("absorb_bank", updates.len()),
         &(),
@@ -126,19 +112,9 @@ fn bench_bank_kernels(c: &mut Criterion) {
             })
         },
     );
-    let mut aos_a = AosForest::new(n, 23);
-    aos_a.absorb(&updates);
-    let aos_b = aos_a.clone();
     let mut bank_a = ForestSketch::new(n, 23);
     bank_a.absorb(&updates);
     let bank_b = bank_a.clone();
-    group.bench_with_input(BenchmarkId::new("merge_aos", n), &(), |b, _| {
-        b.iter(|| {
-            let mut acc = aos_a.clone();
-            acc.merge(&aos_b);
-            acc
-        })
-    });
     group.bench_with_input(BenchmarkId::new("merge_bank", n), &(), |b, _| {
         b.iter(|| {
             let mut acc = bank_a.clone();

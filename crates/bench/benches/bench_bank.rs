@@ -37,12 +37,11 @@
 //! reported number is the minimum (least-noise estimator for a
 //! single-threaded CPU-bound kernel).
 
-use graph_sketches::api::{SketchSpec, SketchTask};
+use graph_sketches::api::{AnySketch, SketchSpec, SketchTask};
 use graph_sketches::connectivity::ForestParams;
 use graph_sketches::ForestSketch;
 use gs_field::M61;
 use gs_sketch::bank::CellBanked;
-use gs_sketch::cache::stamps_of;
 use gs_sketch::lane::LaneWidth;
 use gs_sketch::par::DecodePlan;
 use gs_sketch::{simd, BankGeometry, CellBank, EdgeUpdate, LinearSketch, Mergeable};
@@ -398,10 +397,18 @@ fn served_ingest_row() -> String {
     let reference = single();
     let other = split();
     assert!(other == reference, "absorb_with(2) lanes diverged");
+    let dirty = |s: &AnySketch| -> Vec<Vec<u64>> {
+        s.banks().iter().map(|b| b.dirty_words().to_vec()).collect()
+    };
     assert_eq!(
-        stamps_of(&other),
-        stamps_of(&reference),
-        "absorb_with(2) stamps"
+        dirty(&other),
+        dirty(&reference),
+        "absorb_with(2) dirty words"
+    );
+    assert_eq!(
+        other.fingerprints(),
+        reference.fingerprints(),
+        "absorb_with(2) fingerprints"
     );
     drop(other);
     assert!(

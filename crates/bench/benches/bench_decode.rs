@@ -13,16 +13,13 @@
 //!   fanned across 8 scoped threads (clamped to the host's parallelism,
 //!   so a single-core runner reports ≈ the ×1 number).
 //!
-//! plus a **read-heavy delta workload** — the steady-state serving shape:
-//! small deltas trickle in while queries outnumber updates > 10:1. The
-//! `fresh` row decodes from scratch on every query; the `cached` row
-//! answers through a generation-keyed [`DecodeCache`], so repeat queries
-//! are pure hits and the post-delta miss re-runs only the Boruvka groups
-//! whose rows the delta dirtied.
+//! plus a **read-heavy delta workload** (`read-heavy-fresh`): small
+//! deltas trickle into an emptied sketch while queries outnumber updates
+//! more than 10:1, and every query decodes from scratch. Sketches keep
+//! no decode memo; a served tenant's answer memo lives in gs-serve.
 //!
 //! Every number is gated on **bit identity** before any clock starts:
-//! the three one-shot paths must agree edge for edge, and the cached
-//! workload must match a fresh decode at every query point.
+//! the three one-shot paths must agree edge for edge.
 //!
 //! Results append one record per run to `BENCH_decode.json` (override
 //! the path with `BENCH_DECODE_OUT`): git sha (+`-dirty` flag), UTC
@@ -36,7 +33,7 @@
 
 use graph_sketches::ForestSketch;
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{CellBanked, DecodeCache, EdgeUpdate, LinearSketch};
+use gs_sketch::{CellBanked, EdgeUpdate, LinearSketch};
 use std::hint::black_box;
 use std::process::Command;
 use std::time::Instant;
@@ -136,27 +133,17 @@ fn append_record(path: &str, record: &str) {
 /// delta, then answer `QUERIES` queries. Returns total nanoseconds.
 /// Restores the sketch's lane state afterwards (outside the clock) by
 /// replaying every delta negated, so passes are measured on identical
-/// measurement state. Counters and dirty bits keep advancing across
-/// passes — exactly what the cache is keyed to tolerate.
+/// measurement state.
 fn read_heavy_pass(
     sketch: &mut ForestSketch,
     deltas: &[Vec<EdgeUpdate>],
     plan: &DecodePlan,
-    cache: Option<&mut DecodeCache<graph_sketches::connectivity::Forest>>,
 ) -> f64 {
-    let mut cache = cache;
     let t = Instant::now();
     for delta in deltas {
         sketch.absorb(delta);
         for _ in 0..QUERIES {
-            match cache.as_deref_mut() {
-                Some(c) => {
-                    black_box(sketch.decode_cached(c, plan));
-                }
-                None => {
-                    black_box(sketch.decode_with(plan));
-                }
-            }
+            black_box(sketch.decode_with(plan));
         }
     }
     let ns = t.elapsed().as_nanos() as f64;
@@ -201,9 +188,8 @@ fn main() {
         black_box(sketch.decode_with(&DecodePlan::with_threads(8)));
     });
 
-    // ---- read-heavy delta workload. Drain the bulk-load dirty bits
-    // first: from here on the dirty bitmap tracks only the deltas, so
-    // the cached path's post-delta miss recomputes only touched groups.
+    // ---- read-heavy delta workload, on the sketch emptied of its bulk
+    // load (the shape every earlier record of this row measured).
     sketch.drain_dirty();
     let plan = DecodePlan::with_threads(1);
     let deltas: Vec<Vec<EdgeUpdate>> = (0..ROUNDS)
@@ -222,83 +208,30 @@ fn main() {
     let delta_updates: usize = deltas.iter().map(Vec::len).sum();
     let queries = ROUNDS * QUERIES;
 
-    // Identity gate: at the post-delta miss and on a repeat hit, the
-    // cached answer must match a from-scratch decode edge for edge.
-    {
-        let mut cache = DecodeCache::with_disabled(false);
-        for delta in &deltas {
-            sketch.absorb(delta);
-            let fresh = sketch.decode_with(&plan);
-            assert_eq!(
-                sketch.decode_cached(&mut cache, &plan).edges,
-                fresh.edges,
-                "cached decode drifted from fresh after a delta"
-            );
-            assert_eq!(
-                sketch.decode_cached(&mut cache, &plan).edges,
-                fresh.edges,
-                "cache hit drifted from fresh"
-            );
-        }
-        let inverse: Vec<EdgeUpdate> = deltas
-            .iter()
-            .flatten()
-            .map(|u| EdgeUpdate {
-                u: u.u,
-                v: u.v,
-                delta: -u.delta,
-            })
-            .collect();
-        sketch.absorb(&inverse);
-    }
-
     let mut fresh_ns = f64::INFINITY;
     for round in 0..=RUNS {
-        let ns = read_heavy_pass(&mut sketch, &deltas, &plan, None);
+        let ns = read_heavy_pass(&mut sketch, &deltas, &plan);
         if round > 0 {
             fresh_ns = fresh_ns.min(ns);
         }
     }
-    let mut cached_ns = f64::INFINITY;
-    let mut cache_stats = (0u64, 0u64, 0u64, 0u64); // hits, misses, reused, recomputed
-    for round in 0..=RUNS {
-        let mut cache = DecodeCache::with_disabled(false);
-        let ns = read_heavy_pass(&mut sketch, &deltas, &plan, Some(&mut cache));
-        if round > 0 && ns < cached_ns {
-            cached_ns = ns;
-            cache_stats = (
-                cache.hits(),
-                cache.misses(),
-                cache.groups_reused(),
-                cache.groups_recomputed(),
-            );
-        }
-    }
-
     let kernel_speedup = reference_ns / seq_ns;
     let parallel_speedup = reference_ns / par8_ns;
     let thread_speedup = seq_ns / par8_ns;
-    let cached_speedup = fresh_ns / cached_ns;
 
-    let (hits, misses, reused, recomputed) = cache_stats;
     let rows = format!(
         "      {{ \"config\": \"reference\", \"ns\": {reference_ns:.0} }},\n      \
          {{ \"config\": \"kernel-1thread\", \"ns\": {seq_ns:.0} }},\n      \
          {{ \"config\": \"kernel-8threads\", \"ns\": {par8_ns:.0} }},\n      \
          {{ \"config\": \"read-heavy-fresh\", \"ns\": {fresh_ns:.0}, \
-         \"queries\": {queries}, \"delta_updates\": {delta_updates} }},\n      \
-         {{ \"config\": \"read-heavy-cached\", \"ns\": {cached_ns:.0}, \
-         \"queries\": {queries}, \"delta_updates\": {delta_updates}, \
-         \"hits\": {hits}, \"misses\": {misses}, \
-         \"groups_reused\": {reused}, \"groups_recomputed\": {recomputed} }}"
+         \"queries\": {queries}, \"delta_updates\": {delta_updates} }}"
     );
     let record = format!(
         "  {{\n    \"sha\": \"{}\",\n    \"date\": \"{}\",\n    \"n\": {n},\n    \
          \"updates\": {},\n    \"forest_edges\": {},\n    \"cells\": {},\n    \
          \"host_parallelism\": {},\n    \"rows\": [\n{rows}\n    ],\n    \
          \"speedups\": {{ \"kernel\": {kernel_speedup:.2}, \
-         \"threads\": {thread_speedup:.2}, \"total\": {parallel_speedup:.2}, \
-         \"read_heavy_cached\": {cached_speedup:.1} }},\n    \
+         \"threads\": {thread_speedup:.2}, \"total\": {parallel_speedup:.2} }},\n    \
          \"bit_identical\": true\n  }}",
         git_sha(),
         utc_date(),
@@ -323,11 +256,8 @@ fn main() {
         par8_ns / 1e6,
     );
     println!(
-        "read-heavy ({queries} queries : {delta_updates} updates): \
-         fresh {:>9.1} ms   cached {:>9.1} ms ({cached_speedup:.1}x, \
-         {hits} hits / {misses} misses, {reused} groups reused / {recomputed} recomputed)",
+        "read-heavy ({queries} queries : {delta_updates} updates): fresh {:>9.1} ms",
         fresh_ns / 1e6,
-        cached_ns / 1e6,
     );
     println!("appended record to {out}");
 }

@@ -13,7 +13,6 @@
 //! graph-sketch workload   gen --generator '<json>' [--seed <int>] [--out FILE] [--format bin|jsonl|text]
 //! graph-sketch experiment run --tasks FILE [--out DIR] [--seed <int>] [--tcp ADDR | --unix PATH] [--check]
 //! graph-sketch analyze    [--root DIR]
-//! graph-sketch serve-demo (<command> --n <v> | --spec '<json>') [--every <u>] < updates.txt
 //!
 //! commands:
 //!   connectivity          components + spanning forest size
@@ -60,11 +59,6 @@
 //!                         allocations, the GS_* env registry, and
 //!                         SIMD/scalar oracle pairing; exits 1 on any
 //!                         violation (the blocking CI job)
-//!   serve-demo            single-process demo of the resident idea: one
-//!                         in-process engine, stdin ingest, periodic
-//!                         snapshot decodes on stderr. No sockets, no
-//!                         tenants, no durability — use `serve` for a
-//!                         real deployment
 //!
 //! options:
 //!   --sites <int>   shard the resident engine <int> ways (worker threads
@@ -73,7 +67,6 @@
 //!   --chunk <int>   stdin ingest chunk size in updates (memory is
 //!                   O(chunk), not O(stream))
 //!   --stats         report updates/sec and engine counters on stderr
-//!   --every <int>   serve-demo: snapshot-decode period, in updates
 //!   --out <file>    sketch/merge: write the sketch file here (default stdout)
 //!   --format <f>    sketch: output format, `bin` (the default: a sketch
 //!                   file, the length-prefixed LE binary of the cell banks)
@@ -81,8 +74,8 @@
 //!                   merge and sync always write sketch files
 //!   --state <file>  sync: the coordinator's resident sketch file
 //!   --threads <int> decode fan-out: how many threads the DecodeEngine
-//!                   may use (queries, serve-demo snapshots, and the
-//!                   decode verb; default = available parallelism).
+//!                   may use (queries and the decode verb; default =
+//!                   available parallelism).
 //!                   Answers are bit-identical at every thread count
 //!   --json          emit the answer as one JSON object
 //!   --seed <int>    master sketch seed
@@ -114,8 +107,6 @@ use std::time::Instant;
 
 /// Default stdin ingest chunk, in updates.
 const DEFAULT_CHUNK: usize = 8192;
-/// Default serve-demo snapshot period, in updates.
-const DEFAULT_EVERY: u64 = 1000;
 
 /// What `sketch --format` writes.
 #[derive(Clone, Copy, Default)]
@@ -149,7 +140,6 @@ struct Options {
     json: bool,
     stats: bool,
     chunk: usize,
-    every: Option<u64>,
     out: Option<String>,
     format: Option<FileFormat>,
     threads: Option<usize>,
@@ -177,15 +167,14 @@ fn usage() -> ExitCode {
          \x20      graph-sketch decode <sketch-file> [--json] [--threads <int>]\n\
          \x20      graph-sketch sync --state FILE <delta-file>...\n\
          \x20      graph-sketch serve --state-dir DIR (--tcp ADDR | --unix PATH) [--workers <int>] [--checkpoint-secs <f>] [--max-connections <int>] [--quiet]\n\
-         \x20      graph-sketch client (--tcp ADDR | --unix PATH) (ping | create <tenant> <spec> | ingest <tenant> [--delta FILE]... [--trace FILE] | query <tenant> [--threads <int>] [--json] | snapshot <tenant> --out FILE | drop <tenant> | stats [tenant] | checkpoint [tenant])\n\
-         \x20      graph-sketch serve-demo (<command> --n <v> | --spec '<json>') [--every <u>] < stream  (single-process demo; `serve` is the production path)",
+         \x20      graph-sketch client (--tcp ADDR | --unix PATH) (ping | create <tenant> <spec> | ingest <tenant> [--delta FILE]... [--trace FILE] | query <tenant> [--threads <int>] [--json] | snapshot <tenant> --out FILE | drop <tenant> | stats [tenant] | checkpoint [tenant])",
         commands = commands.join("|")
     );
     ExitCode::from(2)
 }
 
-/// Parses the spec-shaped argument form shared by queries, `sketch`, and
-/// `serve-demo`: an optional leading task command, then flags.
+/// Parses the spec-shaped argument form shared by queries and `sketch`:
+/// an optional leading task command, then flags.
 fn parse_spec_args(args: &[String]) -> Result<Options, String> {
     let mut args = args.iter().cloned().peekable();
     let command = match args.peek() {
@@ -209,7 +198,6 @@ fn parse_spec_args(args: &[String]) -> Result<Options, String> {
     let mut json = false;
     let mut stats = false;
     let mut chunk = DEFAULT_CHUNK;
-    let mut every: Option<u64> = None;
     let mut out: Option<String> = None;
     let mut format: Option<FileFormat> = None;
     let mut threads: Option<usize> = None;
@@ -237,7 +225,6 @@ fn parse_spec_args(args: &[String]) -> Result<Options, String> {
             "--seed" => seed = Some(val()?.parse().map_err(|e| format!("--seed: {e}"))?),
             "--sites" => sites = val()?.parse().map_err(|e| format!("--sites: {e}"))?,
             "--chunk" => chunk = val()?.parse().map_err(|e| format!("--chunk: {e}"))?,
-            "--every" => every = Some(val()?.parse().map_err(|e| format!("--every: {e}"))?),
             "--out" => out = Some(val()?),
             "--format" => format = Some(FileFormat::parse(&val()?)?),
             "--threads" => threads = Some(val()?.parse().map_err(|e| format!("--threads: {e}"))?),
@@ -287,9 +274,6 @@ fn parse_spec_args(args: &[String]) -> Result<Options, String> {
     if chunk < 1 {
         return Err("--chunk must be at least 1".into());
     }
-    if every == Some(0) {
-        return Err("--every must be at least 1".into());
-    }
     if threads == Some(0) {
         return Err("--threads must be at least 1".into());
     }
@@ -299,7 +283,6 @@ fn parse_spec_args(args: &[String]) -> Result<Options, String> {
         json,
         stats,
         chunk,
-        every,
         out,
         format,
         threads,
@@ -342,12 +325,9 @@ impl IngestReport {
 }
 
 /// Streams stdin through a sharded engine in `--chunk`-sized batches —
-/// resident memory is O(chunk + sketch), never O(stream). With
-/// `snapshots`, decodes a quiesce-free snapshot every `--every` updates
-/// (the serve-demo path).
-fn ingest_stdin(opts: &Options, snapshots: bool) -> Result<(AnySketch, IngestReport), String> {
+/// resident memory is O(chunk + sketch), never O(stream).
+fn ingest_stdin(opts: &Options) -> Result<(AnySketch, IngestReport), String> {
     let spec = opts.spec;
-    let plan = decode_plan(opts.threads);
     let mut engine = SketchEngine::new(
         EngineConfig::new(opts.sites).with_seed(spec.seed ^ 0x517E5),
         || spec.build(),
@@ -356,8 +336,6 @@ fn ingest_stdin(opts: &Options, snapshots: bool) -> Result<(AnySketch, IngestRep
     let stdin = std::io::stdin();
     let mut chunk: Vec<EdgeUpdate> = Vec::with_capacity(opts.chunk);
     let mut total: u64 = 0;
-    let every = opts.every.unwrap_or(DEFAULT_EVERY);
-    let mut next_snapshot = if snapshots { every } else { u64::MAX };
     for (i, line) in stdin.lock().lines().enumerate() {
         let line = line.map_err(|e| format!("reading stdin: {e}"))?;
         let Some(parsed) = parse_line(&line, i + 1, spec.n).map_err(|e| e.to_string())? else {
@@ -381,18 +359,6 @@ fn ingest_stdin(opts: &Options, snapshots: bool) -> Result<(AnySketch, IngestRep
             // offending update instead of killing a shard worker).
             engine.try_ingest(&chunk).map_err(|e| e.to_string())?;
             chunk.clear();
-        }
-        if total >= next_snapshot {
-            if !chunk.is_empty() {
-                engine.try_ingest(&chunk).map_err(|e| e.to_string())?;
-                chunk.clear();
-            }
-            // Merge-on-read: ingestion is not quiesced for the query,
-            // and the decode fans out over the plan's threads.
-            let answer = engine.answer(&plan);
-            let headline = answer.render_lines().into_iter().next().unwrap_or_default();
-            eprintln!("[snapshot @ {total} updates] {headline}");
-            next_snapshot = total + every;
         }
     }
     if !chunk.is_empty() {
@@ -472,7 +438,7 @@ fn render_answer(answer: &SketchAnswer, json_body: Option<Value>) -> ExitCode {
 }
 
 /// `graph-sketch <command> … < stream` — ingest and answer in one process.
-fn cmd_query(args: &[String], snapshots: bool) -> ExitCode {
+fn cmd_query(args: &[String]) -> ExitCode {
     let opts = match parse_spec_args(args) {
         Ok(o) => o,
         Err(e) => {
@@ -489,11 +455,7 @@ fn cmd_query(args: &[String], snapshots: bool) -> ExitCode {
         eprintln!("error: {FORMAT_ONLY_ON_SKETCH}");
         return usage();
     }
-    if opts.every.is_some() && !snapshots {
-        eprintln!("error: --every only applies to serve-demo");
-        return usage();
-    }
-    let (sketch, report) = match ingest_stdin(&opts, snapshots) {
+    let (sketch, report) = match ingest_stdin(&opts) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -533,15 +495,11 @@ fn cmd_sketch(args: &[String]) -> ExitCode {
         eprintln!("error: --json does not apply to sketch (use --format for the file format)");
         return usage();
     }
-    if opts.every.is_some() {
-        eprintln!("error: --every only applies to serve-demo");
-        return usage();
-    }
     if opts.threads.is_some() {
         eprintln!("error: --threads only applies to decoding verbs (sketch never decodes)");
         return usage();
     }
-    let (sketch, report) = match ingest_stdin(&opts, false) {
+    let (sketch, report) = match ingest_stdin(&opts) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -845,7 +803,6 @@ fn main() -> ExitCode {
         Some("workload") => workload_cmd::cmd_workload(&args[1..]),
         Some("experiment") => workload_cmd::cmd_experiment(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
-        Some("serve-demo") => cmd_query(&args[1..], true),
-        _ => cmd_query(&args, false),
+        _ => cmd_query(&args),
     }
 }

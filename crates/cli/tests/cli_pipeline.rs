@@ -258,22 +258,6 @@ fn decode_refuses_future_wire_format() {
 }
 
 #[test]
-fn serve_demo_snapshots_while_streaming() {
-    let stream = demo_stream(12);
-    let (out, err, code) = run(
-        &["serve-demo", "connectivity", "--n", "12", "--every", "5"],
-        &stream,
-    );
-    assert_eq!(code, 0, "serve-demo failed: {err}");
-    assert!(
-        err.contains("[snapshot @ 5 updates]"),
-        "no snapshot decode on stderr: {err}"
-    );
-    // The final answer still arrives on stdout, like a plain query.
-    assert!(out.contains("components:"), "no final answer: {out}");
-}
-
-#[test]
 fn stats_flag_reports_throughput() {
     let stream = demo_stream(10);
     let (_, err, code) = run(
@@ -544,18 +528,22 @@ fn poisoned_sketch_is_refused_as_binary_output_not_panicking() {
 
 #[test]
 fn format_flag_is_refused_out_of_place() {
-    // --format on a plain query, serve-demo, decode, merge or sync is a
-    // mistake (only sketch chooses an output format); it must be refused,
-    // not silently ignored.
+    // --format on a plain query, decode, merge or sync is a mistake (only
+    // sketch chooses an output format); it must be refused, not silently
+    // ignored.
     let (_, err, code) = run(&["connectivity", "--n", "4", "--format", "bin"], "+ 0 1\n");
     assert_ne!(code, 0);
     assert!(err.contains("--format"), "unhelpful error: {err}");
+    // The retired serve-demo verb is an unknown command, named as such.
     let (_, err, code) = run(
         &["serve-demo", "connectivity", "--n", "4", "--format", "bin"],
         "+ 0 1\n",
     );
     assert_ne!(code, 0);
-    assert!(err.contains("--format"), "unhelpful error: {err}");
+    assert!(
+        err.contains("unknown command \"serve-demo\""),
+        "unhelpful error: {err}"
+    );
     for verb in [
         vec!["decode", "whatever.sketch"],
         vec!["merge", "a.sketch", "b.sketch"],
@@ -591,9 +579,13 @@ fn out_of_place_flags_are_refused_not_ignored() {
     );
     assert_ne!(code, 0);
     assert!(err.contains("--out"), "unhelpful error: {err}");
+    // The retired --every is an unknown flag, named as such.
     let (_, err, code) = run(&["connectivity", "--n", "4", "--every", "5"], "+ 0 1\n");
     assert_ne!(code, 0);
-    assert!(err.contains("--every"), "unhelpful error: {err}");
+    assert!(
+        err.contains("unknown flag --every"),
+        "unhelpful error: {err}"
+    );
     let (_, err, code) = run(&["sketch", "connectivity", "--n", "4", "--json"], "+ 0 1\n");
     assert_ne!(code, 0);
     assert!(err.contains("--json"), "unhelpful error: {err}");

@@ -18,7 +18,7 @@ use gs_field::M61;
 use gs_graph::stoer_wagner;
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{DecodeCache, EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
+use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
 
 /// Single-pass bipartiteness tester for dynamic graph streams.
 #[derive(Clone, Debug, PartialEq)]
@@ -192,10 +192,6 @@ impl LinearSketch for BipartitenessSketch {
     fn decode_with(&self, plan: &DecodePlan) -> bool {
         self.is_bipartite_with(plan)
     }
-
-    fn decode_cached(&self, cache: &mut DecodeCache<bool>, plan: &DecodePlan) -> bool {
-        cache.answer_for(self, |_| self.is_bipartite_with(plan))
-    }
 }
 
 /// Single-pass k-edge-connectivity tester.
@@ -342,10 +338,6 @@ impl LinearSketch for KConnectivitySketch {
 
     fn decode_with(&self, plan: &DecodePlan) -> bool {
         self.is_k_connected_with(plan)
-    }
-
-    fn decode_cached(&self, cache: &mut DecodeCache<bool>, plan: &DecodePlan) -> bool {
-        cache.answer_for(self, |_| self.is_k_connected_with(plan))
     }
 }
 

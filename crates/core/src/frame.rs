@@ -757,13 +757,16 @@ pub struct TenantStats {
     pub deltas_applied: u64,
     /// Ingest batches refused with `BUSY`.
     pub busy_rejections: u64,
-    /// `QUERY` frames answered straight from the tenant's decode cache
-    /// (no merge, no decode).
+    /// `QUERY` frames answered from the tenant's answer memo, its only
+    /// decode cache (no flush, no decode): the ingest counters had not
+    /// moved since the memoized answer was decoded.
     pub decode_cache_hits: u64,
-    /// Stale decode-cache memos discarded because ingest moved the
-    /// tenant's state since they were armed.
+    /// Decodes that replaced a memoized answer because a counted
+    /// `INGEST` (raw batch or delta record) moved the tenant's state
+    /// since it was decoded. The first decode after `CREATE` or a
+    /// restart replaces nothing and counts neither.
     pub decode_cache_invalidations: u64,
-    /// Total nanoseconds spent serving the cache-hit `QUERY` frames
+    /// Total nanoseconds spent serving the memo-hit `QUERY` frames
     /// counted by `decode_cache_hits`.
     pub cached_answer_ns: u64,
     /// Ingest threads this tenant claimed from the budget: its absorber

@@ -21,7 +21,7 @@ use gs_field::M61;
 use gs_graph::Graph;
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{DecodeCache, EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
+use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
 
 /// How a recovered forest edge is removed from the next layer's sketch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -286,10 +286,6 @@ impl LinearSketch for KEdgeConnectSketch {
 
     fn decode_with(&self, plan: &DecodePlan) -> Graph {
         self.decode_witness_with(plan)
-    }
-
-    fn decode_cached(&self, cache: &mut DecodeCache<Graph>, plan: &DecodePlan) -> Graph {
-        cache.answer_for(self, |_| self.decode_witness_with(plan))
     }
 }
 

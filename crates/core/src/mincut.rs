@@ -24,7 +24,7 @@ use gs_graph::{stoer_wagner, Graph};
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::domain::edge_index;
 use gs_sketch::par::{par_map, DecodePlan};
-use gs_sketch::{DecodeCache, EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
+use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
 
 /// Parameters for [`MinCutSketch`] (and, with a different `k`, the
 /// sparsifiers built on the same level machinery).
@@ -364,14 +364,6 @@ impl LinearSketch for MinCutSketch {
 
     fn decode_with(&self, plan: &DecodePlan) -> Option<MinCutEstimate> {
         self.decode_planned(plan)
-    }
-
-    fn decode_cached(
-        &self,
-        cache: &mut DecodeCache<Option<MinCutEstimate>>,
-        plan: &DecodePlan,
-    ) -> Option<MinCutEstimate> {
-        cache.answer_for(self, |_| self.decode_planned(plan))
     }
 }
 

@@ -29,7 +29,7 @@ use gs_field::M61;
 use gs_graph::{Graph, UnionFind};
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{DecodeCache, EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
+use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
 
 /// Parameters for [`MstSketch`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -288,10 +288,6 @@ impl LinearSketch for MstSketch {
 
     fn decode_with(&self, plan: &DecodePlan) -> Graph {
         self.decode_planned(plan)
-    }
-
-    fn decode_cached(&self, cache: &mut DecodeCache<Graph>, plan: &DecodePlan) -> Graph {
-        cache.answer_for(self, |_| self.decode_planned(plan))
     }
 }
 

@@ -20,7 +20,7 @@ use gs_field::{BackendKind, M61};
 use gs_graph::{GomoryHuTree, Graph};
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::par::{par_map, DecodePlan};
-use gs_sketch::{DecodeCache, EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
+use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
 
 /// Parameters: the Fig. 2 instantiation of the level machinery.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -298,10 +298,6 @@ impl LinearSketch for SimpleSparsifySketch {
 
     fn decode_with(&self, plan: &DecodePlan) -> Graph {
         self.decode_planned(plan)
-    }
-
-    fn decode_cached(&self, cache: &mut DecodeCache<Graph>, plan: &DecodePlan) -> Graph {
-        cache.answer_for(self, |_| self.decode_planned(plan))
     }
 }
 

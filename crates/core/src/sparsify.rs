@@ -26,9 +26,7 @@ use gs_graph::{GomoryHuTree, Graph};
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::domain::{edge_domain, edge_index, edge_unindex};
 use gs_sketch::par::{par_map, DecodePlan};
-use gs_sketch::{
-    DecodeCache, EdgeUpdate, LinearSketch, Mergeable, RecoveryPlan, SparseRecovery, CELL_BYTES,
-};
+use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable, RecoveryPlan, SparseRecovery, CELL_BYTES};
 use std::sync::Arc;
 
 /// Parameters for [`SparsifySketch`].
@@ -359,10 +357,6 @@ impl LinearSketch for SparsifySketch {
 
     fn decode_with(&self, plan: &DecodePlan) -> Graph {
         self.decode_planned(plan)
-    }
-
-    fn decode_cached(&self, cache: &mut DecodeCache<Graph>, plan: &DecodePlan) -> Graph {
-        cache.answer_for(self, |_| self.decode_planned(plan))
     }
 }
 

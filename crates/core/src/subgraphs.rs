@@ -27,9 +27,7 @@ use gs_graph::subgraph::Pattern;
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::domain::{pair_slot, subset_domain, subset_rank};
 use gs_sketch::par::{par_map, DecodePlan};
-use gs_sketch::{
-    DecodeCache, EdgeUpdate, L0Result, L0Sampler, LinearSketch, Mergeable, CELL_BYTES,
-};
+use gs_sketch::{EdgeUpdate, L0Result, L0Sampler, LinearSketch, Mergeable, CELL_BYTES};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -381,10 +379,6 @@ impl LinearSketch for SubgraphSketch {
 
     fn decode_with(&self, plan: &DecodePlan) -> Vec<u64> {
         self.raw_samples_with(plan)
-    }
-
-    fn decode_cached(&self, cache: &mut DecodeCache<Vec<u64>>, plan: &DecodePlan) -> Vec<u64> {
-        cache.answer_for(self, |_| self.raw_samples_with(plan))
     }
 }
 

@@ -241,7 +241,7 @@ fn widen(mut s: AnySketch) -> AnySketch {
 
 /// The dirty-driven merge: `CellBank::add` sums only the operand's dirty
 /// cells when they are sparse. Pinned bank by bank against the dense
-/// sweep (`add_dense`) for every task — lanes, poison, stamps and the
+/// sweep (`add_dense`) for every task — lanes, poison and the
 /// bitmap union — with narrow and wide receivers and operands, on both
 /// kernel paths, for operands with one touched cell per bank, a few
 /// updates (the drained-shard case), a whole workload, and poison.
@@ -305,11 +305,6 @@ fn sparse_merge_equals_dense_merge_across_all_tasks() {
                             via_add.lane_overflow(),
                             oracle.lane_overflow(),
                             "{what}: poison"
-                        );
-                        assert_eq!(
-                            (via_add.generation(), via_add.drain_epoch()),
-                            (oracle.generation(), oracle.drain_epoch()),
-                            "{what}: stamps"
                         );
                         assert_eq!(
                             via_add.dirty_indices(),

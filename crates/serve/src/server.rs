@@ -40,6 +40,17 @@
 //! replays exactly the state of the last completed checkpoint. A base
 //! poisoned by a lane overflow is never encoded: `SNAPSHOT` and
 //! `CHECKPOINT` answer `ERR wire`, and the last good file stays.
+//!
+//! ## The answer memo
+//!
+//! A tenant keeps its last `QUERY` answer, keyed on its two ingest
+//! counters (raw updates ingested, delta records applied). An answer is
+//! a pure function of the base, and only a counted `INGEST` changes the
+//! base, so a query under an unchanged key is answered from the memo
+//! without waiting for the absorber or decoding; any other query flushes
+//! and decodes the base with `decode_with`, then re-arms the memo. It is
+//! the only decode cache in the system. `STATS` reports its hits and
+//! invalidations.
 
 use graph_sketches::api::{SketchAnswer, SketchSpec};
 use graph_sketches::frame::{
@@ -48,7 +59,7 @@ use graph_sketches::frame::{
 use graph_sketches::wire::{self, SketchDelta};
 use graph_sketches::SketchFile;
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{BankStamp, DecodeCache, EdgeUpdate, LinearSketch};
+use gs_sketch::{EdgeUpdate, LinearSketch};
 use gs_stream::engine::{BudgetClaim, WorkerBudget};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -240,11 +251,16 @@ struct Tenant {
     updates_ingested: u64,
     deltas_applied: u64,
     busy_rejections: u64,
-    /// Memoized `QUERY` answers, keyed on the ingest counters above: a
-    /// query between two ingests is answered without flushing or
-    /// decoding anything.
-    cache: DecodeCache<SketchAnswer>,
-    /// Nanoseconds spent serving the `QUERY` frames the cache answered.
+    /// The last `QUERY` answer, keyed on `(updates_ingested,
+    /// deltas_applied)` when it was decoded: a query between two ingests
+    /// is answered from it without flushing or decoding anything. The
+    /// tenant's only decode memo.
+    memo: Option<((u64, u64), SketchAnswer)>,
+    /// `QUERY` frames answered from `memo`.
+    memo_hits: u64,
+    /// Decodes that replaced a stale `memo`.
+    memo_invalidations: u64,
+    /// Nanoseconds spent serving the `QUERY` frames `memo` answered.
     cached_answer_ns: u64,
 }
 
@@ -266,8 +282,8 @@ impl Tenant {
             updates_ingested: self.updates_ingested,
             deltas_applied: self.deltas_applied,
             busy_rejections: self.busy_rejections,
-            decode_cache_hits: self.cache.hits(),
-            decode_cache_invalidations: self.cache.invalidations(),
+            decode_cache_hits: self.memo_hits,
+            decode_cache_invalidations: self.memo_invalidations,
             cached_answer_ns: self.cached_answer_ns,
             workers: self.claim.workers() as u64,
             bytes_resident: base.state.space_bytes() as u64,
@@ -775,7 +791,9 @@ fn build_tenant(
         updates_ingested: 0,
         deltas_applied: 0,
         busy_rejections: 0,
-        cache: DecodeCache::new(),
+        memo: None,
+        memo_hits: 0,
+        memo_invalidations: 0,
         cached_answer_ns: 0,
     })
 }
@@ -862,35 +880,28 @@ fn handle_query(shared: &Shared, corr: u64, name: &str, payload: &[u8]) -> Respo
     // exactly the operations that change the tenant's total state, and
     // a miss reads the base only after the absorber has absorbed every
     // counted update, so equal keys certify the previous answer verbatim
+    // (decoding is a pure function of the base, at every thread count)
     // and a hit skips the flush-decode path entirely.
-    let key = vec![BankStamp {
-        generation: t.updates_ingested,
-        drains: t.deltas_applied,
-    }];
+    let key = (t.updates_ingested, t.deltas_applied);
     let started = Instant::now();
-    let mut cache = std::mem::take(&mut t.cache);
-    let answer = match cache.answer_hit(&key) {
+    let hit = match &t.memo {
+        Some((at, answer)) if *at == key => Some(answer.clone()),
+        _ => None,
+    };
+    let answer = match hit {
         Some(answer) => {
+            t.memo_hits += 1;
             t.cached_answer_ns += started.elapsed().as_nanos() as u64;
             Ok(answer)
         }
-        None => t.flushed_base().map(|base| {
-            cache.answer_banked(key, |c| {
-                let mut inner: DecodeCache<SketchAnswer> = c
-                    .take_detail()
-                    .unwrap_or_else(|| DecodeCache::with_disabled(c.is_disabled()));
-                let (reused, recomputed) = (inner.groups_reused(), inner.groups_recomputed());
-                let a = base.state.decode_cached(&mut inner, &plan);
-                c.note_groups(
-                    inner.groups_reused() - reused,
-                    inner.groups_recomputed() - recomputed,
-                );
-                c.set_detail(inner);
-                a
-            })
-        }),
+        None => t
+            .flushed_base()
+            .map(|base| base.state.decode_with(&plan))
+            .inspect(|answer| {
+                t.memo_invalidations += u64::from(t.memo.is_some());
+                t.memo = Some((key, answer.clone()));
+            }),
     };
-    t.cache = cache;
     match answer {
         Ok(answer) => Response::Ok {
             corr,

@@ -83,29 +83,8 @@
 //! disjoint `&mut` views of the lanes that threads fan into at once (a
 //! forest sketch's rounds and nodes are independent row groups of one
 //! bank). Dropping the [`BankSplit`] folds the parts' bitmap words at the
-//! cuts, fan counts and poison back into the bank, which then equals the
-//! bank the same fans applied directly would have left.
-//!
-//! ## Generation counters and the decode cache
-//!
-//! On top of the bitmap each bank carries two monotone counters that the
-//! decode cache ([`crate::cache`]) keys on:
-//!
-//! * [`CellBank::generation`] advances on **every** mutation of the
-//!   measurement ([`CellBank::apply`], [`CellBank::fan`],
-//!   [`CellBank::add`], [`CellBank::try_overlay`],
-//!   [`CellBank::drain_dirty`]). Equal generations across two points in
-//!   time therefore certify the lanes are bit-identical.
-//! * [`CellBank::drain_epoch`] advances only when dirty bits are
-//!   *cleared* ([`CellBank::drain_dirty`]). Between two points with the
-//!   same drain epoch, every cell whose value changed has its dirty bit
-//!   set at the later point (mutators only ever *set* bits), so the
-//!   current dirty set is a sound — if conservative — over-approximation
-//!   of "changed since the earlier point". The cache uses exactly this
-//!   to invalidate only the decode work whose input rows were touched.
-//!
-//! Like the bitmap, the counters never participate in equality or
-//! serialization, and they never move backwards.
+//! cuts and their poison back into the bank, which then equals the bank
+//! the same fans applied directly would have left.
 
 use crate::lane::{LaneOverflow, LaneWidth, SLane};
 use crate::one_sparse::{OneSparseCell, OneSparseState};
@@ -207,12 +186,6 @@ pub struct CellBank {
     /// ([`CellBank::try_overlay`]). Not part of equality or
     /// serialization.
     poison: Option<LaneOverflow>,
-    /// Mutation counter: advanced by every mutator of the measurement
-    /// lanes (see the module docs). Not part of equality or serialization.
-    generation: u64,
-    /// Bit-clearing counter: advanced by [`CellBank::drain_dirty`] when it
-    /// clears dirty bits. Not part of equality or serialization.
-    drains: u64,
 }
 
 impl PartialEq for CellBank {
@@ -242,28 +215,7 @@ impl CellBank {
             f: M61::zeroed_vec(len),
             dirty: vec![0; len.div_ceil(64)],
             poison: None,
-            generation: 0,
-            drains: 0,
         }
-    }
-
-    /// The mutation generation: a monotone counter advanced by every
-    /// mutator of the measurement lanes ([`CellBank::apply`],
-    /// [`CellBank::fan`], [`CellBank::add`], [`CellBank::try_overlay`],
-    /// [`CellBank::drain_dirty`]). Two equal readings certify the lanes
-    /// are bit-identical in between — the decode cache's hit key.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The drain epoch: a monotone counter advanced whenever dirty bits
-    /// are cleared ([`CellBank::drain_dirty`]). While it is unchanged, the
-    /// current dirty set over-approximates every cell changed since any
-    /// earlier reading — the decode cache's fine-grained invalidation key.
-    #[inline]
-    pub fn drain_epoch(&self) -> u64 {
-        self.drains
     }
 
     /// The geometry descriptor.
@@ -341,7 +293,6 @@ impl CellBank {
     /// [`CellBank::lane_overflow`].
     #[inline]
     pub fn apply(&mut self, i: usize, dw: i64, ds: i128, df: M61) {
-        self.generation += 1;
         self.dirty[i >> 6] |= 1u64 << (i & 63);
         let (nw, ow) = self.w[i].overflowing_add(dw);
         self.w[i] = nw;
@@ -397,7 +348,6 @@ impl CellBank {
     /// dispatch through [`crate::simd`]. Overflow poisons (never panics).
     #[inline]
     pub fn fan(&mut self, range: Range<usize>, dw: i64, ds: i128, df: M61) {
-        self.generation += 1;
         self.mark_dirty_range(range.clone());
         let mut ovf = simd::fan_i64(&mut self.w[range.clone()], dw);
         match &mut self.s {
@@ -428,9 +378,8 @@ impl CellBank {
     /// bank. Each part can [`BankPart::fan`] into its own cells on its
     /// own thread. When the returned [`BankSplit`] drops, it folds the
     /// parts' bookkeeping back into the bank: the dirty bits a part set in
-    /// a bitmap word whose first cell lies in an earlier part, the
-    /// generation count of every fan, and the first part's poison mark in
-    /// part order. The bank is then exactly what fanning the same triples
+    /// a bitmap word whose first cell lies in an earlier part, and the
+    /// first part's poison mark in part order. The bank is then exactly what fanning the same triples
     /// into it directly would have left (range fans mark no overflow
     /// cell, so the poison mark does not depend on which part saw it).
     ///
@@ -448,7 +397,6 @@ impl CellBank {
             f,
             dirty,
             poison,
-            generation,
             ..
         } = self;
         let (mut w, mut f, mut dirty) = (&mut w[..], &mut f[..], &mut dirty[..]);
@@ -478,16 +426,11 @@ impl CellBank {
                 f: pf,
                 dirty: pd,
                 head: 0,
-                fans: 0,
                 poison: None,
             });
             (start, first_word) = (end, end_word);
         }
-        BankSplit {
-            parts,
-            generation,
-            poison,
-        }
+        BankSplit { parts, poison }
     }
 
     /// Legacy single-cell update: hashes `index` itself. Prefer computing
@@ -534,7 +477,7 @@ impl CellBank {
     /// that absorbed one frame since its last drain costs O(touched
     /// cells), not a sweep of the whole bank. Denser operands take
     /// [`CellBank::add_dense`], the lane-wise [`crate::simd`] sweep. Both
-    /// paths leave bit-identical lanes, poison, stamps and bitmaps
+    /// paths leave bit-identical lanes, poison and bitmaps
     /// (`lane_gauntlet` pins it), so the cutoff only decides speed.
     ///
     /// # Panics
@@ -624,16 +567,6 @@ impl CellBank {
         );
         // Every cell where `other` can be nonzero is dirty in `other` (the
         // delta invariant), so the union keeps the invariant here.
-        //
-        // The generation absorbs `other`'s whole mutation history (plus 1
-        // for the add itself) rather than bumping by one: a bank that
-        // absorbs drained shards in place, or a snapshot rebuilt by
-        // `clone + add`, then stamps strictly monotone in the total
-        // mutations upstream — two readings stamp equal iff nothing
-        // upstream changed, so the decode cache can key on the sum. Same
-        // for the drain epochs.
-        self.generation += other.generation + 1;
-        self.drains += other.drains;
         for (a, b) in self.dirty.iter_mut().zip(&other.dirty) {
             *a |= *b;
         }
@@ -744,7 +677,6 @@ impl CellBank {
         self.w.copy_from_slice(&w);
         self.f.copy_from_slice(&f);
         self.poison = None;
-        self.generation += 1;
         self.mark_all_dirty();
         Ok(())
     }
@@ -803,12 +735,6 @@ impl CellBank {
             drained += 1;
         }
         self.dirty.fill(0);
-        if drained > 0 {
-            // Cells were zeroed (a mutation) and their bits cleared (an
-            // epoch event); an empty drain changed nothing.
-            self.generation += 1;
-            self.drains += 1;
-        }
         drained
     }
 
@@ -895,8 +821,6 @@ pub struct BankPart<'a> {
     /// Dirty bits this part set in word `start / 64` when that word
     /// belongs to an earlier part.
     head: u64,
-    /// Fans applied: the generation count this part adds to the bank.
-    fans: u64,
     /// Set by the first fan that truly overflowed.
     poison: Option<LaneOverflow>,
 }
@@ -909,14 +833,13 @@ impl BankPart<'_> {
 
     /// [`CellBank::fan`] into this part's cells: `range` is in bank
     /// indices and must lie inside [`BankPart::range`]. Same lanes, dirty
-    /// bits, overflow rule and generation count as the bank's own fan,
-    /// whose kernel this repeats over the part's lane slices.
+    /// bits and overflow rule as the bank's own fan, whose kernel this
+    /// repeats over the part's lane slices.
     ///
     /// # Panics
     /// Panics if `range` leaves the part.
     #[inline]
     pub fn fan(&mut self, range: Range<usize>, dw: i64, ds: i128, df: M61) {
-        self.fans += 1;
         let mut i = range.start;
         while i < range.end {
             let (word, mask) = range_word_mask(i, range.end);
@@ -956,7 +879,6 @@ impl BankPart<'_> {
 #[derive(Debug)]
 pub struct BankSplit<'a> {
     parts: Vec<BankPart<'a>>,
-    generation: &'a mut u64,
     poison: &'a mut Option<LaneOverflow>,
 }
 
@@ -984,7 +906,6 @@ impl Drop for BankSplit<'_> {
                 owner.dirty[word - owner.first_word] |= head;
             }
         }
-        *self.generation += self.parts.iter().map(|p| p.fans).sum::<u64>();
         if self.poison.is_none() {
             *self.poison = self.parts.iter().find_map(|p| p.poison);
         }
@@ -1393,64 +1314,9 @@ mod tests {
         assert_eq!(narrow.s_lane().get(2), i64::MAX as i128);
     }
 
-    #[test]
-    fn generation_advances_on_every_mutator_and_nothing_else() {
-        let h = h();
-        let mut bank = CellBank::new(BankGeometry::new(1, 1, 8));
-        assert_eq!((bank.generation(), bank.drain_epoch()), (0, 0));
-        bank.update(1, 7, 3, &h);
-        assert_eq!(bank.generation(), 1);
-        let (dw, ds, df) = CellBank::deltas(9, 2, h.hash_m61(9));
-        bank.fan(2..6, dw, ds, df);
-        assert_eq!(bank.generation(), 2);
-        let other = bank.clone();
-        // add absorbs the operand's history: 2 (own) + 2 (other) + 1.
-        bank.add(&other);
-        assert_eq!(bank.generation(), 5);
-        // Read-only paths leave the counters alone.
-        let _ = bank.cell(1);
-        let _ = bank.dirty_indices();
-        let mut acc = (vec![0i64; 4], vec![0i128; 4], vec![M61::ZERO; 4]);
-        bank.accumulate(2..6, &mut acc.0, &mut acc.1, &mut acc.2);
-        assert_eq!((bank.generation(), bank.drain_epoch()), (5, 0));
-        // A real drain bumps both counters; an empty drain bumps neither.
-        assert!(bank.drain_dirty() > 0);
-        assert_eq!((bank.generation(), bank.drain_epoch()), (6, 1));
-        assert_eq!(bank.drain_dirty(), 0);
-        assert_eq!((bank.generation(), bank.drain_epoch()), (6, 1));
-        // Overlay replaces state wholesale: a mutation, not a drain.
-        bank.overlay(vec![1; 8], vec![2; 8], vec![M61::ZERO; 8]);
-        assert_eq!((bank.generation(), bank.drain_epoch()), (7, 1));
-        // Rebuilt clone+add chains stamp equal iff no constituent moved.
-        let (a, b) = (bank.clone(), other.clone());
-        let mut m1 = a.clone();
-        m1.add(&b);
-        let mut m2 = a.clone();
-        m2.add(&b);
-        assert_eq!(m1.generation(), m2.generation());
-        let mut b2 = b.clone();
-        b2.update(0, 3, 1, &h);
-        let mut m3 = a.clone();
-        m3.add(&b2);
-        assert_ne!(m3.generation(), m1.generation());
-        // Counters never participate in equality.
-        let fresh = CellBank::new(BankGeometry::new(1, 1, 8));
-        let mut cancelled = fresh.clone();
-        cancelled.update(0, 3, 1, &h);
-        cancelled.update(0, 3, -1, &h);
-        assert_eq!(cancelled, fresh);
-        assert_ne!(cancelled.generation(), fresh.generation());
-    }
-
     /// Everything `add` leaves behind, for comparing its two paths.
-    fn add_outcome(b: &CellBank) -> (CellBank, Vec<usize>, Option<LaneOverflow>, u64, u64) {
-        (
-            b.clone(),
-            b.dirty_indices(),
-            b.lane_overflow(),
-            b.generation(),
-            b.drain_epoch(),
-        )
+    fn add_outcome(b: &CellBank) -> (CellBank, Vec<usize>, Option<LaneOverflow>) {
+        (b.clone(), b.dirty_indices(), b.lane_overflow())
     }
 
     #[test]

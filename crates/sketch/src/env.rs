@@ -40,11 +40,6 @@ pub const ESCAPE_HATCHES: &[EscapeHatch] = &[
         effect: "disable the AVX2 bank kernels; every call takes the scalar oracle path",
     },
     EscapeHatch {
-        name: "GS_NO_DECODE_CACHE",
-        values: "any value but `0`",
-        effect: "disable the generation-keyed decode cache; every query recomputes from the sketch",
-    },
-    EscapeHatch {
         name: "GS_DIFF_SEED",
         values: "a `u64`",
         effect: "base seed for the differential test harness (default 1)",
@@ -63,11 +58,6 @@ fn flag_set(name: &str) -> bool {
 /// `true` iff `GS_NO_SIMD` asks for the scalar-only path.
 pub fn no_simd() -> bool {
     flag_set("GS_NO_SIMD")
-}
-
-/// `true` iff `GS_NO_DECODE_CACHE` asks for cacheless decoding.
-pub fn no_decode_cache() -> bool {
-    flag_set("GS_NO_DECODE_CACHE")
 }
 
 /// The differential-harness base seed, when `GS_DIFF_SEED` is set.
@@ -125,11 +115,17 @@ mod tests {
         let readme =
             std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
                 .expect("README.md at the workspace root");
-        for line in markdown_table().lines() {
-            assert!(
-                readme.contains(line),
-                "README escape-hatches table is stale; missing line: {line}"
-            );
-        }
+        let table = markdown_table();
+        assert!(
+            readme.contains(&table),
+            "README escape-hatches table is stale; expected it verbatim:\n{table}"
+        );
+        // Exactly one copy, and no row of a retired hatch beside it.
+        let rows = readme.lines().filter(|l| l.starts_with("| `GS_")).count();
+        assert_eq!(
+            rows,
+            ESCAPE_HATCHES.len(),
+            "README has a `GS_` row the registry does not declare"
+        );
     }
 }

@@ -18,10 +18,6 @@
 //!   ([`bank::CellBank`]): every structure above keeps its cells in one
 //!   contiguous bank (batched hash-once updates, lane-wise vectorizable
 //!   merges, raw wire dumps via the [`bank::CellBanked`] visitor).
-//! * [`cache`] — the generation-keyed decode cache
-//!   ([`cache::DecodeCache`]): memoized answers under sustained query
-//!   traffic, invalidated by the banks' mutation generations and dirty
-//!   bitmaps, bit-identical to fresh decodes by construction.
 //! * [`domain`] — index-space bijections: triangular ranking of edges
 //!   `(u,v) ↦ [0, C(n,2))` and combinatorial ranking of `k`-subsets for the
 //!   `squash` encoding of Fig. 4, plus the pair-slot arithmetic of the
@@ -47,7 +43,7 @@ pub mod simd;
 pub mod sparse_recovery;
 
 pub use bank::{BankGeometry, CellBank, CellBanked};
-pub use cache::{BankStamp, CachedAnswer, DecodeCache};
+pub use cache::DecodeCache;
 pub use l0::{level_count, DetectorPlan, L0Detector, L0Result, L0Sampler};
 pub use lane::{LaneOverflow, LaneWidth, SLane};
 pub use linear::{EdgeUpdate, LinearSketch, UpdateError, CELL_BYTES};

@@ -23,7 +23,6 @@
 //! exactly why one trait suffices. [`EdgeUpdate`] packages an update in
 //! this convention; [`LinearSketch::absorb`] ingests a batch of them.
 
-use crate::cache::DecodeCache;
 use crate::lane::LaneOverflow;
 use crate::par::DecodePlan;
 use crate::Mergeable;
@@ -188,11 +187,10 @@ pub trait LinearSketch: Mergeable {
     /// this one sketch (a forest sketch's independent rounds and nodes,
     /// a composite's sub-sketches), in a single scoped fork-join clamped
     /// to the machine's parallelism. **Bit-identical** to `absorb` at
-    /// every thread count — lanes, fingerprints, dirty bitmaps, the
-    /// poison mark and the generation counts — because every cell sees
-    /// the same adds in the same order; `absorb` is its one-thread case.
-    /// The default implementation ignores the plan and absorbs
-    /// sequentially.
+    /// every thread count — lanes, fingerprints, dirty bitmaps and the
+    /// poison mark — because every cell sees the same adds in the same
+    /// order; `absorb` is its one-thread case. The default
+    /// implementation ignores the plan and absorbs sequentially.
     fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
         let _ = plan;
         self.absorb(batch);
@@ -239,32 +237,6 @@ pub trait LinearSketch: Mergeable {
     fn decode_with(&self, plan: &DecodePlan) -> Self::Output {
         let _ = plan;
         self.decode()
-    }
-
-    /// Decodes through a [`DecodeCache`]: when the sketch is unchanged
-    /// since the cache's last answer the memoized answer is returned
-    /// without any decode work, otherwise the sketch decodes (reusing
-    /// whatever structural memos survive invalidation) and the cache is
-    /// re-armed. **Bit-identical** to [`LinearSketch::decode_with`] at
-    /// every point in the stream — the cache only decides whether the
-    /// answer is recomputed, never what it is — which the churn
-    /// differential harness pins for every task, with the
-    /// `GS_NO_DECODE_CACHE` environment variable as the fresh-decode
-    /// oracle.
-    ///
-    /// The default implementation is the oracle itself (a fresh planned
-    /// decode, counted as a miss); bank-backed sketches override it with
-    /// their generation-stamped memo.
-    fn decode_cached(
-        &self,
-        cache: &mut DecodeCache<Self::Output>,
-        plan: &DecodePlan,
-    ) -> Self::Output
-    where
-        Self::Output: Clone,
-    {
-        cache.note_fresh_decode();
-        self.decode_with(plan)
     }
 }
 

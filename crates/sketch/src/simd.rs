@@ -3,10 +3,11 @@
 //!
 //! Every kernel here exists in two forms: a `*_scalar` reference loop —
 //! the exact arithmetic the pre-SIMD bank ran, preserved as the oracle the
-//! gauntlet tests compare against (the same discipline `gs_bench::aos`
-//! applies to the bank itself) — and a dispatching entry point that takes
-//! the AVX2 path when the CPU supports it at run time. The two paths are
-//! **bit-identical by construction**:
+//! gauntlet tests compare against (the same discipline the bank's
+//! `OneSparseCell` oracle test applies to the bank itself) — and a
+//! dispatching entry point that takes the AVX2 path when the CPU
+//! supports it at run time. The two paths are **bit-identical by
+//! construction**:
 //!
 //! * `i64` adds are two's-complement wrapping in both paths, with signed
 //!   overflow detected by the same sign-bit formula

@@ -60,7 +60,7 @@
 
 use gs_field::SplitMix64;
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{BankStamp, DecodeCache, EdgeUpdate, LinearSketch, UpdateError};
+use gs_sketch::{EdgeUpdate, LinearSketch, UpdateError};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -676,58 +676,14 @@ impl<S: LinearSketch + Send + Clone + 'static> SketchEngine<S> {
         merged.unwrap_or_else(|| self.zero.clone())
     }
 
-    /// The serving read path: a [`SketchEngine::snapshot`] decoded under
-    /// the given [`DecodePlan`] — merge-on-read, then a planned decode,
-    /// without stopping ingestion. The answer is bit-identical to
+    /// The engine's read path: a [`SketchEngine::snapshot`] decoded
+    /// under the given [`DecodePlan`] — merge-on-read, then a planned
+    /// decode, without stopping ingestion. Nothing is memoized: every
+    /// call decodes. The answer is bit-identical to
     /// `snapshot().decode()` for every thread count
     /// ([`gs_sketch::LinearSketch::decode_with`]'s contract).
     pub fn answer(&self, plan: &DecodePlan) -> S::Output {
         self.snapshot().decode_with(plan)
-    }
-
-    /// The cached serving read path: [`SketchEngine::answer`] memoized
-    /// across merge-on-read snapshots. The memo is keyed on the engine's
-    /// monotone ingest counters (`updates_routed`, `deltas_drained`)
-    /// rather than any rebuilt snapshot's banks: the engine is flushed
-    /// first, so equal counters certify the shard state — and with it the
-    /// merged snapshot and its decode — is unchanged since the memo was
-    /// armed, and a hit skips the whole merge-on-read *and* decode. On a
-    /// miss the fresh snapshot decodes through the cache's structural-memo
-    /// slot, so sketches with fine-grained memos (connectivity's Borůvka
-    /// groups) recompute only components whose rows were touched.
-    /// Bit-identical to [`SketchEngine::answer`] at every point in the
-    /// stream; the `GS_NO_DECODE_CACHE` environment variable (read when
-    /// the cache is constructed) forces the fresh path.
-    pub fn answer_cached(&self, cache: &mut DecodeCache<S::Output>, plan: &DecodePlan) -> S::Output
-    where
-        S::Output: Clone + Send + 'static,
-    {
-        // A pure counter key is only sound once nothing is in flight.
-        self.flush();
-        let stamps = vec![BankStamp {
-            generation: self.updates_routed,
-            drains: self.deltas_drained,
-        }];
-        cache.answer_banked(stamps, |c| {
-            // The nested cache stamps rebuilt snapshots, whose bank
-            // generations are monotone in the shard mutations — but a
-            // delta drain resets the shards, restarting that clock over
-            // an unrelated dirty bitmap. Tie the nested cache to the
-            // drain epoch it was armed under and start fresh otherwise.
-            let mut inner: DecodeCache<S::Output> =
-                match c.take_detail::<(u64, DecodeCache<S::Output>)>() {
-                    Some((drained, inner)) if drained == self.deltas_drained => inner,
-                    _ => DecodeCache::with_disabled(c.is_disabled()),
-                };
-            let (reused, recomputed) = (inner.groups_reused(), inner.groups_recomputed());
-            let out = self.snapshot().decode_cached(&mut inner, plan);
-            c.note_groups(
-                inner.groups_reused() - reused,
-                inner.groups_recomputed() - recomputed,
-            );
-            c.set_detail((self.deltas_drained, inner));
-            out
-        })
     }
 
     /// Drains the engine's pending delta: flushes the queues, then swaps
@@ -952,36 +908,6 @@ mod tests {
         // The snapshot is a clone: the engine keeps ingesting afterwards.
         engine.ingest(&updates[mid..]);
         assert_eq!(engine.seal(), central(n, &updates));
-    }
-
-    #[test]
-    fn cached_answer_hits_across_snapshots_and_tracks_ingest() {
-        let n = 20;
-        let updates = churn(n, 400, 7);
-        let mut engine =
-            SketchEngine::new(EngineConfig::new(4).with_seed(11), || TallySketch::new(n));
-        let mut cache: DecodeCache<Vec<i64>> = DecodeCache::with_disabled(false);
-        let plan = DecodePlan::sequential();
-        for chunk in updates.chunks(100) {
-            engine.ingest(chunk);
-            // Cached equals the flushed fresh answer at every stream point.
-            let cached = engine.answer_cached(&mut cache, &plan);
-            assert_eq!(cached, engine.answer(&plan));
-            // With no ingest in between, the second read is a pure hit.
-            let hits = cache.hits();
-            assert_eq!(engine.answer_cached(&mut cache, &plan), cached);
-            assert_eq!(cache.hits(), hits + 1);
-        }
-        // Each chunk moved the counter key exactly once.
-        assert_eq!(cache.misses(), 4);
-        assert_eq!(cache.invalidations(), 3);
-        // A delta drain moves the key too (the state it certifies reset).
-        let drained = engine.delta_snapshot();
-        assert_eq!(drained.len(), 4);
-        let empty = engine.answer_cached(&mut cache, &plan);
-        assert_eq!(empty, vec![0i64; n * (n - 1) / 2]);
-        assert_eq!(empty, engine.answer(&plan));
-        engine.seal();
     }
 
     #[test]

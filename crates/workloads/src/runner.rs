@@ -11,7 +11,8 @@
 //! materialized final graph. The output is:
 //!
 //! * per-run JSONL rows ([`RunRow`]): accuracy, resident bytes, ingest
-//!   and decode wall time, decode-cache counters — the raw points;
+//!   and decode wall time, the served tenant's memo counters — the raw
+//!   points;
 //! * a frontier table ([`FrontierRow`]): per (row, eps) aggregates —
 //!   the accuracy-vs-space-vs-time frontier CI uploads;
 //! * guarantee violations: a row's `(eps, delta)` promise is enforced
@@ -26,7 +27,7 @@ use gs_field::SplitMix64;
 use gs_graph::subgraph::Pattern;
 use gs_graph::{cuts, stoer_wagner, Graph, UnionFind};
 use gs_serve::Client;
-use gs_sketch::{DecodeCache, DecodePlan};
+use gs_sketch::DecodePlan;
 use gs_stream::engine::{EngineConfig, SketchEngine};
 use serde::{Deserialize, Serialize, Value};
 use std::time::{Duration, Instant};
@@ -59,8 +60,8 @@ pub struct TaskRow {
     pub k: Option<usize>,
     /// Engine shards to ingest through.
     pub shards: usize,
-    /// Ingest chunks per run; the decode cache is queried at every
-    /// chunk boundary (the cadence the cache counters measure).
+    /// Ingest chunks per run: the engine path decodes at every chunk
+    /// boundary, the serve path sends each chunk as one `INGEST` frame.
     pub chunks: usize,
 }
 
@@ -237,9 +238,12 @@ pub struct RunRow {
     pub ingest_ns: u64,
     /// Wall nanoseconds of the final scored query.
     pub decode_ns: u64,
-    /// Decode-cache hits over the run's queries.
+    /// The served tenant's `STATS` `decode_cache_hits`: queries its
+    /// answer memo served (the serve path's re-query). 0 on the engine
+    /// path, which keeps no memo.
     pub cache_hits: u64,
-    /// Decode-cache invalidations over the run's queries.
+    /// The served tenant's `STATS` `decode_cache_invalidations`. 0 on
+    /// the engine path.
     pub cache_invalidations: u64,
     /// Task-specific error measure (see [`score`]); 0 is exact.
     pub err: f64,
@@ -446,7 +450,6 @@ fn run_engine(
 ) -> Result<RunRow, String> {
     let config = EngineConfig::new(row.shards).with_seed(spec.seed ^ ENGINE_SEED_TWEAK);
     let mut engine = SketchEngine::new(config, || spec.build());
-    let mut cache = DecodeCache::new();
     let plan = DecodePlan::with_threads(opts.threads);
     let per = trace.updates.len().div_ceil(row.chunks).max(1);
     let t0 = Instant::now();
@@ -455,12 +458,12 @@ fn run_engine(
             .try_ingest(chunk)
             .map_err(|e| format!("engine refused a trace chunk: {e}"))?;
         engine.flush();
-        let _ = engine.answer_cached(&mut cache, &plan);
+        let _ = engine.answer(&plan);
     }
     engine.flush();
     let ingest_ns = t0.elapsed().as_nanos() as u64;
     let t1 = Instant::now();
-    let answer = engine.answer_cached(&mut cache, &plan);
+    let answer = engine.answer(&plan);
     let decode_ns = t1.elapsed().as_nanos() as u64;
     let stats = engine.stats();
     let (err, within, detail) = score(spec, trace, &answer, opts);
@@ -478,8 +481,8 @@ fn run_engine(
         lane_bytes_resident: stats.lane_bytes_resident as u64,
         ingest_ns,
         decode_ns,
-        cache_hits: cache.hits(),
-        cache_invalidations: cache.invalidations(),
+        cache_hits: 0,
+        cache_invalidations: 0,
         err,
         within,
         detail,
@@ -514,7 +517,7 @@ fn run_serve(
         .query(&tenant, opts.threads as u32)
         .map_err(|e| fail("query", e))?;
     let decode_ns = t1.elapsed().as_nanos() as u64;
-    // A second query exercises the server-side decode cache; its counters
+    // A second query is answered from the tenant's memo; its counters
     // come back through STATS.
     client
         .query(&tenant, opts.threads as u32)

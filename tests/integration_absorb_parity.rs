@@ -2,8 +2,8 @@
 //! tasks: a batch absorbed by 1, 2, 3 or 8 threads writing disjoint
 //! parts of one sketch must leave exactly what the sequential `absorb`
 //! and the per-update `update_edge` loop leave — lanes, fingerprints,
-//! dirty bitmaps, poison marks and generation counts — on narrow and
-//! widened lanes, into an empty sketch and into one already fed.
+//! dirty bitmaps and poison marks — on narrow and widened lanes, into an
+//! empty sketch and into one already fed.
 //!
 //! A plan's split count is its thread count; only the fork-join that
 //! runs the parts is clamped to the host's parallelism, so the 3- and
@@ -12,9 +12,8 @@
 use graph_sketches::api::{AnySketch, SketchSpec, SketchTask};
 use gs_field::M61;
 use gs_graph::gen;
-use gs_sketch::cache::stamps_of;
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{BankStamp, CellBanked, EdgeUpdate, LaneOverflow, LinearSketch};
+use gs_sketch::{CellBanked, EdgeUpdate, LaneOverflow, LinearSketch};
 use gs_stream::GraphStream;
 
 const SPLITS: [usize; 4] = [1, 2, 3, 8];
@@ -37,14 +36,10 @@ fn task_updates(task: SketchTask, seed: u64) -> Vec<EdgeUpdate> {
     }
 }
 
-/// Per bank: dirty words, poison mark and stamps; then the standalone
+/// Per bank: dirty words and poison mark; then the standalone
 /// fingerprints. Together with lane equality, everything an absorb
 /// leaves behind.
-type Trace = (
-    Vec<(Vec<u64>, Option<LaneOverflow>)>,
-    Vec<BankStamp>,
-    Vec<M61>,
-);
+type Trace = (Vec<(Vec<u64>, Option<LaneOverflow>)>, Vec<M61>);
 
 fn trace(s: &AnySketch) -> Trace {
     let banks = s
@@ -52,7 +47,7 @@ fn trace(s: &AnySketch) -> Trace {
         .iter()
         .map(|b| (b.dirty_words().to_vec(), b.lane_overflow()))
         .collect();
-    (banks, stamps_of(s), s.fingerprints())
+    (banks, s.fingerprints())
 }
 
 /// The sketches a batch is absorbed into: empty and already fed, at the

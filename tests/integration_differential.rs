@@ -16,7 +16,7 @@ use graph_sketches::SparsifySketch;
 use gs_field::SplitMix64;
 use gs_graph::cuts::random_cut_audit;
 use gs_graph::{gen, stoer_wagner, Graph, UnionFind};
-use gs_sketch::{DecodeCache, DecodePlan, EdgeUpdate, LinearSketch};
+use gs_sketch::{DecodePlan, EdgeUpdate, LinearSketch};
 use gs_stream::GraphStream;
 
 /// Scenario counts per question; the total (80 + 48 + 48 + 32 = 208)
@@ -132,31 +132,23 @@ fn scenario(question: u64, i: usize) -> Scenario {
     }
 }
 
-/// Chunked ingest with the decode cache interleaved: absorbs the stream
-/// in three pieces and, at every chunk boundary, asserts the cached
-/// answer is **bit-identical** to a fresh decode of the same prefix —
-/// once on the recompute path (the chunk moved the stamps) and once on
-/// the pure-hit path (nothing moved since). `GS_NO_DECODE_CACHE=1` turns
-/// the cache into the fresh-decode oracle and this becomes a
-/// self-comparison, so the suite passes under both CI jobs by the same
-/// assertions.
-fn absorb_with_cached_queries<S: LinearSketch>(
-    sketch: &mut S,
-    cache: &mut DecodeCache<S::Output>,
-    updates: &[EdgeUpdate],
-    tag: &str,
-) where
-    S::Output: Clone + PartialEq + std::fmt::Debug,
+/// Chunked ingest with decodes interleaved: absorbs the stream in three
+/// pieces and, at every chunk boundary, asserts the two-thread planned
+/// decode is **bit-identical** to the sequential decode of the same
+/// prefix.
+fn absorb_with_planned_queries<S: LinearSketch>(sketch: &mut S, updates: &[EdgeUpdate], tag: &str)
+where
+    S::Output: PartialEq + std::fmt::Debug,
 {
     let per = updates.len().div_ceil(3).max(1);
     let plan = DecodePlan::with_threads(2);
     for chunk in updates.chunks(per) {
         sketch.absorb(chunk);
-        let cached = sketch.decode_cached(cache, &plan);
-        let fresh = sketch.decode_with(&plan);
-        assert_eq!(cached, fresh, "{tag}: cached decode diverged after a chunk");
-        let again = sketch.decode_cached(cache, &plan);
-        assert_eq!(again, fresh, "{tag}: cache hit diverged from fresh decode");
+        assert_eq!(
+            sketch.decode_with(&plan),
+            sketch.decode(),
+            "{tag}: planned decode diverged after a chunk"
+        );
     }
 }
 
@@ -168,8 +160,7 @@ fn connectivity_matches_exact_union_find() {
         let spec = SketchSpec::new(SketchTask::Connectivity, sc.graph.n())
             .with_seed(rng_for(0xC1, i).next_u64());
         let mut sketch = spec.build();
-        let mut cache = DecodeCache::new();
-        absorb_with_cached_queries(&mut sketch, &mut cache, &sc.updates, &sc.tag);
+        absorb_with_planned_queries(&mut sketch, &sc.updates, &sc.tag);
         let (components, connected) = match sketch.decode() {
             SketchAnswer::Connectivity {
                 components,
@@ -205,8 +196,7 @@ fn k_edge_connectivity_matches_exact_min_cut() {
             .with_k(k)
             .with_seed(rng_for(0xEC, i).next_u64());
         let mut sketch = spec.build();
-        let mut cache = DecodeCache::new();
-        absorb_with_cached_queries(&mut sketch, &mut cache, &sc.updates, &sc.tag);
+        absorb_with_planned_queries(&mut sketch, &sc.updates, &sc.tag);
         let verdict = match sketch.decode() {
             SketchAnswer::KConnected { connected, .. } => connected,
             other => panic!("unexpected answer {other:?}"),
@@ -268,8 +258,7 @@ fn mst_weight_stays_in_its_eps_window() {
             .with_max_weight(max_w)
             .with_seed(rng.next_u64());
         let mut sketch = spec.build();
-        let mut cache = DecodeCache::new();
-        absorb_with_cached_queries(&mut sketch, &mut cache, &updates, &format!("mst #{i}"));
+        absorb_with_planned_queries(&mut sketch, &updates, &format!("mst #{i}"));
         let approx = match sketch.decode() {
             SketchAnswer::Msf { total_weight, .. } => total_weight,
             other => panic!("unexpected answer {other:?}"),
@@ -302,17 +291,15 @@ fn sparsifier_answers_cut_queries_within_eps() {
         let mut sketch = SparsifySketch::new(n, eps, rng.next_u64());
         let updates =
             GraphStream::with_churn(&g, rng.next_range(41) as usize, rng.next_u64()).edge_updates();
-        // Graph has no PartialEq; pin the cached sparsifier by edge list.
-        let mut cache = DecodeCache::new();
+        // Graph has no PartialEq; pin the planned sparsifier by edge list.
         let per = updates.len().div_ceil(3).max(1);
         for chunk in updates.chunks(per) {
             sketch.absorb(chunk);
-            let cached = sketch.decode_cached(&mut cache, &DecodePlan::with_threads(2));
-            let fresh = sketch.decode_with(&DecodePlan::with_threads(2));
+            let planned = sketch.decode_with(&DecodePlan::with_threads(2));
             assert_eq!(
-                cached.edges(),
-                fresh.edges(),
-                "#{i} cached sparsifier diverged"
+                planned.edges(),
+                sketch.decode().edges(),
+                "#{i} planned sparsifier diverged"
             );
         }
         let h = sketch.decode();

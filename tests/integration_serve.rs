@@ -196,8 +196,9 @@ fn restart_after_abort_reproduces_checkpointed_answers() {
 /// and read its one sketch in place. Interleaved with raw and delta
 /// ingest and with abort/restart, every `QUERY` must still equal the
 /// offline decode of the updates the server holds, and every `SNAPSHOT`
-/// the offline `to_bytes`, byte for byte. The suite also runs under
-/// `GS_NO_DECODE_CACHE=1`, which sends every query down the fresh path.
+/// the offline `to_bytes`, byte for byte. A step's first query after
+/// ingest decodes the base and its repeat is answered from the tenant's
+/// memo, so both paths meet the offline decode in one run.
 #[test]
 fn interleaved_reads_checkpoints_and_restarts_match_the_offline_sketch() {
     let scratch = Scratch::new("drain-on-read");
@@ -222,8 +223,8 @@ fn interleaved_reads_checkpoints_and_restarts_match_the_offline_sketch() {
             let answer = offline.decode_with(&DecodePlan::with_threads(2));
             let bytes = SketchFile::new(spec, offline).unwrap().to_bytes();
             let query = |c: &mut Client| answer_of(&c.query(&name, 2).expect("query"));
-            // Alternate which read drains first; the repeated query is a
-            // cache hit unless the cache is disabled.
+            // Alternate which read flushes first; the repeated query is a
+            // memo hit.
             if step.is_multiple_of(2) {
                 assert_eq!(query(client), answer, "{task:?} step {step}: query");
                 assert_eq!(
@@ -638,6 +639,87 @@ fn refused_ingest_leaves_served_answers_unchanged() {
 
     let after = answer_of(&client.query("t", 1).expect("query"));
     assert_eq!(after, before, "refused delta must leave no residue");
+    server.shutdown();
+}
+
+/// The tenant's answer memo, the system's only decode cache, as `STATS`
+/// reports it (the serving ladder tells fresh queries from memo hits by
+/// `decode_cache_hits`). A repeat `QUERY` is one hit at any thread
+/// count; `CHECKPOINT`, `SNAPSHOT` and a refused `INGEST` leave the memo
+/// armed; a raw and a delta `INGEST` each invalidate it exactly once; a
+/// restarted server starts without one. Every answer, hit or miss,
+/// equals the offline decode of what the tenant holds.
+#[test]
+fn tenant_memo_hits_and_invalidations_follow_counted_ingest() {
+    let scratch = Scratch::new("memo");
+    let spec = SketchSpec::new(SketchTask::Connectivity, 12).with_seed(0x3E30);
+    let updates = churn_updates(12, 71);
+    let chunks: Vec<&[EdgeUpdate]> = updates.chunks(updates.len().div_ceil(3)).collect();
+    let mut server = start_server(scratch.path());
+    let mut client = connect(&server);
+    client.create("m", &spec.to_json()).expect("create");
+    let mut held: Vec<EdgeUpdate> = Vec::new();
+    // Queries `m` at `threads` and checks the answer against the offline
+    // decode of `held`, then the memo counters (hits, invalidations).
+    let query = |client: &mut Client, held: &[EdgeUpdate], threads: u32, want: (u64, u64)| {
+        let mut offline = spec.build();
+        offline.absorb(held);
+        let expected = offline.decode_with(&DecodePlan::with_threads(threads as usize));
+        let served = answer_of(&client.query("m", threads).expect("query"));
+        assert_eq!(served, expected, "served != offline at {want:?}");
+        let stats = tenant_stats(client, "m");
+        assert_eq!(
+            (stats.decode_cache_hits, stats.decode_cache_invalidations),
+            want
+        );
+    };
+
+    client
+        .ingest_retry("m", chunks[0], Duration::from_secs(10))
+        .expect("raw ingest");
+    held.extend_from_slice(chunks[0]);
+    // The first decode replaces no memo; repeats hit at any width.
+    query(&mut client, &held, 2, (0, 0));
+    query(&mut client, &held, 2, (1, 0));
+    query(&mut client, &held, 1, (2, 0));
+    // Reads and refusals do not move the key.
+    assert_eq!(client.checkpoint("m").expect("checkpoint"), 1);
+    query(&mut client, &held, 3, (3, 0));
+    client.snapshot("m").expect("snapshot");
+    query(&mut client, &held, 2, (4, 0));
+    let self_loop = [EdgeUpdate::insert(4, 4)];
+    match client.ingest_retry("m", &self_loop, Duration::from_secs(10)) {
+        Err(ClientError::Server {
+            code: ErrCode::Update,
+            ..
+        }) => {}
+        other => panic!("a self-loop must be refused with ERR update, got {other:?}"),
+    }
+    query(&mut client, &held, 2, (5, 0));
+    // A raw batch and a delta record each invalidate once.
+    client
+        .ingest_retry("m", chunks[1], Duration::from_secs(10))
+        .expect("raw ingest");
+    held.extend_from_slice(chunks[1]);
+    query(&mut client, &held, 2, (5, 1));
+    query(&mut client, &held, 2, (6, 1));
+    let mut site = SketchFile::new(spec, spec.build()).unwrap();
+    site.state.absorb(chunks[2]);
+    match client.ingest_bytes("m", site.delta_bytes()).expect("delta") {
+        Outcome::Ok(_) => {}
+        Outcome::Busy { .. } => panic!("delta ingest answered BUSY"),
+    }
+    held.extend_from_slice(chunks[2]);
+    query(&mut client, &held, 2, (6, 2));
+    query(&mut client, &held, 1, (7, 2));
+    // A restarted tenant has no memo: its first query decodes.
+    assert_eq!(client.checkpoint("m").expect("checkpoint"), 1);
+    drop(client);
+    server.abort();
+    server = start_server(scratch.path());
+    let mut client = connect(&server);
+    query(&mut client, &held, 2, (0, 0));
+    query(&mut client, &held, 2, (1, 0));
     server.shutdown();
 }
 

@@ -234,5 +234,9 @@ fn runner_serve_path_agrees_with_engine_path() {
             e.task,
             e.repeat
         );
+        // The engine path decodes its scored query fresh; the serve
+        // path's re-query is the tenant memo's one hit.
+        assert_eq!((e.cache_hits, e.cache_invalidations), (0, 0));
+        assert_eq!(s.cache_hits, 1, "{} run {}", s.task, s.repeat);
     }
 }
