@@ -94,7 +94,7 @@ mod serve_cmd;
 mod workload_cmd;
 
 use graph_sketches::api::{AnySketch, SketchAnswer, SketchSpec, SketchTask};
-use graph_sketches::wire::{self, SketchDelta, SketchFile};
+use graph_sketches::wire::{SketchDelta, SketchFile};
 use gs_sketch::par::DecodePlan;
 use gs_sketch::{EdgeUpdate, LinearSketch};
 use gs_stream::engine::{EngineConfig, EngineStats, SketchEngine};
@@ -691,11 +691,7 @@ fn cmd_sync(args: &[String]) -> ExitCode {
     // each other's half-written file; last-rename-wins between whole
     // invocations is still the caller's to serialize (see the verb docs:
     // one coordinator per state file).
-    let staging = format!("{state_path}.tmp.{}", std::process::id());
-    let replaced = wire::replace_file_durably(Path::new(&state_path), Path::new(&staging), |out| {
-        file.write_to(out)
-    });
-    if let Err(e) = replaced {
+    if let Err(e) = file.write_durably(Path::new(&state_path)) {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }

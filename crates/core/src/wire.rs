@@ -60,9 +60,12 @@
 //! runs without their lanes being read. The checksum kernel jumps over
 //! zeros: since FNV-1a maps a zero byte to `h·P`, a run of `k` zero
 //! bytes folds as one multiply by `P^k mod 2^64`. And
-//! [`replace_file_durably`] writes state files sparse, leaving every
-//! all-zero 4 KiB block as a hole. A sketch poisoned by a lane overflow
-//! is refused by both encoders, since neither layout can mark it.
+//! [`SketchFile::write_durably`] writes state files sparse: the encoder
+//! hands it each zero run as a length, whose whole 4 KiB blocks become
+//! holes without a byte of them being written or scanned, and a written
+//! block that holds only zeros becomes a hole too. A sketch poisoned by
+//! a lane overflow is refused by both encoders, since neither layout
+//! can mark it.
 //!
 //! Both layouts carry the full [`SketchSpec`] — everything two sites must
 //! agree on for their measurements to be compatible — so the coordinator
@@ -192,24 +195,54 @@ pub fn v2_checksum(payload: &[u8]) -> u64 {
     fnv1a(FNV_OFFSET, payload)
 }
 
-/// Zeros to write from: zero runs go out in pieces of this size.
+/// Where the v2 encoder's bytes go. Zero runs arrive by length, so a
+/// sink that can leave a run unwritten never receives its bytes.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()>;
+
+    /// Puts `n` zero bytes.
+    fn put_zeros(&mut self, n: u64) -> io::Result<()>;
+}
+
+/// Zeros to write from: a [`Dense`] sink writes zero runs in pieces of
+/// this size.
 static ZERO_BLOCK: [u8; 1 << 16] = [0; 1 << 16];
+
+/// Any writer as a [`Sink`]: it receives every byte, zero runs as
+/// writes of [`ZERO_BLOCK`].
+struct Dense<W: Write>(W);
+
+impl<W: Write> Sink for Dense<W> {
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.0.write_all(bytes)
+    }
+
+    fn put_zeros(&mut self, mut n: u64) -> io::Result<()> {
+        while n > 0 {
+            let piece = n.min(ZERO_BLOCK.len() as u64);
+            let (zeros, _) = ZERO_BLOCK.split_at(piece as usize);
+            self.0.write_all(zeros)?;
+            n -= piece;
+        }
+        Ok(())
+    }
+}
 
 /// A writer that folds every byte it passes on into a running FNV-1a
 /// state, so a binary layout can be streamed and then sealed with its
 /// [`v2_checksum`] without ever holding the whole payload. Zero runs are
 /// put by length ([`Checksummed::put_zeros`]): consecutive runs coalesce,
-/// fold into the checksum by one multiply, and reach `out` as a few large
-/// writes of [`ZERO_BLOCK`].
-struct Checksummed<W: Write> {
-    out: W,
+/// fold into the checksum by one multiply, and reach the sink as one
+/// length.
+struct Checksummed<S: Sink> {
+    out: S,
     sum: u64,
-    /// Zero bytes put but not yet folded or written.
+    /// Zero bytes put but not yet folded or handed on.
     zeros: u64,
 }
 
-impl<W: Write> Checksummed<W> {
-    fn new(out: W) -> Self {
+impl<S: Sink> Checksummed<S> {
+    fn new(out: S) -> Self {
         Checksummed {
             out,
             sum: FNV_OFFSET,
@@ -221,7 +254,7 @@ impl<W: Write> Checksummed<W> {
     fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.flush_zeros()?;
         self.sum = fnv1a(self.sum, bytes);
-        self.out.write_all(bytes)
+        self.out.put(bytes)
     }
 
     fn put_u32(&mut self, x: u32) -> io::Result<()> {
@@ -233,16 +266,13 @@ impl<W: Write> Checksummed<W> {
         self.zeros += n as u64;
     }
 
-    /// Folds and writes the pending zero run.
+    /// Folds the pending zero run and hands it on.
     fn flush_zeros(&mut self) -> io::Result<()> {
-        self.sum = fnv1a_zeros(self.sum, self.zeros);
-        while self.zeros > 0 {
-            let n = self.zeros.min(ZERO_BLOCK.len() as u64);
-            let (zeros, _) = ZERO_BLOCK.split_at(n as usize);
-            self.out.write_all(zeros)?;
-            self.zeros -= n;
+        if self.zeros == 0 {
+            return Ok(());
         }
-        Ok(())
+        self.sum = fnv1a_zeros(self.sum, self.zeros);
+        self.out.put_zeros(std::mem::take(&mut self.zeros))
     }
 
     /// Writes the checksum of everything put so far (the checksum word
@@ -250,7 +280,7 @@ impl<W: Write> Checksummed<W> {
     fn seal(mut self) -> io::Result<()> {
         self.flush_zeros()?;
         let sum = self.sum;
-        self.out.write_all(&sum.to_le_bytes())
+        self.out.put(&sum.to_le_bytes())
     }
 }
 
@@ -259,8 +289,8 @@ impl<W: Write> Checksummed<W> {
 /// ("clean ⇒ zero", see [`gs_sketch::CellBank::dirty_words`]), so they
 /// are put as a zero run without reading the lane; a dirty word's cells
 /// are encoded into one chunk and put with one call.
-fn put_lane<W: Write, T: Copy, const N: usize>(
-    out: &mut Checksummed<W>,
+fn put_lane<S: Sink, T: Copy, const N: usize>(
+    out: &mut Checksummed<S>,
     cells: &[T],
     dirty: &[u64],
     to_le: impl Fn(T) -> [u8; N],
@@ -285,8 +315,8 @@ fn put_lane<W: Write, T: Copy, const N: usize>(
     Ok(())
 }
 
-/// The block size [`replace_file_durably`] turns into a hole when the
-/// stream holds only zeros there: the usual filesystem block.
+/// The block size [`SparseFile`] turns into a hole when the stream holds
+/// only zeros there: the usual filesystem block.
 const HOLE_BLOCK: usize = 4096;
 
 /// How many bytes [`SparseFile`] gathers from small writes before handing
@@ -298,7 +328,10 @@ const STAGE_BYTES: usize = 16 * HOLE_BLOCK;
 /// the block, and [`SparseFile::finish`] sets the file's length at the
 /// end. A hole reads back as zeros, so the file holds exactly the bytes
 /// written, while only the nonzero blocks are allocated, written and
-/// synced.
+/// synced. Written bytes are scanned block by block; a zero run put by
+/// length ([`Sink::put_zeros`]) is never scanned: its whole blocks
+/// become holes at once, and only the partial blocks at its two ends
+/// are filled with zeros.
 struct SparseFile {
     file: File,
     /// Stream bytes not yet handed to the file, from the block-aligned
@@ -388,30 +421,45 @@ impl Write for SparseFile {
     }
 }
 
+impl Sink for &mut SparseFile {
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.write_all(bytes)
+    }
+
+    /// Zero-fills the partial block the run starts in, leaves the run's
+    /// whole blocks as a hole by advancing the stream offset, and stages
+    /// the run's tail, which the next bytes complete.
+    fn put_zeros(&mut self, n: u64) -> io::Result<()> {
+        let open = self.pending.len().next_multiple_of(HOLE_BLOCK) - self.pending.len();
+        let head = n.min(open as u64);
+        self.pending.resize(self.pending.len() + head as usize, 0);
+        let rest = n - head;
+        if rest == 0 && self.pending.len() < STAGE_BYTES {
+            return Ok(());
+        }
+        // `pending` now ends on a block boundary.
+        self.emit_pending()?;
+        let tail = rest % HOLE_BLOCK as u64;
+        self.at += rest - tail;
+        self.pending.resize(tail as usize, 0);
+        Ok(())
+    }
+}
+
 /// Replaces the file at `path` durably with the bytes `write` emits.
 /// The bytes are streamed into `staging` (created or truncated), which
 /// is fsynced and renamed over `path`; then the directory is fsynced, so
-/// the rename itself survives a power loss. Afterwards `path` holds the
-/// new bytes on stable storage, and a crash at any earlier point leaves
-/// the old file in place. `staging` must sit in the same directory as
-/// `path` (`rename(2)` is atomic only there).
-///
-/// The staging file is written **sparse**: every all-zero, 4 KiB-aligned
-/// block of the stream becomes a hole instead of a write. Holes read
-/// back as zeros, so the file's bytes are unchanged, but only the
-/// nonzero blocks are written, synced and allocated on disk — a state
-/// file of a mostly-empty sketch costs the I/O and disk of its written
-/// cells.
+/// the rename itself survives a power loss. `staging` must sit in the
+/// same directory as `path` (`rename(2)` is atomic only there). The
+/// staging file is a [`SparseFile`].
 ///
 /// # Errors
 /// Any I/O error, with the step and file named. The staging file is
-/// removed on every error; `path` is then untouched, unless only the
-/// final directory sync failed, in which case the rename has happened
-/// but may not yet be durable.
-pub fn replace_file_durably(
+/// removed on every error.
+fn replace_file_durably(
     path: &Path,
     staging: &Path,
-    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+    write: impl FnOnce(&mut SparseFile) -> io::Result<()>,
 ) -> io::Result<()> {
     let result = stage_and_rename(path, staging, write);
     if result.is_err() {
@@ -423,7 +471,7 @@ pub fn replace_file_durably(
 fn stage_and_rename(
     path: &Path,
     staging: &Path,
-    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+    write: impl FnOnce(&mut SparseFile) -> io::Result<()>,
 ) -> io::Result<()> {
     let step = |what: &str, at: &Path| {
         let what = format!("{what} {}", at.display());
@@ -787,6 +835,55 @@ impl SketchFile {
     /// [`SketchFile::check_exportable`], which come before any byte is
     /// written.
     pub fn write_to(&self, out: impl Write) -> io::Result<()> {
+        self.encode(Dense(out))
+    }
+
+    /// Replaces the file at `path` durably with the bytes
+    /// [`SketchFile::to_bytes`] returns. The bytes are streamed into a
+    /// staging file beside it (`<path>.tmp.<pid>`), which is fsynced and
+    /// renamed over `path`; then the directory is fsynced, so the rename
+    /// itself survives a power loss. Afterwards `path` holds the new
+    /// bytes on stable storage, and a crash at any earlier point leaves
+    /// the old file in place.
+    ///
+    /// The staging file is written **sparse**, so a state file of a
+    /// mostly-empty sketch costs the I/O and disk of its written cells.
+    /// The encoder hands each zero run over as a length: the run's whole
+    /// 4 KiB blocks become holes, and only the partial blocks at its two
+    /// ends are written. Every other 4 KiB block that holds only zeros
+    /// becomes a hole too. Holes read back as zeros, so the file's bytes
+    /// are unchanged.
+    ///
+    /// # Errors
+    /// The refusals of [`SketchFile::check_exportable`], before any byte
+    /// is written, and any I/O error, with the step and file named. The
+    /// staging file is removed on every error; `path` is then untouched,
+    /// unless only the final directory sync failed, in which case the
+    /// rename has happened but may not yet be durable.
+    pub fn write_durably(&self, path: &Path) -> io::Result<()> {
+        let mut staging = path.as_os_str().to_owned();
+        staging.push(format!(".tmp.{}", std::process::id()));
+        replace_file_durably(path, Path::new(&staging), |out| self.encode(out))
+    }
+
+    /// The exact length of the v2 bytes of this file, from its spec and
+    /// bank geometry alone: no lane is read and nothing is encoded.
+    pub fn encoded_len(&self) -> u64 {
+        // Per cell: `w` (i64), `s` (always 16 bytes on the wire), `f`.
+        const CELL_BYTES: u64 = 8 + 16 + 8;
+        let header = (V2_MAGIC.len() + 4 + 4 + self.spec.to_json().len() + 4) as u64;
+        let banks = self.state.banks();
+        let lanes: u64 = banks
+            .iter()
+            .map(|bank| 3 * 4 + bank.len() as u64 * CELL_BYTES)
+            .sum();
+        let fingerprints = 4 + 8 * self.state.fingerprints().len() as u64;
+        header + lanes + fingerprints + 8
+    }
+
+    /// The v2 encoder behind [`SketchFile::write_to`] and
+    /// [`SketchFile::write_durably`], streaming into any [`Sink`].
+    fn encode(&self, out: impl Sink) -> io::Result<()> {
         self.check_exportable()?;
         let banks = self.state.banks();
         let mut out = Checksummed::new(out);
@@ -1809,6 +1906,82 @@ mod tests {
         for stream in [vec![0u8; 2 * block + 5], Vec::new()] {
             replace_file_durably(&path, &staging, |out| out.write_all(&stream)).unwrap();
             assert_eq!(std::fs::read(&path).unwrap(), stream);
+        }
+        assert!(!staging.exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Blocks a file allocates on disk; off Unix, where they are not
+    /// reported, its length (equal on both paths compared).
+    fn allocated_blocks(path: &Path) -> u64 {
+        let meta = std::fs::metadata(path).unwrap();
+        #[cfg(unix)]
+        return std::os::unix::fs::MetadataExt::blocks(&meta);
+        #[cfg(not(unix))]
+        return meta.len();
+    }
+
+    #[test]
+    fn zero_runs_put_by_length_make_the_byte_path_file_in_no_more_blocks() {
+        const LENGTHS: [usize; 8] = [0, 1, 4095, 4096, 4097, 65_535, 65_536, (3 << 20) + 5];
+        let dir = std::env::temp_dir().join(format!("gs-wire-runs-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (path, staging) = (dir.join("r.state"), dir.join("r.state.tmp"));
+        let mut rng = 0x2E60;
+        let mut random = |len: usize| (0..len).map(|_| splitmix(&mut rng) as u8 | 1).collect();
+        // A zero run that fills the staged bytes up to STAGE_BYTES exactly,
+        // then runs that end one byte either side of a block boundary.
+        let edges = vec![
+            (false, random(STAGE_BYTES - 1)),
+            (true, vec![0; 1]),
+            (false, random(1)),
+            (true, vec![0; HOLE_BLOCK - 2]),
+            (false, random(HOLE_BLOCK)),
+            (true, vec![0; HOLE_BLOCK + 1]),
+        ];
+        let mut sets = vec![edges];
+        for _ in 0..24 {
+            // Each piece is a zero run, a written all-zero chunk (cells
+            // that cancelled out) or written random bytes; the odd
+            // lengths start and end the pieces mid-block.
+            sets.push(
+                (0..6)
+                    .map(|_| {
+                        let len = LENGTHS[splitmix(&mut rng) as usize % LENGTHS.len()];
+                        match splitmix(&mut rng) % 3 {
+                            0 => (true, vec![0; len]),
+                            1 => (false, vec![0; len]),
+                            _ => (false, (0..len).map(|_| splitmix(&mut rng) as u8).collect()),
+                        }
+                    })
+                    .collect(),
+            );
+        }
+        for (round, pieces) in sets.iter().enumerate() {
+            let stream: Vec<u8> = pieces.iter().flat_map(|(_, b)| b.iter().copied()).collect();
+
+            replace_file_durably(&path, &staging, |out| {
+                pieces
+                    .iter()
+                    .try_for_each(|(_, bytes)| out.write_all(bytes))
+            })
+            .unwrap();
+            assert!(std::fs::read(&path).unwrap() == stream, "round {round}");
+            let byte_path_blocks = allocated_blocks(&path);
+
+            replace_file_durably(&path, &staging, |mut out| {
+                pieces.iter().try_for_each(|(run, bytes)| match run {
+                    true => out.put_zeros(bytes.len() as u64),
+                    false => out.put(bytes),
+                })
+            })
+            .unwrap();
+            assert!(std::fs::read(&path).unwrap() == stream, "round {round}");
+            let blocks = allocated_blocks(&path);
+            assert!(
+                blocks <= byte_path_blocks,
+                "round {round}: {blocks} blocks, the byte path {byte_path_blocks}"
+            );
         }
         assert!(!staging.exists());
         std::fs::remove_dir_all(&dir).unwrap();

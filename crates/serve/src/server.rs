@@ -3,15 +3,19 @@
 //!
 //! ## Threads
 //!
-//! One accept thread per listener (TCP, Unix socket) hands each accepted
-//! connection to its own handler thread, bounded by
-//! [`ServeConfig::max_connections`] — a connection over the cap is
+//! One accept thread per listener (TCP, Unix socket) blocks in `accept`
+//! and hands each accepted connection to its own handler thread, bounded
+//! by [`ServeConfig::max_connections`] — a connection over the cap is
 //! answered with a typed `BUSY` frame and closed, never queued without
-//! bound. Handler threads block on frame reads with a short timeout so
-//! they notice shutdown within one idle tick. A periodic checkpoint
-//! thread persists dirty tenants; [`Server::shutdown`] performs a final
-//! checkpoint, [`Server::abort`] (and `Drop`) deliberately does not —
-//! that is what the crash-recovery tests use to simulate a SIGKILL.
+//! bound. A client is accepted as soon as it connects; to stop, the
+//! server sets its stop flag and wakes each accept thread by connecting
+//! to that thread's own listener. Handler threads block on frame reads
+//! with a short timeout so they notice shutdown within one idle tick. A
+//! response too large for a frame is answered with a typed `ERR wire`
+//! on the same connection. A periodic checkpoint thread persists dirty
+//! tenants; [`Server::shutdown`] performs a final checkpoint,
+//! [`Server::abort`] (and `Drop`) deliberately does not — that is what
+//! the crash-recovery tests use to simulate a SIGKILL.
 //!
 //! Each tenant also runs one absorber thread (see below), which takes
 //! worker threads from the process-wide budget for the batches it
@@ -64,7 +68,7 @@ use gs_stream::engine::{BudgetClaim, WorkerBudget};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -354,18 +358,39 @@ fn lock_sketch(base: &Mutex<SketchFile>) -> MutexGuard<'_, SketchFile> {
 /// either behaves like `abort`.
 pub struct Server {
     shared: Arc<Shared>,
-    threads: Vec<thread::JoinHandle<()>>,
+    /// The accept thread of the TCP listener, blocked in `accept`.
+    accept_tcp: Option<thread::JoinHandle<()>>,
+    /// The accept thread of the Unix listener, blocked in `accept`.
+    accept_unix: Option<thread::JoinHandle<()>>,
+    checkpointer: Option<thread::JoinHandle<()>>,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
 }
 
 impl Server {
-    /// Creates the state directory, recovers the tenant set from it
-    /// (checksum-verified; corrupt files are quarantined with a logged
-    /// typed error, never a crash), binds the configured listeners, and
-    /// spawns the accept + checkpoint threads.
+    /// Creates the state directory, binds the configured listeners,
+    /// recovers the tenant set from the directory (checksum-verified;
+    /// corrupt files are quarantined with a logged typed error, never a
+    /// crash), and spawns the accept + checkpoint threads.
+    ///
+    /// Every listener is bound before any state file is read or any
+    /// thread starts, so a start that fails (a live server holds the Unix
+    /// path, say) leaves nothing running and no state file read, swept
+    /// or quarantined.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
+        #[cfg(not(unix))]
+        if config.unix.is_some() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "unix-socket listeners need a unix platform",
+            ));
+        }
         std::fs::create_dir_all(&config.state_dir)?;
+        let tcp = config.tcp.as_deref().map(TcpListener::bind).transpose()?;
+        let tcp_addr = tcp.as_ref().map(TcpListener::local_addr).transpose()?;
+        #[cfg(unix)]
+        let unix = config.unix.as_deref().map(bind_unix).transpose()?;
+
         let budget_size = if config.worker_budget == 0 {
             gs_stream::engine::default_workers()
         } else {
@@ -384,62 +409,50 @@ impl Server {
         });
         recover_tenants(&shared);
 
+        // From here a failed spawn drops `server`, which stops the threads
+        // already running and removes the socket file.
+        let mut server = Server {
+            shared,
+            accept_tcp: None,
+            accept_unix: None,
+            checkpointer: None,
+            tcp_addr,
+            unix_path: config.unix.clone(),
+        };
         let max_conns = config.max_connections.max(1);
-        let mut threads = Vec::new();
-        let mut tcp_addr = None;
-        if let Some(addr) = &config.tcp {
-            let listener = TcpListener::bind(addr)?;
-            listener.set_nonblocking(true)?;
-            tcp_addr = Some(listener.local_addr()?);
-            let shared = Arc::clone(&shared);
-            threads.push(
+        if let Some(listener) = tcp {
+            let shared = Arc::clone(&server.shared);
+            server.accept_tcp = Some(
                 thread::Builder::new()
                     .name("gs-serve-accept-tcp".into())
                     .spawn(move || accept_loop(listener_tcp(listener), shared, max_conns))?,
             );
         }
-        let mut unix_path = None;
         #[cfg(unix)]
-        if let Some(path) = &config.unix {
-            let listener = bind_unix(path)?;
-            listener.set_nonblocking(true)?;
-            unix_path = Some(path.clone());
-            let shared = Arc::clone(&shared);
-            threads.push(
+        if let Some(listener) = unix {
+            let shared = Arc::clone(&server.shared);
+            server.accept_unix = Some(
                 thread::Builder::new()
                     .name("gs-serve-accept-unix".into())
                     .spawn(move || accept_loop(listener_unix(listener), shared, max_conns))?,
             );
         }
-        #[cfg(not(unix))]
-        if config.unix.is_some() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "unix-socket listeners need a unix platform",
-            ));
-        }
-
         if config.checkpoint_every > Duration::ZERO {
-            let shared = Arc::clone(&shared);
+            let shared = Arc::clone(&server.shared);
             let every = config.checkpoint_every;
-            threads.push(
+            server.checkpointer = Some(
                 thread::Builder::new()
                     .name("gs-serve-checkpoint".into())
                     .spawn(move || checkpoint_loop(shared, every))?,
             );
         }
 
-        shared.log(format_args!(
+        server.shared.log(format_args!(
             "serving {} tenant(s), worker budget {budget_size}, state dir {}",
-            shared.registry_read().len(),
+            server.shared.registry_read().len(),
             config.state_dir.display(),
         ));
-        Ok(Server {
-            shared,
-            threads,
-            tcp_addr,
-            unix_path,
-        })
+        Ok(server)
     }
 
     /// The bound TCP address (with the OS-chosen port when the config
@@ -451,13 +464,6 @@ impl Server {
     /// The bound Unix-socket path.
     pub fn unix_path(&self) -> Option<&Path> {
         self.unix_path.as_deref()
-    }
-
-    /// Checkpoints every dirty tenant now; returns how many were
-    /// persisted. (What the `CHECKPOINT` frame with an empty tenant
-    /// name does.)
-    pub fn checkpoint_now(&self) -> usize {
-        checkpoint_all(&self.shared)
     }
 
     /// Graceful stop: refuse new work, drain connections (bounded
@@ -480,8 +486,23 @@ impl Server {
 
     fn stop_threads(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        // An accept thread sleeps in `accept` until a connection arrives,
+        // so a connection of our own wakes it; it drops that connection
+        // and exits. A thread whose wake cannot connect is not waited
+        // for: it exits on its next accept.
+        if let (Some(thread), Some(addr)) = (self.accept_tcp.take(), self.tcp_addr) {
+            if let Ok(_wake) = TcpStream::connect_timeout(&reachable(addr), WAKE_TIMEOUT) {
+                let _ = thread.join();
+            }
+        }
+        #[cfg(unix)]
+        if let (Some(thread), Some(path)) = (self.accept_unix.take(), &self.unix_path) {
+            if let Ok(_wake) = UnixStream::connect(path) {
+                let _ = thread.join();
+            }
+        }
+        if let Some(thread) = self.checkpointer.take() {
+            let _ = thread.join();
         }
         // Handler threads are detached; give in-flight frames one idle
         // tick to finish so the final checkpoint sees their effects.
@@ -505,6 +526,23 @@ impl Drop for Server {
             self.cleanup_paths();
         }
     }
+}
+
+/// How long [`Server::stop_threads`] waits to connect to its own TCP
+/// listener to wake the accept thread.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// An address this host can connect to that reaches a listener bound to
+/// `addr`: a listener on the unspecified address (`0.0.0.0`, `::`) is
+/// reached through the loopback address of its family.
+fn reachable(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// Binds a Unix listener, replacing a stale socket file (one nothing
@@ -541,38 +579,39 @@ impl Conn for UnixStream {
     }
 }
 
-/// A polling accept source: `Ok(None)` = nothing pending right now.
-type AcceptFn = Box<dyn FnMut() -> std::io::Result<Option<Box<dyn Conn>>> + Send>;
+/// A blocking accept source: waits for the next connection on one
+/// listener.
+type AcceptFn = Box<dyn FnMut() -> std::io::Result<Box<dyn Conn>> + Send>;
 
 fn listener_tcp(listener: TcpListener) -> AcceptFn {
-    Box::new(move || match listener.accept() {
-        Ok((stream, _)) => {
-            // Frames are request/response turns; leaving Nagle on costs
-            // a delayed-ACK round (~40 ms) per frame on loopback.
-            let _ = stream.set_nodelay(true);
-            Ok(Some(Box::new(stream)))
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-        Err(e) => Err(e),
+    Box::new(move || {
+        let (stream, _) = listener.accept()?;
+        // Frames are request/response turns; leaving Nagle on costs
+        // a delayed-ACK round (~40 ms) per frame on loopback.
+        let _ = stream.set_nodelay(true);
+        Ok(Box::new(stream))
     })
 }
 
 #[cfg(unix)]
 fn listener_unix(listener: UnixListener) -> AcceptFn {
-    Box::new(move || match listener.accept() {
-        Ok((stream, _)) => Ok(Some(Box::new(stream))),
-        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-        Err(e) => Err(e),
-    })
+    Box::new(move || Ok(Box::new(listener.accept()?.0)))
 }
 
-/// Polls one listener until shutdown, spawning a handler thread per
+/// Accepts on one listener until shutdown, spawning a handler thread per
 /// accepted connection. A connection over the cap is told `BUSY` and
-/// closed immediately instead of being queued.
+/// closed immediately instead of being queued. The loop blocks in
+/// `accept`; once `stop` is set it drops whatever it accepted and
+/// returns ([`Server::stop_threads`] wakes it with a connection of its
+/// own).
 fn accept_loop(mut accept: AcceptFn, shared: Arc<Shared>, max_conns: usize) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match accept() {
-            Ok(Some(mut conn)) => {
+    loop {
+        let accepted = accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok(mut conn) => {
                 let live = shared.connections.fetch_add(1, Ordering::SeqCst) + 1;
                 if live as usize > max_conns {
                     shared.connections.fetch_sub(1, Ordering::SeqCst);
@@ -595,7 +634,6 @@ fn accept_loop(mut accept: AcceptFn, shared: Arc<Shared>, max_conns: usize) {
                     shared.connections.fetch_sub(1, Ordering::SeqCst);
                 }
             }
-            Ok(None) => thread::sleep(Duration::from_millis(5)),
             Err(e) => {
                 shared.log(format_args!("accept failed: {e}"));
                 thread::sleep(Duration::from_millis(20));
@@ -652,7 +690,16 @@ fn handle_connection(mut conn: Box<dyn Conn>, shared: &Shared) {
             },
         };
         shared.frames_served.fetch_add(1, Ordering::SeqCst);
-        if frame::write_frame(&mut conn, &resp.encode(), shared.max_frame).is_err() {
+        let body = match resp.encode() {
+            body if body.len() <= shared.max_frame => body,
+            body => err(
+                resp.corr(),
+                ErrCode::Wire,
+                over_cap("response", body.len() as u64, shared.max_frame),
+            )
+            .encode(),
+        };
+        if frame::write_frame(&mut conn, &body, shared.max_frame).is_err() {
             return;
         }
     }
@@ -703,6 +750,12 @@ fn err(corr: u64, code: ErrCode, msg: impl Into<String>) -> Response {
         code,
         msg: msg.into(),
     }
+}
+
+/// The refusal of a response whose frame body of `len` bytes would
+/// exceed the frame cap `max`.
+fn over_cap(what: &str, len: u64, max: usize) -> String {
+    format!("{what} of {len} B exceeds the frame cap of {max} B")
 }
 
 /// Looks a tenant up under the registry read lock.
@@ -920,6 +973,23 @@ fn handle_snapshot(shared: &Shared, corr: u64, name: &str) -> Response {
         Ok(base) => base,
         Err(e) => return err(corr, ErrCode::Internal, e),
     };
+    // A response too large for a frame is refused before the blob is
+    // encoded: encoding it would cost two copies of it, the payload and
+    // the frame body, only for the frame to be refused.
+    let header = Response::Ok {
+        corr,
+        payload: Vec::new(),
+    }
+    .encode()
+    .len() as u64;
+    let framed = header + base.encoded_len();
+    if framed > shared.max_frame as u64 {
+        return err(
+            corr,
+            ErrCode::Wire,
+            over_cap("snapshot", framed, shared.max_frame),
+        );
+    }
     let mut payload = Vec::new();
     if let Err(e) = base.write_to(&mut payload) {
         return err(corr, export_code(&e), format!("snapshot: {e}"));
@@ -1002,9 +1072,10 @@ fn state_path(dir: &Path, tenant: &str) -> PathBuf {
 }
 
 /// Persists one tenant if dirty: the base's wire-v2 bytes are streamed
-/// into a staging file, fsynced, renamed over `<name>.state`, and the
-/// directory fsynced ([`wire::replace_file_durably`]), so a completed
-/// checkpoint survives a power loss. Returns whether a write happened.
+/// into a sparse staging file (`<name>.state.tmp.<pid>`), fsynced,
+/// renamed over `<name>.state`, and the directory fsynced
+/// ([`SketchFile::write_durably`]), so a completed checkpoint survives a
+/// power loss. Returns whether a write happened.
 /// A dropped tenant is never written: the caller may hold an `Arc`
 /// taken before the `DROP`. A tenant poisoned by a lane overflow is
 /// refused with [`ErrCode::Wire`]: its previous file stays as it was and
@@ -1014,8 +1085,7 @@ fn checkpoint_tenant(t: &mut Tenant, dir: &Path) -> Result<bool, (ErrCode, Strin
         return Ok(false);
     }
     let base = t.flushed_base().map_err(|e| (ErrCode::Internal, e))?;
-    let tmp = dir.join(format!("{}.state.tmp.{}", t.name, std::process::id()));
-    wire::replace_file_durably(&state_path(dir, &t.name), &tmp, |out| base.write_to(out))
+    base.write_durably(&state_path(dir, &t.name))
         .map_err(|e| (export_code(&e), format!("checkpoint: {e}")))?;
     drop(base);
     t.dirty = false;

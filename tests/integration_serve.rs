@@ -822,3 +822,178 @@ fn slow_client_trickling_one_frame_is_served() {
     }
     server.shutdown();
 }
+
+/// Regression: a response too large for a frame closed the connection
+/// without a reply. It is now refused with a typed `ERR wire` on a
+/// connection that goes on serving: `SNAPSHOT` before its blob is
+/// encoded (its memory bound is pinned in
+/// `integration_serve_memory_snapshot`), any other response once it is
+/// encoded.
+#[test]
+fn responses_over_the_frame_cap_get_a_typed_error_and_the_connection_serves_on() {
+    let scratch = Scratch::new("framecap");
+    let max_frame = 2048;
+    let server = Server::start(ServeConfig {
+        state_dir: scratch.path().to_path_buf(),
+        tcp: Some("127.0.0.1:0".into()),
+        checkpoint_every: Duration::ZERO,
+        max_frame,
+        quiet: true,
+        ..ServeConfig::default()
+    })
+    .expect("server start");
+    let mut client = connect(&server);
+    let spec = SketchSpec::new(SketchTask::Connectivity, 8).with_seed(5);
+    let framed = SketchFile::new(spec, spec.build())
+        .unwrap()
+        .to_bytes()
+        .len()
+        + 10;
+    assert!(framed > max_frame);
+    let refused = |outcome: Result<(), ClientError>, what: &str| match outcome {
+        Err(ClientError::Server { code, msg }) => {
+            assert_eq!(code, ErrCode::Wire, "{msg}");
+            assert!(msg.starts_with(what), "{msg}");
+            assert!(
+                msg.ends_with(&format!("exceeds the frame cap of {max_frame} B")),
+                "{msg}"
+            );
+            msg
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    };
+
+    client.create("t0", &spec.to_json()).expect("create");
+    let msg = refused(client.snapshot("t0").map(|_| ()), "snapshot");
+    assert!(msg.starts_with(&format!("snapshot of {framed} B")), "{msg}");
+    assert_eq!(
+        client.ping(b"alive").expect("ping after SNAPSHOT"),
+        b"alive"
+    );
+
+    // Tenants until the service-wide STATS answer outgrows the cap.
+    let mut outgrown = Ok(());
+    for i in 1..64 {
+        if let Err(e) = client.stats("") {
+            outgrown = Err(e);
+            break;
+        }
+        client
+            .create(&format!("t{i}"), &spec.to_json())
+            .expect("create");
+    }
+    refused(outgrown, "response of");
+    assert_eq!(client.ping(b"again").expect("ping after STATS"), b"again");
+    assert!(client.stats("t0").is_ok(), "one tenant's STATS still fits");
+    server.shutdown();
+}
+
+/// Regression: `start` spawned the TCP accept thread before it bound the
+/// Unix listener. When the Unix bind failed (a live server holds the
+/// path), `start` returned an error and left the TCP listener serving
+/// the tenants it had just recovered, with nothing able to stop it.
+#[cfg(unix)]
+#[test]
+fn a_failed_start_leaves_no_listener_behind() {
+    let scratch = Scratch::new("failedstart");
+    let sock = scratch.path().join("live.sock");
+    let config = |dir: &str, tcp: Option<String>| ServeConfig {
+        state_dir: scratch.path().join(dir),
+        tcp,
+        unix: Some(sock.clone()),
+        checkpoint_every: Duration::ZERO,
+        quiet: true,
+        ..ServeConfig::default()
+    };
+    let live = Server::start(config("live", None)).expect("live server");
+    // A port nothing listens on once this reservation is dropped.
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("a free port")
+        .port();
+    match Server::start(config("second", Some(format!("127.0.0.1:{port}")))) {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::AddrInUse, "{e}"),
+        Ok(_) => panic!("a second server took a live server's Unix path"),
+    }
+    assert!(
+        TcpStream::connect(("127.0.0.1", port)).is_err(),
+        "the failed start left its TCP listener accepting"
+    );
+    live.shutdown();
+}
+
+/// Accept threads block in `accept`, and stopping wakes each one through
+/// its own listener. `shutdown`, `abort` and drop each return within a
+/// second on every listener kind (a TCP listener on the unspecified
+/// address is woken through loopback), whether no client ever connected
+/// or an idle one is still connected; and one Unix path serves a loop of
+/// starts and aborts.
+#[test]
+fn stopping_returns_promptly_on_every_listener() {
+    let scratch = Scratch::new("stop");
+    let mut listeners = vec![(Some("127.0.0.1:0"), None), (Some("0.0.0.0:0"), None)];
+    #[cfg(unix)]
+    listeners.push((None, Some(scratch.path().join("stop.sock"))));
+    let start = |tcp: Option<&str>, unix: &Option<PathBuf>| {
+        Server::start(ServeConfig {
+            state_dir: scratch.path().join("state"),
+            tcp: tcp.map(str::to_string),
+            unix: unix.clone(),
+            quiet: true,
+            ..ServeConfig::default()
+        })
+        .expect("server start")
+    };
+    for (tcp, unix) in &listeners {
+        for idle_client in [false, true] {
+            for stop in ["shutdown", "abort", "drop"] {
+                let server = start(*tcp, unix);
+                // A Unix listener is reached through a hard link, which
+                // outlives the socket file the server removes on stop.
+                let connect: Box<dyn Fn() -> Result<Client, ClientError>> =
+                    match (server.tcp_addr(), server.unix_path()) {
+                        (Some(addr), _) => {
+                            let addr = format!("127.0.0.1:{}", addr.port());
+                            Box::new(move || Client::connect_tcp(&addr))
+                        }
+                        #[cfg(unix)]
+                        (None, Some(path)) => {
+                            let link = path.with_extension("link");
+                            let _ = std::fs::remove_file(&link);
+                            std::fs::hard_link(path, &link).expect("link the socket");
+                            Box::new(move || Client::connect_unix(&link))
+                        }
+                        _ => unreachable!("one listener is bound"),
+                    };
+                let client = idle_client.then(|| {
+                    let mut client = connect().expect("connect");
+                    client.ping(b"idle").expect("ping");
+                    client
+                });
+                let started = std::time::Instant::now();
+                match stop {
+                    "shutdown" => server.shutdown(),
+                    "abort" => server.abort(),
+                    _ => drop(server),
+                }
+                let took = started.elapsed();
+                let case = format!("{stop} of {tcp:?} {unix:?} (idle client: {idle_client})");
+                assert!(took < Duration::from_secs(1), "{case} took {took:?}");
+                // The accept thread was joined, so its listener is closed.
+                assert!(connect().is_err(), "{case}: the listener still accepts");
+                drop(client);
+            }
+        }
+    }
+    #[cfg(unix)]
+    {
+        let unix = Some(scratch.path().join("loop.sock"));
+        for round in 0..20 {
+            let server = start(None, &unix);
+            let started = std::time::Instant::now();
+            server.abort();
+            let took = started.elapsed();
+            assert!(took < Duration::from_secs(1), "round {round}: {took:?}");
+        }
+    }
+}

@@ -232,6 +232,9 @@ fn state_paths(task: SketchTask) -> (SketchSpec, Vec<(&'static str, AnySketch)>)
 
 #[test]
 fn dirty_driven_write_to_equals_the_dense_encoder_on_every_state_path() {
+    let dir = std::env::temp_dir().join(format!("gs-wire-v2-paths-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let durable = dir.join("state");
     let (mut narrow, mut ragged) = (false, false);
     for task in SketchTask::ALL {
         let (spec, paths) = state_paths(task);
@@ -242,7 +245,20 @@ fn dirty_driven_write_to_equals_the_dense_encoder_on_every_state_path() {
             for bank in wide.banks_mut() {
                 bank.force_wide();
             }
-            let expected = dense_v2_bytes(&SketchFile::new(spec, state.clone()).unwrap());
+            let file = SketchFile::new(spec, state.clone()).unwrap();
+            let expected = dense_v2_bytes(&file);
+            assert_eq!(
+                file.encoded_len(),
+                expected.len() as u64,
+                "{task:?}, {path}"
+            );
+            // The durable path hands zero runs to a sparse file by
+            // length; the file must hold the same bytes.
+            file.write_durably(&durable).unwrap();
+            assert!(
+                std::fs::read(&durable).unwrap() == file.to_bytes(),
+                "{task:?}, {path}: the durable file differs"
+            );
             for state in [state, wide] {
                 let file = SketchFile::new(spec, state).unwrap();
                 let mut streamed = Vec::new();
@@ -256,6 +272,7 @@ fn dirty_driven_write_to_equals_the_dense_encoder_on_every_state_path() {
         ragged,
         "a bank of a length not a multiple of 64 was covered"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
