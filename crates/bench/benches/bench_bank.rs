@@ -5,15 +5,18 @@
 //! (broadcast one update triple across a cell row) — in four lane/path
 //! configurations:
 //!
-//! | config          | `s`-lane | inner loops                         |
-//! |-----------------|----------|-------------------------------------|
-//! | `wide-scalar`   | `i128`   | scalar (the pre-compaction kernels) |
-//! | `wide-simd`     | `i128`   | AVX2 where applicable               |
-//! | `narrow-scalar` | `i64`    | scalar                              |
-//! | `narrow-simd`   | `i64`    | AVX2 where applicable               |
+//! | config          | `w` / `s` lanes | cell  | inner loops                             |
+//! |-----------------|-----------------|-------|-----------------------------------------|
+//! | `wide-scalar`   | `i64` / `i128`  | 32 B  | scalar (the pre-compaction kernels)     |
+//! | `wide-simd`     | `i64` / `i128`  | 32 B  | AVX2 for `w` and `f`                    |
+//! | `narrow-scalar` | `i32` / `i64`   | 20 B  | scalar                                  |
+//! | `narrow-simd`   | `i32` / `i64`   | 20 B  | AVX2 for `s` and `f`, scalar `i32` `w`  |
 //!
 //! `wide-scalar` is the preserved baseline; `narrow-simd` is what a
-//! spec-built sketch runs today on an AVX2 host. Before anything is
+//! unit-bound spec-built sketch runs today on an AVX2 host (the `narrow`
+//! configurations are the widths `LaneWidth::for_bounds` derives for a
+//! unit delta bound; records before the `i32` `w` lane measured them
+//! with an `i64` `w`, 24 B a cell). Before anything is
 //! timed, all four configurations are asserted **bit-identical** on the
 //! exact workload being measured — a number from a kernel that diverges
 //! from the oracle is worthless.
@@ -42,7 +45,7 @@ use graph_sketches::connectivity::ForestParams;
 use graph_sketches::ForestSketch;
 use gs_field::M61;
 use gs_sketch::bank::CellBanked;
-use gs_sketch::lane::LaneWidth;
+use gs_sketch::lane::{IntWidth, LaneWidth};
 use gs_sketch::par::DecodePlan;
 use gs_sketch::{simd, BankGeometry, CellBank, EdgeUpdate, LinearSketch, Mergeable};
 use gs_stream::engine::{EngineConfig, SketchEngine};
@@ -116,8 +119,8 @@ fn with_path<T>(cfg: Config, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Asserts two sketches carry bit-identical measurement state, widening
-/// narrow `s`-lanes for the comparison.
+/// Asserts two sketches carry bit-identical measurement state, comparing
+/// the integer lanes by value across widths.
 fn assert_same(label: &str, a: &ForestSketch, b: &ForestSketch) {
     assert_eq!(a.banks().len(), b.banks().len(), "{label}: bank count");
     for (ba, bb) in a.banks().iter().zip(b.banks()) {
@@ -205,8 +208,13 @@ fn main() {
             })
         })
         .collect();
-    for (cfg, s) in CONFIGS[1..].iter().zip(&absorbed[1..]) {
+    for (cfg, s) in CONFIGS.iter().zip(&absorbed) {
         assert_same(&format!("absorb {}", cfg.name), &absorbed[0], s);
+        assert!(
+            s.banks().iter().all(|b| b.width() == cfg_width(*cfg)),
+            "{}: the sketch does not hold the configuration's lane widths",
+            cfg.name
+        );
     }
     let merged: Vec<ForestSketch> = CONFIGS
         .iter()
@@ -288,7 +296,7 @@ fn main() {
     for (ki, kernel) in ["absorb", "merge", "fan"].iter().enumerate() {
         for (ci, &cfg) in CONFIGS.iter().enumerate() {
             let ns = mins[ki][ci];
-            let cell_bytes = 8 + cfg_width(cfg).s_bytes() + 8;
+            let cell_bytes = cfg_width(cfg).cell_bytes();
             let (detail, gb_per_s) = match ki {
                 0 => (
                     format!(", \"ns_per_update\": {:.1}", ns / updates.len() as f64),
@@ -456,10 +464,15 @@ fn time<T>(f: impl FnOnce() -> T) -> f64 {
     t.elapsed().as_nanos() as f64
 }
 
+/// The lane widths of a configuration: what a unit delta bound derives,
+/// or the unbounded default.
 fn cfg_width(cfg: Config) -> LaneWidth {
     if cfg.narrow {
-        LaneWidth::Narrow
+        LaneWidth {
+            w: IntWidth::I32,
+            s: IntWidth::I64,
+        }
     } else {
-        LaneWidth::Wide
+        LaneWidth::WIDE
     }
 }

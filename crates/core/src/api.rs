@@ -287,7 +287,7 @@ impl SketchSpec {
     /// Constructs the empty sketch this spec describes.
     ///
     /// Each task is built through its bounded constructor, which derives
-    /// the bank `s`-lane width from the spec (`LaneWidth::for_bounds`):
+    /// the bank lane widths from the spec (`LaneWidth::for_bounds`):
     /// Definition-1 tasks declare the unit insert/delete bound, the
     /// weighted tasks their weight-class encodings, the subgraph task its
     /// squash-encoding scale. The declared bound is a derivation hint

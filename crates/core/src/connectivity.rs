@@ -133,11 +133,11 @@ impl ForestSketch {
     /// Panics if `n < 2` or `detector_reps` exceeds
     /// [`MAX_DETECTOR_REPS`].
     pub fn with_params(n: usize, params: ForestParams, seed: u64) -> Self {
-        Self::with_width(n, params, seed, LaneWidth::Wide)
+        Self::with_width(n, params, seed, LaneWidth::WIDE)
     }
 
-    /// As [`ForestSketch::with_params`], deriving the bank's `s`-lane
-    /// width from the caller's bound on `|delta|` per update (indices are
+    /// As [`ForestSketch::with_params`], deriving the bank's lane
+    /// widths from the caller's bound on `|delta|` per update (indices are
     /// edge slots `< C(n,2)`; see `LaneWidth::for_bounds`).
     pub fn with_bounds(n: usize, params: ForestParams, seed: u64, max_abs_delta: u64) -> Self {
         let width = LaneWidth::for_bounds(edge_domain(n).saturating_sub(1), max_abs_delta);
@@ -343,21 +343,20 @@ impl ForestSketch {
         let levels = self.levels as usize;
         let rowlen = self.row_len();
         let reps = self.params.detector_reps;
-        let (w, f) = (self.cells.w_lane(), self.cells.f_lane());
-        let s = self.cells.s_lane();
         let domain = edge_domain(self.n);
         let finger = &self.finger[bank];
         let row0 = (bank * self.n) * rowlen;
         // Sum of cell `j` of the row group over the members. The group sum
-        // accumulates wide regardless of the bank's lane width: a sum over
-        // n members can exceed the narrow per-cell range.
+        // accumulates in the cell's `i64`/`i128` regardless of the bank's
+        // lane widths: a sum over n members can exceed the compacted
+        // per-cell range.
         let gather = |j: usize| -> OneSparseCell {
             let (mut gw, mut gs, mut gf) = (0i64, 0i128, M61::ZERO);
             for &node in group {
-                let off = row0 + node * rowlen + j;
-                gw += w[off];
-                gs += s.get(off);
-                gf += f[off];
+                let (w, s, f) = self.cells.cell(row0 + node * rowlen + j).parts();
+                gw += w;
+                gs += s;
+                gf += f;
             }
             OneSparseCell::from_parts(gw, gs, gf)
         };
@@ -395,17 +394,16 @@ impl ForestSketch {
     #[doc(hidden)]
     pub fn group_query_reference(&self, bank: usize, group: &[usize]) -> L0Result {
         let rowlen = self.row_len();
-        let (w, f) = (self.cells.w_lane(), self.cells.f_lane());
-        let s = self.cells.s_lane();
         let mut gw = vec![0i64; rowlen];
         let mut gs = vec![0i128; rowlen];
         let mut gf = vec![M61::ZERO; rowlen];
         for &node in group {
             let off = (bank * self.n + node) * rowlen;
             for j in 0..rowlen {
-                gw[j] += w[off + j];
-                gs[j] += s.get(off + j);
-                gf[j] += f[off + j];
+                let (w, s, f) = self.cells.cell(off + j).parts();
+                gw[j] += w;
+                gs[j] += s;
+                gf[j] += f;
             }
         }
         let mut acc = self.proxy_detector(bank);

@@ -46,7 +46,7 @@ impl BipartitenessSketch {
     }
 
     /// As [`BipartitenessSketch::with_params`], deriving both forests'
-    /// `s`-lane widths from the caller's bound on `|delta|` per update
+    /// lane widths from the caller's bound on `|delta|` per update
     /// (see `LaneWidth::for_bounds`).
     pub fn with_bounds(n: usize, params: ForestParams, seed: u64, max_abs_delta: u64) -> Self {
         BipartitenessSketch {
@@ -211,7 +211,7 @@ impl KConnectivitySketch {
     }
 
     /// As [`KConnectivitySketch::new`], deriving the witness stack's
-    /// `s`-lane widths from the caller's bound on `|delta|` per update
+    /// lane widths from the caller's bound on `|delta|` per update
     /// (see `LaneWidth::for_bounds`).
     pub fn with_bounds(n: usize, k: usize, seed: u64, max_abs_delta: u64) -> Self {
         KConnectivitySketch {

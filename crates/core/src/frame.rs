@@ -49,6 +49,7 @@ use crate::api::SpecError;
 use crate::wire::WireError;
 use gs_sketch::EdgeUpdate;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::io::{self, Read, Write};
 
 /// The protocol version carried as the first byte of every envelope.
@@ -452,11 +453,16 @@ impl Request {
         out
     }
 
-    /// Decodes a frame body as a request envelope. The tenant name is
-    /// *not* validated here (an empty name is legal for service-wide
-    /// verbs) — servers gate per-verb with [`valid_tenant`].
-    pub fn decode(body: &[u8]) -> Result<Request, FrameError> {
-        let mut r = Cursor::new(body);
+    /// Decodes a frame body as a request envelope. The body is taken by
+    /// value: the envelope is drained off its front in place, so the
+    /// payload keeps the frame's allocation and a frame's bytes are held
+    /// once, not once as the frame and again as the payload (a borrowed
+    /// body is copied once). The tenant name is *not* validated here (an
+    /// empty name is legal for service-wide verbs) — servers gate per-verb
+    /// with [`valid_tenant`].
+    pub fn decode<'a>(body: impl Into<Cow<'a, [u8]>>) -> Result<Request, FrameError> {
+        let mut body = body.into().into_owned();
+        let mut r = Cursor::new(&body);
         let version = r.u8()?;
         if version != PROTO_VERSION {
             return Err(FrameError::Version { found: version });
@@ -469,11 +475,13 @@ impl Request {
         let tenant = std::str::from_utf8(r.take(tenant_len)?)
             .map_err(|_| FrameError::Malformed("tenant name is not UTF-8".into()))?
             .to_string();
+        let envelope = body.len() - r.remaining();
+        body.drain(..envelope);
         Ok(Request {
             corr,
             op,
             tenant,
-            payload: r.rest().to_vec(),
+            payload: body,
         })
     }
 }
@@ -776,7 +784,7 @@ pub struct TenantStats {
     /// 32-byte wire cell.
     pub bytes_resident: u64,
     /// Width-aware lane bytes of the tenant's one sketch: the
-    /// allocated lane storage after `s`-lane compaction. Both byte
+    /// allocated lane storage after `w`/`s` lane compaction. Both byte
     /// counts are allocations, not what the process holds: lanes are
     /// lazily zeroed, so the RSS of a tenant with few written cells can
     /// be far lower.
@@ -983,7 +991,7 @@ mod tests {
                 tenant: "tenant-7".into(),
                 payload: vec![1, 2, 3, i as u8],
             };
-            assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+            assert_eq!(Request::decode(req.encode()).unwrap(), req);
         }
     }
 

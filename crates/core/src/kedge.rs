@@ -72,7 +72,7 @@ impl KEdgeConnectSketch {
     }
 
     /// As [`KEdgeConnectSketch::with_mode`], deriving every forest
-    /// layer's `s`-lane width from the caller's bound on `|delta|` per
+    /// layer's lane widths from the caller's bound on `|delta|` per
     /// update (see `LaneWidth::for_bounds`).
     pub fn with_bounds(
         n: usize,

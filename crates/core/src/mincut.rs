@@ -121,8 +121,8 @@ impl MinCutSketch {
         Self::build(n, params, seed, None)
     }
 
-    /// As [`MinCutSketch::with_params`], deriving every level's `s`-lane
-    /// width from the caller's bound on `|delta|` per update (see
+    /// As [`MinCutSketch::with_params`], deriving every level's lane
+    /// widths from the caller's bound on `|delta|` per update (see
     /// `LaneWidth::for_bounds`).
     pub fn with_bounds(n: usize, params: MinCutParams, seed: u64, max_abs_delta: u64) -> Self {
         Self::build(n, params, seed, Some(max_abs_delta))

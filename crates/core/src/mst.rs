@@ -75,7 +75,7 @@ impl MstSketch {
     }
 
     /// As [`MstSketch::with_params`], deriving every threshold level's
-    /// `s`-lane width from the caller's bound on `|delta|` per update
+    /// lane widths from the caller's bound on `|delta|` per update
     /// (the threshold subgraphs take unit membership updates, so the
     /// bound is the stream's multiplicity bound; see
     /// `LaneWidth::for_bounds`).

@@ -75,7 +75,7 @@ impl SimpleSparsifySketch {
     }
 
     /// As [`SimpleSparsifySketch::with_params`], deriving the level
-    /// machinery's `s`-lane width from the caller's bound on `|delta|`
+    /// machinery's lane widths from the caller's bound on `|delta|`
     /// per update (see `LaneWidth::for_bounds`).
     pub fn with_bounds(
         n: usize,

@@ -97,7 +97,7 @@ impl SparsifySketch {
     }
 
     /// As [`SparsifySketch::with_params`], deriving the recovery and
-    /// rough-sparsifier `s`-lane widths from the caller's bound on
+    /// rough-sparsifier lane widths from the caller's bound on
     /// `|delta|` per update (see `LaneWidth::for_bounds`).
     pub fn with_bounds(n: usize, params: SparsifyParams, seed: u64, max_abs_delta: u64) -> Self {
         Self::build(n, params, seed, Some(max_abs_delta))

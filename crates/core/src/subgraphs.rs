@@ -87,8 +87,8 @@ impl SubgraphSketch {
         Self::build(n, k, params, seed, None)
     }
 
-    /// As [`SubgraphSketch::with_params`], deriving the samplers' `s`-lane
-    /// width from the caller's bound on `|delta|` per stream update. The
+    /// As [`SubgraphSketch::with_params`], deriving the samplers' lane
+    /// widths from the caller's bound on `|delta|` per stream update. The
     /// squash encoding scales a stream delta by up to `2^{C(k,2)−1}` (one
     /// bit per possible pattern edge), so the coordinate-level bound is
     /// `max_abs_delta · 2^{C(k,2)−1}` (see `LaneWidth::for_bounds`).

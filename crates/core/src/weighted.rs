@@ -75,7 +75,7 @@ impl WeightedSparsifySketch {
     }
 
     /// As [`WeightedSparsifySketch::with_params`], compacting each weight
-    /// class's `s`-lanes to its derived per-class delta bound: class `c`
+    /// class's lanes to its derived per-class delta bound: class `c`
     /// carries value-carrying updates `±w` with `w < 2^{c+1}`, so its
     /// bound is `2^{c+1} − 1` (see `LaneWidth::for_bounds`).
     pub fn with_bounds(n: usize, params: WeightedParams, seed: u64) -> Self {

@@ -23,6 +23,13 @@
 //! u64 FNV-1a checksum of every preceding byte
 //! ```
 //!
+//! The lane words are format-frozen whatever widths the bank stores
+//! (a unit-bound spec holds `w` as `i32` and, at moderate `n`, `s` as
+//! `i64`): both layouts widen on export, and both import paths
+//! range-check every `w` and `s` word into the receiver's widths and
+//! refuse a value that does not fit with [`WireError::LaneRange`], for
+//! the whole file or record.
+//!
 //! **Delta record** — the incremental sibling of the sketch file, produced by
 //! [`SketchFile::delta_bytes`] and consumed by
 //! [`SketchFile::apply_delta`]. Instead of whole lanes it ships only the
@@ -87,7 +94,7 @@ use crate::api::{AnySketch, MergeError, SketchAnswer, SketchSpec, SpecError};
 use gs_field::{m61, M61};
 use gs_sketch::bank::CellBanked;
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{BankGeometry, LinearSketch, SLane};
+use gs_sketch::{BankGeometry, IntLane, LinearSketch};
 use std::fs::File;
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -313,6 +320,23 @@ fn put_lane<S: Sink, T: Copy, const N: usize>(
         out.put(encoded.as_flattened())?;
     }
     Ok(())
+}
+
+/// Streams an integer lane (see [`put_lane`]) as the little-endian wire
+/// word `word` makes of each widened cell: the wire carries `w` as 8-byte
+/// and `s` as 16-byte words whatever width the bank stores, so
+/// compaction never leaks into the format.
+fn put_int_lane<S: Sink, const N: usize>(
+    out: &mut Checksummed<S>,
+    lane: &IntLane,
+    dirty: &[u64],
+    word: fn(i128) -> [u8; N],
+) -> io::Result<()> {
+    match lane {
+        IntLane::I32(c) => put_lane(out, c, dirty, |x| word(x.into())),
+        IntLane::I64(c) => put_lane(out, c, dirty, |x| word(x.into())),
+        IntLane::I128(c) => put_lane(out, c, dirty, word),
+    }
 }
 
 /// The block size [`SparseFile`] turns into a hole when the stream holds
@@ -634,9 +658,10 @@ pub enum WireError {
     Merge(MergeError),
     /// A file or delta carries a cell value outside the receiving bank's
     /// spec-derived lane range (the lane-compaction bound of
-    /// `LaneWidth::for_bounds`). The wire always ships `s` as 16-byte
-    /// words; a narrow bank range-checks them on import and refuses the
-    /// whole record rather than wrapping silently.
+    /// `LaneWidth::for_bounds`). The wire always ships `w` as 8-byte and
+    /// `s` as 16-byte words; a compacted bank range-checks both on import
+    /// (an `i32` `w` lane refuses a word of 2^31 or more in magnitude)
+    /// and refuses the whole record rather than wrapping silently.
     LaneRange {
         /// Zero-based index of the offending bank.
         bank: usize,
@@ -899,14 +924,10 @@ impl SketchFile {
             out.put_u32(geom.levels as u32)?;
             out.put_u32(geom.slots as u32)?;
             let dirty = bank.dirty_words();
-            put_lane(&mut out, bank.w_lane(), dirty, i64::to_le_bytes)?;
-            // The wire always ships `s` as 16-byte words: a narrow
-            // (i64-lane) bank widens here, so compaction never leaks
-            // into the format and old readers stay byte-compatible.
-            match bank.s_lane() {
-                SLane::Narrow(s) => put_lane(&mut out, s, dirty, |x| i128::from(x).to_le_bytes())?,
-                SLane::Wide(s) => put_lane(&mut out, s, dirty, i128::to_le_bytes)?,
-            }
+            // A compacted bank widens here: `w` (at most i64 wide, see
+            // `CellBank::with_width`) as 8-byte words, `s` as 16-byte ones.
+            put_int_lane(&mut out, bank.w_lane(), dirty, |x| (x as i64).to_le_bytes())?;
+            put_int_lane(&mut out, bank.s_lane(), dirty, i128::to_le_bytes)?;
             put_lane(&mut out, bank.f_lane(), dirty, |x| x.value().to_le_bytes())?;
         }
         let fps = self.state.fingerprints();
@@ -979,9 +1000,9 @@ impl SketchFile {
             for _ in 0..len {
                 f.push(read_m61(&mut r)?);
             }
-            // A compacted (narrow-lane) bank range-checks the widened
-            // wire words before accepting any of them: a value outside
-            // the lane's derived bound means the file was produced for a
+            // A compacted bank range-checks the widened `w` and `s` wire
+            // words before accepting any of them: a value outside a
+            // lane's derived bound means the file was produced for a
             // different spec (or tampered with), so refuse with a typed
             // error instead of wrapping silently.
             bank.try_overlay(w, s, f)
@@ -1048,14 +1069,12 @@ impl SketchFile {
             for &i in &touched {
                 write_u32(&mut out, i as u32);
             }
-            let (w, f) = (bank.w_lane(), bank.f_lane());
-            let s = bank.s_lane();
+            let (w, s, f) = (bank.w_lane(), bank.s_lane(), bank.f_lane());
+            // Same rule as `to_bytes`: `w` rides as 8-byte and `s` as
+            // 16-byte words, so a compacted bank widens on the way out.
             for &i in &touched {
-                // gs-lint: allow(no-panic-paths, "encode-side: dirty_indices() yields in-bounds cells of this process's own bank, not wire input")
-                out.extend_from_slice(&w[i].to_le_bytes());
+                out.extend_from_slice(&(w.get(i) as i64).to_le_bytes());
             }
-            // Same rule as `to_bytes`: `s` rides as 16-byte words, so a
-            // narrow bank widens on the way out.
             for &i in &touched {
                 out.extend_from_slice(&s.get(i).to_le_bytes());
             }

@@ -4,22 +4,23 @@
 //!
 //! Two disciplines are enforced here:
 //!
-//! 1. **Bit identity.** A spec-built sketch (compacted `s`-lanes, AVX2
-//!    kernels where the CPU has them) must produce measurement state
-//!    bit-identical to the wide-lane scalar reference on the same
-//!    stream — across absorb, merge, accumulate, and drain_dirty. The
-//!    scalar loops and wide lanes are the oracle; any divergence is a
-//!    kernel bug, full stop.
-//! 2. **Range safety.** Sketch files and delta records may carry `s`
-//!    values that do not fit a receiver's compacted lane.
+//! 1. **Bit identity.** A spec-built sketch (compacted `w` and `s`
+//!    lanes, AVX2 kernels where the CPU has them) must produce
+//!    measurement state bit-identical to the wide-lane scalar reference
+//!    on the same stream — across absorb, merge, accumulate, and
+//!    drain_dirty. The scalar loops and wide lanes are the oracle; any
+//!    divergence is a kernel bug, full stop.
+//! 2. **Range safety.** Sketch files and delta records may carry `w` or
+//!    `s` values that do not fit a receiver's compacted lanes.
 //!    Every import path must reject them with
 //!    [`WireError::LaneRange`] and leave the receiver untouched —
 //!    never wrap, never panic.
 
+use graph_sketches::wire::{V2_MAGIC, WIRE_FORMAT_BIN};
 use graph_sketches::{AnySketch, SketchFile, SketchSpec, SketchTask, WireError};
 use gs_field::SplitMix64;
 use gs_sketch::bank::CellBanked;
-use gs_sketch::{simd, EdgeUpdate, LinearSketch, Mergeable};
+use gs_sketch::{simd, EdgeUpdate, IntWidth, LaneWidth, LinearSketch, Mergeable};
 
 /// Restores the runtime-detected SIMD dispatch on drop, so a failing
 /// assertion in a forced-scalar section cannot leak the forced state
@@ -97,12 +98,17 @@ fn widened(spec: &SketchSpec) -> AnySketch {
 }
 
 /// Asserts two sketches hold bit-identical measurement state, comparing
-/// `s`-lanes at full width so narrow and wide twins can be compared.
+/// the integer lanes at full width so narrow and wide twins can be
+/// compared.
 fn assert_identical(task: SketchTask, a: &AnySketch, b: &AnySketch) {
     let (ba, bb) = (a.banks(), b.banks());
     assert_eq!(ba.len(), bb.len(), "{task:?}: bank count");
     for (i, (x, y)) in ba.iter().zip(&bb).enumerate() {
-        assert_eq!(x.w_lane(), y.w_lane(), "{task:?}: bank {i} w lane");
+        assert_eq!(
+            x.w_lane().to_wide_vec(),
+            y.w_lane().to_wide_vec(),
+            "{task:?}: bank {i} w lane"
+        );
         assert_eq!(
             x.s_lane().to_wide_vec(),
             y.s_lane().to_wide_vec(),
@@ -113,8 +119,18 @@ fn assert_identical(task: SketchTask, a: &AnySketch, b: &AnySketch) {
     assert_eq!(a.fingerprints(), b.fingerprints(), "{task:?}: fingerprints");
 }
 
+/// Every task's spec-built sketch against its twin with both integer
+/// lanes forced wide (`i64` `w`, `i128` `s`), on the scalar and the
+/// dispatched (SIMD where available) kernel paths.
 #[test]
 fn narrow_vs_wide_bit_identity_across_all_tasks() {
+    for scalar in [false, true] {
+        let _guard = scalar.then(ScalarGuard::force);
+        narrow_vs_wide_bit_identity();
+    }
+}
+
+fn narrow_vs_wide_bit_identity() {
     for spec in specs() {
         let ups = workload(&spec, 0, 160);
         let (head, tail) = ups.split_at(ups.len() / 2);
@@ -122,6 +138,12 @@ fn narrow_vs_wide_bit_identity_across_all_tasks() {
         // Absorb.
         let mut narrow = spec.build();
         let mut wide = widened(&spec);
+        assert!(
+            narrow.banks().iter().any(|b| b.width().w == IntWidth::I32),
+            "{:?}: the spec-built sketch holds no compact w lane",
+            spec.task
+        );
+        assert!(wide.banks().iter().all(|b| b.width() == LaneWidth::WIDE));
         narrow.absorb(&ups);
         wide.absorb(&ups);
         assert_identical(spec.task, &narrow, &wide);
@@ -399,6 +421,132 @@ fn delta_import_rejects_out_of_range_values_and_leaves_receiver_unchanged() {
         before,
         "failed delta apply must be all-or-nothing"
     );
+}
+
+/// The v2 bytes of an empty unit-bound connectivity sketch at n = 24,
+/// with bank 0's `w` word of cell `cell` set to `w` and the file
+/// resealed: a hand-made file whose only damage is that one value.
+fn v2_with_w_word(spec: &SketchSpec, cell: usize, w: i64) -> Vec<u8> {
+    let mut bytes = SketchFile::new(*spec, spec.build()).unwrap().to_bytes();
+    let spec_json = spec.to_json();
+    assert!(bytes.starts_with(V2_MAGIC));
+    assert_eq!(bytes[8..12], WIRE_FORMAT_BIN.to_le_bytes());
+    // magic, version, spec length, spec, bank count, bank 0 geometry.
+    let w_lane = 8 + 4 + 4 + spec_json.len() + 4 + 12;
+    let at = w_lane + 8 * cell;
+    bytes[at..at + 8].copy_from_slice(&w.to_le_bytes());
+    let end = bytes.len() - 8;
+    let mut sum = 0xcbf2_9ce4_8422_2325u64;
+    for &b in &bytes[..end] {
+        sum = (sum ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    bytes[end..].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+/// A `w` word of 2^31 does not fit a unit-bound spec's `i32` `w` lane:
+/// a hand-sealed v2 file carrying one is refused with `LaneRange` naming
+/// the cell, while 2^31 − 1 and −2^31 load.
+#[test]
+fn v2_import_rejects_a_w_word_past_the_i32_lane() {
+    let spec = SketchSpec::new(SketchTask::Connectivity, 24);
+    let built = spec.build();
+    assert_eq!(built.banks()[0].width().w, IntWidth::I32);
+    let cell = 37;
+    match SketchFile::from_bytes(&v2_with_w_word(&spec, cell, 1 << 31)) {
+        Err(WireError::LaneRange { bank: 0, cell: c }) => assert_eq!(c, Some(cell)),
+        other => panic!("expected LaneRange at bank 0, got {other:?}"),
+    }
+    for edge in [i64::from(i32::MAX), i64::from(i32::MIN)] {
+        let loaded = SketchFile::from_bytes(&v2_with_w_word(&spec, cell, edge)).unwrap();
+        assert_eq!(loaded.state.banks()[0].cell(cell).parts().0, edge);
+    }
+}
+
+/// A delta record whose touched cells carry `w = 2^31` (from a
+/// wide-lane sender) is refused as a whole by a unit-bound receiver,
+/// which keeps its prior state byte for byte.
+#[test]
+fn delta_import_rejects_a_w_word_past_the_i32_lane_and_leaves_receiver_unchanged() {
+    let spec = SketchSpec::new(SketchTask::Connectivity, 24);
+    let mut sender = widened(&spec);
+    // Edge (0, 1) has index 0, so `s` stays 0 and only `w` is out of range.
+    sender.update_edge(0, 1, 1 << 31);
+    assert!(LinearSketch::lane_overflow(&sender).is_none());
+    let delta = SketchFile::new(spec, sender).unwrap().delta_bytes();
+    let mut receiver = SketchFile::new(spec, spec.build()).unwrap();
+    receiver.state.absorb(&workload(&spec, 7, 40));
+    let before = receiver.to_bytes();
+    match receiver.apply_delta(&delta) {
+        Err(WireError::LaneRange { bank: 0, .. }) => {}
+        other => panic!("expected LaneRange, got {other:?}"),
+    }
+    assert_eq!(receiver.to_bytes(), before, "all-or-nothing");
+    assert!(LinearSketch::lane_overflow(&receiver.state).is_none());
+}
+
+/// The lane footprint a spec-built sketch reports: every unit-bound
+/// task's banks hold 20 B a cell (`i32` `w`, `i64` `s`, `f`) plus the
+/// dirty bitmap, while weight classes ≥ 7 and subgraph patterns with
+/// k ≥ 5 (per-update bounds ≥ 2^7) keep an `i64` `w`.
+#[test]
+fn unit_bound_specs_hold_twenty_byte_cells() {
+    let footprint = |s: &AnySketch| -> usize {
+        let banks: usize = s
+            .banks()
+            .iter()
+            .map(|b| 20 * b.len() + 8 * b.len().div_ceil(64))
+            .sum();
+        banks + 8 * s.fingerprints().len()
+    };
+    for mut spec in specs() {
+        spec.max_weight = 127;
+        spec.k = 4;
+        let s = spec.build();
+        assert!(
+            s.banks().iter().all(|b| b.width()
+                == LaneWidth {
+                    w: IntWidth::I32,
+                    s: IntWidth::I64
+                }),
+            "{:?}",
+            spec.task
+        );
+        assert_eq!(s.resident_lane_bytes(), footprint(&s), "{:?}", spec.task);
+    }
+    // The ladder's ingest-powerlaw tenant, as served.
+    let big = SketchSpec::new(SketchTask::Connectivity, 4096).build();
+    assert_eq!(
+        big.banks().iter().map(|b| b.len()).sum::<usize>(),
+        2_826_240
+    );
+    assert_eq!(big.resident_lane_bytes(), 56_878_080);
+
+    // Weight class 7 carries |Δ| up to 255: its banks keep `i64` `w`.
+    let weighted = |max_weight| {
+        let mut spec = SketchSpec::new(SketchTask::WeightedSparsify, 16);
+        spec.max_weight = max_weight;
+        spec.build()
+    };
+    let (six, seven) = (weighted(127), weighted(255));
+    let compact = six.banks().len();
+    assert!(seven.banks().len() > compact);
+    for (i, bank) in seven.banks().iter().enumerate() {
+        let w = if i < compact {
+            IntWidth::I32
+        } else {
+            IntWidth::I64
+        };
+        assert_eq!(bank.width().w, w, "weighted bank {i}");
+    }
+    // A k = 5 pattern scales a unit delta by 2^9.
+    let mut k5 = SketchSpec::new(SketchTask::Subgraphs, 16);
+    k5.k = 5;
+    assert!(k5
+        .build()
+        .banks()
+        .iter()
+        .all(|b| b.width().w == IntWidth::I64));
 }
 
 /// In-range wire traffic between narrow and wide peers stays bit-exact:

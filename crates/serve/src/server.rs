@@ -681,19 +681,17 @@ fn handle_connection(mut conn: Box<dyn Conn>, shared: &Shared) {
             }
             Err(_) => return,
         };
-        let resp = match Request::decode(&body) {
-            Ok(req) => dispatch(shared, req),
-            Err(e) => Response::Err {
-                corr: 0,
-                code: ErrCode::Malformed,
-                msg: e.to_string(),
-            },
+        // The request takes the frame body over, so an INGEST payload
+        // is held once.
+        let (corr, body) = match Request::decode(body) {
+            Ok(req) => (req.corr, dispatch(shared, req)),
+            Err(e) => (0, err(0, ErrCode::Malformed, e.to_string()).encode()),
         };
         shared.frames_served.fetch_add(1, Ordering::SeqCst);
-        let body = match resp.encode() {
+        let body = match body {
             body if body.len() <= shared.max_frame => body,
             body => err(
-                resp.corr(),
+                corr,
                 ErrCode::Wire,
                 over_cap("response", body.len() as u64, shared.max_frame),
             )
@@ -705,12 +703,13 @@ fn handle_connection(mut conn: Box<dyn Conn>, shared: &Shared) {
     }
 }
 
-/// Routes one request to its verb handler; every refusal is a typed
-/// error frame, never a panic or a dropped connection.
-fn dispatch(shared: &Shared, req: Request) -> Response {
+/// Routes one request to its verb handler and returns the response's
+/// frame body; every refusal is a typed error frame, never a panic or a
+/// dropped connection.
+fn dispatch(shared: &Shared, req: Request) -> Vec<u8> {
     let corr = req.corr;
     if shared.stop.load(Ordering::SeqCst) {
-        return err(corr, ErrCode::Shutdown, "server is shutting down");
+        return err(corr, ErrCode::Shutdown, "server is shutting down").encode();
     }
     let needs_tenant = !matches!(req.op, Opcode::Ping | Opcode::Stats | Opcode::Checkpoint);
     if needs_tenant && !frame::valid_tenant(&req.tenant) {
@@ -721,15 +720,16 @@ fn dispatch(shared: &Shared, req: Request) -> Response {
                 "tenant {:?} is not [A-Za-z0-9][A-Za-z0-9_-]{{0,63}}",
                 req.tenant
             ),
-        );
+        )
+        .encode();
     }
     if !req.tenant.is_empty()
         && matches!(req.op, Opcode::Stats | Opcode::Checkpoint)
         && !frame::valid_tenant(&req.tenant)
     {
-        return err(corr, ErrCode::BadTenantName, "bad tenant name");
+        return err(corr, ErrCode::BadTenantName, "bad tenant name").encode();
     }
-    match req.op {
+    let resp = match req.op {
         Opcode::Ping => Response::Ok {
             corr,
             payload: req.payload,
@@ -737,11 +737,12 @@ fn dispatch(shared: &Shared, req: Request) -> Response {
         Opcode::Create => handle_create(shared, corr, &req.tenant, &req.payload),
         Opcode::Ingest => handle_ingest(shared, corr, &req.tenant, &req.payload),
         Opcode::Query => handle_query(shared, corr, &req.tenant, &req.payload),
-        Opcode::Snapshot => handle_snapshot(shared, corr, &req.tenant),
+        Opcode::Snapshot => return handle_snapshot(shared, corr, &req.tenant),
         Opcode::Drop => handle_drop(shared, corr, &req.tenant),
         Opcode::Stats => handle_stats(shared, corr, &req.tenant),
         Opcode::Checkpoint => handle_checkpoint(shared, corr, &req.tenant),
-    }
+    };
+    resp.encode()
 }
 
 fn err(corr: u64, code: ErrCode, msg: impl Into<String>) -> Response {
@@ -947,54 +948,75 @@ fn handle_query(shared: &Shared, corr: u64, name: &str, payload: &[u8]) -> Respo
             t.cached_answer_ns += started.elapsed().as_nanos() as u64;
             Ok(answer)
         }
-        None => t
-            .flushed_base()
-            .map(|base| base.state.decode_with(&plan))
-            .inspect(|answer| {
-                t.memo_invalidations += u64::from(t.memo.is_some());
-                t.memo = Some((key, answer.clone()));
-            }),
+        None => decode_flushed(&t, &plan).inspect(|answer| {
+            t.memo_invalidations += u64::from(t.memo.is_some());
+            t.memo = Some((key, answer.clone()));
+        }),
     };
     match answer {
         Ok(answer) => Response::Ok {
             corr,
             payload: answer.to_json().into_bytes(),
         },
-        Err(e) => err(corr, ErrCode::Internal, e),
+        Err((code, e)) => err(corr, code, e),
     }
 }
 
-fn handle_snapshot(shared: &Shared, corr: u64, name: &str) -> Response {
+/// Decodes a tenant's flushed base. A base poisoned by a lane overflow
+/// holds wrapped lanes, not a linear measurement, so it is refused with
+/// [`ErrCode::Wire`], as `CHECKPOINT` and `SNAPSHOT` refuse it, instead of
+/// being decoded into an answer (and the memo) that silently drops the
+/// overflowed edges.
+fn decode_flushed(t: &Tenant, plan: &DecodePlan) -> Result<SketchAnswer, (ErrCode, String)> {
+    let base = t.flushed_base().map_err(|e| (ErrCode::Internal, e))?;
+    if let Some(overflow) = base.state.lane_overflow() {
+        return Err((
+            ErrCode::Wire,
+            format!(
+                "query: {overflow}; the poisoned sketch is no longer a linear measurement \
+                 and is not decoded"
+            ),
+        ));
+    }
+    Ok(base.state.decode_with(plan))
+}
+
+/// Answers `SNAPSHOT` with a frame body encoded in place: the `Ok`
+/// envelope, then the v2 bytes written straight after it into a body
+/// sized by [`SketchFile::encoded_len`], so the server holds the blob
+/// once (a payload encoded on its own and then copied behind the
+/// envelope was held twice).
+fn handle_snapshot(shared: &Shared, corr: u64, name: &str) -> Vec<u8> {
     let Some(tenant) = lookup(shared, name) else {
-        return err(corr, ErrCode::NoSuchTenant, format!("no tenant {name:?}"));
+        return err(corr, ErrCode::NoSuchTenant, format!("no tenant {name:?}")).encode();
     };
     let t = lock_tenant(&tenant);
     let base = match t.flushed_base() {
         Ok(base) => base,
-        Err(e) => return err(corr, ErrCode::Internal, e),
+        Err(e) => return err(corr, ErrCode::Internal, e).encode(),
     };
-    // A response too large for a frame is refused before the blob is
-    // encoded: encoding it would cost two copies of it, the payload and
-    // the frame body, only for the frame to be refused.
-    let header = Response::Ok {
+    let mut body = Response::Ok {
         corr,
         payload: Vec::new(),
     }
-    .encode()
-    .len() as u64;
-    let framed = header + base.encoded_len();
+    .encode();
+    // A response too large for a frame is refused before the blob is
+    // encoded.
+    let blob = base.encoded_len();
+    let framed = body.len() as u64 + blob;
     if framed > shared.max_frame as u64 {
         return err(
             corr,
             ErrCode::Wire,
             over_cap("snapshot", framed, shared.max_frame),
-        );
+        )
+        .encode();
     }
-    let mut payload = Vec::new();
-    if let Err(e) = base.write_to(&mut payload) {
-        return err(corr, export_code(&e), format!("snapshot: {e}"));
+    body.reserve_exact(blob as usize);
+    if let Err(e) = base.write_to(&mut body) {
+        return err(corr, export_code(&e), format!("snapshot: {e}")).encode();
     }
-    Response::Ok { corr, payload }
+    body
 }
 
 fn handle_drop(shared: &Shared, corr: u64, name: &str) -> Response {

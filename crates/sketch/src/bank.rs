@@ -4,9 +4,9 @@
 //! 1-sparse cell `(w, s, f)` of [`crate::one_sparse::OneSparseCell`]. Before
 //! this module each structure owned a scattered `Vec<OneSparseCell>` in
 //! array-of-structs layout; now they all share a [`CellBank`]: three
-//! parallel lanes (`w: i64`, `s: i64` *or* `i128` — see below, `f: M61`)
-//! plus a [`BankGeometry`] descriptor (`reps × levels × slots`). The layout
-//! buys three things at once:
+//! parallel lanes (`w: i32` *or* `i64`, `s: i64` *or* `i128` — see below,
+//! `f: M61`) plus a [`BankGeometry`] descriptor (`reps × levels ×
+//! slots`). The layout buys three things at once:
 //!
 //! * **Batched updates.** An update's expensive work — the fingerprint hash
 //!   `h(i)` and the per-repetition subsampling level of `i` — depends only
@@ -15,10 +15,11 @@
 //!   `(Δw, Δs, Δf)` triple to a run of cells; callers hash once per index
 //!   and fan into every affected row instead of re-hashing per cell.
 //! * **Vectorizable merges.** A dense [`CellBank::add`] is three
-//!   contiguous slice-add loops over primitive lanes, dispatched through
-//!   the runtime AVX2 kernels of [`crate::simd`] (the scalar loops are
-//!   preserved there as the bit-identity oracle); a sparse operand is
-//!   summed over its dirty cells only (see below).
+//!   contiguous slice-add loops over primitive lanes; the `i64` and `M61`
+//!   sweeps dispatch through the runtime AVX2 kernels of [`crate::simd`]
+//!   (the scalar loops are preserved there as the bit-identity oracle),
+//!   the `i32` and `i128` ones are plain scalar loops. A sparse operand
+//!   is summed over its dirty cells only (see below).
 //! * **A wire-ready dump.** The lanes *are* the linear measurement state;
 //!   `graph_sketches::wire` format v2 ships them as raw little-endian
 //!   bytes, geometry-checked against a spec-built receiver (see the
@@ -32,23 +33,34 @@
 //! by [`CellBank::resident_bytes`] count the allocation, an upper bound
 //! on what the process actually holds.
 //!
-//! ## Spec-derived lane width
+//! ## Spec-derived lane widths
 //!
-//! The `s` lane (`Σ i·x_i`) is stored as a width-tagged [`SLane`]: `i64`
-//! (**narrow**) when the constructor's declared index/delta bounds fit
-//! [`LaneWidth::for_bounds`]'s budget, `i128` (**wide**) otherwise. Narrow
-//! banks move 24 bytes per cell instead of 32 on every absorb, merge,
-//! drain, and decode sweep. The wire formats are width-oblivious: export
-//! widens to the 16-byte `s` words the formats always shipped, import
-//! range-checks back down (out-of-range values are a typed error at the
-//! wire boundary, never silent truncation).
+//! The `w` lane (`Σ x_i`) and the `s` lane (`Σ i·x_i`) are each stored
+//! as a width-tagged [`IntLane`], at the widths [`LaneWidth::for_bounds`]
+//! derives from the constructor's declared index/delta bounds: `w` is
+//! `i32` for every unit-bound spec (else `i64`), `s` is `i64` when the
+//! index budget allows (else `i128`). A unit-bound cell is 20 bytes (plus
+//! its dirty bit) where the uncompacted one was 32, on every absorb,
+//! merge, drain and decode sweep and in resident memory. The wire formats
+//! are width-oblivious: export widens to the 8-byte `w` and 16-byte `s`
+//! words the formats always shipped, import range-checks back down
+//! (out-of-range values are a typed error at the wire boundary, never
+//! silent truncation).
+//!
+//! Every kernel ([`CellBank::apply`], [`CellBank::check_apply`],
+//! [`CellBank::fan`], [`BankPart::fan`], both [`CellBank::add`] paths,
+//! [`CellBank::accumulate`], [`CellBank::try_overlay`],
+//! [`CellBank::drain_dirty`], [`CellBank::force_wide`]) has one body that
+//! calls the same [`IntLane`] operation on both lanes; the lane picks the
+//! loop for its stored width.
 //!
 //! The declared bound is a *derivation hint*, not a trusted limit: every
-//! ingest kernel detects true overflow (narrow `i64` or wide `i128`) and
-//! marks the bank **poisoned** ([`CellBank::lane_overflow`]) instead of
-//! panicking — an overflowed bank is no longer a linear measurement, so
-//! boundaries that export state check the mark and refuse with a typed
-//! error while the engine worker that owns the sketch keeps running.
+//! ingest kernel detects true overflow at the stored width (`i32`, `i64`
+//! or `i128`) and marks the bank **poisoned** ([`CellBank::lane_overflow`])
+//! instead of panicking — an overflowed bank is no longer a linear
+//! measurement, so boundaries that export or decode state check the mark
+//! and refuse with a typed error while the thread that owns the sketch
+//! keeps running.
 //!
 //! A bank has no serialized form of its own: the wire layer ships its
 //! lanes raw and overlays them onto a bank built from the sketch's spec
@@ -86,7 +98,7 @@
 //! cuts and their poison back into the bank, which then equals the bank
 //! the same fans applied directly would have left.
 
-use crate::lane::{LaneOverflow, LaneWidth, SLane};
+use crate::lane::{IntLane, IntPart, IntWidth, LaneOverflow, LaneWidth};
 use crate::one_sparse::{OneSparseCell, OneSparseState};
 use crate::simd;
 use gs_field::{Randomness, M61};
@@ -170,10 +182,10 @@ fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 #[derive(Clone, Debug)]
 pub struct CellBank {
     geom: BankGeometry,
-    /// Σ x_i per cell.
-    w: Vec<i64>,
+    /// Σ x_i per cell, at the spec-derived width (`i32` or `i64`).
+    w: IntLane,
     /// Σ i·x_i per cell, at the spec-derived width.
-    s: SLane,
+    s: IntLane,
     /// Σ x_i·h(i) per cell, over F_{2^61−1}.
     f: Vec<M61>,
     /// Touched-slot bitmap (one bit per cell, `⌈len/64⌉` words): bit `i`
@@ -197,21 +209,29 @@ impl PartialEq for CellBank {
 impl Eq for CellBank {}
 
 impl CellBank {
-    /// A zeroed bank of the given geometry with a **wide** `s` lane — the
-    /// always-safe width for callers that declare no bounds.
+    /// A zeroed bank of the given geometry with [`LaneWidth::WIDE`]
+    /// lanes — the always-safe widths for callers that declare no bounds.
     pub fn new(geom: BankGeometry) -> Self {
-        Self::with_width(geom, LaneWidth::Wide)
+        Self::with_width(geom, LaneWidth::WIDE)
     }
 
-    /// A zeroed bank of the given geometry and `s`-lane width. Callers
-    /// derive the width from their projection's bounds via
+    /// A zeroed bank of the given geometry and lane widths. Callers
+    /// derive the widths from their projection's bounds via
     /// [`LaneWidth::for_bounds`].
+    ///
+    /// # Panics
+    /// Panics if `width.w` is `i128`: the cell API speaks `i64` weights.
     pub fn with_width(geom: BankGeometry, width: LaneWidth) -> Self {
+        assert!(
+            width.w <= IntWidth::I64,
+            "a bank's w lane is at most i64, got {:?}",
+            width.w
+        );
         let len = geom.len();
         CellBank {
             geom,
-            w: vec![0; len],
-            s: SLane::zeroed(width, len),
+            w: IntLane::zeroed(width.w, len),
+            s: IntLane::zeroed(width.s, len),
             f: M61::zeroed_vec(len),
             dirty: vec![0; len.div_ceil(64)],
             poison: None,
@@ -223,29 +243,32 @@ impl CellBank {
         self.geom
     }
 
-    /// The `s`-lane width this bank stores.
+    /// The lane widths this bank stores.
     pub fn width(&self) -> LaneWidth {
-        self.s.width()
+        LaneWidth {
+            w: self.w.width(),
+            s: self.s.width(),
+        }
     }
 
     /// Total cell count.
     pub fn len(&self) -> usize {
-        self.w.len()
+        self.f.len()
     }
 
     /// `true` iff the bank holds no cells.
     pub fn is_empty(&self) -> bool {
-        self.w.is_empty()
+        self.f.is_empty()
     }
 
-    /// Bytes of allocated lane storage (`w` + `s` at its stored width +
-    /// `f` + the dirty bitmap) — the width-aware space accounting behind
-    /// `LinearSketch::resident_lane_bytes`. This counts the allocation,
-    /// not the pages the OS holds: lanes are lazily zeroed, so lane pages
-    /// holding no written cell take no physical memory (see
-    /// [`crate::lane`]).
+    /// Bytes of allocated lane storage (`w` and `s` at their stored
+    /// widths, `f`, and the dirty bitmap) — the width-aware space
+    /// accounting behind `LinearSketch::resident_lane_bytes`. This counts
+    /// the allocation, not the pages the OS holds: lanes are lazily
+    /// zeroed, so lane pages holding no written cell take no physical
+    /// memory (see [`crate::lane`]).
     pub fn resident_bytes(&self) -> usize {
-        self.w.len() * 8 + self.s.resident_bytes() + self.f.len() * 8 + self.dirty.len() * 8
+        self.w.resident_bytes() + self.s.resident_bytes() + self.f.len() * 8 + self.dirty.len() * 8
     }
 
     /// The sticky overflow mark, if any ingest kernel ever detected true
@@ -263,13 +286,12 @@ impl CellBank {
         }
     }
 
-    /// Converts a narrow bank to wide in place, preserving values — the
-    /// narrow-vs-wide gauntlet hook, and the escape hatch for callers that
-    /// overlay unbounded external sums (e.g. decode-side group proxies).
+    /// Converts both lanes to [`LaneWidth::WIDE`] in place, preserving
+    /// values — the narrow-vs-wide gauntlet hook, and the escape hatch for
+    /// callers that overlay unbounded external sums.
     pub fn force_wide(&mut self) {
-        if let Some(n) = self.s.as_narrow() {
-            self.s = SLane::Wide(n.iter().map(|&x| x as i128).collect());
-        }
+        self.w.widen_to(LaneWidth::WIDE.w);
+        self.s.widen_to(LaneWidth::WIDE.s);
     }
 
     /// The precomputed update triple for `x[index] += delta` under
@@ -288,37 +310,16 @@ impl CellBank {
     }
 
     /// Applies a precomputed update triple to one cell. Never panics: true
-    /// overflow of the `w` or `s` lane (at its stored width) stores the
+    /// overflow of the `w` or `s` lane at its stored width — a sum that
+    /// leaves it, or a delta that does not fit it at all — stores the
     /// wrapped value and marks the bank poisoned — see
     /// [`CellBank::lane_overflow`].
     #[inline]
     pub fn apply(&mut self, i: usize, dw: i64, ds: i128, df: M61) {
         self.dirty[i >> 6] |= 1u64 << (i & 63);
-        let (nw, ow) = self.w[i].overflowing_add(dw);
-        self.w[i] = nw;
-        let os = match &mut self.s {
-            SLane::Narrow(s) => match i64::try_from(ds) {
-                Ok(d) => {
-                    let (ns, o) = s[i].overflowing_add(d);
-                    s[i] = ns;
-                    o
-                }
-                // Δs itself exceeds the narrow lane: store the wrapped
-                // low word (the value is unspecified once poisoned).
-                Err(_) => {
-                    let (ns, _) = s[i].overflowing_add(ds as i64);
-                    s[i] = ns;
-                    true
-                }
-            },
-            SLane::Wide(s) => {
-                let (ns, o) = s[i].overflowing_add(ds);
-                s[i] = ns;
-                o
-            }
-        };
+        let ovf = self.w.add_at(i, dw.into()) | self.s.add_at(i, ds);
         self.f[i] += df;
-        if ow || os {
+        if ovf {
             self.poison_at(Some(i));
         }
     }
@@ -328,44 +329,21 @@ impl CellBank {
     /// the wire layer's all-or-nothing delta import.
     #[inline]
     pub fn check_apply(&self, i: usize, dw: i64, ds: i128) -> Result<(), LaneOverflow> {
-        let overflow = LaneOverflow { cell: Some(i) };
-        self.w[i].checked_add(dw).ok_or(overflow)?;
-        match &self.s {
-            SLane::Narrow(s) => {
-                let d = i64::try_from(ds).map_err(|_| overflow)?;
-                s[i].checked_add(d).ok_or(overflow)?;
-            }
-            SLane::Wide(s) => {
-                s[i].checked_add(ds).ok_or(overflow)?;
-            }
+        if self.w.fits_add(i, dw.into()) && self.s.fits_add(i, ds) {
+            Ok(())
+        } else {
+            Err(LaneOverflow { cell: Some(i) })
         }
-        Ok(())
     }
 
     /// Fans a precomputed update triple into a contiguous run of cells —
     /// the batched-update kernel inner loop. Three lane-wise passes keep
-    /// each loop over one primitive type; the narrow `w`/`s`/`f` sweeps
+    /// each loop over one primitive type; the `i64` and `f` sweeps
     /// dispatch through [`crate::simd`]. Overflow poisons (never panics).
     #[inline]
     pub fn fan(&mut self, range: Range<usize>, dw: i64, ds: i128, df: M61) {
         self.mark_dirty_range(range.clone());
-        let mut ovf = simd::fan_i64(&mut self.w[range.clone()], dw);
-        match &mut self.s {
-            SLane::Narrow(s) => match i64::try_from(ds) {
-                Ok(d) => ovf |= simd::fan_i64(&mut s[range.clone()], d),
-                Err(_) => {
-                    let _ = simd::fan_i64(&mut s[range.clone()], ds as i64);
-                    ovf = true;
-                }
-            },
-            SLane::Wide(s) => {
-                for x in &mut s[range.clone()] {
-                    let (v, o) = x.overflowing_add(ds);
-                    *x = v;
-                    ovf |= o;
-                }
-            }
-        }
+        let ovf = self.w.fan(range.clone(), dw.into()) | self.s.fan(range.clone(), ds);
         simd::fan_m61(&mut self.f[range], df);
         if ovf {
             self.poison_at(None);
@@ -399,21 +377,18 @@ impl CellBank {
             poison,
             ..
         } = self;
-        let (mut w, mut f, mut dirty) = (&mut w[..], &mut f[..], &mut dirty[..]);
-        let mut s = match s {
-            SLane::Narrow(s) => SPart::Narrow(s),
-            SLane::Wide(s) => SPart::Wide(s),
-        };
+        let (mut w, mut s) = (w.part(), s.part());
+        let (mut f, mut dirty) = (&mut f[..], &mut dirty[..]);
         let mut parts = Vec::with_capacity(cuts.len() + 1);
         let (mut start, mut first_word) = (0, 0);
         for end in cuts.iter().copied().chain([len]) {
             let cells = end - start;
-            let (pw, rest) = std::mem::take(&mut w).split_at_mut(cells);
+            let (pw, rest) = w.split_at(cells);
             w = rest;
-            let (pf, rest) = std::mem::take(&mut f).split_at_mut(cells);
-            f = rest;
             let (ps, rest) = s.split_at(cells);
             s = rest;
+            let (pf, rest) = std::mem::take(&mut f).split_at_mut(cells);
+            f = rest;
             // A bitmap word belongs to the part holding its first cell.
             let end_word = end.div_ceil(64);
             let (pd, rest) = std::mem::take(&mut dirty).split_at_mut(end_word - first_word);
@@ -445,7 +420,8 @@ impl CellBank {
     /// The cell at flat index `i`, as a value (for decode paths).
     #[inline]
     pub fn cell(&self, i: usize) -> OneSparseCell {
-        OneSparseCell::from_parts(self.w[i], self.s.get(i), self.f[i])
+        // The `w` lane is at most `i64` (see `with_width`).
+        OneSparseCell::from_parts(self.w.get(i) as i64, self.s.get(i), self.f[i])
     }
 
     /// Attempts 1-sparse decoding of cell `i` (see
@@ -458,12 +434,12 @@ impl CellBank {
     /// `true` iff cell `i` certifies the zero vector.
     #[inline]
     pub fn cell_is_zero(&self, i: usize) -> bool {
-        self.w[i] == 0 && self.s.is_zero_at(i) && self.f[i].is_zero()
+        self.w.is_zero_at(i) && self.s.is_zero_at(i) && self.f[i].is_zero()
     }
 
     /// `true` iff every cell is zero.
     pub fn is_zero(&self) -> bool {
-        self.w.iter().all(|&w| w == 0) && self.s.all_zero() && self.f.iter().all(|f| f.is_zero())
+        self.w.all_zero() && self.s.all_zero() && self.f.iter().all(|f| f.is_zero())
     }
 
     /// Linear combination: adds another bank's measurements. Works across
@@ -492,49 +468,16 @@ impl CellBank {
     }
 
     /// The dense path of [`CellBank::add`]: three lane-wise slice sums
-    /// over every cell, through the [`crate::simd`] kernels. It is also
-    /// the bit-identity oracle for the sparse path.
+    /// over every cell (the [`crate::simd`] kernels for `i64` and `f`,
+    /// scalar loops for the other widths, a per-cell range-checked sum
+    /// across widths). It is also the bit-identity oracle for the sparse
+    /// path.
     ///
     /// # Panics
     /// Panics if the banks hold different cell counts.
     pub fn add_dense(&mut self, other: &Self) {
         self.begin_add(other);
-        let mut ovf = simd::add_i64(&mut self.w, &other.w);
-        match (&mut self.s, &other.s) {
-            (SLane::Narrow(a), SLane::Narrow(b)) => {
-                ovf |= simd::add_i64(a, b);
-            }
-            (SLane::Wide(a), SLane::Wide(b)) => {
-                for (x, &y) in a.iter_mut().zip(b.iter()) {
-                    let (v, o) = x.overflowing_add(y);
-                    *x = v;
-                    ovf |= o;
-                }
-            }
-            (SLane::Wide(a), SLane::Narrow(b)) => {
-                for (x, &y) in a.iter_mut().zip(b.iter()) {
-                    let (v, o) = x.overflowing_add(y as i128);
-                    *x = v;
-                    ovf |= o;
-                }
-            }
-            (SLane::Narrow(a), SLane::Wide(b)) => {
-                for (x, &y) in a.iter_mut().zip(b.iter()) {
-                    match i64::try_from(y) {
-                        Ok(y) => {
-                            let (v, o) = x.overflowing_add(y);
-                            *x = v;
-                            ovf |= o;
-                        }
-                        Err(_) => {
-                            let (v, _) = x.overflowing_add(y as i64);
-                            *x = v;
-                            ovf = true;
-                        }
-                    }
-                }
-            }
-        }
+        let ovf = self.w.add_lane(&other.w) | self.s.add_lane(&other.s);
         simd::add_m61(&mut self.f, &other.f);
         self.finish_add(other, ovf);
     }
@@ -546,9 +489,7 @@ impl CellBank {
         self.begin_add(other);
         let mut ovf = false;
         for i in set_bits(&other.dirty) {
-            let (w, o) = self.w[i].overflowing_add(other.w[i]);
-            self.w[i] = w;
-            ovf |= o | self.s.add_at(&other.s, i);
+            ovf |= self.w.add_at(i, other.w.get(i)) | self.s.add_at(i, other.s.get(i));
             self.f[i] += other.f[i];
         }
         self.finish_add(other, ovf);
@@ -583,13 +524,13 @@ impl CellBank {
         }
     }
 
-    /// Read-only view of the `w` (total-weight) lane.
-    pub fn w_lane(&self) -> &[i64] {
+    /// Read-only view of the width-tagged `w` (total-weight) lane.
+    pub fn w_lane(&self) -> &IntLane {
         &self.w
     }
 
     /// Read-only view of the width-tagged `s` (index-sum) lane.
-    pub fn s_lane(&self) -> &SLane {
+    pub fn s_lane(&self) -> &IntLane {
         &self.s
     }
 
@@ -600,12 +541,14 @@ impl CellBank {
 
     /// The batched group-query kernel: adds the cells of `range` into the
     /// accumulator lanes, lane-wise (`aw[j] += w[range.start + j]`, and
-    /// likewise for `s` and `f`). The `w` and `f` sweeps dispatch through
-    /// [`crate::simd`]; a narrow `s` lane widens into the `i128`
-    /// accumulators as it sums, so the accumulators never overflow
-    /// mid-query. Decode paths that sum many rows (Σ_{u∈A} sketch(x^u) in
-    /// Boruvka rounds, the per-cut recovery sums of Fig. 3) call this once
-    /// per row instead of walking cells with per-index bounds checks.
+    /// likewise for `s` and `f`). A lane narrower than its accumulators
+    /// (`i32` `w`, `i64` `s`) widens as it sums, in a scalar loop, so the
+    /// accumulators do not overflow mid-query; same-width `i64` and `f`
+    /// sweeps dispatch through [`crate::simd`]. The accumulators wrap at
+    /// their own width. Decode paths that sum many rows (Σ_{u∈A}
+    /// sketch(x^u) in Boruvka rounds, the per-cut recovery sums of Fig. 3)
+    /// call this once per row instead of walking cells with per-index
+    /// bounds checks.
     ///
     /// # Panics
     /// Panics if `range` exceeds the bank or the accumulators are not
@@ -618,32 +561,21 @@ impl CellBank {
         as_: &mut [i128],
         af: &mut [M61],
     ) {
-        let w = &self.w[range.clone()];
         let f = &self.f[range.clone()];
         assert!(
-            aw.len() == w.len() && as_.len() == w.len() && af.len() == w.len(),
+            aw.len() == f.len() && as_.len() == f.len() && af.len() == f.len(),
             "accumulator lanes disagree with the row length"
         );
-        simd::add_i64(aw, w);
-        match &self.s {
-            SLane::Narrow(s) => {
-                for (a, &b) in as_.iter_mut().zip(&s[range]) {
-                    *a += b as i128;
-                }
-            }
-            SLane::Wide(s) => {
-                for (a, &b) in as_.iter_mut().zip(&s[range]) {
-                    *a += b;
-                }
-            }
-        }
+        self.w.sum_into(range.clone(), aw);
+        self.s.sum_into(range, as_);
         simd::add_m61(af, f);
     }
 
     /// Overwrites the measurement lanes with externally-provided data
-    /// (wire import into a spec-built bank), narrowing with range checks
-    /// when this bank is compact. The geometry descriptor and lane width
-    /// are kept — the receiver's structure is the source of truth. On
+    /// (wire import into a spec-built bank), narrowing `w` and `s` to the
+    /// stored widths with range checks; an out-of-range value is refused
+    /// with the lowest offending cell. The geometry descriptor and lane
+    /// widths are kept — the receiver's structure is the source of truth. On
     /// success the whole bank is marked dirty (a bulk import has no
     /// per-cell freshness record) and any poison is cleared (the state
     /// was replaced wholesale). On error **nothing** is modified.
@@ -660,21 +592,17 @@ impl CellBank {
             w.len() == self.len() && s.len() == self.len() && f.len() == self.len(),
             "overlay lanes disagree with bank size"
         );
-        match &mut self.s {
-            SLane::Narrow(lane) => {
-                // Validate the whole batch before writing anything.
-                if let Some(i) = s.iter().position(|&v| i64::try_from(v).is_err()) {
-                    return Err(LaneOverflow { cell: Some(i) });
-                }
-                for (dst, &src) in lane.iter_mut().zip(&s) {
-                    *dst = src as i64;
-                }
-            }
-            SLane::Wide(lane) => {
-                lane.copy_from_slice(&s);
-            }
+        // Validate the whole batch before writing anything.
+        let unfit = self
+            .w
+            .first_unfit(&w)
+            .into_iter()
+            .chain(self.s.first_unfit(&s));
+        if let Some(i) = unfit.min() {
+            return Err(LaneOverflow { cell: Some(i) });
         }
-        self.w.copy_from_slice(&w);
+        self.w.copy_from(&w);
+        self.s.copy_from(&s);
         self.f.copy_from_slice(&f);
         self.poison = None;
         self.mark_all_dirty();
@@ -685,7 +613,7 @@ impl CellBank {
     ///
     /// # Panics
     /// Panics if the lane lengths disagree, or a value exceeds this bank's
-    /// narrow lane (use [`CellBank::try_overlay`] on untrusted input).
+    /// compacted lanes (use [`CellBank::try_overlay`] on untrusted input).
     pub fn overlay(&mut self, w: Vec<i64>, s: Vec<i128>, f: Vec<M61>) {
         self.try_overlay(w, s, f)
             .expect("overlay value exceeds the bank's lane width");
@@ -729,7 +657,7 @@ impl CellBank {
     pub fn drain_dirty(&mut self) -> usize {
         let mut drained = 0;
         for i in set_bits(&self.dirty) {
-            self.w[i] = 0;
+            self.w.zero(i);
             self.s.zero(i);
             self.f[i] = M61::ZERO;
             drained += 1;
@@ -780,28 +708,6 @@ fn range_word_mask(i: usize, end: usize) -> (usize, u64) {
     (word, mask)
 }
 
-/// A mutable `s`-lane slice at its stored width.
-#[derive(Debug)]
-enum SPart<'a> {
-    Narrow(&'a mut [i64]),
-    Wide(&'a mut [i128]),
-}
-
-impl<'a> SPart<'a> {
-    fn split_at(self, mid: usize) -> (SPart<'a>, SPart<'a>) {
-        match self {
-            SPart::Narrow(s) => {
-                let (a, b) = s.split_at_mut(mid);
-                (SPart::Narrow(a), SPart::Narrow(b))
-            }
-            SPart::Wide(s) => {
-                let (a, b) = s.split_at_mut(mid);
-                (SPart::Wide(a), SPart::Wide(b))
-            }
-        }
-    }
-}
-
 /// One contiguous cell range of a [`CellBank`] under
 /// [`CellBank::split_mut`]: disjoint `&mut` views of its lanes and of
 /// the bitmap words whose first cell it holds, plus the bookkeeping the
@@ -812,8 +718,8 @@ pub struct BankPart<'a> {
     start: usize,
     /// The first bitmap word whose first cell lies in this part.
     first_word: usize,
-    w: &'a mut [i64],
-    s: SPart<'a>,
+    w: IntPart<'a>,
+    s: IntPart<'a>,
     f: &'a mut [M61],
     /// Bitmap words `first_word..`, through the one holding the part's
     /// last cell.
@@ -828,7 +734,7 @@ pub struct BankPart<'a> {
 impl BankPart<'_> {
     /// The bank cells this part covers.
     pub fn range(&self) -> Range<usize> {
-        self.start..self.start + self.w.len()
+        self.start..self.start + self.f.len()
     }
 
     /// [`CellBank::fan`] into this part's cells: `range` is in bank
@@ -850,23 +756,7 @@ impl BankPart<'_> {
             i = (word + 1) << 6;
         }
         let r = range.start - self.start..range.end - self.start;
-        let mut ovf = simd::fan_i64(&mut self.w[r.clone()], dw);
-        match &mut self.s {
-            SPart::Narrow(s) => match i64::try_from(ds) {
-                Ok(d) => ovf |= simd::fan_i64(&mut s[r.clone()], d),
-                Err(_) => {
-                    let _ = simd::fan_i64(&mut s[r.clone()], ds as i64);
-                    ovf = true;
-                }
-            },
-            SPart::Wide(s) => {
-                for x in &mut s[r.clone()] {
-                    let (v, o) = x.overflowing_add(ds);
-                    *x = v;
-                    ovf |= o;
-                }
-            }
-        }
+        let ovf = self.w.fan(r.clone(), dw.into()) | self.s.fan(r.clone(), ds);
         simd::fan_m61(&mut self.f[r], df);
         if ovf && self.poison.is_none() {
             self.poison = Some(LaneOverflow { cell: None });
@@ -982,6 +872,32 @@ mod tests {
         OracleHash::new(0xBA2C, 1)
     }
 
+    /// What a unit-bound spec derives at moderate `n`.
+    const COMPACT: LaneWidth = LaneWidth {
+        w: IntWidth::I32,
+        s: IntWidth::I64,
+    };
+    /// `i64` in both integer lanes.
+    const NARROW: LaneWidth = LaneWidth {
+        w: IntWidth::I64,
+        s: IntWidth::I64,
+    };
+    /// Every width pair a bank can hold.
+    const WIDTHS: [LaneWidth; 4] = [
+        COMPACT,
+        LaneWidth {
+            w: IntWidth::I32,
+            s: IntWidth::I128,
+        },
+        NARROW,
+        LaneWidth::WIDE,
+    ];
+
+    /// The `w` lane as the `i64` words the overlay takes.
+    fn w_vec(b: &CellBank) -> Vec<i64> {
+        (0..b.len()).map(|i| b.cell(i).parts().0).collect()
+    }
+
     #[test]
     fn geometry_indexing_is_row_major() {
         let g = BankGeometry::new(2, 3, 4);
@@ -995,7 +911,7 @@ mod tests {
     #[test]
     fn bank_update_matches_aos_cell() {
         let h = h();
-        for width in [LaneWidth::Narrow, LaneWidth::Wide] {
+        for width in WIDTHS {
             let mut bank = CellBank::with_width(BankGeometry::new(1, 1, 4), width);
             let mut cells = [OneSparseCell::new(); 4];
             for (i, idx, d) in [(0usize, 7u64, 3i64), (1, 9, -2), (0, 7, -3), (3, 1000, 5)] {
@@ -1015,8 +931,8 @@ mod tests {
     #[test]
     fn narrow_and_wide_banks_agree_bit_for_bit() {
         let h = h();
-        let mut narrow = CellBank::with_width(BankGeometry::new(2, 3, 2), LaneWidth::Narrow);
-        let mut wide = CellBank::with_width(BankGeometry::new(2, 3, 2), LaneWidth::Wide);
+        let mut narrow = CellBank::with_width(BankGeometry::new(2, 3, 2), COMPACT);
+        let mut wide = CellBank::with_width(BankGeometry::new(2, 3, 2), LaneWidth::WIDE);
         for (i, idx, d) in [
             (0usize, 7u64, 3i64),
             (5, 9, -2),
@@ -1028,6 +944,7 @@ mod tests {
             wide.update(i, idx, d, &h);
         }
         assert_eq!(narrow, wide);
+        assert_eq!(narrow.w_lane().to_wide_vec(), wide.w_lane().to_wide_vec());
         assert_eq!(narrow.s_lane().to_wide_vec(), wide.s_lane().to_wide_vec());
         // Merge across widths by value, both directions.
         let mut nw = narrow.clone();
@@ -1039,14 +956,14 @@ mod tests {
         // force_wide preserves the measurement.
         let mut forced = narrow.clone();
         forced.force_wide();
-        assert_eq!(forced.width(), LaneWidth::Wide);
+        assert_eq!(forced.width(), LaneWidth::WIDE);
         assert_eq!(forced, narrow);
     }
 
     #[test]
     fn accumulate_equals_indexed_cell_sum() {
         let h = h();
-        for width in [LaneWidth::Narrow, LaneWidth::Wide] {
+        for width in WIDTHS {
             let mut bank = CellBank::with_width(BankGeometry::new(1, 1, 16), width);
             for (i, idx, d) in [(2usize, 5u64, 3i64), (3, 9, -1), (7, 5, 2), (10, 30, 4)] {
                 bank.update(i, idx, d, &h);
@@ -1057,7 +974,7 @@ mod tests {
                 (vec![1i64; len], vec![2i128; len], vec![M61::ZERO; len]);
             bank.accumulate(range.clone(), &mut aw, &mut as_, &mut af);
             for j in 0..len {
-                assert_eq!(aw[j], 1 + bank.w_lane()[range.start + j]);
+                assert_eq!(i128::from(aw[j]), 1 + bank.w_lane().get(range.start + j));
                 assert_eq!(as_[j], 2 + bank.s_lane().get(range.start + j));
                 assert_eq!(af[j], bank.f_lane()[range.start + j]);
             }
@@ -1075,7 +992,7 @@ mod tests {
     #[test]
     fn fan_equals_per_cell_updates() {
         let h = h();
-        for width in [LaneWidth::Narrow, LaneWidth::Wide] {
+        for width in WIDTHS {
             let mut fanned = CellBank::with_width(BankGeometry::new(1, 8, 1), width);
             let mut looped = CellBank::with_width(BankGeometry::new(1, 8, 1), width);
             let (index, delta) = (12345u64, -7i64);
@@ -1153,7 +1070,7 @@ mod tests {
     #[test]
     fn drain_zeroes_touched_cells_and_resets_tracking() {
         let h = h();
-        for width in [LaneWidth::Narrow, LaneWidth::Wide] {
+        for width in WIDTHS {
             let mut bank = CellBank::with_width(BankGeometry::new(1, 1, 70), width);
             bank.update(3, 10, 4, &h);
             bank.update(66, 11, -1, &h);
@@ -1186,16 +1103,16 @@ mod tests {
         src.update(1, 77, 3, &h);
         let mut dst = CellBank::new(BankGeometry::new(1, 3, 1));
         dst.overlay(
-            src.w_lane().to_vec(),
+            w_vec(&src),
             src.s_lane().to_wide_vec(),
             src.f_lane().to_vec(),
         );
         assert_eq!(dst.dirty_count(), 3, "bulk import has no freshness record");
         // Deserialization (the wire load path) overlays the shipped lanes
         // onto a spec-built, possibly narrow, bank: the same rule.
-        let mut back = CellBank::with_width(BankGeometry::new(1, 3, 1), LaneWidth::Narrow);
+        let mut back = CellBank::with_width(BankGeometry::new(1, 3, 1), COMPACT);
         back.try_overlay(
-            src.w_lane().to_vec(),
+            w_vec(&src),
             src.s_lane().to_wide_vec(),
             src.f_lane().to_vec(),
         )
@@ -1221,7 +1138,7 @@ mod tests {
         src.update(1, 77, 3, &h);
         let mut dst = CellBank::new(BankGeometry::new(1, 3, 1));
         dst.overlay(
-            src.w_lane().to_vec(),
+            w_vec(&src),
             src.s_lane().to_wide_vec(),
             src.f_lane().to_vec(),
         );
@@ -1243,40 +1160,40 @@ mod tests {
         let p = wide.lane_overflow().expect("i128 overflow must poison");
         assert_eq!(p.cell, Some(0));
 
-        let mut narrow = CellBank::with_width(BankGeometry::new(1, 1, 2), LaneWidth::Narrow);
+        let mut narrow = CellBank::with_width(BankGeometry::new(1, 1, 2), NARROW);
         narrow.apply(1, 1, i64::MAX as i128, M61::ZERO);
         assert!(narrow.lane_overflow().is_none());
         narrow.apply(1, 1, 1, M61::ZERO);
         assert_eq!(narrow.lane_overflow().unwrap().cell, Some(1));
         // A Δs that cannot even fit the narrow lane poisons immediately.
-        let mut narrow2 = CellBank::with_width(BankGeometry::new(1, 1, 2), LaneWidth::Narrow);
+        let mut narrow2 = CellBank::with_width(BankGeometry::new(1, 1, 2), NARROW);
         narrow2.apply(0, 1, i128::from(i64::MAX) + 1, M61::ZERO);
         assert!(narrow2.lane_overflow().is_some());
     }
 
     #[test]
     fn fan_and_add_overflow_poison() {
-        let mut narrow = CellBank::with_width(BankGeometry::new(1, 1, 8), LaneWidth::Narrow);
+        let mut narrow = CellBank::with_width(BankGeometry::new(1, 1, 8), NARROW);
         narrow.fan(0..8, 0, (i64::MAX - 1) as i128, M61::ZERO);
         assert!(narrow.lane_overflow().is_none());
         narrow.fan(2..5, 0, 2, M61::ZERO);
         assert!(narrow.lane_overflow().is_some(), "fan overflow must poison");
 
-        let mut a = CellBank::with_width(BankGeometry::new(1, 1, 4), LaneWidth::Narrow);
-        let mut b = CellBank::with_width(BankGeometry::new(1, 1, 4), LaneWidth::Narrow);
+        let mut a = CellBank::with_width(BankGeometry::new(1, 1, 4), NARROW);
+        let mut b = CellBank::with_width(BankGeometry::new(1, 1, 4), NARROW);
         a.apply(3, 0, i64::MAX as i128, M61::ZERO);
         b.apply(3, 0, 1, M61::ZERO);
         a.add(&b);
         assert!(a.lane_overflow().is_some(), "merge overflow must poison");
         // Poison propagates through merges of a poisoned operand.
-        let mut clean = CellBank::with_width(BankGeometry::new(1, 1, 4), LaneWidth::Narrow);
+        let mut clean = CellBank::with_width(BankGeometry::new(1, 1, 4), NARROW);
         clean.add(&a);
         assert!(clean.lane_overflow().is_some(), "poison must propagate");
     }
 
     #[test]
     fn check_apply_is_a_pure_dry_run() {
-        let mut narrow = CellBank::with_width(BankGeometry::new(1, 1, 2), LaneWidth::Narrow);
+        let mut narrow = CellBank::with_width(BankGeometry::new(1, 1, 2), NARROW);
         narrow.apply(0, 5, 100, M61::ZERO);
         assert!(narrow.check_apply(0, 1, 1).is_ok());
         let err = narrow.check_apply(0, 1, i128::from(i64::MAX)).unwrap_err();
@@ -1290,7 +1207,7 @@ mod tests {
 
     #[test]
     fn try_overlay_range_checks_narrow_imports() {
-        let mut narrow = CellBank::with_width(BankGeometry::new(1, 1, 3), LaneWidth::Narrow);
+        let mut narrow = CellBank::with_width(BankGeometry::new(1, 1, 3), NARROW);
         let bad = vec![0i128, i128::from(i64::MAX) + 1, 0];
         let err = narrow
             .try_overlay(vec![1, 2, 3], bad, vec![M61::ZERO; 3])
@@ -1323,12 +1240,7 @@ mod tests {
     fn sparse_add_equals_dense_add_across_widths() {
         let h = h();
         let geom = BankGeometry::new(2, 4, 40);
-        for (wa, wb) in [
-            (LaneWidth::Narrow, LaneWidth::Narrow),
-            (LaneWidth::Narrow, LaneWidth::Wide),
-            (LaneWidth::Wide, LaneWidth::Narrow),
-            (LaneWidth::Wide, LaneWidth::Wide),
-        ] {
+        for (wa, wb) in WIDTHS.into_iter().flat_map(|a| WIDTHS.map(|b| (a, b))) {
             let mut a = CellBank::with_width(geom, wa);
             for i in (0..geom.len()).step_by(3) {
                 a.update(i, i as u64 * 7 + 1, 2, &h);
@@ -1382,7 +1294,7 @@ mod tests {
             &[1, 2, 3, 64, 65, 128, 299, 300],
             &[10, 20, 30, 40, 50, 60, 63, 70, 250],
         ];
-        for width in [LaneWidth::Narrow, LaneWidth::Wide] {
+        for width in WIDTHS {
             for cuts in cut_sets {
                 let bounds: Vec<usize> = [0].iter().chain(cuts).chain(&[300]).copied().collect();
                 // Fans inside one part: the split path applies those only.
@@ -1417,10 +1329,127 @@ mod tests {
 
     #[test]
     fn resident_bytes_track_lane_width() {
-        let narrow = CellBank::with_width(BankGeometry::new(1, 1, 64), LaneWidth::Narrow);
-        let wide = CellBank::with_width(BankGeometry::new(1, 1, 64), LaneWidth::Wide);
-        // 64 cells: w 512 + f 512 + dirty 8; s is 512 narrow vs 1024 wide.
-        assert_eq!(narrow.resident_bytes(), 512 + 512 + 512 + 8);
-        assert_eq!(wide.resident_bytes(), 512 + 1024 + 512 + 8);
+        let geom = BankGeometry::new(1, 1, 64);
+        let bytes = |width| CellBank::with_width(geom, width).resident_bytes();
+        // 64 cells: f 512 + dirty 8; w is 256 (i32) or 512 (i64), s is
+        // 512 (i64) or 1024 (i128).
+        assert_eq!(bytes(COMPACT), 256 + 512 + 512 + 8);
+        assert_eq!(bytes(NARROW), 512 + 512 + 512 + 8);
+        assert_eq!(bytes(LaneWidth::WIDE), 512 + 1024 + 512 + 8);
+        for width in WIDTHS {
+            assert_eq!(bytes(width), 64 * width.cell_bytes() + 8, "{width:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most i64")]
+    fn with_width_refuses_an_i128_w_lane() {
+        let width = LaneWidth {
+            w: IntWidth::I128,
+            s: IntWidth::I128,
+        };
+        CellBank::with_width(BankGeometry::new(1, 1, 1), width);
+    }
+
+    /// The `w` of cell `i` and the bank's poison mark.
+    fn w_and_poison(b: &CellBank, i: usize) -> (i64, Option<LaneOverflow>) {
+        (b.cell(i).parts().0, b.lane_overflow())
+    }
+
+    #[test]
+    fn i32_w_lane_poisons_one_past_its_edge_in_every_kernel() {
+        let geom = BankGeometry::new(1, 1, 64);
+        let (max, wrapped) = (i64::from(i32::MAX), i64::from(i32::MIN));
+        let z = M61::ZERO;
+
+        // apply and check_apply: i32::MAX exactly is clean, one more
+        // poisons, and the poison outlives the value coming back.
+        let mut b = CellBank::with_width(geom, COMPACT);
+        b.apply(0, max - 1, 0, z);
+        assert!(b.check_apply(0, 1, 0).is_ok());
+        b.apply(0, 1, 0, z);
+        assert_eq!(w_and_poison(&b, 0), (max, None));
+        let at0 = Some(LaneOverflow { cell: Some(0) });
+        assert_eq!(b.check_apply(0, 1, 0).err(), at0);
+        assert_eq!(
+            w_and_poison(&b, 0),
+            (max, None),
+            "the dry run mutates nothing"
+        );
+        b.apply(0, 1, 0, z);
+        assert_eq!(w_and_poison(&b, 0), (wrapped, at0));
+        b.apply(0, -1, 0, z);
+        b.apply(5, 1, 0, z);
+        assert_eq!(b.lane_overflow(), at0, "poison is sticky");
+        // A delta that does not fit i32 at all: refused by the dry run,
+        // poisons when applied.
+        let mut b = CellBank::with_width(geom, COMPACT);
+        assert!(b.check_apply(1, max + 1, 0).is_err() && b.check_apply(1, max, 0).is_ok());
+        b.apply(1, max + 1, 0, z);
+        assert_eq!(
+            w_and_poison(&b, 1),
+            (wrapped, Some(LaneOverflow { cell: Some(1) }))
+        );
+
+        // fan, and BankPart::fan across a cut.
+        for split in [false, true] {
+            let mut b = CellBank::with_width(geom, COMPACT);
+            let fan = |b: &mut CellBank, range: Range<usize>, dw: i64| {
+                if split {
+                    let mut parts = b.split_mut(&[20]);
+                    for part in parts.parts_mut() {
+                        let own = part.range();
+                        let r = range.start.max(own.start)..range.end.min(own.end);
+                        if !r.is_empty() {
+                            part.fan(r, dw, 0, z);
+                        }
+                    }
+                } else {
+                    b.fan(range, dw, 0, z);
+                }
+            };
+            fan(&mut b, 10..30, max);
+            assert_eq!(w_and_poison(&b, 25), (max, None), "split {split}");
+            fan(&mut b, 24..26, 1);
+            let none = Some(LaneOverflow { cell: None });
+            assert_eq!(w_and_poison(&b, 25), (wrapped, none), "split {split}");
+            assert_eq!(w_and_poison(&b, 26), (max, none), "split {split}");
+            fan(&mut b, 24..26, -1);
+            assert_eq!(b.lane_overflow(), none, "split {split}: sticky");
+        }
+
+        // Both add paths: a sum of i32::MAX exactly is clean, one more
+        // poisons.
+        for dense in [false, true] {
+            let add = |a: &mut CellBank, b: &CellBank| {
+                if dense {
+                    a.add_dense(b);
+                } else {
+                    assert!(b.dirty_count() * SPARSE_ADD_RATIO <= b.len());
+                    a.add(b);
+                }
+            };
+            let mut a = CellBank::with_width(geom, COMPACT);
+            a.apply(2, max - 1, 0, z);
+            let mut one = CellBank::with_width(geom, COMPACT);
+            one.apply(2, 1, 0, z);
+            add(&mut a, &one);
+            assert_eq!(w_and_poison(&a, 2), (max, None), "dense {dense}");
+            add(&mut a, &one);
+            let poison = a.lane_overflow();
+            assert_eq!(a.cell(2).parts().0, wrapped, "dense {dense}");
+            assert!(poison.is_some(), "dense {dense}");
+            let mut minus = CellBank::with_width(geom, COMPACT);
+            minus.apply(2, -1, 0, z);
+            add(&mut a, &minus);
+            assert_eq!(a.lane_overflow(), poison, "dense {dense}: sticky");
+            // A wide operand's value past i32 poisons the compact sum.
+            let mut a = CellBank::with_width(geom, COMPACT);
+            let mut wide = CellBank::new(geom);
+            wide.apply(2, max + 1, 0, z);
+            add(&mut a, &wide);
+            assert_eq!(w_and_poison(&a, 2).0, wrapped, "dense {dense}");
+            assert!(a.lane_overflow().is_some(), "dense {dense}");
+        }
     }
 }

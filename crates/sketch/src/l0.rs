@@ -104,10 +104,10 @@ impl L0Detector {
 
     /// Full-control constructor (wide lanes — no delta bound declared).
     pub fn with_params(domain: u64, reps: usize, seed: u64, kind: BackendKind) -> Self {
-        Self::with_width(domain, reps, seed, kind, LaneWidth::Wide)
+        Self::with_width(domain, reps, seed, kind, LaneWidth::WIDE)
     }
 
-    /// As [`L0Detector::with_params`], deriving the `s`-lane width from the
+    /// As [`L0Detector::with_params`], deriving the lane widths from the
     /// caller's bound on `|delta|` per update and the stream length budget
     /// (see [`LaneWidth::for_bounds`]; indices are `< domain`).
     pub fn with_bounds(
@@ -338,7 +338,7 @@ impl L0Sampler {
     }
 
     /// As [`L0Sampler::with_params`], deriving each level recovery's
-    /// `s`-lane width from the caller's bound on `|delta|` per update (see
+    /// lane widths from the caller's bound on `|delta|` per update (see
     /// [`LaneWidth::for_bounds`]; indices are `< domain`).
     pub fn with_bounds(
         domain: u64,

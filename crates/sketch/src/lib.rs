@@ -45,7 +45,7 @@ pub mod sparse_recovery;
 pub use bank::{BankGeometry, CellBank, CellBanked};
 pub use cache::DecodeCache;
 pub use l0::{level_count, DetectorPlan, L0Detector, L0Result, L0Sampler};
-pub use lane::{LaneOverflow, LaneWidth, SLane};
+pub use lane::{IntLane, IntWidth, LaneOverflow, LaneWidth};
 pub use linear::{EdgeUpdate, LinearSketch, UpdateError, CELL_BYTES};
 pub use one_sparse::{OneSparseCell, OneSparseState};
 pub use par::{par_map, par_map_with, DecodePlan};

@@ -212,8 +212,8 @@ pub trait LinearSketch: Mergeable {
     }
 
     /// Width-aware measurement bytes: the allocated lane footprint,
-    /// which shrinks when a bank's `s`-lane is compacted to `i64` (see
-    /// `LaneWidth`). [`LinearSketch::space_bytes`] keeps charging the
+    /// which shrinks when a bank's `w` lane is compacted to `i32` or its
+    /// `s` lane to `i64` (see `LaneWidth`). [`LinearSketch::space_bytes`] keeps charging the
     /// format-frozen 32-byte wire cell regardless of lane width. Both
     /// count allocated bytes; lanes are lazily zeroed, so the pages the
     /// process actually holds (its RSS) can be far fewer until the cells

@@ -86,10 +86,10 @@ impl SparseRecovery {
     /// As [`SparseRecovery::new`] with an explicit randomness regime
     /// (wide lanes — no delta bound declared).
     pub fn with_kind(domain: u64, k: usize, seed: u64, kind: BackendKind) -> Self {
-        Self::with_width(domain, k, seed, kind, LaneWidth::Wide)
+        Self::with_width(domain, k, seed, kind, LaneWidth::WIDE)
     }
 
-    /// As [`SparseRecovery::with_kind`], deriving the `s`-lane width from
+    /// As [`SparseRecovery::with_kind`], deriving the lane widths from
     /// the caller's bound on `|delta|` per update (see
     /// [`LaneWidth::for_bounds`]; indices are `< domain`).
     pub fn with_bounds(
@@ -202,12 +202,7 @@ impl SparseRecovery {
     /// index) if the summarized vector is `≤ k`-sparse — in fact peeling
     /// often succeeds somewhat beyond `k` — or `None` (`FAIL`) otherwise.
     pub fn decode(&self) -> Option<Vec<(u64, i64)>> {
-        self.peel_lanes(
-            self.cells.w_lane().to_vec(),
-            self.cells.s_lane().to_wide_vec(),
-            self.cells.f_lane().to_vec(),
-            self.fp,
-        )
+        Self::decode_sum([self])
     }
 
     /// The peeling decoder over bare measurement lanes — the decode half

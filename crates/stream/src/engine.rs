@@ -255,7 +255,7 @@ pub struct EngineStats {
     pub bytes_resident: usize,
     /// Width-aware lane bytes summed over shards
     /// ([`LinearSketch::resident_lane_bytes`]): the allocated lane
-    /// storage after `s`-lane compaction, versus the format-frozen cell
+    /// storage after `w`/`s` lane compaction, versus the format-frozen cell
     /// accounting of `bytes_resident`. Both count allocated bytes, not
     /// what the process holds: lanes are lazily zeroed, so the RSS of
     /// shards with few written cells can be far lower.

@@ -11,7 +11,7 @@
 //! crate in the dependency order).
 
 use gs_sketch::bank::{BankGeometry, CellBank};
-use gs_sketch::lane::{LaneOverflow, LaneWidth};
+use gs_sketch::lane::{IntWidth, LaneOverflow, LaneWidth};
 use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable};
 use gs_stream::engine::{EngineConfig, SketchEngine};
 
@@ -29,7 +29,13 @@ impl ToySketch {
     fn new(n: usize) -> Self {
         ToySketch {
             n,
-            bank: CellBank::with_width(BankGeometry::new(1, 1, CELLS), LaneWidth::Narrow),
+            bank: CellBank::with_width(
+                BankGeometry::new(1, 1, CELLS),
+                LaneWidth {
+                    w: IntWidth::I64,
+                    s: IntWidth::I64,
+                },
+            ),
         }
     }
 }

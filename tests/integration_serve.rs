@@ -546,6 +546,58 @@ fn poisoned_tenant_refuses_checkpoint_and_snapshot_and_restarts_from_its_last_go
     server.shutdown();
 }
 
+/// A QUERY of a tenant poisoned by a lane overflow is refused with
+/// `ERR wire`, as CHECKPOINT and SNAPSHOT refuse it. It used to decode the
+/// wrapped lanes: fed (0, 1, i64::MAX) twice and then (2, 3), an n = 8
+/// connectivity tenant answered with the forest [[2, 3]], silently
+/// dropping edge (0, 1). A unit-bound spec holds `w` as `i32`, so one
+/// update of |Δ| = 2^31 poisons it too. The memo, armed by a clean answer
+/// first, must never serve an answer across the poison.
+#[test]
+fn poisoned_tenant_refuses_query_instead_of_decoding_wrapped_lanes() {
+    let scratch = Scratch::new("poison-query");
+    let server = start_server(scratch.path());
+    let mut client = connect(&server);
+    let wrap = |delta| EdgeUpdate { u: 0, v: 1, delta };
+    let feeds = [
+        ("twice", vec![wrap(i64::MAX), wrap(i64::MAX)]),
+        ("once", vec![wrap(1 << 31)]),
+    ];
+    for (name, feed) in feeds {
+        let spec = SketchSpec::new(SketchTask::Connectivity, 8).with_seed(0xB0B);
+        client.create(name, &spec.to_json()).expect("create");
+        let warm = [EdgeUpdate::insert(4, 5)];
+        client
+            .ingest_retry(name, &warm, Duration::from_secs(10))
+            .expect("raw ingest");
+        let mut clean = spec.build();
+        clean.absorb(&warm);
+        assert_eq!(
+            answer_of(&client.query(name, 1).expect("clean query")),
+            clean.decode(),
+            "{name}"
+        );
+        for update in feed.into_iter().chain([EdgeUpdate::insert(2, 3)]) {
+            client
+                .ingest_retry(name, &[update], Duration::from_secs(10))
+                .expect("raw ingest");
+        }
+        for _ in 0..2 {
+            match client.query(name, 1) {
+                Err(ClientError::Server { code, msg }) => {
+                    assert_eq!(code, ErrCode::Wire, "{name}: {msg}");
+                    assert!(msg.contains("bank") && msg.contains("overflow"), "{msg}");
+                }
+                other => panic!("{name}: expected a typed refusal, got {other:?}"),
+            }
+        }
+        let stats = tenant_stats(&mut client, name);
+        assert_eq!(stats.lane_overflows, 1, "{name}");
+        assert_eq!(stats.decode_cache_hits, 0, "{name}: no memo hit");
+    }
+    server.shutdown();
+}
+
 /// A freshly created tenant is the zero sketch. Its state file has the
 /// full v2 length, but only the blocks holding its header and trailer
 /// are written: every all-zero block of the stream is a hole. Linux

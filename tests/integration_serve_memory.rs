@@ -40,7 +40,7 @@ fn create_touches_no_lane_pages_and_holds_one_sketch() {
     .expect("server start");
     let addr = server.tcp_addr().expect("tcp listener").to_string();
     let mut client = Client::connect_tcp(&addr).expect("connect");
-    // The ladder's ingest-powerlaw tenant: about 65 MiB of lanes, so
+    // The ladder's ingest-powerlaw tenant: about 54 MiB of lanes, so
     // touching the sketch's pages breaks the bound.
     let spec = SketchSpec::new(SketchTask::Connectivity, 4096).with_seed(41);
 

@@ -40,7 +40,7 @@ fn two_worker_ingest_query_and_checkpoint_hold_one_sketch() {
     .expect("server start");
     let addr = server.tcp_addr().expect("tcp listener").to_string();
     let mut client = Client::connect_tcp(&addr).expect("connect");
-    // The ladder's ingest-powerlaw tenant: about 65 MiB of lanes.
+    // The ladder's ingest-powerlaw tenant: about 54 MiB of lanes (20 B a cell).
     let spec = SketchSpec::new(SketchTask::Connectivity, 4096).with_seed(41);
     let per_sketch_kib = spec.build().resident_lane_bytes() as u64 / 1024;
 

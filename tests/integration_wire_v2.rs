@@ -145,10 +145,10 @@ fn dense_v2_bytes(file: &SketchFile) -> Vec<u8> {
         for axis in [geom.reps, geom.levels, geom.slots] {
             out.extend_from_slice(&(axis as u32).to_le_bytes());
         }
-        for &x in bank.w_lane() {
-            out.extend_from_slice(&x.to_le_bytes());
+        let (w, s) = (bank.w_lane(), bank.s_lane());
+        for i in 0..bank.len() {
+            out.extend_from_slice(&(w.get(i) as i64).to_le_bytes());
         }
-        let s = bank.s_lane();
         for i in 0..bank.len() {
             out.extend_from_slice(&s.get(i).to_le_bytes());
         }
@@ -239,7 +239,7 @@ fn dirty_driven_write_to_equals_the_dense_encoder_on_every_state_path() {
     for task in SketchTask::ALL {
         let (spec, paths) = state_paths(task);
         for (path, state) in paths {
-            narrow |= state.banks().iter().any(|b| b.width() == LaneWidth::Narrow);
+            narrow |= state.banks().iter().any(|b| b.width() != LaneWidth::WIDE);
             ragged |= state.banks().iter().any(|b| b.len() % 64 != 0);
             let mut wide = state.clone();
             for bank in wide.banks_mut() {
