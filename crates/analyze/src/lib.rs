@@ -7,14 +7,16 @@
 //! [`rules`] for the rule set and the pragma grammar, and DESIGN.md
 //! §1.12 for the rationale.
 //!
-//! Entry points: [`analyze_source`] for one file (used by the fixture
-//! tests) and [`analyze_workspace`] for a tree walk (used by the CLI
-//! verb and the blocking CI job).
+//! Entry points: [`analyze_source`] and [`public_items`] for one file
+//! (used by the fixture tests) and [`analyze_workspace`] for a tree walk
+//! (used by the CLI verb and the blocking CI job).
+
+#![forbid(unsafe_code)]
 
 pub mod lexer;
 pub mod rules;
 
-pub use rules::{analyze_source, Diag, RULES};
+pub use rules::{analyze_source, public_items, Diag, RULES};
 
 use std::path::{Path, PathBuf};
 
@@ -23,20 +25,23 @@ use std::path::{Path, PathBuf};
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git"];
 
 /// Walks `root` and lints every `.rs` file outside [`SKIP_DIRS`].
-/// Returns diagnostics sorted by path then line. I/O problems surface
-/// as `Err` — a partially-walked tree must not read as "clean".
-pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Diag>> {
+/// Returns diagnostics sorted by path then line, and the files' total
+/// [`public_items`]. I/O problems surface as `Err` — a partially-walked
+/// tree must not read as "clean".
+pub fn analyze_workspace(root: &Path) -> std::io::Result<(Vec<Diag>, usize)> {
     let mut files = Vec::new();
     collect_rs_files(root, &mut files)?;
     files.sort();
     let mut diags = Vec::new();
+    let mut items = 0;
     for path in &files {
         let src = std::fs::read_to_string(path)?;
         let label = workspace_label(root, path);
         diags.extend(analyze_source(&label, &src));
+        items += public_items(&label, &src);
     }
     diags.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    Ok(diags)
+    Ok((diags, items))
 }
 
 /// Shared driver for the `gs-analyze` binary and the `graph-sketch
@@ -46,11 +51,14 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Diag>> {
 /// failure.
 pub fn run_cli(root: &Path) -> u8 {
     match analyze_workspace(root) {
-        Ok(diags) if diags.is_empty() => {
-            println!("gs-analyze: clean ({} rules enforced)", RULES.len());
+        Ok((diags, items)) if diags.is_empty() => {
+            println!(
+                "gs-analyze: clean ({} rules enforced, {items} public items)",
+                RULES.len()
+            );
             0
         }
-        Ok(diags) => {
+        Ok((diags, _)) => {
             for d in &diags {
                 println!("{d}");
             }

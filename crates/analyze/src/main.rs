@@ -9,6 +9,8 @@
 //! the current directory). Prints one `file:line: rule: message` per
 //! diagnostic and exits 1 if any fired — the blocking CI contract.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -1,5 +1,6 @@
 //! The rule engine: per-file context (attributes, test regions, comments,
-//! pragmas) plus the five project-invariant rules.
+//! pragmas), the four project-invariant rules, and the public-item
+//! count.
 //!
 //! Every rule is grounded in a convention the rest of the workspace
 //! relies on but nothing previously enforced:
@@ -9,8 +10,8 @@
 //!   macros, no slice indexing in the declared parser modules
 //!   (refusals must be typed errors). Test code is exempt.
 //! * **safety-comments** — every `unsafe` (block, fn, impl) needs an
-//!   adjacent `// SAFETY:` comment stating the alignment / length /
-//!   feature-detection argument it relies on.
+//!   adjacent `// SAFETY:` comment stating the layout / length /
+//!   ownership argument it relies on.
 //! * **capped-alloc** — in wire-parsing modules, allocations sized from
 //!   a *declared* (parsed) count must be clamped to what the payload
 //!   can physically back (`.min(remaining/width + 1)`), so a hostile
@@ -18,10 +19,10 @@
 //! * **env-registry** — `GS_*` escape hatches may only be read through
 //!   `gs_sketch::env`, so they stay enumerable (the README table) and
 //!   typo-proof.
-//! * **oracle-pairing** — every `#[target_feature]` fn keeps a named
-//!   scalar twin in the same file, exercised by a bit-identity test
-//!   (the `force_scalar` dispatch-flip harness), so SIMD refactors can
-//!   never silently drift from the scalar semantics.
+//!
+//! [`public_items`] counts the public surface the same token-aware way:
+//! `pub` followed by an item keyword, outside comments, strings,
+//! attributes and test code.
 //!
 //! A diagnostic can be waived, with a recorded justification, by a
 //! pragma on the same line or the line directly above:
@@ -42,7 +43,6 @@ pub const RULES: &[&str] = &[
     "safety-comments",
     "capped-alloc",
     "env-registry",
-    "oracle-pairing",
 ];
 
 /// Modules where untrusted bytes are parsed: the no-panic-paths zone.
@@ -130,7 +130,6 @@ pub fn analyze_source(path: &str, src: &str) -> Vec<Diag> {
     rule_safety_comments(&ctx, &mut diags);
     rule_capped_alloc(&ctx, &mut diags);
     rule_env_registry(&ctx, &mut diags);
-    rule_oracle_pairing(&ctx, &mut diags);
     // Waive diagnostics whose line carries (or follows) a matching
     // pragma; pragmas that fail to parse were already reported by
     // collect_pragmas as bad-pragma and waive nothing.
@@ -528,9 +527,8 @@ fn rule_safety_comments(ctx: &FileCtx, out: &mut Vec<Diag>) {
             continue;
         }
         // Same-line comment, or comment lines directly above — skipping
-        // blank lines and attribute-only lines (a `#[target_feature]`
-        // attribute may sit between the SAFETY comment and its
-        // `unsafe fn`).
+        // blank lines and attribute-only lines (an attribute may sit
+        // between the SAFETY comment and its `unsafe fn`).
         let mut satisfied = ctx
             .comment
             .get(t.line)
@@ -555,7 +553,7 @@ fn rule_safety_comments(ctx: &FileCtx, out: &mut Vec<Diag>) {
                 line: t.line,
                 rule: "safety-comments",
                 msg: "`unsafe` without an adjacent `// SAFETY:` comment stating the \
-                      alignment/length/feature-detection argument it relies on"
+                      layout/length/ownership argument it relies on"
                     .into(),
             });
         }
@@ -663,61 +661,36 @@ fn rule_env_registry(ctx: &FileCtx, out: &mut Vec<Diag>) {
     }
 }
 
-fn rule_oracle_pairing(ctx: &FileCtx, out: &mut Vec<Diag>) {
-    // Collect #[target_feature] fn names.
-    let mut targets: Vec<(usize, &str)> = Vec::new();
-    let n = ctx.toks.len();
-    for i in 0..n {
-        if !(ctx.in_attr[i] && ctx.toks[i].is_ident("target_feature")) {
-            continue;
-        }
-        // Find the fn name after the attribute block(s).
-        let mut j = i;
-        while j < n && (ctx.in_attr[j] || ctx.toks[j].kind == TokKind::Comment) {
-            j += 1;
-        }
-        while j < n && !ctx.toks[j].is_ident("fn") {
-            j += 1;
-        }
-        if let Some(name) = next_code(ctx, j).map(|k| &ctx.toks[k]) {
-            if name.kind == TokKind::Ident {
-                targets.push((ctx.toks[i].line, name.text));
-            }
-        }
+/// Counts one file's public items: `pub` tokens whose next code token
+/// is an item keyword (`fn`, `struct`, `enum`, `trait`, `type`, `const`,
+/// `static`, `mod`, `use` or `union`). Comments, strings and attributes
+/// are opaque tokens or marked spans, and test regions (and whole
+/// test/bench/example files) are skipped, so `pub(crate)`, `pub(super)`,
+/// struct fields and test helpers do not count.
+pub fn public_items(path: &str, src: &str) -> usize {
+    let ctx = build_ctx(path, src);
+    if ctx.all_test {
+        return 0;
     }
-    if targets.is_empty() {
-        return;
-    }
-    let has_fn = |twin: &str| {
-        (0..n).any(|i| {
-            ctx.toks[i].is_ident("fn")
-                && next_code(ctx, i).is_some_and(|j| ctx.toks[j].is_ident(twin))
+    (0..ctx.toks.len())
+        .filter(|&i| ctx.toks[i].is_ident("pub") && !ctx.in_attr[i] && !ctx.in_test[i])
+        .filter(|&i| {
+            next_code(&ctx, i).is_some_and(|j| {
+                let t = &ctx.toks[j];
+                t.kind == TokKind::Ident
+                    && matches!(
+                        t.text,
+                        "fn" | "struct"
+                            | "enum"
+                            | "trait"
+                            | "type"
+                            | "const"
+                            | "static"
+                            | "mod"
+                            | "use"
+                            | "union"
+                    )
+            })
         })
-    };
-    let test_mentions = |name: &str| (0..n).any(|i| ctx.in_test[i] && ctx.toks[i].is_ident(name));
-    for (line, name) in targets {
-        let base = name.rsplit_once('_').map(|(b, _)| b).unwrap_or(name);
-        let twin = format!("{base}_scalar");
-        if !has_fn(&twin) {
-            out.push(Diag {
-                path: ctx.path.to_string(),
-                line,
-                rule: "oracle-pairing",
-                msg: format!(
-                    "#[target_feature] fn `{name}` has no scalar twin `{twin}` in \
-                     this file; every vector kernel keeps a bit-identity oracle"
-                ),
-            });
-        } else if !(test_mentions(&twin) || test_mentions("force_scalar")) {
-            out.push(Diag {
-                path: ctx.path.to_string(),
-                line,
-                rule: "oracle-pairing",
-                msg: format!(
-                    "scalar twin `{twin}` of `{name}` is not exercised by a test in \
-                     this file (reference it, or flip paths with `force_scalar`)"
-                ),
-            });
-        }
-    }
+        .count()
 }

@@ -142,10 +142,10 @@ mod tests {
     fn twin() { let _ = super::kernel_scalar as unsafe fn(u8) -> u8; }
 }
 "#;
-    // The target_feature fn's SAFETY comment sits above its attribute;
-    // only the twin's bare `unsafe` (and the test-module mention) may
-    // fire — and test regions are NOT exempt from safety-comments, so
-    // count carefully: the scalar twin lacks a comment.
+    // The first fn's SAFETY comment sits above its attribute; only the
+    // second fn's bare `unsafe` (and the test-module mention) may fire —
+    // test regions are NOT exempt from safety-comments, so count
+    // carefully: the second fn lacks a comment.
     let fired = rules_fired(&analyze_source(FREE, src));
     assert_eq!(fired, vec!["safety-comments", "safety-comments"]);
 }
@@ -231,51 +231,25 @@ fn f() -> bool {
     assert!(analyze_source(FREE, src).is_empty());
 }
 
-// ------------------------------------------------------- oracle-pairing
+// --------------------------------------------------------- public items
 
 #[test]
-fn oracle_pairing_fires_when_the_scalar_twin_is_missing() {
-    let src = r#"
-#[target_feature(enable = "avx2")]
-// SAFETY: callers verify avx2.
-unsafe fn add_avx2(x: u8) -> u8 { x }
-"#;
-    let fired = rules_fired(&analyze_source(FREE, src));
-    assert!(fired.contains(&"oracle-pairing"), "got {fired:?}");
-}
-
-#[test]
-fn oracle_pairing_fires_when_the_twin_is_never_tested() {
-    let src = r#"
-// SAFETY: callers verify avx2.
-#[target_feature(enable = "avx2")]
-unsafe fn add_avx2(x: u8) -> u8 { x }
-
-fn add_scalar(x: u8) -> u8 { x }
-"#;
-    let fired = rules_fired(&analyze_source(FREE, src));
-    assert!(fired.contains(&"oracle-pairing"), "got {fired:?}");
-}
-
-#[test]
-fn oracle_pairing_accepts_a_tested_twin() {
-    let src = r#"
-// SAFETY: callers verify avx2.
-#[target_feature(enable = "avx2")]
-unsafe fn add_avx2(x: u8) -> u8 { x }
-
-fn add_scalar(x: u8) -> u8 { x }
+fn public_items_count_only_public_item_keywords_outside_tests() {
+    let src = r##"
+// pub fn in a comment does not count
+#[doc = "pub fn in an attribute does not count"]
+pub fn counted() -> &'static str { "pub fn in a string does not count" }
+pub(crate) fn crate_only() {}
+pub struct Counted { pub field: u8 }
+pub use std::fmt::Debug;
 
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn bit_identity() {
-        assert_eq!(super::add_scalar(3), 3);
-    }
+    pub fn helper() {}
 }
-"#;
-    let fired = rules_fired(&analyze_source(FREE, src));
-    assert!(!fired.contains(&"oracle-pairing"), "got {fired:?}");
+"##;
+    assert_eq!(gs_analyze::public_items(FREE, src), 3);
+    assert_eq!(gs_analyze::public_items("crates/graph/tests/t.rs", src), 0);
 }
 
 // -------------------------------------------------------------- pragmas
@@ -333,7 +307,7 @@ fn the_committed_tree_is_violation_free() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("..")
         .join("..");
-    let diags = gs_analyze::analyze_workspace(&root).expect("workspace walk");
+    let (diags, _) = gs_analyze::analyze_workspace(&root).expect("workspace walk");
     assert!(
         diags.is_empty(),
         "gs-analyze found {} violation(s) in the tree:\n{}",

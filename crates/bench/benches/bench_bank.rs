@@ -2,24 +2,23 @@
 //!
 //! Measures the hot bank kernels — **absorb** (batched edge ingest),
 //! **merge** (lane slice-add of one sketch into another), and **fan**
-//! (broadcast one update triple across a cell row) — in four lane/path
+//! (broadcast one update triple across a cell row) — in two lane-width
 //! configurations:
 //!
-//! | config          | `w` / `s` lanes | cell  | inner loops                             |
-//! |-----------------|-----------------|-------|-----------------------------------------|
-//! | `wide-scalar`   | `i64` / `i128`  | 32 B  | scalar (the pre-compaction kernels)     |
-//! | `wide-simd`     | `i64` / `i128`  | 32 B  | AVX2 for `w` and `f`                    |
-//! | `narrow-scalar` | `i32` / `i64`   | 20 B  | scalar                                  |
-//! | `narrow-simd`   | `i32` / `i64`   | 20 B  | AVX2 for `s` and `f`, scalar `i32` `w`  |
+//! | config   | `w` / `s` lanes | cell  |
+//! |----------|-----------------|-------|
+//! | `wide`   | `i64` / `i128`  | 32 B  |
+//! | `narrow` | `i32` / `i64`   | 20 B  |
 //!
-//! `wide-scalar` is the preserved baseline; `narrow-simd` is what a
-//! unit-bound spec-built sketch runs today on an AVX2 host (the `narrow`
-//! configurations are the widths `LaneWidth::for_bounds` derives for a
-//! unit delta bound; records before the `i32` `w` lane measured them
-//! with an `i64` `w`, 24 B a cell). Before anything is
-//! timed, all four configurations are asserted **bit-identical** on the
-//! exact workload being measured — a number from a kernel that diverges
-//! from the oracle is worthless.
+//! `wide` is the pre-compaction baseline; `narrow` is what a unit-bound
+//! spec-built sketch runs today (the widths `LaneWidth::for_bounds`
+//! derives for a unit delta bound). Every kernel is one scalar loop per
+//! lane width. Records before the `i32` `w` lane measured `narrow` with
+//! an `i64` `w`, 24 B a cell; older records also split each width into
+//! two kernel paths, four configs in all. Before anything is timed,
+//! both configurations are asserted **bit-identical** on the exact
+//! workload being measured — a number from a kernel that diverges from
+//! the oracle is worthless.
 //!
 //! One more row times served ingest into one tenant: 1024-update
 //! batches into the n = 4096 connectivity spec (the ladder's
@@ -30,11 +29,11 @@
 //! sketch, bit for bit, before anything is timed).
 //!
 //! Results append one record per run to `BENCH_bank.json` (override the
-//! path with `BENCH_BANK_OUT`): git sha, UTC date, detected kernel
-//! variant, per-kernel nanoseconds, and GB/s where the byte count is
-//! exact. The file is a JSON array and is never truncated — CI uploads
-//! it as an artifact, so the perf trajectory of the storage layer is
-//! recorded per commit instead of living in scrollback.
+//! path with `BENCH_BANK_OUT`): git sha, UTC date, per-kernel
+//! nanoseconds, and GB/s where the byte count is exact. The file is a
+//! JSON array and is never truncated — CI uploads it as an artifact, so
+//! the perf trajectory of the storage layer is recorded per commit
+//! instead of living in scrollback.
 //!
 //! Method: per measurement, one warm-up run, then `RUNS` timed runs; the
 //! reported number is the minimum (least-noise estimator for a
@@ -47,7 +46,7 @@ use gs_field::M61;
 use gs_sketch::bank::CellBanked;
 use gs_sketch::lane::{IntWidth, LaneWidth};
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{simd, BankGeometry, CellBank, EdgeUpdate, LinearSketch, Mergeable};
+use gs_sketch::{BankGeometry, CellBank, EdgeUpdate, LinearSketch, Mergeable};
 use gs_stream::engine::{EngineConfig, SketchEngine};
 use std::hint::black_box;
 use std::process::Command;
@@ -70,34 +69,21 @@ fn churn(n: usize, len: usize) -> Vec<EdgeUpdate> {
         .collect()
 }
 
-/// One lane/path configuration under measurement.
+/// One lane-width configuration under measurement.
 #[derive(Clone, Copy)]
 struct Config {
     name: &'static str,
     narrow: bool,
-    simd: bool,
 }
 
-const CONFIGS: [Config; 4] = [
+const CONFIGS: [Config; 2] = [
     Config {
-        name: "wide-scalar",
+        name: "wide",
         narrow: false,
-        simd: false,
     },
     Config {
-        name: "wide-simd",
-        narrow: false,
-        simd: true,
-    },
-    Config {
-        name: "narrow-scalar",
+        name: "narrow",
         narrow: true,
-        simd: false,
-    },
-    Config {
-        name: "narrow-simd",
-        narrow: true,
-        simd: true,
     },
 ];
 
@@ -108,15 +94,6 @@ fn build_forest(cfg: Config, n: usize, seed: u64) -> ForestSketch {
     } else {
         ForestSketch::new(n, seed)
     }
-}
-
-/// Runs `f` with the SIMD dispatch pinned to `cfg.simd`, restoring the
-/// runtime-detected default afterwards.
-fn with_path<T>(cfg: Config, f: impl FnOnce() -> T) -> T {
-    simd::force_scalar(!cfg.simd);
-    let out = f();
-    simd::force_scalar(false);
-    out
 }
 
 /// Asserts two sketches carry bit-identical measurement state, comparing
@@ -194,18 +171,15 @@ fn main() {
     let n = 128;
     let updates = churn(n, 20_000);
     let seed = 0xBE7C;
-    let simd_host = simd::simd_available();
 
     // ---- identity gauntlet: every configuration must agree bit-for-bit
     // on the exact workload about to be timed, before any clock starts.
     let absorbed: Vec<ForestSketch> = CONFIGS
         .iter()
         .map(|&cfg| {
-            with_path(cfg, || {
-                let mut s = build_forest(cfg, n, seed);
-                s.absorb(&updates);
-                s
-            })
+            let mut s = build_forest(cfg, n, seed);
+            s.absorb(&updates);
+            s
         })
         .collect();
     for (cfg, s) in CONFIGS.iter().zip(&absorbed) {
@@ -219,14 +193,12 @@ fn main() {
     let merged: Vec<ForestSketch> = CONFIGS
         .iter()
         .map(|&cfg| {
-            with_path(cfg, || {
-                let mut a = build_forest(cfg, n, seed);
-                a.absorb(&updates[..updates.len() / 2]);
-                let mut b = build_forest(cfg, n, seed);
-                b.absorb(&updates[updates.len() / 2..]);
-                a.merge(&b);
-                a
-            })
+            let mut a = build_forest(cfg, n, seed);
+            a.absorb(&updates[..updates.len() / 2]);
+            let mut b = build_forest(cfg, n, seed);
+            b.absorb(&updates[updates.len() / 2..]);
+            a.merge(&b);
+            a
         })
         .collect();
     for (cfg, s) in CONFIGS[1..].iter().zip(&merged[1..]) {
@@ -243,13 +215,11 @@ fn main() {
     let merge_operands: Vec<(ForestSketch, ForestSketch)> = CONFIGS
         .iter()
         .map(|&cfg| {
-            with_path(cfg, || {
-                let mut a = build_forest(cfg, n, seed);
-                a.absorb(&updates[..updates.len() / 2]);
-                let mut b = build_forest(cfg, n, seed);
-                b.absorb(&updates[updates.len() / 2..]);
-                (a, b)
-            })
+            let mut a = build_forest(cfg, n, seed);
+            a.absorb(&updates[..updates.len() / 2]);
+            let mut b = build_forest(cfg, n, seed);
+            b.absorb(&updates[updates.len() / 2..]);
+            (a, b)
         })
         .collect();
     let mut fan_banks: Vec<CellBank> = CONFIGS
@@ -257,31 +227,25 @@ fn main() {
         .map(|&cfg| CellBank::with_width(BankGeometry::new(1, 1, FAN_LEN), cfg_width(cfg)))
         .collect();
 
-    let mut mins = [[f64::INFINITY; 4]; 3]; // [kernel][config]
+    let mut mins = [[f64::INFINITY; 2]; 3]; // [kernel][config]
     for round in 0..=RUNS {
         for (ci, &cfg) in CONFIGS.iter().enumerate() {
-            let absorb_ns = with_path(cfg, || {
-                let t = Instant::now();
-                let mut s = build_forest(cfg, n, seed);
-                s.absorb(&updates);
-                black_box(&s);
-                t.elapsed().as_nanos() as f64
-            });
+            let t = Instant::now();
+            let mut s = build_forest(cfg, n, seed);
+            s.absorb(&updates);
+            black_box(&s);
+            let absorb_ns = t.elapsed().as_nanos() as f64;
             let (a, b) = &merge_operands[ci];
-            let merge_ns = with_path(cfg, || {
-                let t = Instant::now();
-                let mut acc = a.clone();
-                acc.merge(b);
-                black_box(&acc);
-                t.elapsed().as_nanos() as f64
-            });
+            let t = Instant::now();
+            let mut acc = a.clone();
+            acc.merge(b);
+            black_box(&acc);
+            let merge_ns = t.elapsed().as_nanos() as f64;
             let bank = &mut fan_banks[ci];
-            let fan_ns = with_path(cfg, || {
-                let t = Instant::now();
-                bank.fan(0..FAN_LEN, 1, 7, M61::new(13));
-                black_box(&bank);
-                t.elapsed().as_nanos() as f64
-            });
+            let t = Instant::now();
+            bank.fan(0..FAN_LEN, 1, 7, M61::new(13));
+            black_box(&bank);
+            let fan_ns = t.elapsed().as_nanos() as f64;
             if round > 0 {
                 mins[0][ci] = mins[0][ci].min(absorb_ns);
                 mins[1][ci] = mins[1][ci].min(merge_ns);
@@ -312,10 +276,10 @@ fn main() {
                     Some(2.0 * (FAN_LEN * cell_bytes) as f64 / ns),
                 ),
             };
-            if cfg.name == "wide-scalar" {
-                baseline[ki] = ns;
-            } else if cfg.name == "narrow-simd" {
+            if cfg.narrow {
                 speedup[ki] = baseline[ki] / ns;
+            } else {
+                baseline[ki] = ns;
             }
             let gb = gb_per_s
                 .map(|g| format!("{g:.2}"))
@@ -326,7 +290,7 @@ fn main() {
                 cfg.name
             ));
             println!(
-                "{kernel:>6} {:>13}: {:>12.0} ns{}",
+                "{kernel:>6} {:>6}: {:>12.0} ns{}",
                 cfg.name,
                 ns,
                 gb_per_s
@@ -340,13 +304,12 @@ fn main() {
 
     let record = format!(
         "  {{\n    \"sha\": \"{}\",\n    \"date\": \"{}\",\n    \
-         \"variant\": \"{}\",\n    \"n\": {n},\n    \"updates\": {},\n    \
+         \"n\": {n},\n    \"updates\": {},\n    \
          \"cells\": {cells},\n    \"kernels\": [\n{}\n    ],\n    \
-         \"speedup_narrow_simd_vs_wide_scalar\": {{ \"absorb\": {:.2}, \
+         \"speedup_narrow_vs_wide\": {{ \"absorb\": {:.2}, \
          \"merge\": {:.2}, \"fan\": {:.2} }},\n    \"served_ingest\": {served}\n  }}",
         git_sha(),
         utc_date(),
-        if simd_host { "avx2" } else { "scalar" },
         updates.len(),
         kernel_json.join(",\n"),
         speedup[0],
@@ -361,7 +324,7 @@ fn main() {
     append_record(&out, &record);
 
     println!(
-        "speedup narrow-simd vs wide-scalar: absorb {:.2}x  merge {:.2}x  fan {:.2}x",
+        "speedup narrow vs wide: absorb {:.2}x  merge {:.2}x  fan {:.2}x",
         speedup[0], speedup[1], speedup[2]
     );
     println!("appended record to {out}");

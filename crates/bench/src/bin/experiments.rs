@@ -5,6 +5,8 @@
 //! Each experiment regenerates the claim of a figure/theorem (DESIGN.md §5)
 //! and prints the rows recorded in EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 use graph_sketches::mincut::MinCutParams;
 use graph_sketches::spanner::recurse::stretch_bound;
 use graph_sketches::spanner::{baswana_sen, recurse_connect, BaswanaSenParams, RecurseParams};

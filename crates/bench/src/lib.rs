@@ -5,6 +5,8 @@
 //! §5 and EXPERIMENTS.md); the criterion benches under `benches/` measure
 //! throughput of the same code paths.
 
+#![forbid(unsafe_code)]
+
 /// Prints a fixed-width table row from string cells.
 pub fn row(cells: &[String], widths: &[usize]) {
     let line: Vec<String> = cells

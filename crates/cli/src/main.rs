@@ -56,9 +56,9 @@
 //!   analyze               lint every .rs file under --root (default .)
 //!                         for the workspace invariants — panic-free
 //!                         parser zones, SAFETY comments, capped
-//!                         allocations, the GS_* env registry, and
-//!                         SIMD/scalar oracle pairing; exits 1 on any
-//!                         violation (the blocking CI job)
+//!                         allocations and the GS_* env registry;
+//!                         exits 1 on any violation (the blocking CI
+//!                         job)
 //!
 //! options:
 //!   --sites <int>   shard the resident engine <int> ways (worker threads
@@ -88,6 +88,8 @@
 //! ingested in fixed-size chunks through a sharded
 //! [`gs_stream::engine::SketchEngine`], so resident memory scales with the
 //! sketch and the chunk, never with the stream.
+
+#![forbid(unsafe_code)]
 
 mod parse;
 mod serve_cmd;

@@ -60,6 +60,8 @@
 //! paper's constants (the paper's own constants are available via the
 //! `paper_*` constructors); see DESIGN.md.
 
+#![forbid(unsafe_code)]
+
 mod absorb;
 pub mod api;
 pub mod connectivity;

@@ -1,14 +1,13 @@
 //! The lane gauntlet: bit-identity and range-safety checks for the
-//! compacted-lane + SIMD storage layer, run across **all ten** sketch
-//! tasks through the public [`SketchSpec`] surface.
+//! compacted-lane storage layer, run across **all ten** sketch tasks
+//! through the public [`SketchSpec`] surface.
 //!
 //! Two disciplines are enforced here:
 //!
 //! 1. **Bit identity.** A spec-built sketch (compacted `w` and `s`
-//!    lanes, AVX2 kernels where the CPU has them) must produce
-//!    measurement state bit-identical to the wide-lane scalar reference
-//!    on the same stream — across absorb, merge, accumulate, and
-//!    drain_dirty. The scalar loops and wide lanes are the oracle; any
+//!    lanes) must produce measurement state bit-identical to the
+//!    wide-lane reference on the same stream — across absorb, merge,
+//!    accumulate, and drain_dirty. The wide lanes are the oracle; any
 //!    divergence is a kernel bug, full stop.
 //! 2. **Range safety.** Sketch files and delta records may carry `w` or
 //!    `s` values that do not fit a receiver's compacted lanes.
@@ -20,23 +19,7 @@ use graph_sketches::wire::{V2_MAGIC, WIRE_FORMAT_BIN};
 use graph_sketches::{AnySketch, SketchFile, SketchSpec, SketchTask, WireError};
 use gs_field::SplitMix64;
 use gs_sketch::bank::CellBanked;
-use gs_sketch::{simd, EdgeUpdate, IntWidth, LaneWidth, LinearSketch, Mergeable};
-
-/// Restores the runtime-detected SIMD dispatch on drop, so a failing
-/// assertion in a forced-scalar section cannot leak the forced state
-/// into other tests in this binary.
-struct ScalarGuard;
-impl ScalarGuard {
-    fn force() -> Self {
-        simd::force_scalar(true);
-        ScalarGuard
-    }
-}
-impl Drop for ScalarGuard {
-    fn drop(&mut self) {
-        simd::force_scalar(false);
-    }
-}
+use gs_sketch::{EdgeUpdate, IntWidth, LaneWidth, LinearSketch, Mergeable};
 
 fn specs() -> Vec<SketchSpec> {
     SketchTask::ALL
@@ -120,17 +103,9 @@ fn assert_identical(task: SketchTask, a: &AnySketch, b: &AnySketch) {
 }
 
 /// Every task's spec-built sketch against its twin with both integer
-/// lanes forced wide (`i64` `w`, `i128` `s`), on the scalar and the
-/// dispatched (SIMD where available) kernel paths.
+/// lanes forced wide (`i64` `w`, `i128` `s`).
 #[test]
 fn narrow_vs_wide_bit_identity_across_all_tasks() {
-    for scalar in [false, true] {
-        let _guard = scalar.then(ScalarGuard::force);
-        narrow_vs_wide_bit_identity();
-    }
-}
-
-fn narrow_vs_wide_bit_identity() {
     for spec in specs() {
         let ups = workload(&spec, 0, 160);
         let (head, tail) = ups.split_at(ups.len() / 2);
@@ -193,66 +168,6 @@ fn acc_lanes(len: usize) -> (Vec<i64>, Vec<i128>, Vec<gs_field::M61>) {
     (vec![0; len], vec![0; len], vec![gs_field::M61::ZERO; len])
 }
 
-#[test]
-fn simd_vs_scalar_bit_identity_across_all_tasks() {
-    for spec in specs() {
-        let ups = workload(&spec, 1, 160);
-        let (head, tail) = ups.split_at(ups.len() / 2);
-
-        // Everything on the scalar oracle path first.
-        let (scalar_absorbed, scalar_merged, scalar_drained) = {
-            let _guard = ScalarGuard::force();
-            let mut s = spec.build();
-            s.absorb(&ups);
-            let mut a = spec.build();
-            a.absorb(head);
-            let mut b = spec.build();
-            b.absorb(tail);
-            a.merge(&b);
-            let mut d = spec.build();
-            d.absorb(&ups);
-            let count = d.drain_dirty();
-            (s, a, (d, count))
-        };
-
-        // Same workload on the live dispatch path (AVX2 on capable
-        // hosts; degenerates to scalar-vs-scalar elsewhere, which still
-        // checks determinism).
-        let mut vector = spec.build();
-        vector.absorb(&ups);
-        assert_identical(spec.task, &scalar_absorbed, &vector);
-
-        let mut va = spec.build();
-        va.absorb(head);
-        let mut vb = spec.build();
-        vb.absorb(tail);
-        va.merge(&vb);
-        assert_identical(spec.task, &scalar_merged, &va);
-
-        // Accumulate across paths on the same (vector-built) state.
-        for bank in vector.banks() {
-            let len = bank.len();
-            let (mut aw1, mut as1, mut af1) = acc_lanes(len);
-            bank.accumulate(0..len, &mut aw1, &mut as1, &mut af1);
-            let (mut aw2, mut as2, mut af2) = acc_lanes(len);
-            {
-                let _guard = ScalarGuard::force();
-                bank.accumulate(0..len, &mut aw2, &mut as2, &mut af2);
-            }
-            assert_eq!(aw1, aw2, "{:?}: accumulate w", spec.task);
-            assert_eq!(as1, as2, "{:?}: accumulate s", spec.task);
-            assert_eq!(af1, af2, "{:?}: accumulate f", spec.task);
-        }
-
-        let mut vd = spec.build();
-        vd.absorb(&ups);
-        let vcount = vd.drain_dirty();
-        let (sd, scount) = scalar_drained;
-        assert_eq!(vcount, scount, "{:?}: drained cell count", spec.task);
-        assert_identical(spec.task, &sd, &vd);
-    }
-}
-
 /// Widens every bank of a sketch in place.
 fn widen(mut s: AnySketch) -> AnySketch {
     for bank in s.banks_mut() {
@@ -264,8 +179,8 @@ fn widen(mut s: AnySketch) -> AnySketch {
 /// The dirty-driven merge: `CellBank::add` sums only the operand's dirty
 /// cells when they are sparse. Pinned bank by bank against the dense
 /// sweep (`add_dense`) for every task — lanes, poison and the
-/// bitmap union — with narrow and wide receivers and operands, on both
-/// kernel paths, for operands with one touched cell per bank, a few
+/// bitmap union — with narrow and wide receivers and operands, for
+/// operands with one touched cell per bank, a few
 /// updates (the drained-shard case), a whole workload, and poison.
 #[test]
 fn sparse_merge_equals_dense_merge_across_all_tasks() {
@@ -305,35 +220,32 @@ fn sparse_merge_equals_dense_merge_across_all_tasks() {
                 } else {
                     operand.clone()
                 };
-                for scalar in [false, true] {
-                    let _guard = scalar.then(ScalarGuard::force);
-                    for (i, (x, y)) in a.banks().iter().zip(b.banks()).enumerate() {
-                        let mut via_add = (*x).clone();
-                        via_add.add(y);
-                        let mut oracle = (*x).clone();
-                        oracle.add_dense(y);
-                        let what = format!(
-                            "{:?} bank {i} (wide acc {wide_acc}, wide operand {wide_op}, scalar {scalar})",
-                            spec.task
-                        );
-                        assert_eq!(via_add.w_lane(), oracle.w_lane(), "{what}: w");
-                        assert_eq!(
-                            via_add.s_lane().to_wide_vec(),
-                            oracle.s_lane().to_wide_vec(),
-                            "{what}: s"
-                        );
-                        assert_eq!(via_add.f_lane(), oracle.f_lane(), "{what}: f");
-                        assert_eq!(
-                            via_add.lane_overflow(),
-                            oracle.lane_overflow(),
-                            "{what}: poison"
-                        );
-                        assert_eq!(
-                            via_add.dirty_indices(),
-                            oracle.dirty_indices(),
-                            "{what}: bitmap"
-                        );
-                    }
+                for (i, (x, y)) in a.banks().iter().zip(b.banks()).enumerate() {
+                    let mut via_add = (*x).clone();
+                    via_add.add(y);
+                    let mut oracle = (*x).clone();
+                    oracle.add_dense(y);
+                    let what = format!(
+                        "{:?} bank {i} (wide acc {wide_acc}, wide operand {wide_op})",
+                        spec.task
+                    );
+                    assert_eq!(via_add.w_lane(), oracle.w_lane(), "{what}: w");
+                    assert_eq!(
+                        via_add.s_lane().to_wide_vec(),
+                        oracle.s_lane().to_wide_vec(),
+                        "{what}: s"
+                    );
+                    assert_eq!(via_add.f_lane(), oracle.f_lane(), "{what}: f");
+                    assert_eq!(
+                        via_add.lane_overflow(),
+                        oracle.lane_overflow(),
+                        "{what}: poison"
+                    );
+                    assert_eq!(
+                        via_add.dirty_indices(),
+                        oracle.dirty_indices(),
+                        "{what}: bitmap"
+                    );
                 }
             }
         }

@@ -18,6 +18,8 @@
 //! that every algorithm in the workspace can be run under either; experiment
 //! E9 verifies their behavioral equivalence.
 
+#![deny(unsafe_code)]
+
 pub mod kwise;
 pub mod m61;
 pub mod nisan;

@@ -14,10 +14,9 @@ pub const P: u64 = (1u64 << 61) - 1;
 
 /// An element of `F_{2^61−1}`, kept reduced to `[0, P)`.
 ///
-/// `repr(transparent)`: an `M61` is exactly one `u64` in memory, so slices
-/// of field elements can be viewed as raw words
-/// ([`M61::slice_as_words`]) — the shape the vectorized lane kernels in
-/// `gs_sketch::simd` sweep.
+/// `repr(transparent)`: an `M61` is exactly one `u64` in memory, so a
+/// zeroed `u64` allocation can become a lane of field elements in place
+/// ([`M61::zeroed_vec`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[repr(transparent)]
 pub struct M61(u64);
@@ -114,36 +113,12 @@ impl M61 {
         self.pow(P - 2)
     }
 
-    /// Views a slice of field elements as its raw `u64` words (sound by
-    /// `repr(transparent)`). The words are canonical representatives in
-    /// `[0, P)` whenever the elements were built through this module's
-    /// constructors.
-    #[inline]
-    pub fn slice_as_words(s: &[M61]) -> &[u64] {
-        // SAFETY: M61 is repr(transparent) over u64, so the two types have
-        // identical size, alignment, and validity; the pointer and length
-        // come from a live borrowed slice.
-        unsafe { std::slice::from_raw_parts(s.as_ptr() as *const u64, s.len()) }
-    }
-
-    /// Mutable counterpart of [`M61::slice_as_words`].
-    ///
-    /// Callers must only write values in `[0, P)` — the field invariant
-    /// every arithmetic impl here relies on.
-    #[inline]
-    pub fn slice_as_words_mut(s: &mut [M61]) -> &mut [u64] {
-        // SAFETY: M61 is repr(transparent) over u64 (identical size,
-        // alignment, validity), and `&mut` input guarantees the view is
-        // unique; every u64 bit pattern is a valid M61, so callers can only
-        // break the canonical-range invariant, not memory safety.
-        unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr() as *mut u64, s.len()) }
-    }
-
     /// `len` zeros, allocated as `vec![0u64; len]` and cast in place.
     /// std builds a zero-filled `Vec` of a primitive through the
     /// allocator's zeroed path (`calloc`), which leaves a large buffer's
     /// pages unwritten until first use; `vec![M61::ZERO; len]` would write
     /// every element, because that path does not cover user types.
+    #[allow(unsafe_code)]
     pub fn zeroed_vec(len: usize) -> Vec<M61> {
         let mut words = std::mem::ManuallyDrop::new(vec![0u64; len]);
         let (ptr, len, cap) = (words.as_mut_ptr(), words.len(), words.capacity());

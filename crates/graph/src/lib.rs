@@ -22,6 +22,8 @@
 //!   Fung et al.'s connectivity-based sampling (Theorem 3.1).
 //! * [`cuts`] — cut enumeration (tiny graphs) and randomized cut audits.
 
+#![forbid(unsafe_code)]
+
 pub mod cuts;
 pub mod gen;
 pub mod gomory_hu;

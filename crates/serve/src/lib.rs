@@ -29,6 +29,8 @@
 //! The protocol grammar, error taxonomy, and crash-recovery invariants
 //! are specified in DESIGN.md §1.9.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod server;
 

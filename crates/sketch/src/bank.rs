@@ -14,12 +14,10 @@
 //!   [`CellBank::fan`], a contiguous fan-out that applies one precomputed
 //!   `(Δw, Δs, Δf)` triple to a run of cells; callers hash once per index
 //!   and fan into every affected row instead of re-hashing per cell.
-//! * **Vectorizable merges.** A dense [`CellBank::add`] is three
-//!   contiguous slice-add loops over primitive lanes; the `i64` and `M61`
-//!   sweeps dispatch through the runtime AVX2 kernels of [`crate::simd`]
-//!   (the scalar loops are preserved there as the bit-identity oracle),
-//!   the `i32` and `i128` ones are plain scalar loops. A sparse operand
-//!   is summed over its dirty cells only (see below).
+//! * **Lane-wise merges.** A dense [`CellBank::add`] is three
+//!   contiguous slice-add loops over primitive lanes, one scalar loop per
+//!   lane width. A sparse operand is summed over its dirty cells only
+//!   (see below).
 //! * **A wire-ready dump.** The lanes *are* the linear measurement state;
 //!   `graph_sketches::wire` format v2 ships them as raw little-endian
 //!   bytes, geometry-checked against a spec-built receiver (see the
@@ -100,7 +98,6 @@
 
 use crate::lane::{IntLane, IntPart, IntWidth, LaneOverflow, LaneWidth};
 use crate::one_sparse::{OneSparseCell, OneSparseState};
-use crate::simd;
 use gs_field::{Randomness, M61};
 use std::ops::Range;
 
@@ -338,13 +335,15 @@ impl CellBank {
 
     /// Fans a precomputed update triple into a contiguous run of cells —
     /// the batched-update kernel inner loop. Three lane-wise passes keep
-    /// each loop over one primitive type; the `i64` and `f` sweeps
-    /// dispatch through [`crate::simd`]. Overflow poisons (never panics).
+    /// each loop over one primitive type. Overflow poisons (never
+    /// panics).
     #[inline]
     pub fn fan(&mut self, range: Range<usize>, dw: i64, ds: i128, df: M61) {
         self.mark_dirty_range(range.clone());
         let ovf = self.w.fan(range.clone(), dw.into()) | self.s.fan(range.clone(), ds);
-        simd::fan_m61(&mut self.f[range], df);
+        for f in &mut self.f[range] {
+            *f += df;
+        }
         if ovf {
             self.poison_at(None);
         }
@@ -452,7 +451,7 @@ impl CellBank {
     /// set is sparse only those cells are summed — a drained engine shard
     /// that absorbed one frame since its last drain costs O(touched
     /// cells), not a sweep of the whole bank. Denser operands take
-    /// [`CellBank::add_dense`], the lane-wise [`crate::simd`] sweep. Both
+    /// [`CellBank::add_dense`], the lane-wise sweep. Both
     /// paths leave bit-identical lanes, poison and bitmaps
     /// (`lane_gauntlet` pins it), so the cutoff only decides speed.
     ///
@@ -468,17 +467,17 @@ impl CellBank {
     }
 
     /// The dense path of [`CellBank::add`]: three lane-wise slice sums
-    /// over every cell (the [`crate::simd`] kernels for `i64` and `f`,
-    /// scalar loops for the other widths, a per-cell range-checked sum
-    /// across widths). It is also the bit-identity oracle for the sparse
-    /// path.
+    /// over every cell (a per-cell range-checked sum across widths). It
+    /// is also the bit-identity oracle for the sparse path.
     ///
     /// # Panics
     /// Panics if the banks hold different cell counts.
     pub fn add_dense(&mut self, other: &Self) {
         self.begin_add(other);
         let ovf = self.w.add_lane(&other.w) | self.s.add_lane(&other.s);
-        simd::add_m61(&mut self.f, &other.f);
+        for (f, &g) in self.f.iter_mut().zip(&other.f) {
+            *f += g;
+        }
         self.finish_add(other, ovf);
     }
 
@@ -542,13 +541,11 @@ impl CellBank {
     /// The batched group-query kernel: adds the cells of `range` into the
     /// accumulator lanes, lane-wise (`aw[j] += w[range.start + j]`, and
     /// likewise for `s` and `f`). A lane narrower than its accumulators
-    /// (`i32` `w`, `i64` `s`) widens as it sums, in a scalar loop, so the
-    /// accumulators do not overflow mid-query; same-width `i64` and `f`
-    /// sweeps dispatch through [`crate::simd`]. The accumulators wrap at
-    /// their own width. Decode paths that sum many rows (Σ_{u∈A}
-    /// sketch(x^u) in Boruvka rounds, the per-cut recovery sums of Fig. 3)
-    /// call this once per row instead of walking cells with per-index
-    /// bounds checks.
+    /// (`i32` `w`, `i64` `s`) widens as it sums, so the accumulators do
+    /// not overflow mid-query. The accumulators wrap at their own width.
+    /// Decode paths that sum many rows (Σ_{u∈A} sketch(x^u) in Boruvka
+    /// rounds, the per-cut recovery sums of Fig. 3) call this once per
+    /// row instead of walking cells with per-index bounds checks.
     ///
     /// # Panics
     /// Panics if `range` exceeds the bank or the accumulators are not
@@ -568,7 +565,9 @@ impl CellBank {
         );
         self.w.sum_into(range.clone(), aw);
         self.s.sum_into(range, as_);
-        simd::add_m61(af, f);
+        for (a, &g) in af.iter_mut().zip(f) {
+            *a += g;
+        }
     }
 
     /// Overwrites the measurement lanes with externally-provided data
@@ -757,7 +756,9 @@ impl BankPart<'_> {
         }
         let r = range.start - self.start..range.end - self.start;
         let ovf = self.w.fan(r.clone(), dw.into()) | self.s.fan(r.clone(), ds);
-        simd::fan_m61(&mut self.f[r], df);
+        for f in &mut self.f[r] {
+            *f += df;
+        }
         if ovf && self.poison.is_none() {
             self.poison = Some(LaneOverflow { cell: None });
         }
@@ -866,6 +867,7 @@ pub trait CellBanked {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gs_field::m61::P;
     use gs_field::OracleHash;
 
     fn h() -> OracleHash {
@@ -1002,6 +1004,19 @@ mod tests {
                 looped.update(i, index, delta, &h);
             }
             assert_eq!(fanned, looped);
+            // A fingerprint delta of P − 1 over written and zero cells
+            // subtracts one from each and leaves every `f` reduced.
+            let top = M61::new(P - 1);
+            fanned.fan(0..8, 0, 0, top);
+            for i in 0..8 {
+                looped.apply(i, 0, 0, top);
+            }
+            assert_eq!(fanned, looped);
+            for (i, &f) in fanned.f_lane().iter().enumerate() {
+                let before = if (2..6).contains(&i) { df } else { M61::ZERO };
+                assert_eq!(f, before - M61::ONE, "{width:?}: cell {i}");
+                assert!(f.value() < P, "{width:?}: cell {i} unreduced");
+            }
         }
     }
 
@@ -1022,6 +1037,15 @@ mod tests {
         a.add(&b);
         assert_eq!(a, whole);
         assert!(a.cell_is_zero(0));
+        // An operand of P − 1 in every `f` subtracts one from each cell,
+        // written or not, and leaves every `f` reduced.
+        let mut top = CellBank::new(BankGeometry::new(2, 2, 1));
+        top.fan(0..4, 0, 0, M61::new(P - 1));
+        a.add_dense(&top);
+        for (i, (&f, &g)) in a.f_lane().iter().zip(whole.f_lane()).enumerate() {
+            assert_eq!(f, g - M61::ONE, "cell {i}");
+            assert!(f.value() < P, "cell {i} unreduced");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Every behavioral escape hatch the suite honors is declared in
 //! [`ESCAPE_HATCHES`] and read through a typed accessor here. That buys
-//! three things the previous ad-hoc `std::env::var` reads lacked:
+//! two things the previous ad-hoc `std::env::var` reads lacked:
 //!
 //! * **Enumerable** — the README's "escape hatches" table is generated
 //!   from [`markdown_table`] and pinned byte-exact by a test, so the
@@ -11,15 +11,8 @@
 //! * **Typo-proof** — a hatch name exists in exactly one place; the
 //!   `env-registry` lint (gs-analyze) rejects any `GS_*` read outside
 //!   this module.
-//! * **Uniform semantics** — boolean hatches share one decoder
-//!   ([`flag_set`]: set-and-not-`"0"` means on), so `GS_NO_SIMD=0` and
-//!   an unset variable behave identically everywhere.
 //!
-//! Accessors read the process environment on every call; call sites
-//! that need once-per-process semantics (e.g. the SIMD dispatcher)
-//! keep their own `OnceLock`.
-
-use std::ffi::OsStr;
+//! Accessors read the process environment on every call.
 
 /// One declared escape hatch, as rendered into the README table.
 pub struct EscapeHatch {
@@ -33,32 +26,11 @@ pub struct EscapeHatch {
 
 /// Every escape hatch the suite honors. Adding a variable here (and an
 /// accessor below) is the only sanctioned way to introduce one.
-pub const ESCAPE_HATCHES: &[EscapeHatch] = &[
-    EscapeHatch {
-        name: "GS_NO_SIMD",
-        values: "any value but `0`",
-        effect: "disable the AVX2 bank kernels; every call takes the scalar oracle path",
-    },
-    EscapeHatch {
-        name: "GS_DIFF_SEED",
-        values: "a `u64`",
-        effect: "base seed for the differential test harness (default 1)",
-    },
-];
-
-/// Shared decoder for boolean hatches: set and not literally `"0"`.
-fn flag_set(name: &str) -> bool {
-    debug_assert!(
-        ESCAPE_HATCHES.iter().any(|h| h.name == name),
-        "flag {name} not declared in ESCAPE_HATCHES"
-    );
-    std::env::var_os(name).is_some_and(|v| v != OsStr::new("0"))
-}
-
-/// `true` iff `GS_NO_SIMD` asks for the scalar-only path.
-pub fn no_simd() -> bool {
-    flag_set("GS_NO_SIMD")
-}
+pub const ESCAPE_HATCHES: &[EscapeHatch] = &[EscapeHatch {
+    name: "GS_DIFF_SEED",
+    values: "a `u64`",
+    effect: "base seed for the differential test harness (default 1)",
+}];
 
 /// The differential-harness base seed, when `GS_DIFF_SEED` is set.
 /// A set-but-unparsable value is an operator error worth failing loudly

@@ -24,9 +24,8 @@
 //!   net same-sign updates of one cell.
 //! * [`IntLane`] — one width-tagged integer lane, serving both `w` and
 //!   `s`. Its kernels (apply, fan, add, accumulate, overlay) run at the
-//!   stored width with one generic body per kernel; the `i64` sweeps
-//!   dispatch through [`crate::simd`], the `i32` and `i128` ones are plain
-//!   scalar loops. Export paths widen ([`IntLane::get`],
+//!   stored width with one generic scalar body per kernel, whatever the
+//!   width. Export paths widen ([`IntLane::get`],
 //!   [`IntLane::to_wide_vec`]): the wire formats always ship 8-byte `w`
 //!   and 16-byte `s` words, and import paths range-check on the way in.
 //! * [`LaneOverflow`] — the typed error raised when accumulated state
@@ -40,8 +39,6 @@
 //!   from the OS without writing it, so its pages stay backed by the
 //!   shared zero page: a spec-built sketch costs address space, not
 //!   resident memory, and a page becomes resident on its first write.
-//!   The AVX2 kernels in [`crate::simd`] use unaligned loads and stores
-//!   only, so lanes need no alignment beyond their element type's.
 //!
 //! The headroom choice is deliberately conservative: a `ForestSketch` over
 //! `n = 1000` has `max_index = C(1000,2) − 1 < 2^19`, so unit-delta streams
@@ -49,7 +46,6 @@
 //! sparsifier class that carries values up to `2^40` on a large edge
 //! domain derives `i64`/`i128` exactly as it must.
 
-use crate::simd;
 use std::fmt;
 use std::ops::Range;
 
@@ -155,7 +151,8 @@ impl LaneWidth {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LaneOverflow {
     /// Flat index of the first overflowing cell, when the kernel tracked
-    /// it (single-cell applies do; vectorized range kernels report `None`).
+    /// it (single-cell applies do; the range kernels, fan and add, report
+    /// `None`).
     pub cell: Option<usize>,
 }
 
@@ -170,9 +167,7 @@ impl fmt::Display for LaneOverflow {
 
 impl std::error::Error for LaneOverflow {}
 
-/// A primitive lane element: the arithmetic every lane kernel needs,
-/// with the slice sweeps as overridable defaults (`i64` takes the
-/// [`crate::simd`] kernels, the other widths the scalar loops).
+/// A primitive lane element: the arithmetic every lane kernel needs.
 pub(crate) trait LaneInt: Copy + Default + fmt::Debug {
     /// `v` at this width, if it fits.
     fn narrow(v: i128) -> Option<Self>;
@@ -184,34 +179,10 @@ pub(crate) trait LaneInt: Copy + Default + fmt::Debug {
     fn overflowing_add(self, rhs: Self) -> (Self, bool);
     /// The cells of `lane` if it stores this width.
     fn cells(lane: &IntLane) -> Option<&[Self]>;
-
-    /// Broadcast add (wrapping); `true` iff any cell overflowed.
-    #[inline]
-    fn fan_slice(dst: &mut [Self], d: Self) -> bool {
-        let mut ovf = false;
-        for x in dst {
-            let (v, o) = x.overflowing_add(d);
-            *x = v;
-            ovf |= o;
-        }
-        ovf
-    }
-
-    /// Lane-wise add (wrapping); `true` iff any cell overflowed.
-    #[inline]
-    fn add_slice(dst: &mut [Self], src: &[Self]) -> bool {
-        let mut ovf = false;
-        for (x, &y) in dst.iter_mut().zip(src) {
-            let (v, o) = x.overflowing_add(y);
-            *x = v;
-            ovf |= o;
-        }
-        ovf
-    }
 }
 
 macro_rules! lane_int {
-    ($t:ty, $variant:ident { $($sweeps:tt)* }) => {
+    ($t:ty, $variant:ident) => {
         impl LaneInt for $t {
             #[inline]
             fn narrow(v: i128) -> Option<Self> {
@@ -236,24 +207,13 @@ macro_rules! lane_int {
                     _ => None,
                 }
             }
-            $($sweeps)*
         }
     };
 }
 
-lane_int!(i32, I32 {});
-lane_int!(i64, I64 {
-    #[inline]
-    fn fan_slice(dst: &mut [i64], d: i64) -> bool {
-        simd::fan_i64(dst, d)
-    }
-
-    #[inline]
-    fn add_slice(dst: &mut [i64], src: &[i64]) -> bool {
-        simd::add_i64(dst, src)
-    }
-});
-lane_int!(i128, I128 {});
+lane_int!(i32, I32);
+lane_int!(i64, I64);
+lane_int!(i128, I128);
 
 /// Adds `d` into `x`, wrapping; `true` on overflow, including a `d` that
 /// does not fit the lane (its wrapped low word is added: the value is
@@ -273,13 +233,37 @@ fn add_one<T: LaneInt>(x: &mut T, d: i128) -> bool {
     }
 }
 
+/// Broadcast add (wrapping); `true` iff any cell overflowed.
+#[inline]
+fn fan_slice<T: LaneInt>(dst: &mut [T], d: T) -> bool {
+    let mut ovf = false;
+    for x in dst {
+        let (v, o) = x.overflowing_add(d);
+        *x = v;
+        ovf |= o;
+    }
+    ovf
+}
+
+/// Lane-wise add (wrapping); `true` iff any cell overflowed.
+#[inline]
+fn add_slice<T: LaneInt>(dst: &mut [T], src: &[T]) -> bool {
+    let mut ovf = false;
+    for (x, &y) in dst.iter_mut().zip(src) {
+        let (v, o) = x.overflowing_add(y);
+        *x = v;
+        ovf |= o;
+    }
+    ovf
+}
+
 /// [`add_one`] over a run of cells.
 #[inline]
 fn fan_cells<T: LaneInt>(cells: &mut [T], d: i128) -> bool {
     match T::narrow(d) {
-        Some(d) => T::fan_slice(cells, d),
+        Some(d) => fan_slice(cells, d),
         None => {
-            T::fan_slice(cells, T::wrap(d));
+            fan_slice(cells, T::wrap(d));
             true
         }
     }
@@ -289,7 +273,7 @@ fn fan_cells<T: LaneInt>(cells: &mut [T], d: i128) -> bool {
 /// agree, else [`add_one`] per cell (range-checked when `other` is wider).
 fn add_cells<T: LaneInt>(cells: &mut [T], other: &IntLane) -> bool {
     match T::cells(other) {
-        Some(src) => T::add_slice(cells, src),
+        Some(src) => add_slice(cells, src),
         None => {
             let mut ovf = false;
             for (i, x) in cells.iter_mut().enumerate() {
@@ -427,14 +411,9 @@ impl IntLane {
     }
 
     /// Adds the cells of `range` into `acc`, widened to its element type
-    /// and wrapping there: the slice sweep when the widths agree.
+    /// and wrapping there.
     pub(crate) fn sum_into<A: LaneInt>(&self, range: Range<usize>, acc: &mut [A]) {
-        match A::cells(self) {
-            Some(c) => {
-                A::add_slice(acc, &c[range]);
-            }
-            None => each!(IntLane, self, c => sum_cells(acc, &c[range])),
-        }
+        each!(IntLane, self, c => sum_cells(acc, &c[range]))
     }
 
     /// The index of the first of `values` that does not fit this lane.
@@ -590,40 +569,86 @@ mod tests {
     }
 
     #[test]
-    fn i32_lane_kernels_at_the_edge() {
-        let max = i128::from(i32::MAX);
-        // Reaching i32::MAX exactly is clean; one more overflows and
-        // stores the wrapped value.
-        let mut lane = IntLane::zeroed(IntWidth::I32, 8);
-        assert!(!lane.add_at(0, max - 1));
-        assert!(lane.fits_add(0, 1) && !lane.fits_add(0, 2));
-        assert!(!lane.add_at(0, 1));
-        assert_eq!(lane.get(0), max);
-        assert!(lane.add_at(0, 1));
-        assert_eq!(lane.get(0), i128::from(i32::MIN));
-        // A delta that does not fit i32 at all overflows on its own.
-        assert!(!lane.fits_add(1, max + 1));
-        assert!(lane.add_at(1, max + 1));
-        assert_eq!(lane.get(1), i128::from(i32::MIN));
-        // Fans: the same edge over a run of cells.
-        assert!(!lane.fan(2..8, max));
-        assert!(lane.fan(5..8, 1));
-        assert_eq!(lane.get(4), max);
-        assert_eq!(lane.get(5), i128::from(i32::MIN));
-        // Lane adds: the same widths sweep, a wider operand range-checks.
-        let mut a = IntLane::zeroed(IntWidth::I32, 4);
-        let mut b = IntLane::zeroed(IntWidth::I64, 4);
-        a.add_at(3, max);
-        b.add_at(3, 0);
-        assert!(!a.add_lane(&b));
-        b.add_at(1, max + 1);
-        assert!(a.add_lane(&b), "a wide value that does not fit overflows");
-        let mut c = IntLane::zeroed(IntWidth::I32, 4);
-        c.add_at(3, 1);
-        assert!(a.clone().add_lane(&c));
-        // Accumulating widens, so sums past i32 are exact.
-        let mut acc = vec![max as i64; 4];
-        a.sum_into(0..4, &mut acc);
-        assert_eq!(acc[3], 2 * max as i64);
+    fn lane_kernels_at_the_edge_of_every_width() {
+        for width in [IntWidth::I32, IntWidth::I64, IntWidth::I128] {
+            let (max, min) = match width {
+                IntWidth::I32 => (i32::MAX.into(), i32::MIN.into()),
+                IntWidth::I64 => (i64::MAX.into(), i64::MIN.into()),
+                IntWidth::I128 => (i128::MAX, i128::MIN),
+            };
+            // The next width up, if any: a delta or operand past this one.
+            let wider = match width {
+                IntWidth::I32 => Some(IntWidth::I64),
+                IntWidth::I64 => Some(IntWidth::I128),
+                IntWidth::I128 => None,
+            };
+            let what = format!("{width:?}");
+            // Reaching either edge exactly is clean; one past it
+            // overflows and stores the wrapped value.
+            let mut lane = IntLane::zeroed(width, 12);
+            assert!(!lane.add_at(0, max - 1), "{what}");
+            assert!(lane.fits_add(0, 1) && !lane.fits_add(0, 2), "{what}");
+            assert!(!lane.add_at(0, 1), "{what}");
+            assert_eq!(lane.get(0), max, "{what}");
+            assert!(lane.add_at(0, 1), "{what}");
+            assert_eq!(lane.get(0), min, "{what}");
+            assert!(!lane.add_at(1, min + 1) && !lane.add_at(1, -1), "{what}");
+            assert!(!lane.fits_add(1, -1), "{what}");
+            assert!(lane.add_at(1, -1), "{what}");
+            assert_eq!(lane.get(1), max, "{what}");
+            // A delta that does not fit the width overflows on its own.
+            if wider.is_some() {
+                assert!(!lane.fits_add(2, max + 1), "{what}");
+                assert!(lane.add_at(2, max + 1), "{what}");
+                assert_eq!(lane.get(2), min, "{what}");
+                assert!(lane.fan(10..12, min - 1), "{what}");
+                assert_eq!(lane.get(10), max, "{what}");
+            }
+            // Fans: the same edges over a run of cells.
+            assert!(!lane.fan(3..6, max), "{what}");
+            assert!(lane.fan(4..6, 1), "{what}");
+            assert_eq!(lane.get(3), max, "{what}");
+            assert_eq!(lane.get(5), min, "{what}");
+            assert!(!lane.fan(6..10, min), "{what}");
+            assert!(!lane.fan(6..8, 1), "{what}");
+            assert!(lane.fan(8..10, -1), "{what}");
+            assert_eq!(lane.get(7), min + 1, "{what}");
+            assert_eq!(lane.get(9), max, "{what}");
+            // Same-width lane adds: one hot cell among clean ones is
+            // reported, all-clean is not.
+            let mut ones = IntLane::zeroed(width, 9);
+            let mut twos = IntLane::zeroed(width, 9);
+            assert!(!ones.fan(0..9, 1) && !twos.fan(0..9, 2), "{what}");
+            assert!(!ones.clone().add_lane(&twos), "{what}");
+            ones.add_at(6, max - 1);
+            let mut hot = ones.clone();
+            assert!(hot.add_lane(&twos), "{what}: one hot cell");
+            assert_eq!(hot.get(6), min + 1, "{what}");
+            assert_eq!(hot.get(5), 3, "{what}");
+            // A wider operand adds by value and range-checks per cell.
+            if let Some(wider) = wider {
+                let mut a = IntLane::zeroed(width, 4);
+                let mut b = IntLane::zeroed(wider, 4);
+                a.add_at(3, max);
+                b.add_at(2, max);
+                assert!(!a.add_lane(&b), "{what}");
+                assert_eq!(a.get(2), max, "{what}");
+                b.add_at(1, max + 1);
+                assert!(a.add_lane(&b), "{what}: a wide value that does not fit");
+            }
+            // Accumulating widens into an `i128` sum, exact past this
+            // width (an `i128` lane wraps at its own), and an `i64` sum
+            // is exact past `i32`.
+            let mut edge = IntLane::zeroed(width, 4);
+            edge.add_at(3, max);
+            let mut acc = vec![max; 4];
+            edge.sum_into(0..4, &mut acc);
+            assert_eq!(acc[3], max.wrapping_add(max), "{what}");
+            if width == IntWidth::I32 {
+                let mut acc = vec![i32::MAX as i64; 4];
+                edge.sum_into(0..4, &mut acc);
+                assert_eq!(i128::from(acc[3]), 2 * max, "{what}");
+            }
+        }
     }
 }

@@ -16,8 +16,8 @@
 //!   element, sufficient for Boruvka-style decoding.
 //! * [`bank`] — the shared struct-of-arrays cell store
 //!   ([`bank::CellBank`]): every structure above keeps its cells in one
-//!   contiguous bank (batched hash-once updates, lane-wise vectorizable
-//!   merges, raw wire dumps via the [`bank::CellBanked`] visitor).
+//!   contiguous bank (batched hash-once updates, lane-wise merges, raw
+//!   wire dumps via the [`bank::CellBanked`] visitor).
 //! * [`domain`] — index-space bijections: triangular ranking of edges
 //!   `(u,v) ↦ [0, C(n,2))` and combinatorial ranking of `k`-subsets for the
 //!   `squash` encoding of Fig. 4, plus the pair-slot arithmetic of the
@@ -30,6 +30,8 @@
 //! algorithms work on dynamic streams (deletions cancel insertions) and on
 //! distributed streams (site sketches add up), per §1.1 of the paper.
 
+#![forbid(unsafe_code)]
+
 pub mod bank;
 pub mod cache;
 pub mod domain;
@@ -39,7 +41,6 @@ pub mod lane;
 pub mod linear;
 pub mod one_sparse;
 pub mod par;
-pub mod simd;
 pub mod sparse_recovery;
 
 pub use bank::{BankGeometry, CellBank, CellBanked};

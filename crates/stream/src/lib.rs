@@ -18,6 +18,8 @@
 //!   (Definition 2): a replay meter that counts how many passes an
 //!   algorithm takes over the stream.
 
+#![forbid(unsafe_code)]
+
 pub mod distributed;
 pub mod engine;
 pub mod passes;

@@ -22,6 +22,8 @@
 //!   accuracy-vs-space-vs-time frontier tables, with each task's
 //!   (eps, delta) guarantee enforced as a hard gate.
 
+#![forbid(unsafe_code)]
+
 pub mod generate;
 pub mod runner;
 pub mod trace;

@@ -5,6 +5,8 @@
 //! See `crates/core` (`graph_sketches`) for the algorithm library and
 //! DESIGN.md for the layering.
 
+#![forbid(unsafe_code)]
+
 pub use graph_sketches;
 pub use gs_field;
 pub use gs_graph;
