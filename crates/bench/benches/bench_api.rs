@@ -11,14 +11,13 @@ use gs_graph::gen;
 use gs_sketch::{LinearSketch, Mergeable};
 use gs_stream::distributed::sketch_distributed;
 use gs_stream::engine::{EngineConfig, SketchEngine};
-use gs_stream::GraphStream;
 
 fn bench_absorb_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("api_absorb");
     group.sample_size(10);
     let n = 64;
     let g = gen::gnp(n, 0.2, 1);
-    let updates = GraphStream::with_churn(&g, g.m(), 2).edge_updates();
+    let updates = gen::churn_stream(&g, g.m(), 2);
     for task in [SketchTask::Connectivity, SketchTask::MinCut] {
         let spec = SketchSpec::new(task, n).with_seed(3);
         group.bench_with_input(
@@ -41,7 +40,7 @@ fn bench_distributed_ingest(c: &mut Criterion) {
     group.sample_size(10);
     let n = 64;
     let g = gen::gnp(n, 0.2, 5);
-    let updates = GraphStream::with_churn(&g, g.m(), 6).edge_updates();
+    let updates = gen::churn_stream(&g, g.m(), 6);
     let spec = SketchSpec::new(SketchTask::Connectivity, n).with_seed(7);
     for sites in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("sites", sites), &sites, |b, &sites| {
@@ -64,7 +63,7 @@ fn bench_engine_ingest(c: &mut Criterion) {
     group.sample_size(10);
     let n = 128;
     let g = gen::gnp(n, 0.2, 11);
-    let updates = GraphStream::with_churn(&g, 4 * g.m(), 12).edge_updates();
+    let updates = gen::churn_stream(&g, 4 * g.m(), 12);
     let spec = SketchSpec::new(SketchTask::Connectivity, n).with_seed(13);
     group.bench_with_input(BenchmarkId::new("absorb_1thread", 0), &(), |b, _| {
         b.iter(|| {
@@ -100,7 +99,7 @@ fn bench_bank_kernels(c: &mut Criterion) {
     group.sample_size(10);
     let n = 96;
     let g = gen::gnp(n, 0.2, 21);
-    let updates = GraphStream::with_churn(&g, 2 * g.m(), 22).edge_updates();
+    let updates = gen::churn_stream(&g, 2 * g.m(), 22);
     group.bench_with_input(
         BenchmarkId::new("absorb_bank", updates.len()),
         &(),
@@ -136,7 +135,7 @@ fn bench_delta_and_merge_tree(c: &mut Criterion) {
     let n = 128;
     let spec = SketchSpec::new(SketchTask::Connectivity, n).with_seed(31);
     let g = gen::gnp(n, 0.02, 32);
-    let round = GraphStream::with_churn(&g, 20, 33).edge_updates();
+    let round = gen::churn_stream(&g, 20, 33);
     let mut fed = spec.build();
     fed.absorb(&round);
     let file = graph_sketches::wire::SketchFile::new(spec, fed).expect("state matches spec");
@@ -157,7 +156,7 @@ fn bench_delta_and_merge_tree(c: &mut Criterion) {
         })
     });
     let big = gen::gnp(n, 0.2, 34);
-    let updates = GraphStream::with_churn(&big, big.m(), 35).edge_updates();
+    let updates = gen::churn_stream(&big, big.m(), 35);
     let shards: Vec<ForestSketch> = (0..16)
         .map(|i| {
             let mut s = ForestSketch::new(n, 37);

@@ -5,14 +5,13 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graph_sketches::{ForestSketch, KEdgeConnectSketch};
 use gs_graph::gen;
 use gs_sketch::LinearSketch;
-use gs_stream::GraphStream;
 
 fn bench_forest(c: &mut Criterion) {
     let mut group = c.benchmark_group("forest");
     group.sample_size(10);
     for n in [32usize, 64, 128] {
         let g = gen::gnp(n, 0.2, 1);
-        let updates = GraphStream::with_churn(&g, g.m(), 2).edge_updates();
+        let updates = gen::churn_stream(&g, g.m(), 2);
         group.bench_with_input(BenchmarkId::new("ingest", n), &(), |b, _| {
             b.iter(|| {
                 let mut s = ForestSketch::new(n, 3);
@@ -34,7 +33,7 @@ fn bench_kedge(c: &mut Criterion) {
     group.sample_size(10);
     let n = 48;
     let g = gen::gnp(n, 0.3, 5);
-    let updates = GraphStream::inserts_of(&g).edge_updates();
+    let updates = gen::insert_stream(&g);
     for k in [2usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("ingest", k), &k, |b, &k| {
             b.iter(|| {

@@ -4,23 +4,25 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graph_sketches::MinCutSketch;
 use gs_graph::{gen, stoer_wagner};
-use gs_stream::GraphStream;
+use gs_sketch::LinearSketch;
 
 fn bench_mincut(c: &mut Criterion) {
     let mut group = c.benchmark_group("mincut");
     group.sample_size(10);
     for n in [24usize, 48] {
         let g = gen::barbell(n / 2, 2);
-        let stream = GraphStream::inserts_of(&g);
+        let stream = gen::insert_stream(&g);
         group.bench_with_input(BenchmarkId::new("ingest", n), &(), |b, _| {
             b.iter(|| {
                 let mut s = MinCutSketch::new(n, 0.5, 1);
-                stream.replay(|u, v, d| s.update_edge(u, v, d));
+                for up in &stream {
+                    s.update_edge(up.u, up.v, up.delta);
+                }
                 s
             })
         });
         let mut s = MinCutSketch::new(n, 0.5, 1);
-        stream.replay(|u, v, d| s.update_edge(u, v, d));
+        s.absorb(&stream);
         group.bench_with_input(BenchmarkId::new("decode", n), &(), |b, _| {
             b.iter(|| s.decode().expect("resolves").value)
         });

@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graph_sketches::weighted::WeightedSparsifySketch;
 use gs_graph::gen;
+use gs_sketch::LinearSketch;
 
 fn bench_weighted(c: &mut Criterion) {
     let mut group = c.benchmark_group("weighted_sparsify");
@@ -15,14 +16,14 @@ fn bench_weighted(c: &mut Criterion) {
             b.iter(|| {
                 let mut s = WeightedSparsifySketch::new(n, 0.75, max_w, 3);
                 for &(u, v, w) in g.edges() {
-                    s.update_edge(u, v, w, 1);
+                    s.update_edge(u, v, w as i64);
                 }
                 s
             })
         });
         let mut s = WeightedSparsifySketch::new(n, 0.75, max_w, 3);
         for &(u, v, w) in g.edges() {
-            s.update_edge(u, v, w, 1);
+            s.update_edge(u, v, w as i64);
         }
         group.bench_with_input(BenchmarkId::new("decode", max_w), &(), |b, _| {
             b.iter(|| s.decode())

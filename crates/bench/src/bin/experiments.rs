@@ -9,7 +9,9 @@
 
 use graph_sketches::mincut::MinCutParams;
 use graph_sketches::spanner::recurse::stretch_bound;
-use graph_sketches::spanner::{baswana_sen, recurse_connect, BaswanaSenParams, RecurseParams};
+use graph_sketches::spanner::{
+    baswana_sen, recurse_connect, BaswanaSenParams, Meter, RecurseParams,
+};
 use graph_sketches::weighted::WeightedSparsifySketch;
 use graph_sketches::{
     ForestSketch, KEdgeConnectSketch, MinCutSketch, SimpleSparsifySketch, SketchSpec, SketchTask,
@@ -21,10 +23,8 @@ use gs_graph::cuts::random_cut_audit;
 use gs_graph::paths::max_stretch;
 use gs_graph::subgraph::{gamma, Pattern};
 use gs_graph::{gen, offline_sparsify, stoer_wagner, GomoryHuTree, Graph};
-use gs_sketch::{L0Result, L0Sampler, SparseRecovery};
+use gs_sketch::{L0Result, L0Sampler, LinearSketch, SparseRecovery};
 use gs_stream::distributed::{sketch_central, sketch_distributed};
-use gs_stream::passes::Meter;
-use gs_stream::GraphStream;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
@@ -209,7 +209,7 @@ fn e3_kedge() {
     ] {
         for k in [3usize, 6] {
             let mut s = KEdgeConnectSketch::new(g.n(), k, 0xE3);
-            GraphStream::with_churn(&g, 300, 5).replay(|u, v, d| s.update_edge(u, v, d));
+            s.absorb(&gen::churn_stream(&g, 300, 5));
             let h = s.decode_witness();
             let kept = (0..bridges)
                 .filter(|&b| h.has_edge(b, g.n() / 2 + b))
@@ -249,7 +249,7 @@ fn e4_mincut() {
             let mut cells = 0;
             for seed in 0..7 {
                 let mut s = MinCutSketch::new(g.n(), eps, 0xE4_00 + seed);
-                GraphStream::inserts_of(&g).replay(|u, v, d| s.update_edge(u, v, d));
+                s.absorb(&gen::insert_stream(&g));
                 cells = s.cell_count();
                 vals.push(s.decode().map(|e| e.value as f64).unwrap_or(f64::NAN));
             }
@@ -284,7 +284,7 @@ fn e4_mincut() {
                 let mut p = MinCutParams::scaled(28, 0.5);
                 p.k = k;
                 let mut s = MinCutSketch::with_params(28, p, 0xE4_40 + seed);
-                GraphStream::inserts_of(&g).replay(|u, v, d| s.update_edge(u, v, d));
+                s.absorb(&gen::insert_stream(&g));
                 vals.push(s.decode().map(|e| e.value as f64).unwrap_or(f64::NAN));
             }
             let worst = vals
@@ -336,11 +336,11 @@ fn e5_e6_sparsifiers() {
         for eps in [0.5f64, 1.0] {
             // Fig 2
             let mut s2 = SimpleSparsifySketch::new(g.n(), eps, 0xE5);
-            GraphStream::with_churn(&g, 300, 17).replay(|u, v, d| s2.update_edge(u, v, d));
+            s2.absorb(&gen::churn_stream(&g, 300, 17));
             let h2 = s2.decode();
             // Fig 3
             let mut s3 = SparsifySketch::new(g.n(), eps, 0xE6);
-            GraphStream::with_churn(&g, 300, 19).replay(|u, v, d| s3.update_edge(u, v, d));
+            s3.absorb(&gen::churn_stream(&g, 300, 19));
             let h3 = s3.decode();
             // Offline baseline
             let hf = offline_sparsify::fung_connectivity(&g, eps, 1.0, 21);
@@ -417,7 +417,7 @@ fn e7_weighted() {
         let eps = 0.75;
         let mut s = WeightedSparsifySketch::new(g.n(), eps, max_w, 0xE7);
         for &(u, v, w) in g.edges() {
-            s.update_edge(u, v, w, 1);
+            s.update_edge(u, v, w as i64);
         }
         let h = s.decode();
         let err = random_cut_audit(&g, &h, 400, 27);
@@ -466,7 +466,7 @@ fn e8_subgraphs() {
             let mut errs = Vec::new();
             for seed in 0..5u64 {
                 let mut s = SubgraphSketch::new(g.n(), k, eps, 0xE8_00 + seed);
-                GraphStream::with_churn(g, 100, seed).replay(|u, v, d| s.update_edge(u, v, d));
+                s.absorb(&gen::churn_stream(g, 100, seed));
                 if let Some(est) = s.estimate_gamma(&pat) {
                     errs.push((est - exact).abs());
                 }
@@ -497,7 +497,7 @@ fn e8_subgraphs() {
         let mut count = 0;
         for seed in 0..7u64 {
             let mut s = SubgraphSketch::new(g.n(), 3, eps, 0xE8_80 + seed);
-            GraphStream::inserts_of(&g).replay(|u, v, d| s.update_edge(u, v, d));
+            s.absorb(&gen::insert_stream(&g));
             count = s.sample_count();
             if let Some(est) = s.estimate_gamma(&Pattern::triangle()) {
                 errs.push((est - exact).abs());
@@ -559,7 +559,7 @@ fn e9_nisan() {
             let mut params = graph_sketches::connectivity::ForestParams::for_n(40);
             params.kind = kind;
             let mut s = ForestSketch::with_params(40, params, 0xE9_80 + seed);
-            GraphStream::with_churn(&g, 200, seed).replay(|u, v, d| s.update_edge(u, v, d));
+            s.absorb(&gen::churn_stream(&g, 200, seed));
             if s.decode().is_spanning_tree() {
                 ok += 1;
             }
@@ -580,7 +580,7 @@ fn e9_nisan() {
             p.kind = kind;
             p.forest.kind = kind;
             let mut s = MinCutSketch::with_params(g.n(), p, 0xE9_C0 + seed);
-            GraphStream::inserts_of(&g).replay(|u, v, d| s.update_edge(u, v, d));
+            s.absorb(&gen::insert_stream(&g));
             if s.decode().map(|e| e.value) == Some(2) {
                 ok += 1;
             }
@@ -610,9 +610,9 @@ fn e10_baswana_sen() {
         ("pa(60,3)", gen::preferential_attachment(60, 3, 41)),
         ("complete(60)", gen::complete(60)),
     ] {
-        let stream = GraphStream::inserts_of(&g);
+        let stream = gen::insert_stream(&g);
         for k in [2usize, 3, 5] {
-            let mut meter = Meter::new(&stream);
+            let mut meter = Meter::new(g.n(), &stream);
             let h = baswana_sen(
                 &mut meter,
                 BaswanaSenParams::scaled(g.n(), k),
@@ -637,8 +637,8 @@ fn e10_baswana_sen() {
     header(&["n", "edges", "edges/n^1.5"], &[6, 8, 12]);
     for n in [30usize, 60, 90] {
         let g = gen::complete(n);
-        let stream = GraphStream::inserts_of(&g);
-        let mut meter = Meter::new(&stream);
+        let stream = gen::insert_stream(&g);
+        let mut meter = Meter::new(g.n(), &stream);
         let h = baswana_sen(&mut meter, BaswanaSenParams::scaled(n, 2), 0xEB);
         row(
             &[
@@ -666,9 +666,9 @@ fn e11_e14_recurse() {
         ("grid(9x9)", gen::grid(9, 9)),
         ("complete(81)", gen::complete(81)),
     ] {
-        let stream = GraphStream::inserts_of(&g);
+        let stream = gen::insert_stream(&g);
         for k in [2usize, 4, 8] {
-            let mut meter = Meter::new(&stream);
+            let mut meter = Meter::new(g.n(), &stream);
             let (h, _) = recurse_connect(&mut meter, RecurseParams::scaled(k), 0xEC + k as u64);
             let s = max_stretch(&g, &h).unwrap_or(f64::INFINITY);
             let pbound = (usize::BITS - (k - 1).leading_zeros()) as usize + 1;
@@ -693,8 +693,8 @@ fn e11_e14_recurse() {
         &[6, 14, 15, 10],
     );
     let g = gen::connected_gnp(90, 0.3, 45);
-    let stream = GraphStream::inserts_of(&g);
-    let mut meter = Meter::new(&stream);
+    let stream = gen::insert_stream(&g);
+    let mut meter = Meter::new(g.n(), &stream);
     let (h, trace) = recurse_connect(&mut meter, RecurseParams::scaled(4), 0xED);
     let dh = gs_graph::paths::all_pairs_distances(&h);
     let mut bound = 0u32;
@@ -729,8 +729,7 @@ fn e12_distributed() {
         &[18, 6, 22],
     );
     let g = gen::gnp(30, 0.3, 47);
-    let stream = GraphStream::with_churn(&g, 500, 49);
-    let updates = stream.edge_updates();
+    let updates = gen::churn_stream(&g, 500, 49);
     for sites in [2usize, 4, 16] {
         let make = || ForestSketch::new(30, 0xEE);
         let central = sketch_central(&updates, make);

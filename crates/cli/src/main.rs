@@ -340,16 +340,8 @@ fn ingest_stdin(opts: &Options) -> Result<(AnySketch, IngestReport), String> {
     let mut total: u64 = 0;
     for (i, line) in stdin.lock().lines().enumerate() {
         let line = line.map_err(|e| format!("reading stdin: {e}"))?;
-        let Some(parsed) = parse_line(&line, i + 1, spec.n).map_err(|e| e.to_string())? else {
+        let Some(up) = parse_line(&line, i + 1, spec.n).map_err(|e| e.to_string())? else {
             continue;
-        };
-        let up = EdgeUpdate {
-            u: parsed.u,
-            v: parsed.v,
-            // Value-carrying convention: a weighted line `+ u v w` carries
-            // delta = +-w, read as multiplicity by unit sketches and as
-            // the edge weight by mst / weighted-sparsify.
-            delta: parsed.delta * parsed.w as i64,
         };
         spec.check_update(&up)
             .map_err(|msg| format!("line {}: {msg}", i + 1))?;

@@ -10,21 +10,14 @@
 //! ```
 //!
 //! Vertices are `0..n` with `n` given on the command line.
+//!
+//! A line parses to the value-carrying [`EdgeUpdate`] every sketch
+//! ingests: `± u v w` is `delta = ±w` (`w` defaults to 1). Unit sketches
+//! read `|delta|` as a multiplicity, mst and weighted-sparsify read it as
+//! the edge weight.
 
+use gs_sketch::EdgeUpdate;
 use std::fmt;
-
-/// A parsed update.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ParsedUpdate {
-    /// Endpoint.
-    pub u: usize,
-    /// Endpoint.
-    pub v: usize,
-    /// Optional weight (defaults to 1).
-    pub w: u64,
-    /// `+1` insert / `−1` delete.
-    pub delta: i64,
-}
 
 /// A line-level parse error with context.
 #[derive(Debug)]
@@ -44,7 +37,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Parses one line; `Ok(None)` for blanks/comments.
-pub fn parse_line(line: &str, lineno: usize, n: usize) -> Result<Option<ParsedUpdate>, ParseError> {
+pub fn parse_line(line: &str, lineno: usize, n: usize) -> Result<Option<EdgeUpdate>, ParseError> {
     let err = |message: String| ParseError {
         line: lineno,
         message,
@@ -55,7 +48,7 @@ pub fn parse_line(line: &str, lineno: usize, n: usize) -> Result<Option<ParsedUp
     }
     let mut parts = trimmed.split_whitespace();
     let op = parts.next().expect("non-empty");
-    let delta = match op {
+    let sign = match op {
         "+" => 1,
         "-" => -1,
         other => return Err(err(format!("expected '+' or '-', got {other:?}"))),
@@ -91,7 +84,7 @@ pub fn parse_line(line: &str, lineno: usize, n: usize) -> Result<Option<ParsedUp
     if w > i64::MAX as u64 {
         return Err(err(format!("weight {w} exceeds {}", i64::MAX)));
     }
-    Ok(Some(ParsedUpdate { u, v, w, delta }))
+    Ok(Some(EdgeUpdate::weighted(u, v, w, sign)))
 }
 
 #[cfg(test)]
@@ -100,7 +93,7 @@ mod tests {
 
     /// Whole-buffer convenience for the tests; the CLI itself parses
     /// stdin line by line so memory stays O(chunk).
-    fn parse_stream(input: &str, n: usize) -> Result<Vec<ParsedUpdate>, ParseError> {
+    fn parse_stream(input: &str, n: usize) -> Result<Vec<EdgeUpdate>, ParseError> {
         let mut out = Vec::new();
         for (i, line) in input.lines().enumerate() {
             if let Some(up) = parse_line(line, i + 1, n)? {
@@ -114,21 +107,11 @@ mod tests {
     fn parses_inserts_and_deletes() {
         assert_eq!(
             parse_line("+ 0 5", 1, 10).unwrap(),
-            Some(ParsedUpdate {
-                u: 0,
-                v: 5,
-                w: 1,
-                delta: 1
-            })
+            Some(EdgeUpdate::insert(0, 5))
         );
         assert_eq!(
             parse_line("- 3 7 12", 1, 10).unwrap(),
-            Some(ParsedUpdate {
-                u: 3,
-                v: 7,
-                w: 12,
-                delta: -1
-            })
+            Some(EdgeUpdate::weighted(3, 7, 12, -1))
         );
     }
 

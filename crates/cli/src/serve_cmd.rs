@@ -318,16 +318,12 @@ fn client_ingest(client: &mut Client, rest: &[String]) -> Result<(), ClientUsage
     let mut total: u64 = 0;
     for (i, line) in stdin.lock().lines().enumerate() {
         let line = line.map_err(|e| ClientUsage::Failed(format!("reading stdin: {e}")))?;
-        let Some(parsed) =
+        let Some(up) =
             parse_line(&line, i + 1, usize::MAX).map_err(|e| ClientUsage::Failed(e.to_string()))?
         else {
             continue;
         };
-        batch.push(EdgeUpdate {
-            u: parsed.u,
-            v: parsed.v,
-            delta: parsed.delta * parsed.w as i64,
-        });
+        batch.push(up);
         total += 1;
         if batch.len() >= chunk {
             client.ingest_retry(tenant, &batch, INGEST_RETRY_DEADLINE)?;

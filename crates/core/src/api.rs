@@ -658,9 +658,9 @@ impl LinearSketch for AnySketch {
             AnySketch::MinCut(s) => s.update_edge(u, v, delta),
             AnySketch::SimpleSparsify(s) => s.update_edge(u, v, delta),
             AnySketch::Sparsify(s) => s.update_edge(u, v, delta),
-            AnySketch::WeightedSparsify(s) => LinearSketch::update_edge(s, u, v, delta),
+            AnySketch::WeightedSparsify(s) => s.update_edge(u, v, delta),
             AnySketch::Subgraph(s) => s.update_edge(u, v, delta),
-            AnySketch::Mst(s) => LinearSketch::update_edge(s, u, v, delta),
+            AnySketch::Mst(s) => s.update_edge(u, v, delta),
             AnySketch::KConnect(s) => s.update_edge(u, v, delta),
             AnySketch::KEdgeWitness(s) => s.update_edge(u, v, delta),
         }
@@ -1037,11 +1037,10 @@ impl SketchAnswer {
 mod tests {
     use super::*;
     use gs_graph::gen;
-    use gs_stream::GraphStream;
 
     fn churn_updates(n: usize, p: f64, seed: u64) -> Vec<EdgeUpdate> {
         let g = gen::gnp(n, p, seed);
-        GraphStream::with_churn(&g, 200, seed ^ 0xD1).edge_updates()
+        gen::churn_stream(&g, 200, seed ^ 0xD1)
     }
 
     #[test]

@@ -677,7 +677,7 @@ impl LinearSketch for ForestSketch {
 mod tests {
     use super::*;
     use gs_graph::{gen, Graph};
-    use gs_stream::GraphStream;
+    use gs_stream::distributed::split_updates;
 
     fn sketch_of(g: &Graph, seed: u64) -> ForestSketch {
         let mut s = ForestSketch::new(g.n(), seed);
@@ -759,9 +759,9 @@ mod tests {
     #[test]
     fn dynamic_stream_with_churn() {
         let g = gen::connected_gnp(40, 0.15, 11);
-        let stream = GraphStream::with_churn(&g, 400, 13);
+        let stream = gen::churn_stream(&g, 400, 13);
         let mut s = ForestSketch::new(40, 17);
-        stream.replay(|u, v, d| s.update_edge(u, v, d));
+        s.absorb(&stream);
         let f = s.decode();
         forest_is_valid(&g, &f);
         assert!(f.is_spanning_tree());
@@ -784,13 +784,13 @@ mod tests {
     #[test]
     fn merge_equals_central() {
         let g = gen::connected_gnp(30, 0.2, 31);
-        let stream = GraphStream::with_churn(&g, 100, 33);
-        let parts = stream.split(3, 35);
+        let stream = gen::churn_stream(&g, 100, 33);
+        let parts = split_updates(&stream, 3, 35);
         let mut site_sketches: Vec<ForestSketch> = parts
             .iter()
             .map(|p| {
                 let mut s = ForestSketch::new(30, 77);
-                p.replay(|u, v, d| s.update_edge(u, v, d));
+                s.absorb(p);
                 s
             })
             .collect();
@@ -799,7 +799,7 @@ mod tests {
             merged.merge(s);
         }
         let mut central = ForestSketch::new(30, 77);
-        stream.replay(|u, v, d| central.update_edge(u, v, d));
+        central.absorb(&stream);
         // Same seed + linear merges ⇒ identical decodes.
         assert_eq!(merged.decode().edges, central.decode().edges);
     }
@@ -846,7 +846,7 @@ mod tests {
     #[test]
     fn batched_absorb_is_bit_identical_to_per_update_feed() {
         let g = gen::connected_gnp(30, 0.2, 61);
-        let updates = GraphStream::with_churn(&g, 250, 63).edge_updates();
+        let updates = gen::churn_stream(&g, 250, 63);
         for share_rounds in [false, true] {
             let mut params = ForestParams::for_n(30);
             params.share_rounds = share_rounds;
@@ -866,7 +866,7 @@ mod tests {
     #[test]
     fn split_absorb_cutting_rounds_by_node_is_bit_identical() {
         let g = gen::connected_gnp(30, 0.2, 91);
-        let updates = GraphStream::with_churn(&g, 250, 93).edge_updates();
+        let updates = gen::churn_stream(&g, 250, 93);
         for share_rounds in [false, true] {
             let mut params = ForestParams::for_n(30);
             params.share_rounds = share_rounds;

@@ -345,7 +345,6 @@ impl LinearSketch for KConnectivitySketch {
 mod tests {
     use super::*;
     use gs_graph::{gen, Graph};
-    use gs_stream::GraphStream;
 
     fn bip_of(g: &Graph, seed: u64) -> bool {
         let mut s = BipartitenessSketch::new(g.n(), seed);
@@ -410,7 +409,7 @@ mod tests {
         let g = gen::cycle(12);
         for (k, expect) in [(1usize, true), (2, true), (3, false)] {
             let mut s = KConnectivitySketch::new(g.n(), k, k as u64);
-            GraphStream::with_churn(&g, 100, 3).replay(|u, v, d| s.update_edge(u, v, d));
+            s.absorb(&gen::churn_stream(&g, 100, 3));
             assert_eq!(s.is_k_connected(), expect, "k = {k}");
         }
     }
@@ -420,7 +419,7 @@ mod tests {
         let g = gen::complete(8); // 7-edge-connected
         for (k, expect) in [(3usize, true), (7, true)] {
             let mut s = KConnectivitySketch::new(g.n(), k, 10 + k as u64);
-            GraphStream::inserts_of(&g).replay(|u, v, d| s.update_edge(u, v, d));
+            s.absorb(&gen::insert_stream(&g));
             assert_eq!(s.is_k_connected(), expect, "k = {k}");
         }
     }

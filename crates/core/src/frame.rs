@@ -46,6 +46,7 @@
 //! gigabytes nor wedge the server — see [`read_frame`].
 
 use crate::api::SpecError;
+use crate::reader::{ByteReader, Truncated};
 use crate::wire::WireError;
 use gs_sketch::EdgeUpdate;
 use serde::{Deserialize, Serialize};
@@ -123,6 +124,12 @@ impl std::fmt::Display for FrameError {
 }
 
 impl std::error::Error for FrameError {}
+
+impl From<Truncated> for FrameError {
+    fn from(Truncated { at }: Truncated) -> Self {
+        FrameError::Truncated { at }
+    }
+}
 
 /// Writes one length-prefixed frame. Refuses a body over `max` locally —
 /// the peer would refuse it anyway, without the bytes ever moving.
@@ -462,7 +469,7 @@ impl Request {
     /// with [`valid_tenant`].
     pub fn decode<'a>(body: impl Into<Cow<'a, [u8]>>) -> Result<Request, FrameError> {
         let mut body = body.into().into_owned();
-        let mut r = Cursor::new(&body);
+        let mut r = ByteReader::new(&body);
         let version = r.u8()?;
         if version != PROTO_VERSION {
             return Err(FrameError::Version { found: version });
@@ -556,7 +563,7 @@ impl Response {
 
     /// Decodes a frame body as a response envelope.
     pub fn decode(body: &[u8]) -> Result<Response, FrameError> {
-        let mut r = Cursor::new(body);
+        let mut r = ByteReader::new(body);
         let version = r.u8()?;
         if version != PROTO_VERSION {
             return Err(FrameError::Version { found: version });
@@ -629,7 +636,7 @@ pub fn decode_updates(bytes: &[u8]) -> Result<Vec<EdgeUpdate>, FrameError> {
             "payload is not an update batch (bad magic)".into(),
         ));
     };
-    let mut r = Cursor::new(body);
+    let mut r = ByteReader::new(body);
     let count = r.u32()? as usize;
     let mut ups = Vec::with_capacity(count.min(r.remaining() / 24 + 1));
     for _ in 0..count {
@@ -665,68 +672,10 @@ pub fn encode_query(threads: u32) -> Vec<u8> {
 pub fn decode_query(bytes: &[u8]) -> Result<u32, FrameError> {
     match bytes.len() {
         0 => Ok(0),
-        4 => Cursor::new(bytes).u32(),
+        4 => Ok(ByteReader::new(bytes).u32()?),
         n => Err(FrameError::Malformed(format!(
             "a query payload is empty or 4 bytes, got {n}"
         ))),
-    }
-}
-
-/// A bounds-checked little-endian cursor over a frame body.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or(FrameError::Truncated { at: self.pos })?;
-        let slice = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(FrameError::Truncated { at: self.pos })?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], FrameError> {
-        self.take(N)?
-            .try_into()
-            .map_err(|_| FrameError::Truncated { at: self.pos })
-    }
-
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.array::<1>()?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, FrameError> {
-        Ok(u16::from_le_bytes(self.array::<2>()?))
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(self.array::<4>()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(self.array::<8>()?))
-    }
-
-    fn rest(&mut self) -> &'a [u8] {
-        let slice = self.bytes.get(self.pos..).unwrap_or(&[]);
-        self.pos = self.bytes.len();
-        slice
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
     }
 }
 

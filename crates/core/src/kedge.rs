@@ -293,7 +293,7 @@ impl LinearSketch for KEdgeConnectSketch {
 mod tests {
     use super::*;
     use gs_graph::{gen, stoer_wagner};
-    use gs_stream::GraphStream;
+    use gs_stream::distributed::split_updates;
 
     fn sketch_of(g: &Graph, k: usize, seed: u64) -> KEdgeConnectSketch {
         let mut s = KEdgeConnectSketch::new(g.n(), k, seed);
@@ -356,9 +356,9 @@ mod tests {
     #[test]
     fn dynamic_stream_end_to_end() {
         let g = gen::barbell(8, 2);
-        let stream = GraphStream::with_churn(&g, 300, 13);
+        let stream = gen::churn_stream(&g, 300, 13);
         let mut s = KEdgeConnectSketch::new(g.n(), 4, 17);
-        stream.replay(|u, v, d| s.update_edge(u, v, d));
+        s.absorb(&stream);
         let h = s.decode_witness();
         assert!(
             h.has_edge(0, 8) && h.has_edge(1, 9),
@@ -370,15 +370,15 @@ mod tests {
     #[test]
     fn merge_matches_central() {
         let g = gen::gnp(16, 0.4, 19);
-        let stream = GraphStream::with_churn(&g, 100, 21);
-        let parts = stream.split(2, 23);
+        let stream = gen::churn_stream(&g, 100, 21);
+        let parts = split_updates(&stream, 2, 23);
         let mut a = KEdgeConnectSketch::new(16, 3, 99);
-        parts[0].replay(|u, v, d| a.update_edge(u, v, d));
+        a.absorb(&parts[0]);
         let mut b = KEdgeConnectSketch::new(16, 3, 99);
-        parts[1].replay(|u, v, d| b.update_edge(u, v, d));
+        b.absorb(&parts[1]);
         a.merge(&b);
         let mut central = KEdgeConnectSketch::new(16, 3, 99);
-        stream.replay(|u, v, d| central.update_edge(u, v, d));
+        central.absorb(&stream);
         assert_eq!(a.decode_witness().edges(), central.decode_witness().edges());
     }
 

@@ -30,15 +30,14 @@
 //! use graph_sketches::api::{SketchAnswer, SketchSpec, SketchTask};
 //! use gs_graph::gen;
 //! use gs_sketch::LinearSketch;
-//! use gs_stream::GraphStream;
 //!
 //! let g = gen::connected_gnp(40, 0.2, 7);
 //! // A dynamic stream with insertions and deletions that nets out to `g`.
-//! let stream = GraphStream::with_churn(&g, 200, 1);
+//! let updates = gen::churn_stream(&g, 200, 1);
 //! let mut sketch = SketchSpec::new(SketchTask::Connectivity, 40)
 //!     .with_seed(0xC0FFEE)
 //!     .build();
-//! sketch.absorb(&stream.edge_updates());
+//! sketch.absorb(&updates);
 //! match sketch.decode() {
 //!     SketchAnswer::Connectivity { components, forest_edges, .. } => {
 //!         assert_eq!(components, 1);
@@ -71,6 +70,7 @@ pub mod incidence;
 pub mod kedge;
 pub mod mincut;
 pub mod mst;
+mod reader;
 pub mod simple_sparsify;
 pub mod spanner;
 pub mod sparsify;

@@ -371,7 +371,7 @@ impl LinearSketch for MinCutSketch {
 mod tests {
     use super::*;
     use gs_graph::gen;
-    use gs_stream::GraphStream;
+    use gs_stream::distributed::split_updates;
 
     fn sketch_of(g: &Graph, eps: f64, seed: u64) -> MinCutSketch {
         let mut s = MinCutSketch::new(g.n(), eps, seed);
@@ -432,12 +432,12 @@ mod tests {
     #[test]
     fn churn_stream_matches_insert_only() {
         let g = gen::barbell(6, 2);
-        let insert_only = GraphStream::inserts_of(&g);
-        let churn = GraphStream::with_churn(&g, 200, 5);
+        let insert_only = gen::insert_stream(&g);
+        let churn = gen::churn_stream(&g, 200, 5);
         let mut a = MinCutSketch::new(g.n(), 0.5, 42);
-        insert_only.replay(|u, v, d| a.update_edge(u, v, d));
+        a.absorb(&insert_only);
         let mut b = MinCutSketch::new(g.n(), 0.5, 42);
-        churn.replay(|u, v, d| b.update_edge(u, v, d));
+        b.absorb(&churn);
         // Same seed, same final graph ⇒ identical sketch ⇒ identical decode.
         assert_eq!(a.decode(), b.decode());
         assert_eq!(a.decode().unwrap().value, 2);
@@ -446,12 +446,12 @@ mod tests {
     #[test]
     fn merge_is_linear() {
         let g = gen::cycle(12);
-        let stream = GraphStream::inserts_of(&g);
-        let parts = stream.split(2, 9);
+        let stream = gen::insert_stream(&g);
+        let parts = split_updates(&stream, 2, 9);
         let mut a = MinCutSketch::new(12, 0.5, 11);
-        parts[0].replay(|u, v, d| a.update_edge(u, v, d));
+        a.absorb(&parts[0]);
         let mut b = MinCutSketch::new(12, 0.5, 11);
-        parts[1].replay(|u, v, d| b.update_edge(u, v, d));
+        b.absorb(&parts[1]);
         a.merge(&b);
         assert_eq!(a.decode().unwrap().value, 2);
     }

@@ -124,22 +124,6 @@ impl MstSketch {
         self.levels.iter().map(|l| l.cell_count()).sum()
     }
 
-    /// Inserts (`delta = +1`) or deletes (`delta = −1`) a weighted edge.
-    ///
-    /// # Panics
-    /// Panics if `w` is 0 or exceeds `max_weight`.
-    pub fn update_edge(&mut self, u: usize, v: usize, w: u64, delta: i64) {
-        assert!(
-            w >= 1 && w <= self.params.max_weight,
-            "weight {w} out of range"
-        );
-        for (i, &t) in self.thresholds.iter().enumerate() {
-            if w <= t {
-                self.levels[i].update_edge(u, v, delta);
-            }
-        }
-    }
-
     /// Decodes a spanning forest whose total weight (with each edge
     /// charged its level threshold) is within `(1+ε)` of the minimum
     /// spanning forest weight, w.h.p.
@@ -257,9 +241,18 @@ impl LinearSketch for MstSketch {
     /// Value-carrying convention: `delta = sign · w` inserts or deletes
     /// the edge as one object of weight `w = |delta|` (an edge is one
     /// object with one weight, as in §3.5).
+    ///
+    /// # Panics
+    /// Panics if `delta` is 0 or `|delta|` exceeds `max_weight`.
     fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
         assert!(delta != 0, "value-carrying update must be non-zero");
-        MstSketch::update_edge(self, u, v, delta.unsigned_abs(), delta.signum());
+        let w = delta.unsigned_abs();
+        assert!(w <= self.params.max_weight, "weight {w} out of range");
+        for (i, &t) in self.thresholds.iter().enumerate() {
+            if w <= t {
+                self.levels[i].update_edge(u, v, delta.signum());
+            }
+        }
     }
 
     fn absorb(&mut self, batch: &[EdgeUpdate]) {
@@ -313,7 +306,7 @@ mod tests {
     fn sketch_of(g: &Graph, eps: f64, max_w: u64, seed: u64) -> MstSketch {
         let mut s = MstSketch::new(g.n(), eps, max_w, seed);
         for &(u, v, w) in g.edges() {
-            s.update_edge(u, v, w, 1);
+            s.update_edge(u, v, w as i64);
         }
         s
     }
@@ -394,13 +387,13 @@ mod tests {
     fn deletions_reroute_the_forest() {
         let mut s = MstSketch::new(4, 0.5, 10, 11);
         // Cheap path + expensive backup edge.
-        s.update_edge(0, 1, 1, 1);
-        s.update_edge(1, 2, 1, 1);
-        s.update_edge(2, 3, 1, 1);
-        s.update_edge(0, 3, 9, 1);
+        s.update_edge(0, 1, 1);
+        s.update_edge(1, 2, 1);
+        s.update_edge(2, 3, 1);
+        s.update_edge(0, 3, 9);
         assert_eq!(s.approximate_weight(), 3);
         // Delete a cheap edge: forest must now pay for the backup.
-        s.update_edge(1, 2, 1, -1);
+        s.update_edge(1, 2, -1);
         let f = s.decode();
         assert!(f.is_connected());
         assert!(f.total_weight() >= 11); // 1 + 1 + (9 rounded to a threshold ≥ 9)
@@ -423,11 +416,11 @@ mod tests {
         let mut central = MstSketch::new(15, 0.5, 20, 17);
         for (i, &(u, v, w)) in g.edges().iter().enumerate() {
             if i % 2 == 0 {
-                a.update_edge(u, v, w, 1);
+                a.update_edge(u, v, w as i64);
             } else {
-                b.update_edge(u, v, w, 1);
+                b.update_edge(u, v, w as i64);
             }
-            central.update_edge(u, v, w, 1);
+            central.update_edge(u, v, w as i64);
         }
         a.merge(&b);
         assert_eq!(a.decode().edges(), central.decode().edges());
@@ -444,6 +437,6 @@ mod tests {
     #[should_panic]
     fn zero_weight_rejected() {
         let mut s = MstSketch::new(4, 0.5, 10, 1);
-        s.update_edge(0, 1, 0, 1);
+        s.update_edge(0, 1, 0);
     }
 }

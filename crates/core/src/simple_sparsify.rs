@@ -324,7 +324,6 @@ mod tests {
     use super::*;
     use gs_graph::cuts::{cut_family_audit, enumerate_cuts, random_cut_audit};
     use gs_graph::{gen, stoer_wagner};
-    use gs_stream::GraphStream;
 
     fn sparsify(g: &Graph, eps: f64, seed: u64) -> Graph {
         let mut s = SimpleSparsifySketch::new(g.n(), eps, seed);
@@ -401,12 +400,12 @@ mod tests {
         let g = gen::gnp(20, 0.4, 21);
         let a = {
             let mut s = SimpleSparsifySketch::new(20, 0.5, 23);
-            GraphStream::inserts_of(&g).replay(|u, v, d| s.update_edge(u, v, d));
+            s.absorb(&gen::insert_stream(&g));
             s.decode()
         };
         let b = {
             let mut s = SimpleSparsifySketch::new(20, 0.5, 23);
-            GraphStream::with_churn(&g, 300, 25).replay(|u, v, d| s.update_edge(u, v, d));
+            s.absorb(&gen::churn_stream(&g, 300, 25));
             s.decode()
         };
         assert_eq!(a.edges(), b.edges());

@@ -26,10 +26,10 @@
 //!
 //! Total passes: `(k−1) + 1 = k`. Stretch `2k−1`, `Õ(k·n^{1+1/k})` edges.
 
+use crate::spanner::Meter;
 use gs_field::{BackendKind, HashBackend, Randomness};
 use gs_graph::Graph;
 use gs_sketch::{L0Detector, L0Result};
-use gs_stream::passes::Meter;
 use std::collections::BTreeMap;
 
 /// Parameters for [`baswana_sen`].
@@ -236,11 +236,10 @@ mod tests {
     use super::*;
     use gs_graph::paths::max_stretch;
     use gs_graph::{gen, paths};
-    use gs_stream::GraphStream;
 
     fn run(g: &Graph, k: usize, seed: u64) -> (Graph, usize) {
-        let stream = GraphStream::inserts_of(g);
-        let mut meter = Meter::new(&stream);
+        let stream = gen::insert_stream(g);
+        let mut meter = Meter::new(g.n(), &stream);
         let spanner = baswana_sen(&mut meter, BaswanaSenParams::scaled(g.n(), k), seed);
         (spanner, meter.passes())
     }
@@ -297,8 +296,8 @@ mod tests {
     #[test]
     fn dynamic_stream_with_churn() {
         let g = gen::connected_gnp(30, 0.2, 21);
-        let stream = GraphStream::with_churn(&g, 300, 23);
-        let mut meter = Meter::new(&stream);
+        let stream = gen::churn_stream(&g, 300, 23);
+        let mut meter = Meter::new(g.n(), &stream);
         let h = baswana_sen(&mut meter, BaswanaSenParams::scaled(30, 2), 25);
         let s = max_stretch(&g, &h).expect("connected");
         assert!(s <= 3.0, "churn stretch {s}");

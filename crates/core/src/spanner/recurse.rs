@@ -28,11 +28,11 @@
 //! Lemma 5.1's recursion `a₁ ≤ 4, a_{i+1} ≤ 5·a_i + 4` on intra-cluster
 //! distances is auditable through the returned [`RecurseTrace`] (E14).
 
+use crate::spanner::Meter;
 use gs_field::{BackendKind, HashBackend, Randomness};
 use gs_graph::Graph;
 use gs_sketch::domain::{edge_domain, edge_index, edge_unindex};
 use gs_sketch::{L0Detector, L0Result};
-use gs_stream::passes::Meter;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Parameters for [`recurse_connect`].
@@ -330,11 +330,10 @@ mod tests {
     use super::*;
     use gs_graph::paths::max_stretch;
     use gs_graph::{gen, paths};
-    use gs_stream::GraphStream;
 
     fn run(g: &Graph, k: usize, seed: u64) -> (Graph, RecurseTrace, usize) {
-        let stream = GraphStream::inserts_of(g);
-        let mut meter = Meter::new(&stream);
+        let stream = gen::insert_stream(g);
+        let mut meter = Meter::new(g.n(), &stream);
         let (h, t) = recurse_connect(&mut meter, RecurseParams::scaled(k), seed);
         (h, t, meter.passes())
     }
@@ -431,8 +430,8 @@ mod tests {
     #[test]
     fn churn_stream_supported() {
         let g = gen::connected_gnp(40, 0.2, 21);
-        let stream = GraphStream::with_churn(&g, 300, 23);
-        let mut meter = Meter::new(&stream);
+        let stream = gen::churn_stream(&g, 300, 23);
+        let mut meter = Meter::new(g.n(), &stream);
         let (h, _) = recurse_connect(&mut meter, RecurseParams::scaled(2), 25);
         let s = max_stretch(&g, &h).expect("connected");
         assert!(s <= stretch_bound(2), "churn stretch {s}");

@@ -365,7 +365,7 @@ mod tests {
     use super::*;
     use gs_graph::cuts::{cut_family_audit, enumerate_cuts, random_cut_audit};
     use gs_graph::{gen, stoer_wagner};
-    use gs_stream::GraphStream;
+    use gs_stream::distributed::split_updates;
 
     fn sparsify(g: &Graph, eps: f64, seed: u64) -> Graph {
         let mut s = SparsifySketch::new(g.n(), eps, seed);
@@ -421,32 +421,32 @@ mod tests {
     #[test]
     fn churn_equals_insert_only() {
         let g = gen::gnp(18, 0.4, 15);
-        let mk = |stream: &GraphStream| {
+        let mk = |stream: &[EdgeUpdate]| {
             let mut s = SparsifySketch::new(18, 0.5, 17);
-            stream.replay(|u, v, d| s.update_edge(u, v, d));
+            s.absorb(stream);
             s.decode()
         };
-        let a = mk(&GraphStream::inserts_of(&g));
-        let b = mk(&GraphStream::with_churn(&g, 250, 19));
+        let a = mk(&gen::insert_stream(&g));
+        let b = mk(&gen::churn_stream(&g, 250, 19));
         assert_eq!(a.edges(), b.edges());
     }
 
     #[test]
     fn merge_is_linear() {
         let g = gen::gnp(16, 0.5, 21);
-        let stream = GraphStream::inserts_of(&g);
-        let parts = stream.split(3, 23);
+        let stream = gen::insert_stream(&g);
+        let parts = split_updates(&stream, 3, 23);
         let mut acc: Option<SparsifySketch> = None;
         for p in &parts {
             let mut s = SparsifySketch::new(16, 0.5, 25);
-            p.replay(|u, v, d| s.update_edge(u, v, d));
+            s.absorb(p);
             match &mut acc {
                 None => acc = Some(s),
                 Some(a) => a.merge(&s),
             }
         }
         let mut central = SparsifySketch::new(16, 0.5, 25);
-        stream.replay(|u, v, d| central.update_edge(u, v, d));
+        central.absorb(&stream);
         assert_eq!(acc.unwrap().decode().edges(), central.decode().edges());
     }
 

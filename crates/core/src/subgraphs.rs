@@ -387,7 +387,6 @@ mod tests {
     use super::*;
     use gs_graph::subgraph::{exact_counts, gamma};
     use gs_graph::{gen, Graph};
-    use gs_stream::GraphStream;
 
     fn sketch_of(g: &Graph, k: usize, eps: f64, seed: u64) -> SubgraphSketch {
         let mut s = SubgraphSketch::new(g.n(), k, eps, seed);
@@ -485,13 +484,13 @@ mod tests {
     #[test]
     fn churn_stream_equivalent_to_inserts() {
         let g = gen::gnp(12, 0.4, 15);
-        let mk = |stream: &GraphStream| {
+        let mk = |stream: &[EdgeUpdate]| {
             let mut s = SubgraphSketch::new(12, 3, 0.34, 17);
-            stream.replay(|u, v, d| s.update_edge(u, v, d));
+            s.absorb(stream);
             s.raw_samples()
         };
-        let a = mk(&GraphStream::inserts_of(&g));
-        let b = mk(&GraphStream::with_churn(&g, 150, 19));
+        let a = mk(&gen::insert_stream(&g));
+        let b = mk(&gen::churn_stream(&g, 150, 19));
         assert_eq!(a, b, "sketch state must be order/churn independent");
     }
 

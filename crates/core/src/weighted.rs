@@ -118,24 +118,6 @@ impl WeightedSparsifySketch {
         (63 - w.leading_zeros()) as usize
     }
 
-    /// Inserts (`delta = +1`) or deletes (`delta = −1`) a weighted edge.
-    /// A deletion must carry the same weight as its insertion (the model
-    /// of §3.5: an edge is one object with one weight).
-    ///
-    /// # Panics
-    /// Panics if `w = 0` or `w` exceeds the configured weight range.
-    pub fn update_edge(&mut self, u: usize, v: usize, w: u64, delta: i64) {
-        assert!(w >= 1, "weights must be ≥ 1");
-        assert!(delta == 1 || delta == -1, "delta must be ±1");
-        let c = self.class_of(w);
-        assert!(
-            c < self.classes.len(),
-            "weight {w} exceeds configured maximum (class {c})"
-        );
-        // Value-carrying update: the coordinate holds ±w.
-        self.classes[c].update_edge(u, v, delta * w as i64);
-    }
-
     /// Sketch size in 1-sparse cells (`O(n(log⁷n + ε⁻²log⁶n))` with the
     /// paper's constants, Theorem 3.8).
     pub fn cell_count(&self) -> usize {
@@ -239,10 +221,23 @@ impl LinearSketch for WeightedSparsifySketch {
     }
 
     /// Value-carrying convention (§3.5): `delta = sign · w` inserts or
-    /// deletes the edge as one object of weight `w = |delta|`.
+    /// deletes the edge as one object of weight `w = |delta|`. A deletion
+    /// must carry the same weight as its insertion (an edge is one object
+    /// with one weight).
+    ///
+    /// # Panics
+    /// Panics if `delta` is 0 or `|delta|` exceeds the configured weight
+    /// range.
     fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
         assert!(delta != 0, "value-carrying update must be non-zero");
-        WeightedSparsifySketch::update_edge(self, u, v, delta.unsigned_abs(), delta.signum());
+        let w = delta.unsigned_abs();
+        let c = self.class_of(w);
+        assert!(
+            c < self.classes.len(),
+            "weight {w} exceeds configured maximum (class {c})"
+        );
+        // The coordinate holds ±w.
+        self.classes[c].update_edge(u, v, delta);
     }
 
     fn absorb(&mut self, batch: &[EdgeUpdate]) {
@@ -283,7 +278,7 @@ mod tests {
     fn sparsify_weighted(g: &Graph, eps: f64, max_w: u64, seed: u64) -> Graph {
         let mut s = WeightedSparsifySketch::new(g.n(), eps, max_w, seed);
         for &(u, v, w) in g.edges() {
-            s.update_edge(u, v, w, 1);
+            s.update_edge(u, v, w as i64);
         }
         s.decode()
     }
@@ -303,7 +298,7 @@ mod tests {
     #[should_panic]
     fn overweight_edge_rejected() {
         let mut s = WeightedSparsifySketch::new(8, 0.5, 10, 1);
-        s.update_edge(0, 1, 1000, 1);
+        s.update_edge(0, 1, 1000);
     }
 
     #[test]
@@ -330,9 +325,9 @@ mod tests {
     #[test]
     fn deletion_cancels_weighted_edge() {
         let mut s = WeightedSparsifySketch::new(5, 0.5, 16, 11);
-        s.update_edge(0, 1, 7, 1);
-        s.update_edge(1, 2, 3, 1);
-        s.update_edge(0, 1, 7, -1);
+        s.update_edge(0, 1, 7);
+        s.update_edge(1, 2, 3);
+        s.update_edge(0, 1, -7);
         let h = s.decode();
         assert_eq!(h.m(), 1);
         assert_eq!(h.edge_weight(1, 2), 3);
@@ -342,8 +337,8 @@ mod tests {
     fn classes_merge_on_decode() {
         // Edges in different classes between the same endpoints add up.
         let mut s = WeightedSparsifySketch::new(4, 0.5, 16, 13);
-        s.update_edge(0, 1, 2, 1); // class 1
-        s.update_edge(0, 1, 8, 1); // class 3
+        s.update_edge(0, 1, 2); // class 1
+        s.update_edge(0, 1, 8); // class 3
         let h = s.decode();
         assert_eq!(h.edge_weight(0, 1), 10);
     }
@@ -356,11 +351,11 @@ mod tests {
         let mut central = WeightedSparsifySketch::new(12, 0.5, 8, 17);
         for (i, &(u, v, w)) in g.edges().iter().enumerate() {
             if i % 2 == 0 {
-                a.update_edge(u, v, w, 1);
+                a.update_edge(u, v, w as i64);
             } else {
-                b.update_edge(u, v, w, 1);
+                b.update_edge(u, v, w as i64);
             }
-            central.update_edge(u, v, w, 1);
+            central.update_edge(u, v, w as i64);
         }
         a.merge(&b);
         assert_eq!(a.decode().edges(), central.decode().edges());

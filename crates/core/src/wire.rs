@@ -91,6 +91,7 @@
 //! [FNV-1a]: https://en.wikipedia.org/wiki/Fowler%E2%80%93Noll%E2%80%93Vo_hash_function
 
 use crate::api::{AnySketch, MergeError, SketchAnswer, SketchSpec, SpecError};
+use crate::reader::{ByteReader, Truncated};
 use gs_field::{m61, M61};
 use gs_sketch::bank::CellBanked;
 use gs_sketch::par::DecodePlan;
@@ -747,6 +748,12 @@ impl From<SpecError> for WireError {
     }
 }
 
+impl From<Truncated> for WireError {
+    fn from(Truncated { at }: Truncated) -> Self {
+        WireError::Truncated { at }
+    }
+}
+
 /// Runs `f`, converting a panic into `None`. Building a sketch from an
 /// untrusted spec header (a loaded file's or a delta's) is the one place
 /// a panic is an *expected* failure mode: the sketch constructors assert
@@ -1374,50 +1381,6 @@ fn read_m61(r: &mut ByteReader<'_>) -> Result<M61, WireError> {
         )));
     }
     Ok(M61::new(raw))
-}
-
-/// A bounds-checked little-endian cursor over a byte slice.
-struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        ByteReader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or(WireError::Truncated { at: self.pos })?;
-        let slice = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(WireError::Truncated { at: self.pos })?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        self.take(N)?
-            .try_into()
-            .map_err(|_| WireError::Truncated { at: self.pos })
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.array::<4>()?))
-    }
-
-    fn is_done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
 }
 
 #[cfg(test)]

@@ -8,9 +8,18 @@
 //! case for Fig. 1), grids and cycles (high-diameter graphs that stress
 //! spanners), preferential attachment (heavy-tailed degrees, the web-graph
 //! proxy), and weighted variants for §3.5.
+//!
+//! The stream generators turn a graph into a dynamic stream of unit
+//! [`EdgeUpdate`]s (Definition 1) that materializes back to it:
+//! [`insert_stream`] inserts every edge, [`churn_stream`] and
+//! [`churn_with`] also insert and later delete decoy edges — the §1.1
+//! workload where "edge deletions cancel out previous insertions". They
+//! live here, below every crate that sketches a stream, so the unit
+//! tests, benches, examples and trace catalogue all replay one sequence.
 
 use crate::graph::Graph;
 use gs_field::SplitMix64;
+use gs_sketch::EdgeUpdate;
 
 /// Erdős–Rényi `G(n, p)`: each pair independently an edge.
 pub fn gnp(n: usize, p: f64, seed: u64) -> Graph {
@@ -212,6 +221,71 @@ pub fn connected_gnp(n: usize, p: f64, seed: u64) -> Graph {
     Graph::from_edges(n, edges)
 }
 
+/// Insert-only stream realizing `g`: an edge of weight `w` appears as `w`
+/// unit insertions, in edge-list order.
+pub fn insert_stream(g: &Graph) -> Vec<EdgeUpdate> {
+    let mut updates = Vec::new();
+    for &(u, v, w) in g.edges() {
+        for _ in 0..w {
+            updates.push(EdgeUpdate::insert(u, v));
+        }
+    }
+    updates
+}
+
+/// A churn stream that materializes to `g` after also inserting and later
+/// deleting `extra` uniformly random decoy edges: [`churn_with`] seeded
+/// with `seed` and a uniform decoy pair. Decoys may coincide with real
+/// edges (their multiplicity rises and falls back).
+///
+/// # Panics
+/// Panics if `g` has fewer than 2 vertices.
+pub fn churn_stream(g: &Graph, extra: usize, seed: u64) -> Vec<EdgeUpdate> {
+    let n = g.n();
+    assert!(n >= 2);
+    churn_with(g, extra, &mut SplitMix64::new(seed), |rng| {
+        let u = rng.next_range(n as u64) as usize;
+        let mut v = rng.next_range(n as u64) as usize;
+        if u == v {
+            v = (v + 1) % n;
+        }
+        (u, v)
+    })
+}
+
+/// Shuffle-interleaves `g`'s unit insertions with `extra` decoy
+/// insert/delete pairs on pairs drawn by `decoy`. The interleaving is
+/// random, but every deletion follows its matching insertion, so every
+/// prefix keeps multiplicities non-negative.
+pub fn churn_with(
+    g: &Graph,
+    extra: usize,
+    rng: &mut SplitMix64,
+    mut decoy: impl FnMut(&mut SplitMix64) -> (usize, usize),
+) -> Vec<EdgeUpdate> {
+    // (timestamp, update); decoys get two timestamps in order.
+    let mut timed: Vec<(u64, EdgeUpdate)> = Vec::new();
+    for &(u, v, w) in g.edges() {
+        for _ in 0..w {
+            timed.push((rng.next_u64(), EdgeUpdate::insert(u, v)));
+        }
+    }
+    for _ in 0..extra {
+        let (u, v) = decoy(rng);
+        debug_assert_ne!(u, v);
+        let (a, b) = (rng.next_u64(), rng.next_u64());
+        let (t_ins, t_del) = if a < b {
+            (a, b)
+        } else {
+            (b, a.max(b.wrapping_add(1)))
+        };
+        timed.push((t_ins, EdgeUpdate::insert(u, v)));
+        timed.push((t_del, EdgeUpdate::delete(u, v)));
+    }
+    timed.sort_by_key(|&(t, _)| t);
+    timed.into_iter().map(|(_, up)| up).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,5 +464,49 @@ mod tests {
         for seed in 0..5 {
             assert!(connected_gnp(50, 0.02, seed).is_connected());
         }
+    }
+
+    fn materialize(n: usize, updates: &[EdgeUpdate]) -> Graph {
+        Graph::from_unit_updates(n, updates).expect("no negative multiplicity")
+    }
+
+    #[test]
+    fn inserts_materialize_back() {
+        let g = gnp(30, 0.2, 1);
+        let s = insert_stream(&g);
+        assert_eq!(s.len() as u64, g.total_weight());
+        assert_eq!(materialize(30, &s).edges(), g.edges());
+    }
+
+    #[test]
+    fn churn_stream_cancels_to_original() {
+        let g = gnp(25, 0.15, 2);
+        let s = churn_stream(&g, 500, 3);
+        assert!(s.len() >= g.m() + 1000);
+        assert!(s.iter().any(|u| u.delta == -1));
+        assert_eq!(materialize(25, &s).edges(), g.edges());
+    }
+
+    #[test]
+    fn churn_prefixes_stay_non_negative() {
+        // The final fold only sees net multiplicities; walk every prefix
+        // so a deletion scheduled before its insertion cannot hide.
+        let g = cycle(10);
+        let s = churn_stream(&g, 2000, 7);
+        let mut mult = std::collections::BTreeMap::new();
+        for (i, up) in s.iter().enumerate() {
+            let m = mult.entry((up.u.min(up.v), up.u.max(up.v))).or_insert(0i64);
+            *m += up.delta;
+            assert!(*m >= 0, "prefix {i} drives ({}, {}) negative", up.u, up.v);
+        }
+        assert_eq!(materialize(10, &s).edges(), g.edges());
+    }
+
+    #[test]
+    fn churn_with_zero_extra_is_pure_inserts() {
+        let g = gnp(12, 0.3, 9);
+        let s = churn_stream(&g, 0, 10);
+        assert_eq!(s.len() as u64, g.total_weight());
+        assert!(s.iter().all(|u| u.delta == 1));
     }
 }

@@ -7,6 +7,7 @@
 //! multiplicity (1 for simple unweighted graphs).
 
 use crate::unionfind::UnionFind;
+use gs_sketch::EdgeUpdate;
 use std::collections::BTreeMap;
 
 /// A weighted undirected graph on vertices `0..n` with no self-loops and
@@ -56,6 +57,35 @@ impl Graph {
             }
         }
         g
+    }
+
+    /// The multigraph `A(i,j)` a stream of unit updates defines
+    /// (Definition 1): each pair's net multiplicity becomes its edge
+    /// weight. Only the final multiplicities are checked, not every
+    /// prefix.
+    ///
+    /// # Errors
+    /// The first pair, in `(min, max)` order, whose net multiplicity is
+    /// negative (the model forbids it).
+    ///
+    /// # Panics
+    /// Panics on self-loops or out-of-range endpoints with a non-zero net
+    /// multiplicity.
+    pub fn from_unit_updates(n: usize, updates: &[EdgeUpdate]) -> Result<Graph, (usize, usize)> {
+        let mut mult: BTreeMap<(usize, usize), i64> = BTreeMap::new();
+        for up in updates {
+            *mult.entry((up.u.min(up.v), up.u.max(up.v))).or_insert(0) += up.delta;
+        }
+        let mut g = Graph::new(n);
+        for ((u, v), m) in mult {
+            if m < 0 {
+                return Err((u, v));
+            }
+            if m > 0 {
+                g.add_edge(u, v, m as u64);
+            }
+        }
+        Ok(g)
     }
 
     /// Builds an unweighted graph (all weights 1) from `(u, v)` pairs;
@@ -296,5 +326,20 @@ mod tests {
         g.add_edge(0, 2, 4);
         assert_eq!(g.m(), 1);
         assert_eq!(g.edge_weight(0, 2), 5);
+    }
+
+    #[test]
+    fn unit_updates_fold_to_net_multiplicity() {
+        let ups = [
+            EdgeUpdate::insert(1, 0),
+            EdgeUpdate::insert(0, 1),
+            EdgeUpdate::insert(2, 3),
+            EdgeUpdate::delete(3, 2),
+        ];
+        let g = Graph::from_unit_updates(4, &ups).unwrap();
+        assert_eq!(g.edges(), &[(0, 1, 2)]);
+        assert_eq!(Graph::from_unit_updates(4, &[]).unwrap().m(), 0);
+        let ups = [EdgeUpdate::insert(0, 1), EdgeUpdate::delete(3, 2)];
+        assert_eq!(Graph::from_unit_updates(4, &ups).unwrap_err(), (2, 3));
     }
 }

@@ -11,8 +11,8 @@
 //! sketch per site, after which the coordinator folds the site sketches
 //! with [`gs_sketch::Mergeable::merge`] **in site order**. Since PR 2 it is
 //! a thin wrapper over the resident [`crate::engine::SketchEngine`]: sites
-//! become engine *shards* routed by the shared [`crate::stream::site_of`]
-//! sequence, and real parallelism is capped at
+//! become engine *shards* routed by the same seeded site sequence as
+//! [`split_updates`], and real parallelism is capped at
 //! [`crate::engine::default_workers`] worker threads — 1024 sites no
 //! longer cost 1024 OS threads. Because every sketch in this workspace is
 //! a linear projection, the folded sketch is **bit-for-bit identical** to
@@ -21,18 +21,26 @@
 //! included), and experiment E12 measures it.
 
 use crate::engine::{EngineConfig, Router, SketchEngine};
-use crate::stream::GraphStream;
+use gs_field::SplitMix64;
 use gs_sketch::{EdgeUpdate, LinearSketch};
+
+/// The site-assignment sequence shared by [`split_updates`] and
+/// [`sketch_distributed`]: each call of the returned closure yields the
+/// next update's site.
+fn site_of(sites: usize, seed: u64) -> impl FnMut() -> usize {
+    let mut rng = SplitMix64::new(seed);
+    move || rng.next_range(sites as u64) as usize
+}
 
 /// Partitions `updates` across `sites`, the §1.1 setting: every update
 /// goes to exactly one (seeded-pseudorandom) site; concatenating the parts
 /// in site order is a reordering of the original stream (which linear
 /// sketches are insensitive to). Sites beyond the stream length simply
-/// receive empty shares. Shares [`crate::stream::site_of`] with
-/// [`GraphStream::split`] so both splits realize the same partition.
+/// receive empty shares. [`sketch_distributed`] routes by the same
+/// sequence, so its site sketches are sketches of exactly these shares.
 pub fn split_updates(updates: &[EdgeUpdate], sites: usize, seed: u64) -> Vec<Vec<EdgeUpdate>> {
     assert!(sites >= 1);
-    let mut site = crate::stream::site_of(sites, seed);
+    let mut site = site_of(sites, seed);
     let mut parts: Vec<Vec<EdgeUpdate>> = (0..sites).map(|_| Vec::new()).collect();
     for &up in updates {
         parts[site()].push(up);
@@ -59,7 +67,7 @@ where
     assert!(sites >= 1);
     // Route by the shared §1.1 site sequence so the shard contents are
     // exactly the `split_updates` partition of this (sites, seed) pair.
-    let mut site = crate::stream::site_of(sites, split_seed);
+    let mut site = site_of(sites, split_seed);
     let router: Router = Box::new(move |_| site());
     let mut engine = SketchEngine::with_router(EngineConfig::new(sites), router, &make);
     engine.ingest(updates);
@@ -120,21 +128,6 @@ where
     }
 }
 
-impl GraphStream {
-    /// The stream as a value-carrying [`EdgeUpdate`] batch — the form
-    /// [`LinearSketch::absorb`] and [`sketch_distributed`] ingest.
-    pub fn edge_updates(&self) -> Vec<EdgeUpdate> {
-        self.updates()
-            .iter()
-            .map(|up| EdgeUpdate {
-                u: up.u,
-                v: up.v,
-                delta: up.delta as i64,
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,8 +183,7 @@ mod tests {
     #[test]
     fn distributed_equals_central_bit_for_bit() {
         let g = gen::gnp(30, 0.05, 3);
-        let stream = GraphStream::with_churn(&g, 300, 4);
-        let updates = stream.edge_updates();
+        let updates = gen::churn_stream(&g, 300, 4);
         linearity_holds(&updates, &[1, 2, 5, 16], || {
             EdgeVectorSketch::new(30, 32, 0xD15C)
         });
@@ -200,8 +192,7 @@ mod tests {
     #[test]
     fn decoded_answers_agree_too() {
         let g = gen::gnp(30, 0.05, 3);
-        let stream = GraphStream::with_churn(&g, 300, 4);
-        let updates = stream.edge_updates();
+        let updates = gen::churn_stream(&g, 300, 4);
         let make = || EdgeVectorSketch::new(30, 32, 0xD15C);
         let central = sketch_central(&updates, make);
         for sites in [1, 2, 5, 16] {
@@ -254,31 +245,26 @@ mod tests {
     }
 
     #[test]
-    fn split_updates_agrees_with_stream_split() {
-        // Both §1.1 splits share site_of: equal (sites, seed) must yield
-        // the same partition of the same stream.
-        let g = gen::gnp(12, 0.4, 8);
-        let stream = GraphStream::with_churn(&g, 80, 9);
-        let by_stream = stream.split(5, 42);
-        let by_updates = split_updates(&stream.edge_updates(), 5, 42);
-        for (a, b) in by_stream.iter().zip(&by_updates) {
-            assert_eq!(&a.edge_updates(), b);
-        }
-    }
-
-    #[test]
     fn split_partitions_every_update_once() {
         let g = gen::gnp(20, 0.4, 5);
-        let stream = GraphStream::with_churn(&g, 100, 6);
-        let updates = stream.edge_updates();
+        let updates = gen::churn_stream(&g, 100, 6);
         let parts = split_updates(&updates, 4, 7);
         assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), updates.len());
     }
 
     #[test]
+    fn split_into_one_site_is_identity() {
+        let g = gen::gnp(8, 0.5, 11);
+        let updates = gen::churn_stream(&g, 50, 12);
+        let parts = split_updates(&updates, 1, 13);
+        assert_eq!(parts.len(), 1);
+        assert_eq!(parts[0], updates);
+    }
+
+    #[test]
     fn absorb_equals_per_update_feed() {
         let g = gen::gnp(16, 0.3, 9);
-        let updates = GraphStream::inserts_of(&g).edge_updates();
+        let updates = gen::insert_stream(&g);
         let mut a = EdgeVectorSketch::new(16, 64, 0xD);
         a.absorb(&updates);
         let mut b = EdgeVectorSketch::new(16, 64, 0xD);

@@ -30,12 +30,17 @@
 //!   (§3.5 value-carrying convention) over a [`gs_graph::gen::gnp_skip`]
 //!   base: weights are inserted, re-inserted at decoy values, and the
 //!   decoys deleted, so per-(pair, weight) multiplicities rise and fall.
+//!
+//! The three unit churn generators interleave through the shared
+//! [`gen::churn_with`] (power-law churn is [`gen::churn_stream`], its
+//! uniform-decoy case), so the traces, the unit tests and the benches
+//! replay one algorithm; `generated_inputs_are_pinned` pins every
+//! generator's output by digest.
 
 use crate::trace::{Trace, UpdateKind};
 use gs_field::SplitMix64;
-use gs_graph::{gen, Graph};
+use gs_graph::gen;
 use gs_sketch::EdgeUpdate;
-use gs_stream::GraphStream;
 use serde::{Deserialize, Serialize};
 
 /// A seeded, replayable trace recipe. See the module docs for the
@@ -265,7 +270,7 @@ impl GeneratorSpec {
                 n, attach, churn, ..
             } => {
                 let g = gen::preferential_attachment(n, attach, rng.next_u64());
-                GraphStream::with_churn(&g, churn, rng.next_u64()).edge_updates()
+                gen::churn_stream(&g, churn, rng.next_u64())
             }
             GeneratorSpec::SlidingWindow {
                 n,
@@ -283,7 +288,7 @@ impl GeneratorSpec {
                 let g = gen::barbell(half, bridge);
                 // Decoys live on cross pairs only: the planted cut keeps
                 // rising above `bridge` and collapsing back.
-                churned_inserts(&g, churn, &mut rng, |rng| {
+                gen::churn_with(&g, churn, &mut rng, |rng| {
                     let u = rng.next_range(half as u64) as usize;
                     let v = half + rng.next_range(half as u64) as usize;
                     (u, v)
@@ -299,7 +304,7 @@ impl GeneratorSpec {
             } => {
                 let g = gen::planted_partition(n, blocks, p_in, p_out, rng.next_u64());
                 let block_of = move |v: usize| v * blocks / n;
-                churned_inserts(&g, churn, &mut rng, move |rng| {
+                gen::churn_with(&g, churn, &mut rng, move |rng| {
                     // A cross-block pair: u uniform, v re-drawn until its
                     // block differs (bounded walk keeps it deterministic).
                     let u = rng.next_range(n as u64) as usize;
@@ -325,37 +330,6 @@ impl GeneratorSpec {
             updates,
         }
     }
-}
-
-/// Shuffle-interleaves `g`'s unit insertions with `churn` decoy
-/// insert/delete pairs on pairs drawn by `decoy_pair`, every deletion
-/// after its insertion (prefix multiplicities stay non-negative).
-fn churned_inserts(
-    g: &Graph,
-    churn: usize,
-    rng: &mut SplitMix64,
-    mut decoy_pair: impl FnMut(&mut SplitMix64) -> (usize, usize),
-) -> Vec<EdgeUpdate> {
-    let mut timed: Vec<(u64, EdgeUpdate)> = Vec::new();
-    for &(u, v, w) in g.edges() {
-        for _ in 0..w {
-            timed.push((rng.next_u64(), EdgeUpdate::insert(u, v)));
-        }
-    }
-    for _ in 0..churn {
-        let (u, v) = decoy_pair(rng);
-        debug_assert_ne!(u, v);
-        let (a, b) = (rng.next_u64(), rng.next_u64());
-        let (t_ins, t_del) = if a < b {
-            (a, b)
-        } else {
-            (b, a.max(b.wrapping_add(1)))
-        };
-        timed.push((t_ins, EdgeUpdate::insert(u, v)));
-        timed.push((t_del, EdgeUpdate::delete(u, v)));
-    }
-    timed.sort_by_key(|&(t, _)| t);
-    timed.into_iter().map(|(_, up)| up).collect()
 }
 
 /// The sliding-window storm: each tick deletes the batch that fell out
@@ -559,6 +533,87 @@ mod tests {
         // Decoys cancelled: insert count exceeds surviving edge count.
         let inserts = t.updates.iter().filter(|u| u.delta > 0).count();
         assert_eq!(inserts, g.m() + 20);
+    }
+
+    /// FNV-1a over each update's `(u, v, delta)` as little-endian
+    /// `u64, u64, i64` — the per-update bytes the ladder's input digest
+    /// folds.
+    fn digest(updates: &[EdgeUpdate]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for up in updates {
+            let bytes = [
+                (up.u as u64).to_le_bytes(),
+                (up.v as u64).to_le_bytes(),
+                up.delta.to_le_bytes(),
+            ];
+            for b in bytes.concat() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn generated_inputs_are_pinned() {
+        // The ladder's inputs, the experiment matrix and the seeded tests
+        // all replay these exact sequences: a generator change must show
+        // up here, not as a silently different benchmark.
+        let specs = [
+            GeneratorSpec::PowerLawChurn {
+                n: 64,
+                attach: 2,
+                churn: 40,
+                seed: 1,
+            },
+            GeneratorSpec::SlidingWindow {
+                n: 32,
+                window: 3,
+                batches: 10,
+                rate: 8,
+                seed: 2,
+            },
+            GeneratorSpec::MinCutAdversary {
+                half: 8,
+                bridge: 2,
+                churn: 25,
+                seed: 3,
+            },
+            GeneratorSpec::SparsifierAdversary {
+                n: 40,
+                blocks: 2,
+                p_in: 0.5,
+                p_out: 0.05,
+                churn: 30,
+                seed: 4,
+            },
+            GeneratorSpec::WeightChurn {
+                n: 30,
+                p: 0.3,
+                max_weight: 12,
+                churn: 20,
+                seed: 5,
+            },
+        ];
+        let got: Vec<u64> = specs
+            .iter()
+            .map(|s| digest(&s.generate().updates))
+            .collect();
+        let g = gen::gnp_weighted(24, 0.2, 3, 6);
+        let inserts = digest(&gen::insert_stream(&g));
+        let churn = digest(&gen::churn_stream(&g, 50, 7));
+        assert_eq!(
+            got,
+            [
+                0x7f38_c8d6_612b_25d8,
+                0xd1dc_40f6_8123_12f6,
+                0xab33_bcd1_aa40_0b5c,
+                0x998c_063a_9181_c392,
+                0x311c_d253_b0f5_298f,
+            ]
+        );
+        assert_eq!(inserts, 0x0fb4_1460_2a8e_896d);
+        assert_eq!(churn, 0xa50d_feae_8a10_cadd);
     }
 
     #[test]

@@ -367,24 +367,8 @@ impl Trace {
     /// caller.
     pub fn materialize(&self) -> Result<Graph, TraceError> {
         match self.kind {
-            UpdateKind::Unit => {
-                // Net multiplicity per pair becomes the edge weight.
-                let mut mult: BTreeMap<(usize, usize), i64> = BTreeMap::new();
-                for up in &self.updates {
-                    let key = (up.u.min(up.v), up.u.max(up.v));
-                    *mult.entry(key).or_insert(0) += up.delta;
-                }
-                let mut g = Graph::new(self.n);
-                for ((u, v), m) in mult {
-                    if m < 0 {
-                        return Err(TraceError::Negative { u, v });
-                    }
-                    if m > 0 {
-                        g.add_edge(u, v, m as u64);
-                    }
-                }
-                Ok(g)
-            }
+            UpdateKind::Unit => Graph::from_unit_updates(self.n, &self.updates)
+                .map_err(|(u, v)| TraceError::Negative { u, v }),
             UpdateKind::Weighted => {
                 // Net copy count per (pair, weight); distinct weights on
                 // one pair stay parallel weighted edges.

@@ -26,7 +26,6 @@ use gs_graph::{cuts, gen, Graph};
 use gs_sketch::LinearSketch;
 use gs_stream::distributed::{sketch_central, sketch_distributed, split_updates};
 use gs_stream::engine::{EngineConfig, SketchEngine};
-use gs_stream::GraphStream;
 
 fn main() {
     let n = 40;
@@ -34,8 +33,7 @@ fn main() {
 
     // The flow graph: heavy-tailed degrees (a few talkative hosts).
     let g = gen::preferential_attachment(n, 3, 11);
-    let stream = GraphStream::with_churn(&g, 800, 13);
-    let updates = stream.edge_updates();
+    let updates = gen::churn_stream(&g, 800, 13);
     println!(
         "{} updates across {sites} sites; net graph: {} edges / {} hosts",
         updates.len(),

@@ -13,7 +13,6 @@
 use graph_sketches::api::{SketchAnswer, SketchSpec, SketchTask};
 use gs_graph::{cuts, gen, stoer_wagner, Graph};
 use gs_sketch::LinearSketch;
-use gs_stream::GraphStream;
 
 fn main() {
     let n = 48;
@@ -22,8 +21,7 @@ fn main() {
     // The "true" graph the stream nets out to: two communities joined by a
     // sparse cut, plus 600 decoy edges inserted and later deleted.
     let g = gen::planted_partition(n, 2, 0.7, 0.06, 42);
-    let stream = GraphStream::with_churn(&g, 600, 7);
-    let updates = stream.edge_updates();
+    let updates = gen::churn_stream(&g, 600, 7);
     println!(
         "stream: {} updates ({} net edges on {} vertices, including deletions)",
         updates.len(),

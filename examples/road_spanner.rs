@@ -10,11 +10,11 @@
 //! Run: `cargo run --release --example road_spanner`
 
 use graph_sketches::spanner::recurse::stretch_bound;
-use graph_sketches::spanner::{baswana_sen, recurse_connect, BaswanaSenParams, RecurseParams};
+use graph_sketches::spanner::{
+    baswana_sen, recurse_connect, BaswanaSenParams, Meter, RecurseParams,
+};
 use gs_graph::paths::max_stretch;
 use gs_graph::{gen, Graph};
-use gs_stream::passes::Meter;
-use gs_stream::GraphStream;
 
 fn main() {
     // A 10×10 grid plus random shortcuts: grid = local roads, shortcuts =
@@ -33,14 +33,14 @@ fn main() {
     );
     println!("road network: {} junctions, {} segments\n", n, g.m());
 
-    let stream = GraphStream::inserts_of(&g);
+    let stream = gen::insert_stream(&g);
 
     println!(
         "{:<22} {:>6} {:>7} {:>10} {:>10}",
         "algorithm", "passes", "edges", "stretch", "bound"
     );
     for k in [2usize, 3, 4] {
-        let mut meter = Meter::new(&stream);
+        let mut meter = Meter::new(g.n(), &stream);
         let h = baswana_sen(&mut meter, BaswanaSenParams::scaled(n, k), 100 + k as u64);
         let s = max_stretch(&g, &h).unwrap_or(f64::INFINITY);
         println!(
@@ -53,7 +53,7 @@ fn main() {
         );
     }
     for k in [2usize, 4] {
-        let mut meter = Meter::new(&stream);
+        let mut meter = Meter::new(g.n(), &stream);
         let (h, trace) = recurse_connect(&mut meter, RecurseParams::scaled(k), 200 + k as u64);
         let s = max_stretch(&g, &h).unwrap_or(f64::INFINITY);
         println!(

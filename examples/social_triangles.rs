@@ -11,7 +11,7 @@
 use graph_sketches::SubgraphSketch;
 use gs_graph::subgraph::{gamma, Pattern};
 use gs_graph::{gen, Graph};
-use gs_stream::GraphStream;
+use gs_sketch::{EdgeUpdate, LinearSketch};
 
 fn main() {
     let n = 32;
@@ -25,26 +25,23 @@ fn main() {
     let mut sketch = SubgraphSketch::new(n, 3, eps, 0x50C1A1);
 
     // Era 1: stream in the loose graph (with churn).
-    let stream1 = GraphStream::with_churn(&era1, 200, 7);
-    stream1.replay(|u, v, d| sketch.update_edge(u, v, d));
+    sketch.absorb(&gen::churn_stream(&era1, 200, 7));
     report("era 1 (loose)", &sketch, &era1);
 
     // Transition: delete era-1 edges not in era 2, insert the new ones.
     let mut transition = Vec::new();
     for &(u, v, _) in era1.edges() {
         if !era2.has_edge(u, v) {
-            transition.push(gs_stream::Update::delete(u, v));
+            transition.push(EdgeUpdate::delete(u, v));
         }
     }
     for &(u, v, _) in era2.edges() {
         if !era1.has_edge(u, v) {
-            transition.push(gs_stream::Update::insert(u, v));
+            transition.push(EdgeUpdate::insert(u, v));
         }
     }
     println!("transition: {} updates\n", transition.len());
-    for up in &transition {
-        sketch.update_edge(up.u, up.v, up.delta as i64);
-    }
+    sketch.absorb(&transition);
     report("era 2 (clustered)", &sketch, &era2);
 }
 

@@ -14,7 +14,6 @@ use gs_field::M61;
 use gs_graph::gen;
 use gs_sketch::par::DecodePlan;
 use gs_sketch::{CellBanked, EdgeUpdate, LaneOverflow, LinearSketch};
-use gs_stream::GraphStream;
 
 const SPLITS: [usize; 4] = [1, 2, 3, 8];
 
@@ -32,7 +31,7 @@ fn task_updates(task: SketchTask, seed: u64) -> Vec<EdgeUpdate> {
             .iter()
             .map(|&(u, v, w)| EdgeUpdate::weighted(u, v, w, 1))
             .collect(),
-        _ => GraphStream::with_churn(&gen::gnp(12, 0.3, seed), 200, seed ^ 0xD1).edge_updates(),
+        _ => gen::churn_stream(&gen::gnp(12, 0.3, seed), 200, seed ^ 0xD1),
     }
 }
 

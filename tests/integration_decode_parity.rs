@@ -16,7 +16,6 @@ use gs_graph::gen;
 use gs_sketch::par::DecodePlan;
 use gs_sketch::{EdgeUpdate, LinearSketch};
 use gs_stream::engine::{EngineConfig, SketchEngine};
-use gs_stream::GraphStream;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -34,7 +33,7 @@ fn updates_for(task: SketchTask, n: usize) -> Vec<EdgeUpdate> {
             .collect(),
         _ => {
             let g = gen::gnp(n, 0.35, 7 + task as u64);
-            GraphStream::with_churn(&g, 220, 11 + task as u64).edge_updates()
+            gen::churn_stream(&g, 220, 11 + task as u64)
         }
     }
 }

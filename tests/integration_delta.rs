@@ -11,11 +11,10 @@ use gs_sketch::bank::CellBanked;
 use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable};
 use gs_stream::distributed::{sketch_central, split_updates};
 use gs_stream::engine::{merge_tree, EngineConfig, SketchEngine};
-use gs_stream::GraphStream;
 
 fn churn_updates(n: usize, p: f64, seed: u64) -> Vec<EdgeUpdate> {
     let g = gen::gnp(n, p, seed);
-    GraphStream::with_churn(&g, 200, seed ^ 0xD1).edge_updates()
+    gen::churn_stream(&g, 200, seed ^ 0xD1)
 }
 
 fn weighted_updates(n: usize, seed: u64) -> Vec<EdgeUpdate> {

@@ -17,7 +17,6 @@ use gs_field::SplitMix64;
 use gs_graph::cuts::random_cut_audit;
 use gs_graph::{gen, stoer_wagner, Graph, UnionFind};
 use gs_sketch::{DecodePlan, EdgeUpdate, LinearSketch};
-use gs_stream::GraphStream;
 
 /// Scenario counts per question; the total (80 + 48 + 48 + 32 = 208)
 /// keeps the harness above two hundred generated graphs.
@@ -120,7 +119,7 @@ fn scenario(question: u64, i: usize) -> Scenario {
         }
     };
     let churn = rng.next_range(61) as usize;
-    let updates = GraphStream::with_churn(&graph, churn, rng.next_u64()).edge_updates();
+    let updates = gen::churn_stream(&graph, churn, rng.next_u64());
     Scenario {
         tag: format!(
             "#{i} {family} n={} m={} churn={churn}",
@@ -289,8 +288,7 @@ fn sparsifier_answers_cut_queries_within_eps() {
             _ => gen::gnp(n, 0.7, rng.next_u64()),
         };
         let mut sketch = SparsifySketch::new(n, eps, rng.next_u64());
-        let updates =
-            GraphStream::with_churn(&g, rng.next_range(41) as usize, rng.next_u64()).edge_updates();
+        let updates = gen::churn_stream(&g, rng.next_range(41) as usize, rng.next_u64());
         // Graph has no PartialEq; pin the planned sparsifier by edge list.
         let per = updates.len().div_ceil(3).max(1);
         for chunk in updates.chunks(per) {

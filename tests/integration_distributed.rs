@@ -13,11 +13,10 @@ use gs_graph::gen;
 use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable};
 use gs_stream::distributed::{linearity_holds, sketch_central, sketch_distributed};
 use gs_stream::engine::{default_workers, EngineConfig, SketchEngine};
-use gs_stream::GraphStream;
 
 fn churn_updates(n: usize, p: f64, seed: u64) -> Vec<EdgeUpdate> {
     let g = gen::gnp(n, p, seed);
-    GraphStream::with_churn(&g, 400, seed ^ 0xD1).edge_updates()
+    gen::churn_stream(&g, 400, seed ^ 0xD1)
 }
 
 /// Weighted value-carrying workload for the §3.5 tasks: every edge is one
@@ -137,7 +136,7 @@ fn resident_engine_serves_snapshots_mid_stream() {
     // The serving shape: a long-lived engine answers queries while the
     // stream keeps flowing, and sealing still equals the one-shot sketch.
     let g = gen::connected_gnp(20, 0.3, 17);
-    let updates = GraphStream::with_churn(&g, 400, 19).edge_updates();
+    let updates = gen::churn_stream(&g, 400, 19);
     let spec = SketchSpec::new(SketchTask::Connectivity, 20).with_seed(0x5EA);
     let mut engine = SketchEngine::new(EngineConfig::new(4).with_seed(2), || spec.build());
     let mid = updates.len() / 2;

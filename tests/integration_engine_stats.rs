@@ -9,11 +9,10 @@ use graph_sketches::api::{AnySketch, SketchSpec, SketchTask};
 use gs_graph::gen;
 use gs_sketch::{EdgeUpdate, LinearSketch};
 use gs_stream::engine::{EngineConfig, EngineStats, SketchEngine};
-use gs_stream::GraphStream;
 
 fn churn_updates(n: usize, seed: u64) -> Vec<EdgeUpdate> {
     let g = gen::gnp(n, 0.35, seed);
-    GraphStream::with_churn(&g, 400, seed ^ 0xA7).edge_updates()
+    gen::churn_stream(&g, 400, seed ^ 0xA7)
 }
 
 /// Asserts every cumulative counter moved forward (or held) between two

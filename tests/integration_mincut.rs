@@ -5,14 +5,14 @@ use graph_sketches::weighted::WeightedSparsifySketch;
 use graph_sketches::MinCutSketch;
 use gs_graph::cuts::random_cut_audit;
 use gs_graph::{gen, stoer_wagner, Graph};
-use gs_stream::GraphStream;
+use gs_sketch::LinearSketch;
 
 #[test]
 fn mincut_exact_on_planted_cuts_under_churn() {
     for bridge in [1usize, 2, 4] {
         let g = gen::barbell(8, bridge);
         let mut s = MinCutSketch::new(g.n(), 0.5, bridge as u64);
-        GraphStream::with_churn(&g, 400, 99).replay(|u, v, d| s.update_edge(u, v, d));
+        s.absorb(&gen::churn_stream(&g, 400, 99));
         let est = s.decode().expect("resolves");
         assert_eq!(est.value, bridge as u64, "bridge = {bridge}");
         assert_eq!(g.cut_value(&est.side), bridge as u64, "witness side");
@@ -24,7 +24,7 @@ fn mincut_tracks_graph_evolution() {
     // Start with a 3-bridge barbell, delete two bridges: λ drops 3 → 1.
     let g = gen::barbell(7, 3);
     let mut s = MinCutSketch::new(g.n(), 0.5, 5);
-    GraphStream::inserts_of(&g).replay(|u, v, d| s.update_edge(u, v, d));
+    s.absorb(&gen::insert_stream(&g));
     assert_eq!(s.decode().expect("resolves").value, 3);
     s.update_edge(1, 8, -1);
     s.update_edge(2, 9, -1);
@@ -42,7 +42,7 @@ fn mincut_median_estimate_on_dense_graph() {
     let mut vals = Vec::new();
     for seed in 0..9 {
         let mut s = MinCutSketch::new(g.n(), 0.5, 1000 + seed);
-        GraphStream::inserts_of(&g).replay(|u, v, d| s.update_edge(u, v, d));
+        s.absorb(&gen::insert_stream(&g));
         vals.push(s.decode().expect("resolves").value as f64);
     }
     vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -62,17 +62,17 @@ fn weighted_sparsifier_on_streamed_weighted_graph() {
     // Stream weighted edges with interleaved decoys.
     let mut decoys = Vec::new();
     for (i, &(u, v, w)) in g.edges().iter().enumerate() {
-        s.update_edge(u, v, w, 1);
+        s.update_edge(u, v, w as i64);
         if i % 3 == 0 {
             let (du, dv, dw) = ((u + 1) % g.n(), (v + 3) % g.n(), (w % 7) + 1);
             if du != dv {
-                s.update_edge(du, dv, dw, 1);
+                s.update_edge(du, dv, dw as i64);
                 decoys.push((du, dv, dw));
             }
         }
     }
     for (du, dv, dw) in decoys {
-        s.update_edge(du, dv, dw, -1);
+        s.update_edge(du, dv, -(dw as i64));
     }
     let h = s.decode();
     let err = random_cut_audit(&g, &h, 300, 9);
@@ -97,7 +97,7 @@ fn weighted_classes_cover_wide_weight_ranges() {
     );
     let mut s = WeightedSparsifySketch::new(8, 0.5, 1000, 11);
     for &(u, v, w) in g.edges() {
-        s.update_edge(u, v, w, 1);
+        s.update_edge(u, v, w as i64);
     }
     assert_eq!(s.decode().edges(), g.edges());
 }

@@ -13,7 +13,6 @@ use gs_serve::{Client, ClientError, Outcome, ServeConfig, Server};
 use gs_sketch::par::DecodePlan;
 use gs_sketch::{EdgeUpdate, LinearSketch};
 use gs_stream::distributed::split_updates;
-use gs_stream::GraphStream;
 use serde::{Deserialize, Value};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -64,7 +63,7 @@ fn connect(server: &Server) -> Client {
 
 fn churn_updates(n: usize, seed: u64) -> Vec<EdgeUpdate> {
     let g = gen::gnp(n, 0.3, seed);
-    GraphStream::with_churn(&g, 150, seed ^ 0xD1).edge_updates()
+    gen::churn_stream(&g, 150, seed ^ 0xD1)
 }
 
 fn answer_of(json: &str) -> SketchAnswer {

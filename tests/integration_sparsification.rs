@@ -5,17 +5,17 @@
 use graph_sketches::{SimpleSparsifySketch, SparsifySketch};
 use gs_graph::cuts::{cut_family_audit, random_cut_audit};
 use gs_graph::{gen, offline_sparsify, GomoryHuTree, Graph};
-use gs_stream::GraphStream;
+use gs_sketch::LinearSketch;
 
 fn run_simple(g: &Graph, eps: f64, seed: u64, churn: usize) -> Graph {
     let mut s = SimpleSparsifySketch::new(g.n(), eps, seed);
-    GraphStream::with_churn(g, churn, seed ^ 0x11).replay(|u, v, d| s.update_edge(u, v, d));
+    s.absorb(&gen::churn_stream(g, churn, seed ^ 0x11));
     s.decode()
 }
 
 fn run_better(g: &Graph, eps: f64, seed: u64, churn: usize) -> Graph {
     let mut s = SparsifySketch::new(g.n(), eps, seed);
-    GraphStream::with_churn(g, churn, seed ^ 0x22).replay(|u, v, d| s.update_edge(u, v, d));
+    s.absorb(&gen::churn_stream(g, churn, seed ^ 0x22));
     s.decode()
 }
 
@@ -69,7 +69,7 @@ fn heavy_churn_does_not_change_the_output() {
     let a = run_better(&g, 0.5, 21, 0);
     let b = {
         let mut s = SparsifySketch::new(g.n(), 0.5, 21);
-        GraphStream::with_churn(&g, 10 * g.m(), 23).replay(|u, v, d| s.update_edge(u, v, d));
+        s.absorb(&gen::churn_stream(&g, 10 * g.m(), 23));
         s.decode()
     };
     assert_eq!(a.edges(), b.edges());

@@ -4,7 +4,8 @@
 use graph_sketches::SubgraphSketch;
 use gs_graph::subgraph::{gamma, triangle_count, Pattern};
 use gs_graph::{gen, Graph};
-use gs_stream::GraphStream;
+use gs_sketch::LinearSketch;
+use gs_stream::distributed::split_updates;
 
 #[test]
 fn triangle_gamma_tracks_truth_across_workloads() {
@@ -22,7 +23,7 @@ fn triangle_gamma_tracks_truth_across_workloads() {
         let mut errs: Vec<f64> = (0..5)
             .map(|seed| {
                 let mut s = SubgraphSketch::new(g.n(), 3, 0.2, 1000 + seed);
-                GraphStream::with_churn(&g, 100, seed).replay(|u, v, d| s.update_edge(u, v, d));
+                s.absorb(&gen::churn_stream(&g, 100, seed));
                 (s.estimate_gamma(&Pattern::triangle()).expect("samples") - exact).abs()
             })
             .collect();
@@ -66,7 +67,7 @@ fn order4_estimation_end_to_end() {
     let exact_c4 = gamma(&g, &Pattern::c4());
     let exact_k4 = gamma(&g, &Pattern::k4());
     let mut s = SubgraphSketch::new(g.n(), 4, 0.25, 11);
-    GraphStream::inserts_of(&g).replay(|u, v, d| s.update_edge(u, v, d));
+    s.absorb(&gen::insert_stream(&g));
     let est_c4 = s.estimate_gamma(&Pattern::c4()).expect("samples");
     let est_k4 = s.estimate_gamma(&Pattern::k4()).expect("samples");
     assert!(
@@ -89,7 +90,7 @@ fn triangle_count_reconstruction_buriol_style() {
     let mut ests = Vec::new();
     for seed in 0..5 {
         let mut s = SubgraphSketch::new(g.n(), 3, 0.15, 2000 + seed);
-        GraphStream::inserts_of(&g).replay(|u, v, d| s.update_edge(u, v, d));
+        s.absorb(&gen::insert_stream(&g));
         let gam = s.estimate_gamma(&Pattern::triangle()).expect("samples");
         ests.push(gam * non_empty as f64);
     }
@@ -103,18 +104,18 @@ fn triangle_count_reconstruction_buriol_style() {
 fn distributed_subgraph_sketches_merge() {
     use gs_sketch::Mergeable;
     let g = gen::gnp(14, 0.4, 15);
-    let stream = GraphStream::with_churn(&g, 150, 17);
-    let parts = stream.split(4, 19);
+    let stream = gen::churn_stream(&g, 150, 17);
+    let parts = split_updates(&stream, 4, 19);
     let mut acc: Option<SubgraphSketch> = None;
     for p in &parts {
         let mut s = SubgraphSketch::new(14, 3, 0.3, 42);
-        p.replay(|u, v, d| s.update_edge(u, v, d));
+        s.absorb(p);
         match &mut acc {
             None => acc = Some(s),
             Some(a) => a.merge(&s),
         }
     }
     let mut central = SubgraphSketch::new(14, 3, 0.3, 42);
-    stream.replay(|u, v, d| central.update_edge(u, v, d));
+    central.absorb(&stream);
     assert_eq!(acc.unwrap().raw_samples(), central.raw_samples());
 }

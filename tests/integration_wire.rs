@@ -11,11 +11,10 @@ use graph_sketches::wire::{SketchFile, WireError, V2_MAGIC, WIRE_FORMAT_BIN};
 use gs_graph::gen;
 use gs_sketch::{EdgeUpdate, LinearSketch};
 use gs_stream::distributed::{sketch_central, split_updates};
-use gs_stream::GraphStream;
 
 fn churn_updates(n: usize, p: f64, seed: u64) -> Vec<EdgeUpdate> {
     let g = gen::gnp(n, p, seed);
-    GraphStream::with_churn(&g, 150, seed ^ 0xD1).edge_updates()
+    gen::churn_stream(&g, 150, seed ^ 0xD1)
 }
 
 /// Weighted value-carrying workload for the §3.5 tasks.

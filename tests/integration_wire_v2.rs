@@ -15,11 +15,10 @@ use gs_sketch::bank::CellBanked;
 use gs_sketch::par::DecodePlan;
 use gs_sketch::{EdgeUpdate, LaneWidth, LinearSketch, Mergeable};
 use gs_stream::distributed::sketch_central;
-use gs_stream::GraphStream;
 
 fn churn_updates(n: usize, p: f64, seed: u64) -> Vec<EdgeUpdate> {
     let g = gen::gnp(n, p, seed);
-    GraphStream::with_churn(&g, 150, seed ^ 0xD1).edge_updates()
+    gen::churn_stream(&g, 150, seed ^ 0xD1)
 }
 
 fn weighted_updates(n: usize, seed: u64) -> Vec<EdgeUpdate> {
