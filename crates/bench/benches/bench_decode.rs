@@ -18,8 +18,16 @@
 //! more than 10:1, and every query decodes from scratch. Sketches keep
 //! no decode memo; a served tenant's answer memo lives in gs-serve.
 //!
+//! plus **KConnect post-processing rows** at n = 512 and 1024 (k = 2,
+//! a `MinCutAdversary` stream): the k-EDGECONNECT witness decode by
+//! clone-then-subtract (`decode_witness_edges_reference`) against the
+//! in-place peel, the dense Stoer–Wagner (`min_cut_dense`) against the
+//! sparse one on that witness, and the whole `is_k_connected_with`.
+//!
 //! Every number is gated on **bit identity** before any clock starts:
-//! the three one-shot paths must agree edge for edge.
+//! the three one-shot paths must agree edge for edge, the peel must
+//! return the reference's witness, and the sparse cut the dense
+//! `(value, side)`.
 //!
 //! Results append one record per run to `BENCH_decode.json` (override
 //! the path with `BENCH_DECODE_OUT`): git sha (+`-dirty` flag), UTC
@@ -31,9 +39,12 @@
 //! Method: per measurement, one warm-up run, then `RUNS` timed runs; the
 //! reported number is the minimum (least-noise estimator).
 
-use graph_sketches::ForestSketch;
+use graph_sketches::extras::KConnectivitySketch;
+use graph_sketches::{ForestSketch, KEdgeConnectSketch};
+use gs_graph::{stoer_wagner, Graph};
 use gs_sketch::par::DecodePlan;
 use gs_sketch::{CellBanked, EdgeUpdate, LinearSketch};
+use gs_workloads::GeneratorSpec;
 use std::hint::black_box;
 use std::process::Command;
 use std::time::Instant;
@@ -160,6 +171,85 @@ fn read_heavy_pass(
     ns
 }
 
+/// KConnect's decode post-processing at `n` vertices, k = 2, on a
+/// `MinCutAdversary` stream (a barbell of two `n/2`-cliques joined by
+/// two bridges, plus decoy cross-edge churn): JSON rows and a summary.
+fn kconnect_rows(n: usize) -> (String, String) {
+    let k = 2;
+    let seed = 0xDEC2 + n as u64;
+    let trace = GeneratorSpec::MinCutAdversary {
+        half: n / 2,
+        bridge: 2,
+        churn: 2 * n,
+        seed,
+    }
+    .generate();
+    let mut witness = KEdgeConnectSketch::new(n, k, seed);
+    witness.absorb(&trace.updates);
+    // The tester wraps a witness sketch with the same seed.
+    let mut tester = KConnectivitySketch::new(n, k, seed);
+    tester.absorb(&trace.updates);
+    let one = DecodePlan::with_threads(1);
+
+    // Determinism gate: peel == clone-then-subtract, sparse == dense.
+    let edges = witness.decode_witness_edges_with(&one);
+    assert_eq!(
+        witness.decode_witness_edges_reference(&one),
+        edges,
+        "n = {n}: peeled witness drifted from clone-then-subtract"
+    );
+    let h = Graph::from_edges(n, edges.iter().map(|&(u, v, _)| (u, v)));
+    let dense = stoer_wagner::min_cut_dense(&h);
+    assert_eq!(
+        stoer_wagner::min_cut(&h),
+        dense,
+        "n = {n}: sparse cut drifted"
+    );
+    let connected = tester.is_k_connected_with(&one);
+    assert_eq!(connected, dense.0 >= k as u64, "n = {n}: verdict drifted");
+
+    let reference_ns = time_ns(|| {
+        black_box(witness.decode_witness_edges_reference(&one));
+    });
+    let peel_ns = time_ns(|| {
+        black_box(witness.decode_witness_edges_with(&one));
+    });
+    let dense_ns = time_ns(|| {
+        black_box(stoer_wagner::min_cut_dense(&h));
+    });
+    let sparse_ns = time_ns(|| {
+        black_box(stoer_wagner::min_cut(&h));
+    });
+    let full_ns = time_ns(|| {
+        black_box(tester.is_k_connected_with(&one));
+    });
+    let shape = format!(
+        "\"n\": {n}, \"k\": {k}, \"updates\": {}, \"witness_edges\": {}",
+        trace.updates.len(),
+        h.m()
+    );
+    let rows = format!(
+        "      {{ \"config\": \"kconnect-witness-reference\", \"ns\": {reference_ns:.0}, {shape} }},\n      \
+         {{ \"config\": \"kconnect-witness-peel\", \"ns\": {peel_ns:.0}, {shape} }},\n      \
+         {{ \"config\": \"kconnect-min-cut-dense\", \"ns\": {dense_ns:.0}, {shape} }},\n      \
+         {{ \"config\": \"kconnect-min-cut-sparse\", \"ns\": {sparse_ns:.0}, {shape} }},\n      \
+         {{ \"config\": \"kconnect-is-k-connected\", \"ns\": {full_ns:.0}, {shape}, \
+         \"connected\": {connected} }}"
+    );
+    let summary = format!(
+        "kconnect n = {n}, k = {k} ({} witness edges): witness reference {:>7.1} ms, \
+         peel {:>7.1} ms; min cut dense {:>8.1} ms, sparse {:>7.1} ms; \
+         is_k_connected {:>7.1} ms",
+        h.m(),
+        reference_ns / 1e6,
+        peel_ns / 1e6,
+        dense_ns / 1e6,
+        sparse_ns / 1e6,
+        full_ns / 1e6,
+    );
+    (rows, summary)
+}
+
 fn main() {
     let n = 10_000;
     let updates = churn(n, 30_000);
@@ -215,6 +305,7 @@ fn main() {
             fresh_ns = fresh_ns.min(ns);
         }
     }
+    let kconnect: Vec<(String, String)> = [512, 1024].into_iter().map(kconnect_rows).collect();
     let kernel_speedup = reference_ns / seq_ns;
     let parallel_speedup = reference_ns / par8_ns;
     let thread_speedup = seq_ns / par8_ns;
@@ -224,7 +315,12 @@ fn main() {
          {{ \"config\": \"kernel-1thread\", \"ns\": {seq_ns:.0} }},\n      \
          {{ \"config\": \"kernel-8threads\", \"ns\": {par8_ns:.0} }},\n      \
          {{ \"config\": \"read-heavy-fresh\", \"ns\": {fresh_ns:.0}, \
-         \"queries\": {queries}, \"delta_updates\": {delta_updates} }}"
+         \"queries\": {queries}, \"delta_updates\": {delta_updates} }},\n{}",
+        kconnect
+            .iter()
+            .map(|(rows, _)| rows.as_str())
+            .collect::<Vec<_>>()
+            .join(",\n")
     );
     let record = format!(
         "  {{\n    \"sha\": \"{}\",\n    \"date\": \"{}\",\n    \"n\": {n},\n    \
@@ -259,5 +355,8 @@ fn main() {
         "read-heavy ({queries} queries : {delta_updates} updates): fresh {:>9.1} ms",
         fresh_ns / 1e6,
     );
+    for (_, summary) in &kconnect {
+        println!("{summary}");
+    }
     println!("appended record to {out}");
 }

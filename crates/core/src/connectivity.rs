@@ -326,6 +326,62 @@ impl ForestSketch {
         )
     }
 
+    /// One Boruvka round's peel of the `removed` edges: every removed
+    /// edge whose endpoints lie in two groups gets its per-rep levels and
+    /// its `update_edge(u, v, −amount)` triple under bank `bank`, listed
+    /// once for each of its two groups, signed for the endpoint there.
+    fn round_peel(&self, bank: usize, groups: &[Vec<usize>], removed: &Removed<'_>) -> RoundPeel {
+        let reps = self.params.detector_reps;
+        let mut gid = vec![0usize; self.n];
+        for (g, members) in groups.iter().enumerate() {
+            for &x in members {
+                gid[x] = g;
+            }
+        }
+        let mut lmax = Vec::new();
+        let crossing: Vec<Option<PeelTerm>> = removed
+            .edges
+            .iter()
+            .map(|&(u, v, amount)| {
+                (gid[u] != gid[v]).then(|| {
+                    let idx = edge_index(self.n, u, v);
+                    let at = lmax.len();
+                    lmax.extend((0..reps).map(|r| {
+                        self.level_hash[bank * reps + r].subsample_level(idx, self.levels - 1)
+                    }));
+                    let du = sign_for(u, v) * -amount;
+                    let (dw, ds, df) = CellBank::deltas(idx, du, self.finger[bank].hash_m61(idx));
+                    PeelTerm { at, dw, ds, df }
+                })
+            })
+            .collect();
+        let mut terms = Vec::new();
+        let mut start = Vec::with_capacity(groups.len() + 1);
+        start.push(0);
+        for members in groups {
+            for &x in members {
+                for &e in removed.incident(x) {
+                    if let Some(t) = crossing[e] {
+                        // `update_edge` adds the triple to `u`'s rows and
+                        // its negation to `v`'s.
+                        terms.push(if removed.edges[e].0 == x {
+                            t
+                        } else {
+                            PeelTerm {
+                                dw: -t.dw,
+                                ds: -t.ds,
+                                df: -t.df,
+                                ..t
+                            }
+                        });
+                    }
+                }
+            }
+            start.push(terms.len());
+        }
+        RoundPeel { lmax, terms, start }
+    }
+
     /// Queries Σ_{u∈group} sketch(x^u) for bank `bank` — the bank-level
     /// batched group query. The decode scan visits cells in the same
     /// rep-major order as [`L0Detector::query`], but the sum over the
@@ -339,18 +395,24 @@ impl ForestSketch {
     /// and the cells it does reach hold exactly the member sums the eager
     /// query would hold ([`ForestSketch::group_query_reference`] keeps
     /// the eager pre-bank path alive as the pinned baseline).
-    fn group_query(&self, bank: usize, group: &[usize]) -> L0Result {
+    ///
+    /// `peel` lists the removed edges with exactly one endpoint in the
+    /// group (see [`RoundPeel`]); each adds its triple to the cells of
+    /// every rep at the levels its edge reaches, as `update_edge` would
+    /// have added it to a copy of the sketch.
+    fn group_query(&self, bank: usize, group: &[usize], peel: GroupPeel<'_>) -> L0Result {
         let levels = self.levels as usize;
         let rowlen = self.row_len();
         let reps = self.params.detector_reps;
         let domain = edge_domain(self.n);
         let finger = &self.finger[bank];
         let row0 = (bank * self.n) * rowlen;
-        // Sum of cell `j` of the row group over the members. The group sum
-        // accumulates in the cell's `i64`/`i128` regardless of the bank's
-        // lane widths: a sum over n members can exceed the compacted
-        // per-cell range.
-        let gather = |j: usize| -> OneSparseCell {
+        // Sum of cell `(r, l)` of the row group over the members. The
+        // group sum accumulates in the cell's `i64`/`i128` regardless of
+        // the bank's lane widths: a sum over n members can exceed the
+        // compacted per-cell range.
+        let gather = |r: usize, l: usize| -> OneSparseCell {
+            let j = r * levels + l;
             let (mut gw, mut gs, mut gf) = (0i64, 0i128, M61::ZERO);
             for &node in group {
                 let (w, s, f) = self.cells.cell(row0 + node * rowlen + j).parts();
@@ -358,12 +420,19 @@ impl ForestSketch {
                 gs += s;
                 gf += f;
             }
+            for t in peel.terms {
+                if peel.lmax[t.at + r] as usize >= l {
+                    gw += t.dw;
+                    gs += t.ds;
+                    gf += t.df;
+                }
+            }
             OneSparseCell::from_parts(gw, gs, gf)
         };
         // Empty iff the full-vector cell of every rep sums to zero.
         let full: [OneSparseCell; MAX_DETECTOR_REPS] = std::array::from_fn(|r| {
             if r < reps {
-                gather(r * levels)
+                gather(r, 0)
             } else {
                 OneSparseCell::new()
             }
@@ -373,11 +442,7 @@ impl ForestSketch {
         }
         for (r, &full_cell) in full[..reps].iter().enumerate() {
             for l in 0..levels {
-                let cell = if l == 0 {
-                    full_cell
-                } else {
-                    gather(r * levels + l)
-                };
+                let cell = if l == 0 { full_cell } else { gather(r, l) };
                 if let OneSparseState::One(idx, v) = cell.decode(domain, finger) {
                     return L0Result::Sample(idx, v);
                 }
@@ -422,30 +487,54 @@ impl ForestSketch {
     /// thread count — see [`ForestSketch::decode_excluding_with`] for the
     /// determinism argument.
     pub fn decode_with(&self, plan: &DecodePlan) -> Forest {
-        self.decode_excluding_with(&mut UnionFind::new(self.n), plan)
+        self.decode_excluding_with(&mut UnionFind::new(self.n), &[], plan)
     }
 
     /// Boruvka decoding seeded with an existing partition: components
-    /// already joined in `uf` are treated as contracted. Used by
-    /// `k-EDGECONNECT` follow-up forests and exposed for callers that
-    /// combine sketches with known connectivity.
+    /// already joined in `uf` are treated as contracted. Used by the
+    /// MST threshold walk and exposed for callers that combine sketches
+    /// with known connectivity.
     pub fn decode_excluding(&self, uf: &mut UnionFind) -> Forest {
-        self.decode_excluding_with(uf, &DecodePlan::sequential())
+        self.decode_excluding_with(uf, &[], &DecodePlan::sequential())
     }
 
-    /// [`ForestSketch::decode_excluding`] under a [`DecodePlan`]: the
-    /// group queries of one Boruvka round fan out across the plan's
-    /// threads.
+    /// [`ForestSketch::decode_excluding`] under a [`DecodePlan`], of the
+    /// sketched graph with the `removed` edges taken out: each
+    /// `(u, v, amount)` is decoded as if `update_edge(u, v, −amount)`
+    /// had been applied first. `k-EDGECONNECT` peels its earlier forests
+    /// this way. The group queries of one Boruvka round fan out across
+    /// the plan's threads.
+    ///
+    /// **Peeling in place.** By linearity the removal is applied to each
+    /// group sum, not to a copy of the sketch: a removed edge with both
+    /// endpoints in a group cancels, and one with a single endpoint in
+    /// it adds its triple, signed for that endpoint, to the cells its
+    /// subsampling levels reach. The sums are exact (`i64`, `i128` and
+    /// M61), so every scanned cell, and with it the forest, equals the
+    /// decode of a copy with the edges subtracted — unless that
+    /// subtraction would overflow a lane of the copy, past the spec's
+    /// headroom, where the copy held a wrapped value and the peel holds
+    /// the exact one. The transient is O(n + |removed|) per round.
     ///
     /// **Determinism.** The groups are fixed at round start (`uf` is not
     /// touched until every query of the round returned), each group's
-    /// query reads only the immutable cell bank, and the per-group
-    /// results are reassembled in group order before the sequential
-    /// union pass consumes them. The parallel decode is therefore
-    /// **bit-identical** to the sequential one — same samples, same
-    /// union order, same forest — which the decode-parity suite pins for
-    /// every task at thread counts {1, 2, 8}.
-    pub fn decode_excluding_with(&self, uf: &mut UnionFind, plan: &DecodePlan) -> Forest {
+    /// query reads only the immutable cell bank and the round's peel,
+    /// and the per-group results are reassembled in group order before
+    /// the sequential union pass consumes them. The parallel decode is
+    /// therefore **bit-identical** to the sequential one — same samples,
+    /// same union order, same forest — which the decode-parity suite
+    /// pins for every task at thread counts {1, 2, 8}.
+    ///
+    /// # Panics
+    /// Panics on a removed self-loop or out-of-range endpoint.
+    pub fn decode_excluding_with(
+        &self,
+        uf: &mut UnionFind,
+        removed: &[(usize, usize, i64)],
+        plan: &DecodePlan,
+    ) -> Forest {
+        // A decode with nothing removed builds no peel at all.
+        let removed = (!removed.is_empty()).then(|| Removed::new(self.n, removed));
         let mut edges = Vec::new();
         for round in 0..self.params.rounds {
             let bank = if self.params.share_rounds { 0 } else { round };
@@ -453,11 +542,13 @@ impl ForestSketch {
             if groups.len() <= 1 {
                 break;
             }
+            let peel = removed.as_ref().map(|r| self.round_peel(bank, &groups, r));
             // Σ_{u∈A} sketch(x^u) sketches exactly the crossing edges.
             // Groups are independent within the round: fan out, collect
             // in group order.
-            let found = par_map(&groups, plan.threads(), |_, group| {
-                match self.group_query(bank, group) {
+            let found = par_map(&groups, plan.threads(), |g, group| {
+                let peel = peel.as_ref().map_or(GroupPeel::NONE, |p| p.group(g));
+                match self.group_query(bank, group, peel) {
                     L0Result::Sample(idx, val) => {
                         let (u, v) = edge_unindex(idx);
                         (u < self.n && v < self.n).then_some((u, v, val))
@@ -505,6 +596,85 @@ impl ForestSketch {
         }
         Forest { n: self.n, edges }
     }
+}
+
+/// The edges a decode removes, indexed by endpoint (CSR): vertex `x`'s
+/// incident edge ids are `ids[start[x]..start[x + 1]]`.
+struct Removed<'a> {
+    edges: &'a [(usize, usize, i64)],
+    start: Vec<usize>,
+    ids: Vec<usize>,
+}
+
+impl<'a> Removed<'a> {
+    fn new(n: usize, edges: &'a [(usize, usize, i64)]) -> Self {
+        let mut start = vec![0usize; n + 1];
+        for &(u, v, _) in edges {
+            assert!(u != v && u < n && v < n, "bad removed edge ({u},{v})");
+            start[u + 1] += 1;
+            start[v + 1] += 1;
+        }
+        for x in 0..n {
+            start[x + 1] += start[x];
+        }
+        let mut fill = start.clone();
+        let mut ids = vec![0usize; 2 * edges.len()];
+        for (e, &(u, v, _)) in edges.iter().enumerate() {
+            for x in [u, v] {
+                ids[fill[x]] = e;
+                fill[x] += 1;
+            }
+        }
+        Removed { edges, start, ids }
+    }
+
+    fn incident(&self, x: usize) -> &[usize] {
+        &self.ids[self.start[x]..self.start[x + 1]]
+    }
+}
+
+/// A removed edge's correction to a group sum: its update triple, signed
+/// for the endpoint inside the group, and where its per-rep subsampling
+/// levels start in [`RoundPeel::lmax`].
+#[derive(Clone, Copy)]
+struct PeelTerm {
+    at: usize,
+    dw: i64,
+    ds: i128,
+    df: M61,
+}
+
+/// One Boruvka round's peel (see [`ForestSketch::round_peel`]): group
+/// `g`'s crossing removed edges are `terms[start[g]..start[g + 1]]`.
+struct RoundPeel {
+    /// `reps` levels per crossing edge.
+    lmax: Vec<u32>,
+    terms: Vec<PeelTerm>,
+    start: Vec<usize>,
+}
+
+impl RoundPeel {
+    fn group(&self, g: usize) -> GroupPeel<'_> {
+        GroupPeel {
+            terms: &self.terms[self.start[g]..self.start[g + 1]],
+            lmax: &self.lmax,
+        }
+    }
+}
+
+/// One group's share of a [`RoundPeel`].
+#[derive(Clone, Copy)]
+struct GroupPeel<'a> {
+    terms: &'a [PeelTerm],
+    lmax: &'a [u32],
+}
+
+impl GroupPeel<'_> {
+    /// Nothing removed.
+    const NONE: GroupPeel<'static> = GroupPeel {
+        terms: &[],
+        lmax: &[],
+    };
 }
 
 /// The hashes and shape a forest's absorb jobs share.
@@ -921,8 +1091,19 @@ mod tests {
             uf_par.union(0, v);
         }
         let a = s.decode_excluding(&mut uf_seq);
-        let b = s.decode_excluding_with(&mut uf_par, &DecodePlan::with_threads(8));
+        let b = s.decode_excluding_with(&mut uf_par, &[], &DecodePlan::with_threads(8));
         assert_eq!(a.edges, b.edges);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad removed edge")]
+    fn a_removed_self_loop_is_refused() {
+        let s = ForestSketch::new(4, 1);
+        s.decode_excluding_with(
+            &mut UnionFind::new(4),
+            &[(2, 2, 1)],
+            &DecodePlan::sequential(),
+        );
     }
 
     #[test]

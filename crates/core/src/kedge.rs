@@ -7,8 +7,10 @@
 //!
 //! Construction (from the authors' SODA'12 paper): maintain `k`
 //! independent [`ForestSketch`]es. Decode `F_1` = spanning forest of `G`;
-//! then, **using linearity**, delete `F_1`'s edges from the second sketch
-//! and decode `F_2` = spanning forest of `G ∖ F_1`; and so on. The union
+//! then, **using linearity**, delete `F_1`'s edges from each group sum of
+//! the second sketch's Boruvka rounds and decode `F_2` = spanning forest
+//! of `G ∖ F_1`; and so on. No layer is copied: a decode reads the
+//! resident sketch and holds O(n + |H|) of its own. The union
 //! `H = F_1 ∪ … ∪ F_k` has ≤ `k(n−1)` edges and contains every edge of
 //! every cut of size ≤ `k` (if fewer than `k` edges cross a cut, each
 //! forest either picks one of them or has none left to pick, so all get
@@ -18,7 +20,7 @@
 use crate::absorb::{absorb_planned, AbsorbWork, SplitAbsorb};
 use crate::connectivity::{ForestParams, ForestSketch};
 use gs_field::M61;
-use gs_graph::Graph;
+use gs_graph::{Graph, UnionFind};
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::par::DecodePlan;
 use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
@@ -144,9 +146,10 @@ impl KEdgeConnectSketch {
     }
 
     /// [`KEdgeConnectSketch::decode_witness`] under a [`DecodePlan`]: the
-    /// forest layers peel strictly in sequence (layer `i` subtracts the
-    /// edges layers `1..i` used — a data dependency), but each layer's
-    /// Boruvka rounds fan their group queries across the plan's threads.
+    /// forest layers peel strictly in sequence (layer `i` removes the
+    /// edges layers `1..i` used from its group sums — a data
+    /// dependency), but each layer's Boruvka rounds fan their group
+    /// queries across the plan's threads.
     pub fn decode_witness_with(&self, plan: &DecodePlan) -> Graph {
         Graph::from_edges(
             self.n,
@@ -164,7 +167,39 @@ impl KEdgeConnectSketch {
 
     /// [`KEdgeConnectSketch::decode_witness_edges`] under a
     /// [`DecodePlan`] (see [`KEdgeConnectSketch::decode_witness_with`]).
+    /// Layer `i` reads its forest sketch in place: the edges of
+    /// `F_1 … F_{i−1}` are taken out of each Boruvka group sum
+    /// ([`ForestSketch::decode_excluding_with`]), so no layer is copied.
     pub fn decode_witness_edges_with(&self, plan: &DecodePlan) -> Vec<(usize, usize, i64)> {
+        let mut removed: Vec<(usize, usize, i64)> = Vec::new();
+        for forest in &self.forests {
+            let f = forest.decode_excluding_with(&mut UnionFind::new(self.n), &removed, plan);
+            if f.edges.is_empty() {
+                break; // residual graph is empty; later layers add nothing
+            }
+            removed.extend(f.edges.iter().map(|&(u, v, val)| (u, v, self.amount(val))));
+        }
+        removed
+    }
+
+    /// How much of a sampled edge the next layers remove. The sampled
+    /// value's sign only records which side of the cut the sample came
+    /// from; the edge's multiplicity/weight is `|val|`, and the removal
+    /// re-applies the Eq. 1 sign convention itself.
+    fn amount(&self, val: i64) -> i64 {
+        match self.subtract {
+            SubtractMode::Unit => 1,
+            SubtractMode::Full => val.abs(),
+        }
+    }
+
+    /// The clone-then-subtract witness decode, kept verbatim as the
+    /// baseline: each layer after the first copies its forest sketch and
+    /// applies `update_edge(u, v, −amount)` for every edge removed so far.
+    /// `bench_decode` measures the in-place peel against it and the
+    /// parity tests pin bit-identity; it is not on any production path.
+    #[doc(hidden)]
+    pub fn decode_witness_edges_reference(&self, plan: &DecodePlan) -> Vec<(usize, usize, i64)> {
         let mut removed: Vec<(usize, usize, i64)> = Vec::new();
         for forest in &self.forests {
             let f = if removed.is_empty() {

@@ -457,6 +457,37 @@ mod tests {
     }
 
     #[test]
+    fn per_level_witnesses_equal_clone_then_subtract() {
+        // Each level's peeled witness, at every thread count, equals the
+        // clone-then-subtract decode of the same level, edge for edge.
+        let unit = gen::churn_stream(&gen::barbell(10, 3), 150, 31);
+        let weighted = gen::churn_stream(&gen::gnp_weighted(18, 0.4, 5, 33), 90, 35);
+        for (label, n, stream, subtract) in [
+            ("unit barbell", 20, &unit, SubtractMode::Unit),
+            ("weighted G(n,p)", 18, &weighted, SubtractMode::Full),
+        ] {
+            let mut params = MinCutParams::scaled(n, 0.75);
+            params.subtract = subtract;
+            let mut s = MinCutSketch::with_params(n, params, 37);
+            s.absorb(stream);
+            let reference: Vec<_> = s
+                .levels
+                .iter()
+                .map(|l| l.decode_witness_edges_reference(&DecodePlan::sequential()))
+                .collect();
+            assert!(reference[0].len() > n, "{label}: level 0 never peeled");
+            for threads in [1, 2, 8] {
+                let plan = DecodePlan::with_threads(threads);
+                assert_eq!(
+                    s.decode_witness_edges_per_level_with(&plan),
+                    reference,
+                    "{label}, {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn paper_params_are_larger() {
         let s = MinCutParams::scaled(64, 0.5);
         let p = MinCutParams::paper(64, 0.5);

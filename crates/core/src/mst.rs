@@ -148,7 +148,7 @@ impl MstSketch {
             if uf.component_count() == 1 {
                 break;
             }
-            let f = level.decode_excluding_with(&mut uf, plan);
+            let f = level.decode_excluding_with(&mut uf, &[], plan);
             let t = self.thresholds[i];
             edges.extend(f.edges.iter().map(|&(u, v, _)| (u, v, t)));
         }

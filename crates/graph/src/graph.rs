@@ -61,12 +61,13 @@ impl Graph {
 
     /// The multigraph `A(i,j)` a stream of unit updates defines
     /// (Definition 1): each pair's net multiplicity becomes its edge
-    /// weight. Only the final multiplicities are checked, not every
-    /// prefix.
+    /// weight. Every prefix of the stream is checked, not only the final
+    /// multiplicities: a deletion without a matching prior insertion is
+    /// refused even when a later insertion restores the count.
     ///
     /// # Errors
-    /// The first pair, in `(min, max)` order, whose net multiplicity is
-    /// negative (the model forbids it).
+    /// The first pair, in stream order, whose running multiplicity goes
+    /// negative (the model forbids it), as `(min, max)`.
     ///
     /// # Panics
     /// Panics on self-loops or out-of-range endpoints with a non-zero net
@@ -74,13 +75,15 @@ impl Graph {
     pub fn from_unit_updates(n: usize, updates: &[EdgeUpdate]) -> Result<Graph, (usize, usize)> {
         let mut mult: BTreeMap<(usize, usize), i64> = BTreeMap::new();
         for up in updates {
-            *mult.entry((up.u.min(up.v), up.u.max(up.v))).or_insert(0) += up.delta;
+            let pair = (up.u.min(up.v), up.u.max(up.v));
+            let m = mult.entry(pair).or_insert(0);
+            *m += up.delta;
+            if *m < 0 {
+                return Err(pair);
+            }
         }
         let mut g = Graph::new(n);
         for ((u, v), m) in mult {
-            if m < 0 {
-                return Err((u, v));
-            }
             if m > 0 {
                 g.add_edge(u, v, m as u64);
             }
@@ -340,6 +343,21 @@ mod tests {
         assert_eq!(g.edges(), &[(0, 1, 2)]);
         assert_eq!(Graph::from_unit_updates(4, &[]).unwrap().m(), 0);
         let ups = [EdgeUpdate::insert(0, 1), EdgeUpdate::delete(3, 2)];
+        assert_eq!(Graph::from_unit_updates(4, &ups).unwrap_err(), (2, 3));
+    }
+
+    #[test]
+    fn unit_updates_refuse_a_negative_prefix() {
+        // The net multiplicity is 0, but the deletion came first.
+        let ups = [EdgeUpdate::delete(0, 1), EdgeUpdate::insert(0, 1)];
+        assert_eq!(Graph::from_unit_updates(2, &ups).unwrap_err(), (0, 1));
+        // The first pair to go negative is named, in stream order.
+        let ups = [
+            EdgeUpdate::insert(0, 1),
+            EdgeUpdate::delete(2, 3),
+            EdgeUpdate::delete(1, 0),
+            EdgeUpdate::delete(0, 1),
+        ];
         assert_eq!(Graph::from_unit_updates(4, &ups).unwrap_err(), (2, 3));
     }
 }

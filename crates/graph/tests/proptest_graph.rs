@@ -1,6 +1,6 @@
 //! Property-based tests for the exact-algorithm substrate: Gomory–Hu
-//! against direct max-flow, Stoer–Wagner against enumeration, cut algebra,
-//! and pattern-class invariants.
+//! against direct max-flow, Stoer–Wagner against enumeration and its
+//! dense oracle, cut algebra, and pattern-class invariants.
 //!
 //! Inputs are generated from seeded workloads (the offline workspace
 //! carries no external property-testing dependency); every case is
@@ -58,6 +58,11 @@ fn stoer_wagner_matches_enumeration() {
         let (val, side) = stoer_wagner::min_cut(&g);
         assert_eq!(val, brute_force_min_cut(&g), "case {case}");
         assert_eq!(g.cut_value(&side), val, "case {case}");
+        assert_eq!(
+            (val, side),
+            stoer_wagner::min_cut_dense(&g),
+            "case {case}: sparse drifted from the dense oracle"
+        );
     }
 }
 

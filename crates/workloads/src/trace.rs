@@ -361,8 +361,10 @@ impl Trace {
     /// the baseline the experiment runner scores sketch answers against.
     ///
     /// A stream that is not a valid dynamic stream (a deletion without a
-    /// matching prior insertion) is refused as [`TraceError::Negative`]:
-    /// traces from [`GeneratorSpec::generate`] never trip it, but a trace
+    /// matching prior insertion) is refused as [`TraceError::Negative`],
+    /// naming the first pair, in stream order, whose running count goes
+    /// negative — even if a later insertion would restore it. Traces
+    /// from [`GeneratorSpec::generate`] never trip it, but a trace
     /// loaded from a file is untrusted input and must not panic the
     /// caller.
     pub fn materialize(&self) -> Result<Graph, TraceError> {
@@ -370,18 +372,19 @@ impl Trace {
             UpdateKind::Unit => Graph::from_unit_updates(self.n, &self.updates)
                 .map_err(|(u, v)| TraceError::Negative { u, v }),
             UpdateKind::Weighted => {
-                // Net copy count per (pair, weight); distinct weights on
-                // one pair stay parallel weighted edges.
+                // Running copy count per (pair, weight); distinct weights
+                // on one pair stay parallel weighted edges.
                 let mut copies: BTreeMap<(usize, usize, u64), i64> = BTreeMap::new();
                 for up in &self.updates {
-                    let key = (up.u.min(up.v), up.u.max(up.v), up.weight());
-                    *copies.entry(key).or_insert(0) += up.sign();
+                    let (u, v) = (up.u.min(up.v), up.u.max(up.v));
+                    let c = copies.entry((u, v, up.weight())).or_insert(0);
+                    *c += up.sign();
+                    if *c < 0 {
+                        return Err(TraceError::Negative { u, v });
+                    }
                 }
                 let mut g = Graph::new(self.n);
                 for ((u, v, w), c) in copies {
-                    if c < 0 {
-                        return Err(TraceError::Negative { u, v });
-                    }
                     for _ in 0..c {
                         g.add_edge(u, v, w);
                     }
@@ -428,6 +431,36 @@ mod tests {
             Err(TraceError::Negative { u: 0, v: 1 }) => {}
             other => panic!("expected Negative error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_negative_prefix_is_refused_even_when_the_net_count_is_zero() {
+        let mut t = sample();
+        t.updates = vec![EdgeUpdate::delete(0, 1), EdgeUpdate::insert(0, 1)];
+        assert_eq!(
+            t.materialize().unwrap_err(),
+            TraceError::Negative { u: 0, v: 1 }
+        );
+        t.kind = UpdateKind::Weighted;
+        t.updates = vec![
+            EdgeUpdate::weighted(1, 0, 5, -1),
+            EdgeUpdate::weighted(0, 1, 5, 1),
+        ];
+        assert_eq!(
+            t.materialize().unwrap_err(),
+            TraceError::Negative { u: 0, v: 1 }
+        );
+        // A weighted copy is counted per weight: deleting weight 3 after
+        // inserting weight 5 is a negative prefix too.
+        t.updates = vec![
+            EdgeUpdate::weighted(0, 1, 5, 1),
+            EdgeUpdate::weighted(0, 1, 3, -1),
+            EdgeUpdate::weighted(0, 1, 3, 1),
+        ];
+        assert_eq!(
+            t.materialize().unwrap_err(),
+            TraceError::Negative { u: 0, v: 1 }
+        );
     }
 
     #[test]
