@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 /// (external idiom, not ours to lint), and VCS metadata.
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git"];
 
-/// Walks `root` and lints every `.rs` file outside [`SKIP_DIRS`].
+/// Walks `root` and lints every `.rs` file outside `SKIP_DIRS`.
 /// Returns diagnostics sorted by path then line, and the files' total
 /// [`public_items`]. I/O problems surface as `Err` — a partially-walked
 /// tree must not read as "clean".

@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use graph_sketches::connectivity::{ForestParams, ForestSketch};
 use gs_field::{BackendKind, HashBackend, Randomness};
 use gs_graph::gen;
-use gs_sketch::{L0Detector, L0Sampler};
+use gs_sketch::{L0Detector, L0Sampler, LinearSketch};
 
 fn ablation_share_rounds(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_share_rounds");

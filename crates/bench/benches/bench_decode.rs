@@ -7,7 +7,7 @@
 //!   ([`ForestSketch::decode_reference`]): per-cell indexed adds into
 //!   freshly allocated lanes, a proxy detector built per group.
 //! * **kernel ×1** — the bank-level batched group query
-//!   ([`ForestSketch::decode_with`] at one thread): whole contiguous rows
+//!   ([`LinearSketch::decode_with`] of a forest at one thread): whole contiguous rows
 //!   lane-summed into reused scratch, decoded in place.
 //! * **kernel ×8** — the same kernel with the Boruvka group queries
 //!   fanned across 8 scoped threads (clamped to the host's parallelism,
@@ -22,7 +22,7 @@
 //! a `MinCutAdversary` stream): the k-EDGECONNECT witness decode by
 //! clone-then-subtract (`decode_witness_edges_reference`) against the
 //! in-place peel, the dense Stoer–Wagner (`min_cut_dense`) against the
-//! sparse one on that witness, and the whole `is_k_connected_with`.
+//! sparse one on that witness, and the whole KConnect `decode_with`.
 //!
 //! Every number is gated on **bit identity** before any clock starts:
 //! the three one-shot paths must agree edge for edge, the peel must
@@ -205,7 +205,7 @@ fn kconnect_rows(n: usize) -> (String, String) {
         dense,
         "n = {n}: sparse cut drifted"
     );
-    let connected = tester.is_k_connected_with(&one);
+    let connected = tester.decode_with(&one);
     assert_eq!(connected, dense.0 >= k as u64, "n = {n}: verdict drifted");
 
     let reference_ns = time_ns(|| {
@@ -221,7 +221,7 @@ fn kconnect_rows(n: usize) -> (String, String) {
         black_box(stoer_wagner::min_cut(&h));
     });
     let full_ns = time_ns(|| {
-        black_box(tester.is_k_connected_with(&one));
+        black_box(tester.decode_with(&one));
     });
     let shape = format!(
         "\"n\": {n}, \"k\": {k}, \"updates\": {}, \"witness_edges\": {}",

@@ -45,7 +45,7 @@ fn bench_kedge(c: &mut Criterion) {
         let mut s = KEdgeConnectSketch::new(n, k, 7);
         s.absorb(&updates);
         group.bench_with_input(BenchmarkId::new("decode_witness", k), &(), |b, _| {
-            b.iter(|| s.decode_witness())
+            b.iter(|| s.decode())
         });
     }
     group.finish();

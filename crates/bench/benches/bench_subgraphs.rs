@@ -8,6 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graph_sketches::SubgraphSketch;
 use gs_graph::gen;
 use gs_graph::subgraph::{exact_counts, Pattern};
+use gs_sketch::LinearSketch;
 
 fn bench_update_fanout(c: &mut Criterion) {
     let mut group = c.benchmark_group("subgraph_update");

@@ -17,13 +17,13 @@ use graph_sketches::{
     ForestSketch, KEdgeConnectSketch, MinCutSketch, SimpleSparsifySketch, SketchSpec, SketchTask,
     SparsifySketch, SubgraphSketch,
 };
-use gs_bench::{fmax, header, median, row, CELL_BYTES};
+use gs_bench::{fmax, header, median, row};
 use gs_field::{BackendKind, NisanGenerator, SplitMix64};
 use gs_graph::cuts::random_cut_audit;
 use gs_graph::paths::max_stretch;
 use gs_graph::subgraph::{gamma, Pattern};
 use gs_graph::{gen, offline_sparsify, stoer_wagner, GomoryHuTree, Graph};
-use gs_sketch::{L0Result, L0Sampler, LinearSketch, SparseRecovery};
+use gs_sketch::{CellBanked, L0Result, L0Sampler, LinearSketch, SparseRecovery, CELL_BYTES};
 use gs_stream::distributed::{sketch_central, sketch_distributed};
 
 fn main() {
@@ -210,7 +210,7 @@ fn e3_kedge() {
         for k in [3usize, 6] {
             let mut s = KEdgeConnectSketch::new(g.n(), k, 0xE3);
             s.absorb(&gen::churn_stream(&g, 300, 5));
-            let h = s.decode_witness();
+            let h = s.decode();
             let kept = (0..bridges)
                 .filter(|&b| h.has_edge(b, g.n() / 2 + b))
                 .count();
@@ -221,7 +221,7 @@ fn e3_kedge() {
                     format!("{}/{}", kept, bridges.min(k)),
                     format!("{}", h.m()),
                     format!("{}", h.m() <= k * (g.n() - 1)),
-                    format!("{}", s.cell_count() * CELL_BYTES / 1024),
+                    format!("{}", s.space_bytes() / 1024),
                 ],
                 &[16, 4, 13, 7, 9, 8],
             );
@@ -246,11 +246,11 @@ fn e4_mincut() {
         let exact = stoer_wagner::min_cut_value(&g) as f64;
         for eps in [0.5f64, 1.0] {
             let mut vals = Vec::new();
-            let mut cells = 0;
+            let mut bytes = 0;
             for seed in 0..7 {
                 let mut s = MinCutSketch::new(g.n(), eps, 0xE4_00 + seed);
                 s.absorb(&gen::insert_stream(&g));
-                cells = s.cell_count();
+                bytes = s.space_bytes();
                 vals.push(s.decode().map(|e| e.value as f64).unwrap_or(f64::NAN));
             }
             let ratios: Vec<f64> = vals.iter().map(|v| v / exact.max(1.0)).collect();
@@ -265,7 +265,7 @@ fn e4_mincut() {
                     format!("{eps}"),
                     format!("{:.1}", median(&vals)),
                     format!("{:.2}", worst),
-                    format!("{}", cells * CELL_BYTES / 1024),
+                    format!("{}", bytes / 1024),
                 ],
                 &[16, 7, 5, 7, 12, 9],
             );
@@ -345,9 +345,9 @@ fn e5_e6_sparsifiers() {
             // Offline baseline
             let hf = offline_sparsify::fung_connectivity(&g, eps, 1.0, 21);
             let gf = offline_sparsify::scaled_reference(&g);
-            for (algo, h, reference, cells) in [
-                ("fig2", &h2, &g, s2.cell_count()),
-                ("fig3", &h3, &g, s3.cell_count()),
+            for (algo, h, reference, bytes) in [
+                ("fig2", &h2, &g, s2.space_bytes()),
+                ("fig3", &h3, &g, s3.space_bytes()),
                 ("fung", &hf, &gf, 0),
             ] {
                 let err = gs_graph::cuts::cut_family_audit(reference, h, gh_cuts.clone())
@@ -359,10 +359,10 @@ fn e5_e6_sparsifiers() {
                         algo.into(),
                         format!("{:.3}", err),
                         format!("{}", h.m()),
-                        if cells == 0 {
+                        if bytes == 0 {
                             "-".into()
                         } else {
-                            format!("{}", cells * CELL_BYTES / 1024)
+                            format!("{}", bytes / 1024)
                         },
                     ],
                     &[18, 5, 8, 10, 7, 10],

@@ -50,10 +50,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Bytes per 1-sparse cell (w: i64, s: i128, f: u64) — the unit in which
-/// sketch sizes are reported.
-pub const CELL_BYTES: usize = 32;
-
 #[cfg(test)]
 mod tests {
     use super::*;

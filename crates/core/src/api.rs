@@ -12,6 +12,10 @@
 //! * [`AnySketch`] — an enum over every sketch type, itself a
 //!   [`LinearSketch`] (feed it, merge it, ship it through
 //!   [`gs_stream::distributed::sketch_distributed`] like any other sketch).
+//!   A private `each!` macro pairs each variant with its sketch type once
+//!   and forwards `n`, `update_edge`, the split absorb and the
+//!   [`CellBanked`] visitors through it; `absorb`, `decode` and
+//!   `space_bytes` come from the trait.
 //! * [`SketchAnswer`] — the decoded result, serializable and renderable as
 //!   plain text lines.
 //!
@@ -50,7 +54,6 @@ use crate::{
 use gs_field::M61;
 use gs_graph::subgraph::Pattern;
 use gs_sketch::bank::{CellBank, CellBanked};
-use gs_sketch::lane::LaneOverflow;
 use gs_sketch::par::DecodePlan;
 use gs_sketch::{DecodeCache, EdgeUpdate, LinearSketch, Mergeable};
 use gs_stream::distributed::{sketch_central, sketch_distributed};
@@ -293,7 +296,7 @@ impl SketchSpec {
     /// squash-encoding scale. The declared bound is a derivation hint
     /// only — feeding larger deltas still computes correctly unless a
     /// lane truly overflows at runtime, which poisons the bank and is
-    /// reported through [`LinearSketch::lane_overflow`] instead of
+    /// reported through [`CellBanked::lane_overflow`] instead of
     /// silently wrapping. Two sites with equal specs derive equal widths,
     /// so mergeability and the wire formats are unaffected.
     ///
@@ -611,6 +614,26 @@ impl Mergeable for AnySketch {
     }
 }
 
+/// Runs `$body` with `$s` bound to the concrete sketch inside `$any`,
+/// whatever its variant: the one place each [`AnySketch`] variant meets
+/// its sketch type for forwarding.
+macro_rules! each {
+    ($any:expr, $s:ident => $body:expr) => {
+        match $any {
+            AnySketch::Forest($s) => $body,
+            AnySketch::Bipartite($s) => $body,
+            AnySketch::MinCut($s) => $body,
+            AnySketch::SimpleSparsify($s) => $body,
+            AnySketch::Sparsify($s) => $body,
+            AnySketch::WeightedSparsify($s) => $body,
+            AnySketch::Subgraph($s) => $body,
+            AnySketch::Mst($s) => $body,
+            AnySketch::KConnect($s) => $body,
+            AnySketch::KEdgeWitness($s) => $body,
+        }
+    };
+}
+
 impl SplitAbsorb for AnySketch {
     fn absorb_work<'a>(
         &'a mut self,
@@ -618,18 +641,7 @@ impl SplitAbsorb for AnySketch {
         parts: usize,
         work: &mut AbsorbWork<'a>,
     ) {
-        match self {
-            AnySketch::Forest(s) => s.absorb_work(batch, parts, work),
-            AnySketch::Bipartite(s) => s.absorb_work(batch, parts, work),
-            AnySketch::MinCut(s) => s.absorb_work(batch, parts, work),
-            AnySketch::SimpleSparsify(s) => s.absorb_work(batch, parts, work),
-            AnySketch::Sparsify(s) => s.absorb_work(batch, parts, work),
-            AnySketch::WeightedSparsify(s) => s.absorb_work(batch, parts, work),
-            AnySketch::Subgraph(s) => s.absorb_work(batch, parts, work),
-            AnySketch::Mst(s) => s.absorb_work(batch, parts, work),
-            AnySketch::KConnect(s) => s.absorb_work(batch, parts, work),
-            AnySketch::KEdgeWitness(s) => s.absorb_work(batch, parts, work),
-        }
+        each!(self, s => s.absorb_work(batch, parts, work))
     }
 }
 
@@ -637,79 +649,22 @@ impl LinearSketch for AnySketch {
     type Output = SketchAnswer;
 
     fn n(&self) -> usize {
-        match self {
-            AnySketch::Forest(s) => s.n(),
-            AnySketch::Bipartite(s) => s.n(),
-            AnySketch::MinCut(s) => s.n(),
-            AnySketch::SimpleSparsify(s) => s.n(),
-            AnySketch::Sparsify(s) => s.n(),
-            AnySketch::WeightedSparsify(s) => s.n(),
-            AnySketch::Subgraph(s) => s.n(),
-            AnySketch::Mst(s) => LinearSketch::n(s),
-            AnySketch::KConnect(s) => s.n(),
-            AnySketch::KEdgeWitness(s) => s.n(),
-        }
+        each!(self, s => s.n())
     }
 
     fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
-        match self {
-            AnySketch::Forest(s) => s.update_edge(u, v, delta),
-            AnySketch::Bipartite(s) => s.update_edge(u, v, delta),
-            AnySketch::MinCut(s) => s.update_edge(u, v, delta),
-            AnySketch::SimpleSparsify(s) => s.update_edge(u, v, delta),
-            AnySketch::Sparsify(s) => s.update_edge(u, v, delta),
-            AnySketch::WeightedSparsify(s) => s.update_edge(u, v, delta),
-            AnySketch::Subgraph(s) => s.update_edge(u, v, delta),
-            AnySketch::Mst(s) => s.update_edge(u, v, delta),
-            AnySketch::KConnect(s) => s.update_edge(u, v, delta),
-            AnySketch::KEdgeWitness(s) => s.update_edge(u, v, delta),
-        }
+        each!(self, s => s.update_edge(u, v, delta))
     }
 
     /// Batched ingestion: dispatches **once per batch** to the concrete
-    /// sketch's bank-backed kernel (the path the engine's shard workers
-    /// and every `absorb` caller take), instead of once per update.
-    fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        absorb_planned(self, batch, &DecodePlan::sequential());
-    }
-
-    /// The split absorb of the concrete sketch, in one fork-join.
+    /// sketch's split absorb (the path the engine's shard workers and
+    /// every `absorb` caller take), in one fork-join.
     fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
         absorb_planned(self, batch, plan);
     }
 
-    /// First poisoned bank across the whole sketch, if any (a lane truly
-    /// overflowed at runtime — the sketch's remaining content is
-    /// unspecified and its answers must not be trusted).
-    fn lane_overflow(&self) -> Option<LaneOverflow> {
-        CellBanked::lane_overflow(self)
-    }
-
-    fn resident_lane_bytes(&self) -> usize {
-        CellBanked::resident_bytes(self)
-    }
-
-    fn space_bytes(&self) -> usize {
-        match self {
-            AnySketch::Forest(s) => s.space_bytes(),
-            AnySketch::Bipartite(s) => s.space_bytes(),
-            AnySketch::MinCut(s) => s.space_bytes(),
-            AnySketch::SimpleSparsify(s) => s.space_bytes(),
-            AnySketch::Sparsify(s) => s.space_bytes(),
-            AnySketch::WeightedSparsify(s) => s.space_bytes(),
-            AnySketch::Subgraph(s) => s.space_bytes(),
-            AnySketch::Mst(s) => s.space_bytes(),
-            AnySketch::KConnect(s) => s.space_bytes(),
-            AnySketch::KEdgeWitness(s) => s.space_bytes(),
-        }
-    }
-
-    fn decode(&self) -> SketchAnswer {
-        self.decode_with(&DecodePlan::sequential())
-    }
-
-    /// Planned decode — the same dispatch, with the [`DecodePlan`]
-    /// threaded into every task's decoder. Bit-identical to
+    /// The concrete sketch's decode with the [`DecodePlan`] threaded
+    /// through, converted to a [`SketchAnswer`]. Bit-identical to
     /// [`LinearSketch::decode`] for every thread count (the decode-parity
     /// suite pins it per task).
     fn decode_with(&self, plan: &DecodePlan) -> SketchAnswer {
@@ -723,9 +678,9 @@ impl LinearSketch for AnySketch {
                 }
             }
             AnySketch::Bipartite(s) => SketchAnswer::Bipartite {
-                bipartite: s.is_bipartite_with(plan),
+                bipartite: s.decode_with(plan),
             },
-            AnySketch::MinCut(s) => match s.decode_planned(plan) {
+            AnySketch::MinCut(s) => match s.decode_with(plan) {
                 Some(est) => SketchAnswer::MinCut {
                     resolved: true,
                     value: est.value,
@@ -739,9 +694,9 @@ impl LinearSketch for AnySketch {
                     side: Vec::new(),
                 },
             },
-            AnySketch::SimpleSparsify(s) => Self::sparsifier_answer(s.decode_planned(plan)),
-            AnySketch::Sparsify(s) => Self::sparsifier_answer(s.decode_planned(plan)),
-            AnySketch::WeightedSparsify(s) => Self::sparsifier_answer(s.decode_planned(plan)),
+            AnySketch::SimpleSparsify(s) => Self::sparsifier_answer(s.decode_with(plan)),
+            AnySketch::Sparsify(s) => Self::sparsifier_answer(s.decode_with(plan)),
+            AnySketch::WeightedSparsify(s) => Self::sparsifier_answer(s.decode_with(plan)),
             AnySketch::Subgraph(s) => {
                 // Built-in pattern tables exist for orders 3 and 4; other
                 // orders report raw samples only (render_lines says so).
@@ -756,7 +711,7 @@ impl LinearSketch for AnySketch {
                 };
                 // One sample draw serves the count and every pattern
                 // estimate (querying the samplers is the expensive part).
-                let samples = s.raw_samples_with(plan);
+                let samples = s.decode_with(plan);
                 let gammas = patterns
                     .iter()
                     .map(|(name, p)| {
@@ -777,7 +732,7 @@ impl LinearSketch for AnySketch {
                 }
             }
             AnySketch::Mst(s) => {
-                let f = s.decode_planned(plan);
+                let f = s.decode_with(plan);
                 SketchAnswer::Msf {
                     total_weight: f.total_weight(),
                     edges: f.edges().to_vec(),
@@ -785,10 +740,10 @@ impl LinearSketch for AnySketch {
             }
             AnySketch::KConnect(s) => SketchAnswer::KConnected {
                 k: s.k(),
-                connected: s.is_k_connected_with(plan),
+                connected: s.decode_with(plan),
             },
             AnySketch::KEdgeWitness(s) => {
-                let h = s.decode_witness_with(plan);
+                let h = s.decode_with(plan);
                 SketchAnswer::Witness {
                     edges: h.edges().to_vec(),
                 }
@@ -799,63 +754,19 @@ impl LinearSketch for AnySketch {
 
 impl CellBanked for AnySketch {
     fn banks(&self) -> Vec<&CellBank> {
-        match self {
-            AnySketch::Forest(s) => s.banks(),
-            AnySketch::Bipartite(s) => s.banks(),
-            AnySketch::MinCut(s) => s.banks(),
-            AnySketch::SimpleSparsify(s) => s.banks(),
-            AnySketch::Sparsify(s) => s.banks(),
-            AnySketch::WeightedSparsify(s) => s.banks(),
-            AnySketch::Subgraph(s) => s.banks(),
-            AnySketch::Mst(s) => s.banks(),
-            AnySketch::KConnect(s) => s.banks(),
-            AnySketch::KEdgeWitness(s) => s.banks(),
-        }
+        each!(self, s => s.banks())
     }
 
     fn banks_mut(&mut self) -> Vec<&mut CellBank> {
-        match self {
-            AnySketch::Forest(s) => s.banks_mut(),
-            AnySketch::Bipartite(s) => s.banks_mut(),
-            AnySketch::MinCut(s) => s.banks_mut(),
-            AnySketch::SimpleSparsify(s) => s.banks_mut(),
-            AnySketch::Sparsify(s) => s.banks_mut(),
-            AnySketch::WeightedSparsify(s) => s.banks_mut(),
-            AnySketch::Subgraph(s) => s.banks_mut(),
-            AnySketch::Mst(s) => s.banks_mut(),
-            AnySketch::KConnect(s) => s.banks_mut(),
-            AnySketch::KEdgeWitness(s) => s.banks_mut(),
-        }
+        each!(self, s => s.banks_mut())
     }
 
     fn fingerprints(&self) -> Vec<M61> {
-        match self {
-            AnySketch::Forest(s) => s.fingerprints(),
-            AnySketch::Bipartite(s) => s.fingerprints(),
-            AnySketch::MinCut(s) => s.fingerprints(),
-            AnySketch::SimpleSparsify(s) => s.fingerprints(),
-            AnySketch::Sparsify(s) => s.fingerprints(),
-            AnySketch::WeightedSparsify(s) => s.fingerprints(),
-            AnySketch::Subgraph(s) => s.fingerprints(),
-            AnySketch::Mst(s) => s.fingerprints(),
-            AnySketch::KConnect(s) => s.fingerprints(),
-            AnySketch::KEdgeWitness(s) => s.fingerprints(),
-        }
+        each!(self, s => s.fingerprints())
     }
 
     fn fingerprints_mut(&mut self) -> Vec<&mut M61> {
-        match self {
-            AnySketch::Forest(s) => s.fingerprints_mut(),
-            AnySketch::Bipartite(s) => s.fingerprints_mut(),
-            AnySketch::MinCut(s) => s.fingerprints_mut(),
-            AnySketch::SimpleSparsify(s) => s.fingerprints_mut(),
-            AnySketch::Sparsify(s) => s.fingerprints_mut(),
-            AnySketch::WeightedSparsify(s) => s.fingerprints_mut(),
-            AnySketch::Subgraph(s) => s.fingerprints_mut(),
-            AnySketch::Mst(s) => s.fingerprints_mut(),
-            AnySketch::KConnect(s) => s.fingerprints_mut(),
-            AnySketch::KEdgeWitness(s) => s.fingerprints_mut(),
-        }
+        each!(self, s => s.fingerprints_mut())
     }
 }
 
@@ -1046,12 +957,28 @@ mod tests {
     #[test]
     fn every_task_builds_feeds_and_decodes() {
         let updates = churn_updates(12, 0.3, 1);
-        for task in SketchTask::ALL {
+        // Each task's `space_bytes` (32-byte wire cells) and width-aware
+        // `resident_bytes` at this spec.
+        let sizes = [
+            (SketchTask::Connectivity, 32_256, 20_288),
+            (SketchTask::Bipartite, 134_400, 84_536),
+            (SketchTask::MinCut, 1_935_360, 1_217_280),
+            (SketchTask::SimpleSparsify, 1_935_360, 1_217_280),
+            (SketchTask::Sparsify, 4_116_480, 2_589_600),
+            (SketchTask::WeightedSparsify, 42_577_920, 28_715_520),
+            (SketchTask::Subgraphs, 32_768, 20_736),
+            (SketchTask::Mst, 451_584, 284_032),
+            (SketchTask::KConnect, 64_512, 40_576),
+            (SketchTask::KEdgeWitness, 64_512, 40_576),
+        ];
+        assert_eq!(sizes.map(|(task, ..)| task), SketchTask::ALL);
+        for (task, space, resident) in sizes {
             let spec = SketchSpec::new(task, 12).with_eps(0.75);
             let mut sketch = spec.build();
             assert_eq!(sketch.task(), task);
             assert_eq!(LinearSketch::n(&sketch), 12);
-            assert!(sketch.space_bytes() > 0, "{task:?} reports no space");
+            assert_eq!(sketch.space_bytes(), space, "{task:?}");
+            assert_eq!(sketch.resident_bytes(), resident, "{task:?}");
             sketch.absorb(&updates);
             let answer = sketch.decode();
             assert!(

@@ -19,11 +19,11 @@ use gs_field::{BackendKind, HashBackend, Randomness, M61};
 use gs_graph::UnionFind;
 use gs_sketch::bank::{BankGeometry, BankPart, BankSplit, CellBank, CellBanked};
 use gs_sketch::domain::{edge_domain, edge_index, edge_unindex};
-use gs_sketch::lane::{LaneOverflow, LaneWidth};
+use gs_sketch::lane::LaneWidth;
 use gs_sketch::par::{even_ranges, par_map, DecodePlan, Job};
 use gs_sketch::{
     level_count, EdgeUpdate, L0Detector, L0Result, LinearSketch, Mergeable, OneSparseCell,
-    OneSparseState, CELL_BYTES,
+    OneSparseState,
 };
 
 /// Parameters for [`ForestSketch`].
@@ -201,11 +201,6 @@ impl ForestSketch {
         self.params.detector_reps * self.levels as usize
     }
 
-    /// Vertex count.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Applies one `(index, ±δ)` coordinate update to the `(bank, node)`
     /// detector rows, with the hash work precomputed: `lmax[r]` is the
     /// per-rep subsampling level, `(dw, ds, df)` the update triple.
@@ -219,34 +214,8 @@ impl ForestSketch {
         }
     }
 
-    /// Applies a stream update `(u, v, ±m)` (Definition 1; `m` units of
-    /// multiplicity at once are allowed). Each bank hashes the edge slot
-    /// once — fingerprint plus one subsampling level per repetition — and
-    /// fans the triple into both endpoint rows (`+` for the smaller
-    /// endpoint, `−` for the larger, the Eq. 1 sign convention).
-    pub fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
-        assert!(u != v && u < self.n && v < self.n, "bad edge ({u},{v})");
-        if delta == 0 {
-            return;
-        }
-        let idx = edge_index(self.n, u, v);
-        let du = sign_for(u, v) * delta;
-        let reps = self.params.detector_reps;
-        // Stack buffer for the per-rep levels (with_params caps reps).
-        let mut lmax = [0u32; MAX_DETECTOR_REPS];
-        let lmax = &mut lmax[..reps];
-        for b in 0..self.bank_count() {
-            for (r, lm) in lmax.iter_mut().enumerate() {
-                *lm = self.level_hash[b * reps + r].subsample_level(idx, self.levels - 1);
-            }
-            let (dw, ds, df) = CellBank::deltas(idx, du, self.finger[b].hash_m61(idx));
-            self.fan_rows(b, u, lmax, dw, ds, df);
-            self.fan_rows(b, v, lmax, -dw, -ds, -df);
-        }
-    }
-
     /// Batched ingestion — the bank kernel, run on the calling thread.
-    /// Bit-identical to looping [`ForestSketch::update_edge`] (linearity
+    /// Bit-identical to looping [`LinearSketch::update_edge`] (linearity
     /// makes application order irrelevant), but processes the batch
     /// **bank by bank**: each bank's cell region is contiguous, so one
     /// pass over the batch stays in a cache-resident window instead of
@@ -308,11 +277,6 @@ impl ForestSketch {
             prepared,
             split: cells.split_mut(&cuts),
         }
-    }
-
-    /// Total sketch size in 1-sparse cells (space accounting for E3/E4).
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
     }
 
     /// An empty standalone detector with bank `b`'s hashes — the proxy
@@ -476,30 +440,10 @@ impl ForestSketch {
         acc.query()
     }
 
-    /// Decodes a spanning forest by Boruvka contraction (sequentially —
-    /// [`ForestSketch::decode_with`] takes a thread plan).
-    pub fn decode(&self) -> Forest {
-        self.decode_with(&DecodePlan::sequential())
-    }
-
-    /// Decodes a spanning forest by Boruvka contraction under a
-    /// [`DecodePlan`]. Bit-identical to [`ForestSketch::decode`] at every
-    /// thread count — see [`ForestSketch::decode_excluding_with`] for the
-    /// determinism argument.
-    pub fn decode_with(&self, plan: &DecodePlan) -> Forest {
-        self.decode_excluding_with(&mut UnionFind::new(self.n), &[], plan)
-    }
-
-    /// Boruvka decoding seeded with an existing partition: components
-    /// already joined in `uf` are treated as contracted. Used by the
-    /// MST threshold walk and exposed for callers that combine sketches
-    /// with known connectivity.
-    pub fn decode_excluding(&self, uf: &mut UnionFind) -> Forest {
-        self.decode_excluding_with(uf, &[], &DecodePlan::sequential())
-    }
-
-    /// [`ForestSketch::decode_excluding`] under a [`DecodePlan`], of the
-    /// sketched graph with the `removed` edges taken out: each
+    /// Boruvka decoding seeded with an existing partition, under a
+    /// [`DecodePlan`]: components already joined in `uf` are treated as
+    /// contracted (the MST threshold walk seeds it this way), and the
+    /// sketched graph is decoded with the `removed` edges taken out: each
     /// `(u, v, amount)` is decoded as if `update_edge(u, v, −amount)`
     /// had been applied first. `k-EDGECONNECT` peels its earlier forests
     /// this way. The group queries of one Boruvka round fan out across
@@ -810,36 +754,41 @@ impl LinearSketch for ForestSketch {
         self.n
     }
 
+    /// Applies a stream update `(u, v, ±m)` (Definition 1; `m` units of
+    /// multiplicity at once are allowed). Each bank hashes the edge slot
+    /// once — fingerprint plus one subsampling level per repetition — and
+    /// fans the triple into both endpoint rows (`+` for the smaller
+    /// endpoint, `−` for the larger, the Eq. 1 sign convention).
     fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
-        ForestSketch::update_edge(self, u, v, delta);
-    }
-
-    fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        self.absorb_batch(batch);
+        assert!(u != v && u < self.n && v < self.n, "bad edge ({u},{v})");
+        if delta == 0 {
+            return;
+        }
+        let idx = edge_index(self.n, u, v);
+        let du = sign_for(u, v) * delta;
+        let reps = self.params.detector_reps;
+        // Stack buffer for the per-rep levels (with_params caps reps).
+        let mut lmax = [0u32; MAX_DETECTOR_REPS];
+        let lmax = &mut lmax[..reps];
+        for b in 0..self.bank_count() {
+            for (r, lm) in lmax.iter_mut().enumerate() {
+                *lm = self.level_hash[b * reps + r].subsample_level(idx, self.levels - 1);
+            }
+            let (dw, ds, df) = CellBank::deltas(idx, du, self.finger[b].hash_m61(idx));
+            self.fan_rows(b, u, lmax, dw, ds, df);
+            self.fan_rows(b, v, lmax, -dw, -ds, -df);
+        }
     }
 
     fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
         absorb_planned(self, batch, plan);
     }
 
-    fn resident_lane_bytes(&self) -> usize {
-        CellBanked::resident_bytes(self)
-    }
-
-    fn space_bytes(&self) -> usize {
-        self.cell_count() * CELL_BYTES
-    }
-
-    fn lane_overflow(&self) -> Option<LaneOverflow> {
-        CellBanked::lane_overflow(self)
-    }
-
-    fn decode(&self) -> Forest {
-        ForestSketch::decode(self)
-    }
-
+    /// Decodes a spanning forest by Boruvka contraction. Bit-identical at
+    /// every thread count — see [`ForestSketch::decode_excluding_with`]
+    /// for the determinism argument.
     fn decode_with(&self, plan: &DecodePlan) -> Forest {
-        ForestSketch::decode_with(self, plan)
+        self.decode_excluding_with(&mut UnionFind::new(self.n), &[], plan)
     }
 }
 
@@ -1090,7 +1039,7 @@ mod tests {
             uf_seq.union(0, v);
             uf_par.union(0, v);
         }
-        let a = s.decode_excluding(&mut uf_seq);
+        let a = s.decode_excluding_with(&mut uf_seq, &[], &DecodePlan::sequential());
         let b = s.decode_excluding_with(&mut uf_par, &[], &DecodePlan::with_threads(8));
         assert_eq!(a.edges, b.edges);
     }
@@ -1115,7 +1064,7 @@ mod tests {
         for v in 1..10 {
             uf.union(0, v);
         }
-        let f = s.decode_excluding(&mut uf);
+        let f = s.decode_excluding_with(&mut uf, &[], &DecodePlan::sequential());
         // All vertices end connected (graph is connected).
         assert_eq!(uf.component_count(), 1);
         // Fewer edges than a full spanning tree are needed.

@@ -18,7 +18,7 @@ use gs_field::M61;
 use gs_graph::stoer_wagner;
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
+use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable};
 
 /// Single-pass bipartiteness tester for dynamic graph streams.
 #[derive(Clone, Debug, PartialEq)]
@@ -54,39 +54,6 @@ impl BipartitenessSketch {
             base: ForestSketch::with_bounds(n, params, seed ^ 0xB1_0001, max_abs_delta),
             cover: ForestSketch::with_bounds(2 * n, params, seed ^ 0xB1_0002, max_abs_delta),
         }
-    }
-
-    /// Vertex count of the streamed graph (the cover works on `2n`).
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Sketch size in 1-sparse cells (base forest + double cover).
-    pub fn cell_count(&self) -> usize {
-        self.base.cell_count() + self.cover.cell_count()
-    }
-
-    /// Applies a stream update (Definition 1).
-    pub fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
-        self.base.update_edge(u, v, delta);
-        // Double cover: {u₀, v₁} and {u₁, v₀}.
-        self.cover.update_edge(u, self.n + v, delta);
-        self.cover.update_edge(self.n + u, v, delta);
-    }
-
-    /// `true` iff the streamed graph is bipartite (w.h.p.): the double
-    /// cover has exactly twice as many components as the graph. An odd
-    /// cycle merges its two cover copies into one component.
-    pub fn is_bipartite(&self) -> bool {
-        self.is_bipartite_with(&DecodePlan::sequential())
-    }
-
-    /// [`BipartitenessSketch::is_bipartite`] under a [`DecodePlan`]: both
-    /// forest decodes fan their group queries across the plan's threads.
-    pub fn is_bipartite_with(&self, plan: &DecodePlan) -> bool {
-        let c = self.base.decode_with(plan).component_count();
-        let cc = self.cover.decode_with(plan).component_count();
-        cc == 2 * c
     }
 }
 
@@ -156,41 +123,30 @@ impl SplitAbsorb for BipartitenessSketch {
 impl LinearSketch for BipartitenessSketch {
     type Output = bool;
 
+    /// Vertex count of the streamed graph (the cover works on `2n`).
     fn n(&self) -> usize {
         self.n
     }
 
     fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
-        BipartitenessSketch::update_edge(self, u, v, delta);
-    }
-
-    fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        absorb_planned(self, batch, &DecodePlan::sequential());
+        self.base.update_edge(u, v, delta);
+        // Double cover: {u₀, v₁} and {u₁, v₀}.
+        self.cover.update_edge(u, self.n + v, delta);
+        self.cover.update_edge(self.n + u, v, delta);
     }
 
     fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
         absorb_planned(self, batch, plan);
     }
 
-    fn lane_overflow(&self) -> Option<gs_sketch::lane::LaneOverflow> {
-        CellBanked::lane_overflow(self)
-    }
-
-    fn resident_lane_bytes(&self) -> usize {
-        CellBanked::resident_bytes(self)
-    }
-
-    fn space_bytes(&self) -> usize {
-        self.cell_count() * CELL_BYTES
-    }
-
-    /// `true` iff the streamed graph is bipartite (w.h.p.).
-    fn decode(&self) -> bool {
-        self.is_bipartite()
-    }
-
+    /// `true` iff the streamed graph is bipartite (w.h.p.): the double
+    /// cover has exactly twice as many components as the graph. An odd
+    /// cycle merges its two cover copies into one component. Both forest
+    /// decodes fan their group queries across the plan's threads.
     fn decode_with(&self, plan: &DecodePlan) -> bool {
-        self.is_bipartite_with(plan)
+        let c = self.base.decode_with(plan).component_count();
+        let cc = self.cover.decode_with(plan).component_count();
+        cc == 2 * c
     }
 }
 
@@ -227,39 +183,9 @@ impl KConnectivitySketch {
         }
     }
 
-    /// Vertex count.
-    pub fn n(&self) -> usize {
-        self.inner.n()
-    }
-
     /// The connectivity threshold `k`.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// Sketch size in 1-sparse cells.
-    pub fn cell_count(&self) -> usize {
-        self.inner.cell_count()
-    }
-
-    /// Applies a stream update.
-    pub fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
-        self.inner.update_edge(u, v, delta);
-    }
-
-    /// `true` iff every cut of the streamed graph has ≥ k edges (w.h.p.).
-    pub fn is_k_connected(&self) -> bool {
-        self.is_k_connected_with(&DecodePlan::sequential())
-    }
-
-    /// [`KConnectivitySketch::is_k_connected`] under a [`DecodePlan`]:
-    /// the witness decode fans out, the Stoer–Wagner audit stays inline.
-    pub fn is_k_connected_with(&self, plan: &DecodePlan) -> bool {
-        let h = self.inner.decode_witness_with(plan);
-        if h.n() < 2 || h.m() == 0 {
-            return false;
-        }
-        stoer_wagner::min_cut_value(&h) >= self.k as u64
     }
 }
 
@@ -304,40 +230,26 @@ impl LinearSketch for KConnectivitySketch {
     type Output = bool;
 
     fn n(&self) -> usize {
-        KConnectivitySketch::n(self)
+        self.inner.n()
     }
 
     fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
-        KConnectivitySketch::update_edge(self, u, v, delta);
-    }
-
-    fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        absorb_planned(self, batch, &DecodePlan::sequential());
+        self.inner.update_edge(u, v, delta);
     }
 
     fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
         absorb_planned(self, batch, plan);
     }
 
-    fn lane_overflow(&self) -> Option<gs_sketch::lane::LaneOverflow> {
-        CellBanked::lane_overflow(self)
-    }
-
-    fn resident_lane_bytes(&self) -> usize {
-        CellBanked::resident_bytes(self)
-    }
-
-    fn space_bytes(&self) -> usize {
-        self.cell_count() * CELL_BYTES
-    }
-
-    /// `true` iff the streamed graph is k-edge-connected (w.h.p.).
-    fn decode(&self) -> bool {
-        self.is_k_connected()
-    }
-
+    /// `true` iff every cut of the streamed graph has ≥ k edges (w.h.p.).
+    /// The witness decode fans out across the plan's threads; the
+    /// Stoer–Wagner audit stays inline.
     fn decode_with(&self, plan: &DecodePlan) -> bool {
-        self.is_k_connected_with(plan)
+        let h = self.inner.decode_with(plan);
+        if h.n() < 2 || h.m() == 0 {
+            return false;
+        }
+        stoer_wagner::min_cut_value(&h) >= self.k as u64
     }
 }
 
@@ -351,7 +263,7 @@ mod tests {
         for &(u, v, w) in g.edges() {
             s.update_edge(u, v, w as i64);
         }
-        s.is_bipartite()
+        s.decode()
     }
 
     #[test]
@@ -373,7 +285,7 @@ mod tests {
     #[test]
     fn empty_graph_is_bipartite() {
         let s = BipartitenessSketch::new(6, 5);
-        assert!(s.is_bipartite());
+        assert!(s.decode());
     }
 
     #[test]
@@ -383,11 +295,11 @@ mod tests {
         for &(u, v, _) in gen::cycle(8).edges() {
             s.update_edge(u, v, 1);
         }
-        assert!(s.is_bipartite());
+        assert!(s.decode());
         s.update_edge(0, 2, 1); // odd chord: triangle 0-1-2
-        assert!(!s.is_bipartite());
+        assert!(!s.decode());
         s.update_edge(0, 2, -1);
-        assert!(s.is_bipartite());
+        assert!(s.decode());
     }
 
     #[test]
@@ -410,7 +322,7 @@ mod tests {
         for (k, expect) in [(1usize, true), (2, true), (3, false)] {
             let mut s = KConnectivitySketch::new(g.n(), k, k as u64);
             s.absorb(&gen::churn_stream(&g, 100, 3));
-            assert_eq!(s.is_k_connected(), expect, "k = {k}");
+            assert_eq!(s.decode(), expect, "k = {k}");
         }
     }
 
@@ -420,7 +332,7 @@ mod tests {
         for (k, expect) in [(3usize, true), (7, true)] {
             let mut s = KConnectivitySketch::new(g.n(), k, 10 + k as u64);
             s.absorb(&gen::insert_stream(&g));
-            assert_eq!(s.is_k_connected(), expect, "k = {k}");
+            assert_eq!(s.decode(), expect, "k = {k}");
         }
     }
 
@@ -431,7 +343,7 @@ mod tests {
         for &(u, v, _) in g.edges() {
             s.update_edge(u, v, 1);
         }
-        assert!(!s.is_k_connected());
+        assert!(!s.decode());
     }
 
     #[test]
@@ -447,6 +359,6 @@ mod tests {
             }
         }
         a.merge(&b);
-        assert!(!a.is_bipartite());
+        assert!(!a.decode());
     }
 }

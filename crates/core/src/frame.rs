@@ -188,7 +188,7 @@ const READ_CHUNK: usize = 64 << 10;
 ///
 /// The capped-allocation discipline of [`read_frame`] is preserved: the
 /// declared length is checked against `max` before any body allocation,
-/// and the buffer grows in [`READ_CHUNK`] steps as bytes actually arrive.
+/// and the buffer grows in `READ_CHUNK` steps as bytes actually arrive.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     /// Partial length header (little-endian `u32`).

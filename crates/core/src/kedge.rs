@@ -23,7 +23,7 @@ use gs_field::M61;
 use gs_graph::{Graph, UnionFind};
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
+use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable};
 
 /// How a recovered forest edge is removed from the next layer's sketch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -114,61 +114,18 @@ impl KEdgeConnectSketch {
         }
     }
 
-    /// Vertex count.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// The connectivity threshold `k`.
     pub fn k(&self) -> usize {
         self.k
     }
 
-    /// Applies a stream update (Definition 1) to all layers.
-    pub fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
-        for f in &mut self.forests {
-            f.update_edge(u, v, delta);
-        }
-    }
-
-    /// Total size in 1-sparse cells (`O(k n log² n)` per Theorem 2.3).
-    pub fn cell_count(&self) -> usize {
-        self.forests.iter().map(|f| f.cell_count()).sum()
-    }
-
-    /// Decodes the witness `H = F_1 ∪ … ∪ F_k` as a multigraph. In
-    /// [`SubtractMode::Unit`] an edge appearing in `j` forests has weight
-    /// `j`; in [`SubtractMode::Full`] each edge appears once with weight 1
-    /// (its sketched value is reported by
-    /// [`KEdgeConnectSketch::decode_witness_edges`]).
-    pub fn decode_witness(&self) -> Graph {
-        self.decode_witness_with(&DecodePlan::sequential())
-    }
-
-    /// [`KEdgeConnectSketch::decode_witness`] under a [`DecodePlan`]: the
-    /// forest layers peel strictly in sequence (layer `i` removes the
-    /// edges layers `1..i` used from its group sums — a data
-    /// dependency), but each layer's Boruvka rounds fan their group
-    /// queries across the plan's threads.
-    pub fn decode_witness_with(&self, plan: &DecodePlan) -> Graph {
-        Graph::from_edges(
-            self.n,
-            self.decode_witness_edges_with(plan)
-                .into_iter()
-                .map(|(u, v, _)| (u, v)),
-        )
-    }
-
     /// Decodes the witness as the list of `(u, v, removed_amount)` forest
-    /// selections, in discovery order.
-    pub fn decode_witness_edges(&self) -> Vec<(usize, usize, i64)> {
-        self.decode_witness_edges_with(&DecodePlan::sequential())
-    }
-
-    /// [`KEdgeConnectSketch::decode_witness_edges`] under a
-    /// [`DecodePlan`] (see [`KEdgeConnectSketch::decode_witness_with`]).
-    /// Layer `i` reads its forest sketch in place: the edges of
-    /// `F_1 … F_{i−1}` are taken out of each Boruvka group sum
+    /// selections, in discovery order, under a [`DecodePlan`]: the forest
+    /// layers peel strictly in sequence (layer `i` removes the edges
+    /// layers `1..i` used from its group sums — a data dependency), but
+    /// each layer's Boruvka rounds fan their group queries across the
+    /// plan's threads. Layer `i` reads its forest sketch in place: the
+    /// edges of `F_1 … F_{i−1}` are taken out of each Boruvka group sum
     /// ([`ForestSketch::decode_excluding_with`]), so no layer is copied.
     pub fn decode_witness_edges_with(&self, plan: &DecodePlan) -> Vec<(usize, usize, i64)> {
         let mut removed: Vec<(usize, usize, i64)> = Vec::new();
@@ -290,37 +247,29 @@ impl LinearSketch for KEdgeConnectSketch {
         self.n
     }
 
+    /// Applies a stream update (Definition 1) to all layers.
     fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
-        KEdgeConnectSketch::update_edge(self, u, v, delta);
-    }
-
-    fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        absorb_planned(self, batch, &DecodePlan::sequential());
+        for f in &mut self.forests {
+            f.update_edge(u, v, delta);
+        }
     }
 
     fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
         absorb_planned(self, batch, plan);
     }
 
-    fn lane_overflow(&self) -> Option<gs_sketch::lane::LaneOverflow> {
-        CellBanked::lane_overflow(self)
-    }
-
-    fn resident_lane_bytes(&self) -> usize {
-        CellBanked::resident_bytes(self)
-    }
-
-    fn space_bytes(&self) -> usize {
-        self.cell_count() * CELL_BYTES
-    }
-
-    /// Decodes the witness `H = F_1 ∪ … ∪ F_k`.
-    fn decode(&self) -> Graph {
-        self.decode_witness()
-    }
-
+    /// Decodes the witness `H = F_1 ∪ … ∪ F_k` as a multigraph, from
+    /// [`KEdgeConnectSketch::decode_witness_edges_with`]. In
+    /// [`SubtractMode::Unit`] an edge appearing in `j` forests has weight
+    /// `j`; in [`SubtractMode::Full`] each edge appears once with weight 1
+    /// (its sketched value is the removed amount in that edge list).
     fn decode_with(&self, plan: &DecodePlan) -> Graph {
-        self.decode_witness_with(plan)
+        Graph::from_edges(
+            self.n,
+            self.decode_witness_edges_with(plan)
+                .into_iter()
+                .map(|(u, v, _)| (u, v)),
+        )
     }
 }
 
@@ -342,7 +291,7 @@ mod tests {
     fn witness_is_subgraph_with_bounded_size() {
         let g = gen::gnp(30, 0.4, 1);
         let k = 4;
-        let h = sketch_of(&g, k, 2).decode_witness();
+        let h = sketch_of(&g, k, 2).decode();
         for &(u, v, _) in h.edges() {
             assert!(g.has_edge(u, v), "phantom edge ({u},{v})");
         }
@@ -353,7 +302,7 @@ mod tests {
     fn witness_contains_small_cut_edges() {
         // Barbell bridges form a cut of size 3 ≤ k: all must be in H.
         let g = gen::barbell(10, 3);
-        let h = sketch_of(&g, 5, 3).decode_witness();
+        let h = sketch_of(&g, 5, 3).decode();
         for b in 0..3 {
             assert!(h.has_edge(b, 10 + b), "missing bridge ({b},{})", 10 + b);
         }
@@ -362,7 +311,7 @@ mod tests {
     #[test]
     fn witness_preserves_min_cut_when_small() {
         let g = gen::barbell(8, 2);
-        let h = sketch_of(&g, 6, 5).decode_witness();
+        let h = sketch_of(&g, 6, 5).decode();
         // λ(G) = 2 < k ⇒ λ(H) = 2 as well.
         assert_eq!(stoer_wagner::min_cut_value(&h), 2);
     }
@@ -371,7 +320,7 @@ mod tests {
     fn witness_saturates_at_k_for_large_cuts() {
         // K_12 has λ = 11; a k = 3 witness must still be 3-edge-connected.
         let g = gen::complete(12);
-        let h = sketch_of(&g, 3, 7).decode_witness();
+        let h = sketch_of(&g, 3, 7).decode();
         let lam = stoer_wagner::min_cut_value(&h);
         assert!(lam >= 3, "witness min cut {lam} < k");
         assert!(h.m() <= 3 * 11);
@@ -383,7 +332,7 @@ mod tests {
         // edge and at most k(n−1) total units.
         let g = gen::gnp(20, 0.5, 9);
         let k = 3;
-        let h = sketch_of(&g, k, 11).decode_witness();
+        let h = sketch_of(&g, k, 11).decode();
         assert!(h.edges().iter().all(|&(_, _, w)| w <= k as u64));
         assert!(h.total_weight() <= (k * (g.n() - 1)) as u64);
     }
@@ -394,7 +343,7 @@ mod tests {
         let stream = gen::churn_stream(&g, 300, 13);
         let mut s = KEdgeConnectSketch::new(g.n(), 4, 17);
         s.absorb(&stream);
-        let h = s.decode_witness();
+        let h = s.decode();
         assert!(
             h.has_edge(0, 8) && h.has_edge(1, 9),
             "bridges lost under churn"
@@ -414,12 +363,12 @@ mod tests {
         a.merge(&b);
         let mut central = KEdgeConnectSketch::new(16, 3, 99);
         central.absorb(&stream);
-        assert_eq!(a.decode_witness().edges(), central.decode_witness().edges());
+        assert_eq!(a.decode().edges(), central.decode().edges());
     }
 
     #[test]
     fn empty_graph_gives_empty_witness() {
         let s = KEdgeConnectSketch::new(8, 3, 1);
-        assert_eq!(s.decode_witness().m(), 0);
+        assert_eq!(s.decode().m(), 0);
     }
 }

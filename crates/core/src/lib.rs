@@ -18,7 +18,7 @@
 //! | Fig. 3 `SPARSIFICATION` (Thm 3.4 / 3.7) | [`sparsify`] |
 //! | §3.5 weighted graphs (Thm 3.8) | [`weighted`] |
 //! | §4 subgraph fractions γ_H (Thm 4.1, Fig. 4) | [`subgraphs`] |
-//! | §5 Baswana–Sen emulation, (2k−1)-spanner in k passes | [`spanner::baswana_sen`] |
+//! | §5 Baswana–Sen emulation, (2k−1)-spanner in k passes | [`spanner::baswana_sen`](mod@spanner::baswana_sen) |
 //! | §5.1 `RECURSECONNECT`, (k^{log₂5}−1)-spanner in ⌈log k⌉+1 passes (Thm 5.1) | [`spanner::recurse`] |
 //!
 //! ## Quick start

@@ -24,7 +24,7 @@ use gs_graph::{stoer_wagner, Graph};
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::domain::edge_index;
 use gs_sketch::par::{par_map, DecodePlan};
-use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
+use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable};
 
 /// Parameters for [`MinCutSketch`] (and, with a different `k`, the
 /// sparsifiers built on the same level machinery).
@@ -83,6 +83,7 @@ impl MinCutParams {
 /// ```
 /// use graph_sketches::MinCutSketch;
 /// use gs_graph::gen;
+/// use gs_sketch::LinearSketch;
 /// let g = gen::barbell(8, 2); // planted minimum cut of 2
 /// let mut s = MinCutSketch::new(g.n(), 0.5, 1);
 /// for &(u, v, w) in g.edges() { s.update_edge(u, v, w as i64); }
@@ -161,60 +162,25 @@ impl MinCutSketch {
         }
     }
 
-    /// Vertex count.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// The witness threshold `k`.
     pub fn k(&self) -> usize {
         self.params.k
     }
 
-    /// Applies a stream update. The edge belongs to levels `0..=ℓ(e)`
-    /// where `ℓ(e)` is its hashed leading-zero count — the consistent
-    /// nested sampling that survives deletions.
-    pub fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
-        let idx = edge_index(self.n, u, v);
-        let lmax = self
-            .level_hash
-            .subsample_level(idx, self.params.levels as u32 - 1);
-        for i in 0..=lmax as usize {
-            self.levels[i].update_edge(u, v, delta);
-        }
-    }
-
-    /// Sketch size in 1-sparse cells (`O(ε⁻² n log⁴ n)` per Thm 3.2).
-    pub fn cell_count(&self) -> usize {
-        self.levels.iter().map(|l| l.cell_count()).sum()
-    }
-
     /// The per-level witnesses `H_0, H_1, …` (step 2b), exposed for the
-    /// sparsifier of Fig. 2 which shares this machinery.
-    pub fn decode_witnesses(&self) -> Vec<Graph> {
-        self.decode_witnesses_with(&DecodePlan::sequential())
-    }
-
-    /// [`MinCutSketch::decode_witnesses`] under a [`DecodePlan`]: the
-    /// subsampling levels are independent witness decodes, so they fan
-    /// out across the plan's threads, and any surplus budget (fewer
-    /// levels than threads) splits down into each level's own Boruvka
-    /// fan-out; results come back in level order, bit-identical to the
-    /// sequential loop.
+    /// sparsifier of Fig. 2 which shares this machinery. The subsampling
+    /// levels are independent witness decodes, so they fan out across
+    /// the plan's threads, and any surplus budget (fewer levels than
+    /// threads) splits down into each level's own Boruvka fan-out;
+    /// results come back in level order, bit-identical to the sequential
+    /// loop.
     pub fn decode_witnesses_with(&self, plan: &DecodePlan) -> Vec<Graph> {
         let inner = plan.split(self.levels.len());
-        par_map(&self.levels, plan.threads(), |_, l| {
-            l.decode_witness_with(&inner)
-        })
+        par_map(&self.levels, plan.threads(), |_, l| l.decode_with(&inner))
     }
 
     /// Per-level detailed witnesses `(u, v, removed_amount)` — the
-    /// value-carrying form used by the weighted wrapper (§3.5).
-    pub fn decode_witness_edges_per_level(&self) -> Vec<Vec<(usize, usize, i64)>> {
-        self.decode_witness_edges_per_level_with(&DecodePlan::sequential())
-    }
-
-    /// [`MinCutSketch::decode_witness_edges_per_level`] under a
+    /// value-carrying form used by the weighted wrapper (§3.5) — under a
     /// [`DecodePlan`], one level per thread (level order preserved).
     pub fn decode_witness_edges_per_level_with(
         &self,
@@ -224,43 +190,6 @@ impl MinCutSketch {
         par_map(&self.levels, plan.threads(), |_, l| {
             l.decode_witness_edges_with(&inner)
         })
-    }
-
-    /// Step 3: find `j = min{i : λ(H_i) < k}` and return `2^j λ(H_j)`.
-    ///
-    /// Returns `None` if every level is still ≥ k-connected (the paper's
-    /// parameterization makes this a w.h.p.-impossible event; it signals
-    /// that `levels`/`k` were chosen too small for this input).
-    pub fn decode(&self) -> Option<MinCutEstimate> {
-        self.decode_planned(&DecodePlan::sequential())
-    }
-
-    /// [`MinCutSketch::decode`] under a [`DecodePlan`]. The level scan
-    /// stays sequential (it early-exits at the first resolving level, so
-    /// decoding deeper levels would be wasted work), but each level's
-    /// witness decode fans its Boruvka group queries across the plan's
-    /// threads.
-    pub fn decode_planned(&self, plan: &DecodePlan) -> Option<MinCutEstimate> {
-        for (i, level) in self.levels.iter().enumerate() {
-            let h = level.decode_witness_with(plan);
-            let (lam, side) = if h.m() == 0 {
-                (0, {
-                    let mut side = vec![false; self.n];
-                    side[0] = true;
-                    side
-                })
-            } else {
-                stoer_wagner::min_cut(&h)
-            };
-            if lam < self.params.k as u64 {
-                return Some(MinCutEstimate {
-                    value: (1u64 << i) * lam,
-                    level: i,
-                    side,
-                });
-            }
-        }
-        None
     }
 }
 
@@ -334,36 +263,53 @@ impl LinearSketch for MinCutSketch {
         self.n
     }
 
+    /// Applies a stream update. The edge belongs to levels `0..=ℓ(e)`
+    /// where `ℓ(e)` is its hashed leading-zero count — the consistent
+    /// nested sampling that survives deletions.
     fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
-        MinCutSketch::update_edge(self, u, v, delta);
-    }
-
-    fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        absorb_planned(self, batch, &DecodePlan::sequential());
+        let idx = edge_index(self.n, u, v);
+        let lmax = self
+            .level_hash
+            .subsample_level(idx, self.params.levels as u32 - 1);
+        for i in 0..=lmax as usize {
+            self.levels[i].update_edge(u, v, delta);
+        }
     }
 
     fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
         absorb_planned(self, batch, plan);
     }
 
-    fn lane_overflow(&self) -> Option<gs_sketch::lane::LaneOverflow> {
-        CellBanked::lane_overflow(self)
-    }
-
-    fn resident_lane_bytes(&self) -> usize {
-        CellBanked::resident_bytes(self)
-    }
-
-    fn space_bytes(&self) -> usize {
-        self.cell_count() * CELL_BYTES
-    }
-
-    fn decode(&self) -> Option<MinCutEstimate> {
-        MinCutSketch::decode(self)
-    }
-
+    /// Step 3: find `j = min{i : λ(H_i) < k}` and return `2^j λ(H_j)`.
+    ///
+    /// Returns `None` if every level is still ≥ k-connected (the paper's
+    /// parameterization makes this a w.h.p.-impossible event; it signals
+    /// that `levels`/`k` were chosen too small for this input). The level
+    /// scan stays sequential (it early-exits at the first resolving
+    /// level, so decoding deeper levels would be wasted work), but each
+    /// level's witness decode fans its Boruvka group queries across the
+    /// plan's threads.
     fn decode_with(&self, plan: &DecodePlan) -> Option<MinCutEstimate> {
-        self.decode_planned(plan)
+        for (i, level) in self.levels.iter().enumerate() {
+            let h = level.decode_with(plan);
+            let (lam, side) = if h.m() == 0 {
+                (0, {
+                    let mut side = vec![false; self.n];
+                    side[0] = true;
+                    side
+                })
+            } else {
+                stoer_wagner::min_cut(&h)
+            };
+            if lam < self.params.k as u64 {
+                return Some(MinCutEstimate {
+                    value: (1u64 << i) * lam,
+                    level: i,
+                    side,
+                });
+            }
+        }
+        None
     }
 }
 

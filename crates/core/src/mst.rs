@@ -29,7 +29,7 @@ use gs_field::M61;
 use gs_graph::{Graph, UnionFind};
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
+use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable};
 
 /// Parameters for [`MstSketch`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -119,43 +119,7 @@ impl MstSketch {
         self.levels.len()
     }
 
-    /// Sketch size in 1-sparse cells across all threshold levels.
-    pub fn cell_count(&self) -> usize {
-        self.levels.iter().map(|l| l.cell_count()).sum()
-    }
-
-    /// Decodes a spanning forest whose total weight (with each edge
-    /// charged its level threshold) is within `(1+ε)` of the minimum
-    /// spanning forest weight, w.h.p.
-    ///
-    /// Kruskal-flavored decode: walk levels from the cheapest threshold
-    /// up, extending the partial forest with each level's sketch (finer
-    /// levels connect what they can before coarser, more expensive edges
-    /// are considered).
-    pub fn decode(&self) -> Graph {
-        self.decode_planned(&DecodePlan::sequential())
-    }
-
-    /// [`MstSketch::decode`] under a [`DecodePlan`]. The threshold levels
-    /// refine one shared partition (a data dependency — level `i+1` only
-    /// connects what levels `≤ i` left apart), so the level walk stays
-    /// sequential while each level's Boruvka group queries fan out across
-    /// the plan's threads. Bit-identical to the sequential decode.
-    pub fn decode_planned(&self, plan: &DecodePlan) -> Graph {
-        let mut uf = UnionFind::new(self.n);
-        let mut edges: Vec<(usize, usize, u64)> = Vec::new();
-        for (i, level) in self.levels.iter().enumerate() {
-            if uf.component_count() == 1 {
-                break;
-            }
-            let f = level.decode_excluding_with(&mut uf, &[], plan);
-            let t = self.thresholds[i];
-            edges.extend(f.edges.iter().map(|&(u, v, _)| (u, v, t)));
-        }
-        Graph::from_weighted_edges(self.n, edges)
-    }
-
-    /// The threshold-weight total of [`MstSketch::decode`] — the scalar
+    /// The threshold-weight total of [`LinearSketch::decode`] — the scalar
     /// `(1+ε)`-approximation of `w(MSF)`.
     pub fn approximate_weight(&self) -> u64 {
         self.decode().total_weight()
@@ -255,32 +219,32 @@ impl LinearSketch for MstSketch {
         }
     }
 
-    fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        absorb_planned(self, batch, &DecodePlan::sequential());
-    }
-
     fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
         absorb_planned(self, batch, plan);
     }
 
-    fn lane_overflow(&self) -> Option<gs_sketch::lane::LaneOverflow> {
-        CellBanked::lane_overflow(self)
-    }
-
-    fn resident_lane_bytes(&self) -> usize {
-        CellBanked::resident_bytes(self)
-    }
-
-    fn space_bytes(&self) -> usize {
-        self.cell_count() * CELL_BYTES
-    }
-
-    fn decode(&self) -> Graph {
-        MstSketch::decode(self)
-    }
-
+    /// Decodes a spanning forest whose total weight (with each edge
+    /// charged its level threshold) is within `(1+ε)` of the minimum
+    /// spanning forest weight, w.h.p.
+    ///
+    /// Kruskal-flavored decode: walk levels from the cheapest threshold
+    /// up, extending the partial forest with each level's sketch (finer
+    /// levels connect what they can before coarser, more expensive edges
+    /// are considered). The levels refine one shared partition (a data
+    /// dependency), so the level walk stays sequential while each level's
+    /// Boruvka group queries fan out across the plan's threads.
     fn decode_with(&self, plan: &DecodePlan) -> Graph {
-        self.decode_planned(plan)
+        let mut uf = UnionFind::new(self.n);
+        let mut edges: Vec<(usize, usize, u64)> = Vec::new();
+        for (i, level) in self.levels.iter().enumerate() {
+            if uf.component_count() == 1 {
+                break;
+            }
+            let f = level.decode_excluding_with(&mut uf, &[], plan);
+            let t = self.thresholds[i];
+            edges.extend(f.edges.iter().map(|&(u, v, _)| (u, v, t)));
+        }
+        Graph::from_weighted_edges(self.n, edges)
     }
 }
 

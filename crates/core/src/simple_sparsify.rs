@@ -20,7 +20,7 @@ use gs_field::{BackendKind, M61};
 use gs_graph::{GomoryHuTree, Graph};
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::par::{par_map, DecodePlan};
-use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
+use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable};
 
 /// Parameters: the Fig. 2 instantiation of the level machinery.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -88,60 +88,18 @@ impl SimpleSparsifySketch {
         }
     }
 
-    /// Vertex count.
-    pub fn n(&self) -> usize {
-        self.inner.n()
-    }
-
     /// The witness threshold `k`.
     pub fn k(&self) -> usize {
         self.inner.k()
     }
 
-    /// Applies a stream update.
-    pub fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
-        self.inner.update_edge(u, v, delta);
-    }
-
-    /// Sketch size in 1-sparse cells (`O(ε⁻² n log⁵ n)`, Lemma 3.2).
-    pub fn cell_count(&self) -> usize {
-        self.inner.cell_count()
-    }
-
-    /// Step 3: the weighted sparsifier. An edge appearing in witness `H_j`
-    /// at its freeze level `j` enters with weight `2^j` (times its
-    /// multiplicity in `H_j` for multigraphs).
-    pub fn decode(&self) -> Graph {
-        self.decode_planned(&DecodePlan::sequential())
-    }
-
-    /// [`SimpleSparsifySketch::decode`] under a [`DecodePlan`]: the
-    /// per-level witness decodes and their Gomory–Hu trees fan out across
-    /// the plan's threads (levels are independent); the freeze pass stays
-    /// sequential. Bit-identical to the sequential decode.
-    pub fn decode_planned(&self, plan: &DecodePlan) -> Graph {
-        let witnesses = self.inner.decode_witnesses_with(plan);
-        decode_from_witnesses_with(self.n(), self.k() as u64, &witnesses, plan)
-    }
-
-    /// The raw per-level witnesses (for diagnostics / the weighted
-    /// wrapper).
-    pub fn decode_witnesses(&self) -> Vec<Graph> {
-        self.inner.decode_witnesses()
-    }
-
-    /// Weighted decode (§3.5): witnesses are built from value-carrying
-    /// updates (`delta = ±w`, [`crate::kedge::SubtractMode::Full`]); the
-    /// freeze test runs on *unit* connectivity (every weighted edge counts
-    /// once — the factor-L slack of Lemma 3.6 absorbs the within-class
-    /// spread), while the output weight is `w · 2^j`.
-    pub fn decode_weighted(&self) -> Graph {
-        self.decode_weighted_planned(&DecodePlan::sequential())
-    }
-
-    /// [`SimpleSparsifySketch::decode_weighted`] under a [`DecodePlan`]
-    /// (levels and their Gomory–Hu trees in parallel, freeze pass
-    /// sequential).
+    /// Weighted decode (§3.5) under a [`DecodePlan`]: witnesses are built
+    /// from value-carrying updates (`delta = ±w`,
+    /// [`crate::kedge::SubtractMode::Full`]); the freeze test runs on
+    /// *unit* connectivity (every weighted edge counts once — the
+    /// factor-L slack of Lemma 3.6 absorbs the within-class spread),
+    /// while the output weight is `w · 2^j`. Levels and their Gomory–Hu
+    /// trees build in parallel; the freeze pass stays sequential.
     pub fn decode_weighted_planned(&self, plan: &DecodePlan) -> Graph {
         let detailed = self.inner.decode_witness_edges_per_level_with(plan);
         let n = self.n();
@@ -192,14 +150,9 @@ impl SimpleSparsifySketch {
 /// Fig. 2 step 3, shared with the weighted wrapper of §3.5: given the
 /// level witnesses `H_0, H_1, …`, freeze every edge at
 /// `j = min{i : λ_e(H_i) < k}` and keep it iff `e ∈ H_j`, with weight
-/// `2^j · multiplicity`.
-pub fn decode_from_witnesses(n: usize, k: u64, witnesses: &[Graph]) -> Graph {
-    decode_from_witnesses_with(n, k, witnesses, &DecodePlan::sequential())
-}
-
-/// [`decode_from_witnesses`] under a [`DecodePlan`]: the per-level
-/// Gomory–Hu trees build in parallel (they only read their own witness);
-/// the freeze pass over candidate edges stays sequential.
+/// `2^j · multiplicity`. The per-level Gomory–Hu trees build in parallel
+/// under the [`DecodePlan`] (they only read their own witness); the
+/// freeze pass over candidate edges stays sequential.
 pub fn decode_from_witnesses_with(
     n: usize,
     k: u64,
@@ -264,40 +217,26 @@ impl LinearSketch for SimpleSparsifySketch {
     type Output = Graph;
 
     fn n(&self) -> usize {
-        SimpleSparsifySketch::n(self)
+        self.inner.n()
     }
 
     fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
-        SimpleSparsifySketch::update_edge(self, u, v, delta);
-    }
-
-    fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        absorb_planned(self, batch, &DecodePlan::sequential());
+        self.inner.update_edge(u, v, delta);
     }
 
     fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
         absorb_planned(self, batch, plan);
     }
 
-    fn lane_overflow(&self) -> Option<gs_sketch::lane::LaneOverflow> {
-        CellBanked::lane_overflow(self)
-    }
-
-    fn resident_lane_bytes(&self) -> usize {
-        CellBanked::resident_bytes(self)
-    }
-
-    fn space_bytes(&self) -> usize {
-        self.cell_count() * CELL_BYTES
-    }
-
-    /// Decodes the weighted ε-sparsifier (Fig. 2 step 3).
-    fn decode(&self) -> Graph {
-        SimpleSparsifySketch::decode(self)
-    }
-
+    /// Step 3: the weighted ε-sparsifier. An edge appearing in witness
+    /// `H_j` at its freeze level `j` enters with weight `2^j` (times its
+    /// multiplicity in `H_j` for multigraphs). The per-level witness
+    /// decodes and their Gomory–Hu trees fan out across the plan's
+    /// threads (levels are independent); the freeze pass stays
+    /// sequential.
     fn decode_with(&self, plan: &DecodePlan) -> Graph {
-        self.decode_planned(plan)
+        let witnesses = self.inner.decode_witnesses_with(plan);
+        decode_from_witnesses_with(self.n(), self.k() as u64, &witnesses, plan)
     }
 }
 

@@ -10,7 +10,7 @@
 //! below read the stream only through a [`Meter`], which counts passes,
 //! so the experiments can verify the claimed pass counts:
 //!
-//! * [`baswana_sen`] — the k-pass emulation of Baswana–Sen: stretch
+//! * [`baswana_sen`](mod@baswana_sen) — the k-pass emulation of Baswana–Sen: stretch
 //!   `2k − 1` with `Õ(n^{1+1/k})` edges, pass-per-phase.
 //! * [`recurse`] — `RECURSECONNECT` (§5.1, Theorem 5.1): only
 //!   `⌈log₂ k⌉ + 1` passes by growing contracted regions aggressively, at

@@ -26,7 +26,7 @@ use gs_graph::{GomoryHuTree, Graph};
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::domain::{edge_domain, edge_index, edge_unindex};
 use gs_sketch::par::{par_map, DecodePlan};
-use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable, RecoveryPlan, SparseRecovery, CELL_BYTES};
+use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable, RecoveryPlan, SparseRecovery};
 use std::sync::Arc;
 
 /// Parameters for [`SparsifySketch`].
@@ -137,94 +137,6 @@ impl SparsifySketch {
             level_hash: params.kind.backend(seed, 0x5A_FFFF),
         }
     }
-
-    /// Vertex count.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Applies a stream update (Definition 1).
-    pub fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
-        self.rough.update_edge(u, v, delta);
-        let idx = edge_index(self.n, u, v);
-        let lmax = self
-            .level_hash
-            .subsample_level(idx, self.params.levels as u32 - 1);
-        for i in 0..=lmax as usize {
-            let base = i * self.n;
-            update_both_endpoints(u, v, delta, |node, d| {
-                self.recoveries[base + node].update(idx, d);
-            });
-        }
-    }
-
-    /// Sketch size in 1-sparse cells: rough part + samplers
-    /// (`O(n(log⁵n + ε⁻² log⁴n))`, Theorem 3.4).
-    pub fn cell_count(&self) -> usize {
-        self.rough.cell_count()
-            + self
-                .recoveries
-                .iter()
-                .map(|r| r.cell_count())
-                .sum::<usize>()
-    }
-
-    /// Step 4: decode the ε-sparsifier.
-    pub fn decode(&self) -> Graph {
-        self.decode_planned(&DecodePlan::sequential())
-    }
-
-    /// [`SparsifySketch::decode`] under a [`DecodePlan`]: each Gomory–Hu
-    /// tree edge induces an independent cut query (lane-sum the A-side's
-    /// recoveries with the bank kernel, peel, keep the step-4d survivors),
-    /// so the cuts fan out across the plan's threads and their kept edges
-    /// are concatenated in tree-edge order — bit-identical to the
-    /// sequential loop.
-    pub fn decode_planned(&self, plan: &DecodePlan) -> Graph {
-        let rough = self.rough.decode_planned(plan);
-        if rough.m() == 0 {
-            return Graph::new(self.n);
-        }
-        let tree = GomoryHuTree::build(&rough);
-        let log2n = (usize::BITS - self.n.leading_zeros()) as f64;
-        let eps2 = self.params.eps * self.params.eps;
-
-        let cuts: Vec<(usize, u64, Vec<bool>)> = tree.induced_cuts().collect();
-        let per_cut: Vec<Vec<(usize, usize, u64)>> =
-            par_map(&cuts, plan.threads(), |_, (ei, w_cut, side)| {
-                // Step 4b with the rough cut weight standing in for w(e).
-                let j_raw = ((*w_cut as f64 * eps2 / log2n).max(1.0)).log2().floor() as usize;
-                let j = j_raw.min(self.params.levels - 1);
-
-                // Step 4c: linear composition over the A-side of the cut —
-                // the bank-kernel recovery sum, no per-cut clones.
-                let base = j * self.n;
-                let members = (0..self.n).filter(|&v| side[v]);
-                let Some(items) =
-                    SparseRecovery::decode_sum(members.map(|u| &self.recoveries[base + u]))
-                else {
-                    // Recovery failed: more than k edges of G_j cross this
-                    // cut (w.h.p. impossible at the chosen j; skipping
-                    // keeps the output sound, the audit measures the
-                    // effect).
-                    return Vec::new();
-                };
-                // Step 4d.
-                let mut kept = Vec::new();
-                for (idx, val) in items {
-                    let (u, v) = edge_unindex(idx);
-                    if u >= self.n || v >= self.n || val == 0 {
-                        continue;
-                    }
-                    if tree.path_min_edge(u, v) == *ei {
-                        kept.push((u, v, (val.unsigned_abs()) << j));
-                    }
-                }
-                kept
-            });
-        let out: Vec<(usize, usize, u64)> = per_cut.into_iter().flatten().collect();
-        Graph::from_weighted_edges(self.n, out)
-    }
 }
 
 impl Mergeable for SparsifySketch {
@@ -326,37 +238,75 @@ impl LinearSketch for SparsifySketch {
         self.n
     }
 
+    /// Applies a stream update (Definition 1).
     fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
-        SparsifySketch::update_edge(self, u, v, delta);
-    }
-
-    fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        absorb_planned(self, batch, &DecodePlan::sequential());
+        self.rough.update_edge(u, v, delta);
+        let idx = edge_index(self.n, u, v);
+        let lmax = self
+            .level_hash
+            .subsample_level(idx, self.params.levels as u32 - 1);
+        for i in 0..=lmax as usize {
+            let base = i * self.n;
+            update_both_endpoints(u, v, delta, |node, d| {
+                self.recoveries[base + node].update(idx, d);
+            });
+        }
     }
 
     fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
         absorb_planned(self, batch, plan);
     }
 
-    fn lane_overflow(&self) -> Option<gs_sketch::lane::LaneOverflow> {
-        CellBanked::lane_overflow(self)
-    }
-
-    fn resident_lane_bytes(&self) -> usize {
-        CellBanked::resident_bytes(self)
-    }
-
-    fn space_bytes(&self) -> usize {
-        self.cell_count() * CELL_BYTES
-    }
-
-    /// Decodes the ε-sparsifier (Fig. 3 step 4).
-    fn decode(&self) -> Graph {
-        SparsifySketch::decode(self)
-    }
-
+    /// Step 4: decode the ε-sparsifier. Each Gomory–Hu tree edge induces
+    /// an independent cut query (lane-sum the A-side's recoveries with
+    /// the bank kernel, peel, keep the step-4d survivors), so the cuts
+    /// fan out across the plan's threads and their kept edges are
+    /// concatenated in tree-edge order — bit-identical to the sequential
+    /// loop.
     fn decode_with(&self, plan: &DecodePlan) -> Graph {
-        self.decode_planned(plan)
+        let rough = self.rough.decode_with(plan);
+        if rough.m() == 0 {
+            return Graph::new(self.n);
+        }
+        let tree = GomoryHuTree::build(&rough);
+        let log2n = (usize::BITS - self.n.leading_zeros()) as f64;
+        let eps2 = self.params.eps * self.params.eps;
+
+        let cuts: Vec<(usize, u64, Vec<bool>)> = tree.induced_cuts().collect();
+        let per_cut: Vec<Vec<(usize, usize, u64)>> =
+            par_map(&cuts, plan.threads(), |_, (ei, w_cut, side)| {
+                // Step 4b with the rough cut weight standing in for w(e).
+                let j_raw = ((*w_cut as f64 * eps2 / log2n).max(1.0)).log2().floor() as usize;
+                let j = j_raw.min(self.params.levels - 1);
+
+                // Step 4c: linear composition over the A-side of the cut —
+                // the bank-kernel recovery sum, no per-cut clones.
+                let base = j * self.n;
+                let members = (0..self.n).filter(|&v| side[v]);
+                let Some(items) =
+                    SparseRecovery::decode_sum(members.map(|u| &self.recoveries[base + u]))
+                else {
+                    // Recovery failed: more than k edges of G_j cross this
+                    // cut (w.h.p. impossible at the chosen j; skipping
+                    // keeps the output sound, the audit measures the
+                    // effect).
+                    return Vec::new();
+                };
+                // Step 4d.
+                let mut kept = Vec::new();
+                for (idx, val) in items {
+                    let (u, v) = edge_unindex(idx);
+                    if u >= self.n || v >= self.n || val == 0 {
+                        continue;
+                    }
+                    if tree.path_min_edge(u, v) == *ei {
+                        kept.push((u, v, (val.unsigned_abs()) << j));
+                    }
+                }
+                kept
+            });
+        let out: Vec<(usize, usize, u64)> = per_cut.into_iter().flatten().collect();
+        Graph::from_weighted_edges(self.n, out)
     }
 }
 

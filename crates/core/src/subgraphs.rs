@@ -27,7 +27,7 @@ use gs_graph::subgraph::Pattern;
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::domain::{pair_slot, subset_domain, subset_rank};
 use gs_sketch::par::{par_map, DecodePlan};
-use gs_sketch::{EdgeUpdate, L0Result, L0Sampler, LinearSketch, Mergeable, CELL_BYTES};
+use gs_sketch::{EdgeUpdate, L0Result, L0Sampler, LinearSketch, Mergeable};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -61,6 +61,7 @@ impl SubgraphParams {
 /// ```
 /// use graph_sketches::SubgraphSketch;
 /// use gs_graph::{gen, subgraph::Pattern};
+/// use gs_sketch::LinearSketch;
 /// let g = gen::complete(8); // all order-3 subgraphs are triangles
 /// let mut s = SubgraphSketch::new(8, 3, 0.25, 1);
 /// for &(u, v, _) in g.edges() { s.update_edge(u, v, 1); }
@@ -135,11 +136,6 @@ impl SubgraphSketch {
         }
     }
 
-    /// Vertex count `n`.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Pattern order `k`.
     pub fn k(&self) -> usize {
         self.k
@@ -148,46 +144,6 @@ impl SubgraphSketch {
     /// Number of samplers.
     pub fn sample_count(&self) -> usize {
         self.samplers.len()
-    }
-
-    /// Sketch size in 1-sparse cells across all samplers.
-    pub fn cell_count(&self) -> usize {
-        self.samplers.iter().map(|s| s.cell_count()).sum()
-    }
-
-    /// Applies a stream update of edge `{u,v}` to every column containing
-    /// both endpoints (Fig. 4's linear encoding).
-    pub fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
-        assert!(u != v && u < self.n && v < self.n);
-        if delta == 0 {
-            return;
-        }
-        let samplers = &mut self.samplers;
-        for_each_column(self.n, self.k, u, v, &mut |col, slot| {
-            for s in samplers.iter_mut() {
-                s.update(col, delta * (1i64 << slot));
-            }
-        });
-    }
-
-    /// Draws the available column samples: `(bitmask, sampler index)` per
-    /// successful sampler. Failed samplers are skipped (Theorem 2.1's δ).
-    pub fn raw_samples(&self) -> Vec<u64> {
-        self.raw_samples_with(&DecodePlan::sequential())
-    }
-
-    /// [`SubgraphSketch::raw_samples`] under a [`DecodePlan`]: the
-    /// samplers are independent ℓ0 queries, so they fan out across the
-    /// plan's threads; successful samples come back in sampler order,
-    /// bit-identical to the sequential draw.
-    pub fn raw_samples_with(&self, plan: &DecodePlan) -> Vec<u64> {
-        par_map(&self.samplers, plan.threads(), |_, s| match s.query() {
-            L0Result::Sample(_, val) if val > 0 => Some(val as u64),
-            _ => None,
-        })
-        .into_iter()
-        .flatten()
-        .collect()
     }
 
     /// Estimates `γ_H(G)` for a pattern of order `k`: the fraction of
@@ -204,7 +160,7 @@ impl SubgraphSketch {
     /// value class `A_H` (§4: "estimating γ_H(G) is equivalent to
     /// estimating the fraction of non-zero entries that are in A_H").
     pub fn estimate_class_fraction(&self, class: &BTreeSet<u64>) -> Option<f64> {
-        let samples = self.raw_samples();
+        let samples = self.decode();
         if samples.is_empty() {
             return None;
         }
@@ -216,7 +172,7 @@ impl SubgraphSketch {
     /// sampling noise, which is what the paper's single-structure design
     /// gives you for free).
     pub fn estimate_many(&self, patterns: &[Pattern]) -> Vec<Option<f64>> {
-        let samples = self.raw_samples();
+        let samples = self.decode();
         patterns
             .iter()
             .map(|p| {
@@ -346,39 +302,40 @@ impl LinearSketch for SubgraphSketch {
         self.n
     }
 
+    /// Applies a stream update of edge `{u,v}` to every column containing
+    /// both endpoints (Fig. 4's linear encoding).
     fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
-        SubgraphSketch::update_edge(self, u, v, delta);
-    }
-
-    fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        absorb_planned(self, batch, &DecodePlan::sequential());
+        assert!(u != v && u < self.n && v < self.n);
+        if delta == 0 {
+            return;
+        }
+        let samplers = &mut self.samplers;
+        for_each_column(self.n, self.k, u, v, &mut |col, slot| {
+            for s in samplers.iter_mut() {
+                s.update(col, delta * (1i64 << slot));
+            }
+        });
     }
 
     fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
         absorb_planned(self, batch, plan);
     }
 
-    fn lane_overflow(&self) -> Option<gs_sketch::lane::LaneOverflow> {
-        CellBanked::lane_overflow(self)
-    }
-
-    fn resident_lane_bytes(&self) -> usize {
-        CellBanked::resident_bytes(self)
-    }
-
-    fn space_bytes(&self) -> usize {
-        self.cell_count() * CELL_BYTES
-    }
-
-    /// Decodes the raw column samples (induced-subgraph bitmasks); feed
-    /// them to [`SubgraphSketch::estimate_gamma`] /
-    /// [`SubgraphSketch::estimate_class_fraction`] for pattern fractions.
-    fn decode(&self) -> Vec<u64> {
-        self.raw_samples()
-    }
-
+    /// Draws the available column samples (induced-subgraph bitmasks),
+    /// one per successful sampler; failed samplers are skipped
+    /// (Theorem 2.1's δ). Feed them to [`SubgraphSketch::estimate_gamma`]
+    /// / [`SubgraphSketch::estimate_class_fraction`] for pattern
+    /// fractions. The samplers are independent ℓ0 queries, so they fan
+    /// out across the plan's threads; successful samples come back in
+    /// sampler order, bit-identical to the sequential draw.
     fn decode_with(&self, plan: &DecodePlan) -> Vec<u64> {
-        self.raw_samples_with(plan)
+        par_map(&self.samplers, plan.threads(), |_, s| match s.query() {
+            L0Result::Sample(_, val) if val > 0 => Some(val as u64),
+            _ => None,
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 }
 
@@ -487,7 +444,7 @@ mod tests {
         let mk = |stream: &[EdgeUpdate]| {
             let mut s = SubgraphSketch::new(12, 3, 0.34, 17);
             s.absorb(stream);
-            s.raw_samples()
+            s.decode()
         };
         let a = mk(&gen::insert_stream(&g));
         let b = mk(&gen::churn_stream(&g, 150, 19));
@@ -509,7 +466,7 @@ mod tests {
             central.update_edge(u, v, 1);
         }
         a.merge(&b);
-        assert_eq!(a.raw_samples(), central.raw_samples());
+        assert_eq!(a.decode(), central.decode());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use gs_field::{BackendKind, M61};
 use gs_graph::Graph;
 use gs_sketch::bank::{CellBank, CellBanked};
 use gs_sketch::par::{par_map, DecodePlan};
-use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable, CELL_BYTES};
+use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable};
 
 /// Parameters for [`WeightedSparsifySketch`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -108,43 +108,9 @@ impl WeightedSparsifySketch {
         }
     }
 
-    /// Vertex count.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// The weight class (index of the range `[2^c, 2^{c+1})`) of `w`.
     fn class_of(&self, w: u64) -> usize {
         (63 - w.leading_zeros()) as usize
-    }
-
-    /// Sketch size in 1-sparse cells (`O(n(log⁷n + ε⁻²log⁶n))` with the
-    /// paper's constants, Theorem 3.8).
-    pub fn cell_count(&self) -> usize {
-        self.classes.iter().map(|c| c.cell_count()).sum()
-    }
-
-    /// Decodes the merged sparsifier: the union of the per-class
-    /// sparsifiers (weights add where classes overlap on an edge).
-    pub fn decode(&self) -> Graph {
-        self.decode_planned(&DecodePlan::sequential())
-    }
-
-    /// [`WeightedSparsifySketch::decode`] under a [`DecodePlan`]: the
-    /// weight classes are independent sparsifier decodes, so they fan out
-    /// one class per thread, with any surplus budget split down into each
-    /// class's own level fan-out; class outputs are concatenated in class
-    /// order, bit-identical to the sequential union.
-    pub fn decode_planned(&self, plan: &DecodePlan) -> Graph {
-        let inner = plan.split(self.classes.len());
-        let per_class: Vec<Graph> = par_map(&self.classes, plan.threads(), |_, class| {
-            class.decode_weighted_planned(&inner)
-        });
-        let mut acc: Vec<(usize, usize, u64)> = Vec::new();
-        for g in &per_class {
-            acc.extend(g.edges().iter().copied());
-        }
-        Graph::from_weighted_edges(self.n, acc)
     }
 }
 
@@ -240,32 +206,26 @@ impl LinearSketch for WeightedSparsifySketch {
         self.classes[c].update_edge(u, v, delta);
     }
 
-    fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        absorb_planned(self, batch, &DecodePlan::sequential());
-    }
-
     fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
         absorb_planned(self, batch, plan);
     }
 
-    fn lane_overflow(&self) -> Option<gs_sketch::lane::LaneOverflow> {
-        CellBanked::lane_overflow(self)
-    }
-
-    fn resident_lane_bytes(&self) -> usize {
-        CellBanked::resident_bytes(self)
-    }
-
-    fn space_bytes(&self) -> usize {
-        self.cell_count() * CELL_BYTES
-    }
-
-    fn decode(&self) -> Graph {
-        WeightedSparsifySketch::decode(self)
-    }
-
+    /// Decodes the merged sparsifier: the union of the per-class
+    /// sparsifiers (weights add where classes overlap on an edge). The
+    /// weight classes are independent sparsifier decodes, so they fan out
+    /// one class per thread, with any surplus budget split down into each
+    /// class's own level fan-out; class outputs are concatenated in class
+    /// order, bit-identical to the sequential union.
     fn decode_with(&self, plan: &DecodePlan) -> Graph {
-        self.decode_planned(plan)
+        let inner = plan.split(self.classes.len());
+        let per_class: Vec<Graph> = par_map(&self.classes, plan.threads(), |_, class| {
+            class.decode_weighted_planned(&inner)
+        });
+        let mut acc: Vec<(usize, usize, u64)> = Vec::new();
+        for g in &per_class {
+            acc.extend(g.edges().iter().copied());
+        }
+        Graph::from_weighted_edges(self.n, acc)
     }
 }
 

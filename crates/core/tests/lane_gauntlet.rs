@@ -123,8 +123,8 @@ fn narrow_vs_wide_bit_identity_across_all_tasks() {
         wide.absorb(&ups);
         assert_identical(spec.task, &narrow, &wide);
         assert!(
-            LinearSketch::lane_overflow(&narrow).is_none()
-                && LinearSketch::lane_overflow(&wide).is_none(),
+            CellBanked::lane_overflow(&narrow).is_none()
+                && CellBanked::lane_overflow(&wide).is_none(),
             "{:?}: in-range workload must not poison",
             spec.task
         );
@@ -266,7 +266,7 @@ fn adversarial_overflow_poisons_instead_of_panicking() {
         s.update_edge(0, 1, i64::MAX);
         s.update_edge(0, 1, i64::MAX);
         assert!(
-            LinearSketch::lane_overflow(&s).is_some(),
+            CellBanked::lane_overflow(&s).is_some(),
             "{task:?}: true overflow must be detected"
         );
         // The sketch object survives: further ingest is accepted and the
@@ -274,7 +274,7 @@ fn adversarial_overflow_poisons_instead_of_panicking() {
         s.update_edge(2, 3, 1);
         s.update_edge(0, 1, -1);
         assert!(
-            LinearSketch::lane_overflow(&s).is_some(),
+            CellBanked::lane_overflow(&s).is_some(),
             "{task:?}: poison is sticky"
         );
     }
@@ -289,7 +289,7 @@ fn out_of_range_donor(spec: &SketchSpec) -> AnySketch {
     // for any cell whose decoded index is ≥ 5.
     s.update_edge(spec.n - 2, spec.n - 1, i64::MAX / 4);
     assert!(
-        LinearSketch::lane_overflow(&s).is_none(),
+        CellBanked::lane_overflow(&s).is_none(),
         "donor must be clean — wide lanes hold the value exactly"
     );
     assert!(
@@ -384,7 +384,7 @@ fn delta_import_rejects_a_w_word_past_the_i32_lane_and_leaves_receiver_unchanged
     let mut sender = widened(&spec);
     // Edge (0, 1) has index 0, so `s` stays 0 and only `w` is out of range.
     sender.update_edge(0, 1, 1 << 31);
-    assert!(LinearSketch::lane_overflow(&sender).is_none());
+    assert!(CellBanked::lane_overflow(&sender).is_none());
     let delta = SketchFile::new(spec, sender).unwrap().delta_bytes();
     let mut receiver = SketchFile::new(spec, spec.build()).unwrap();
     receiver.state.absorb(&workload(&spec, 7, 40));
@@ -394,7 +394,7 @@ fn delta_import_rejects_a_w_word_past_the_i32_lane_and_leaves_receiver_unchanged
         other => panic!("expected LaneRange, got {other:?}"),
     }
     assert_eq!(receiver.to_bytes(), before, "all-or-nothing");
-    assert!(LinearSketch::lane_overflow(&receiver.state).is_none());
+    assert!(CellBanked::lane_overflow(&receiver.state).is_none());
 }
 
 /// The lane footprint a spec-built sketch reports: every unit-bound
@@ -424,7 +424,7 @@ fn unit_bound_specs_hold_twenty_byte_cells() {
             "{:?}",
             spec.task
         );
-        assert_eq!(s.resident_lane_bytes(), footprint(&s), "{:?}", spec.task);
+        assert_eq!(s.resident_bytes(), footprint(&s), "{:?}", spec.task);
     }
     // The ladder's ingest-powerlaw tenant, as served.
     let big = SketchSpec::new(SketchTask::Connectivity, 4096).build();
@@ -432,7 +432,7 @@ fn unit_bound_specs_hold_twenty_byte_cells() {
         big.banks().iter().map(|b| b.len()).sum::<usize>(),
         2_826_240
     );
-    assert_eq!(big.resident_lane_bytes(), 56_878_080);
+    assert_eq!(big.resident_bytes(), 56_878_080);
 
     // Weight class 7 carries |Δ| up to 255: its banks keep `i64` `w`.
     let weighted = |max_weight| {

@@ -15,6 +15,7 @@ use graph_sketches::{
 };
 use gs_field::SplitMix64;
 use gs_graph::{Graph, UnionFind};
+use gs_sketch::LinearSketch;
 
 const CASES: u64 = 48;
 
@@ -66,7 +67,7 @@ fn kedge_witness_is_always_a_subgraph() {
         for &(u, v, w) in g.edges() {
             s.update_edge(u, v, w as i64);
         }
-        let h = s.decode_witness();
+        let h = s.decode();
         for &(u, v, w) in h.edges() {
             assert!(g.has_edge(u, v), "case {case}");
             assert!(w as usize <= k, "case {case}");
@@ -143,7 +144,7 @@ fn subgraph_samples_are_real_induced_subgraphs() {
                 }
             }
         }
-        for m in s.raw_samples() {
+        for m in s.decode() {
             assert!(
                 real_masks.contains(&m),
                 "case {case}: sampled mask {m:#b} not present in G"

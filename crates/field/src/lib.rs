@@ -72,11 +72,6 @@ impl HashBackend {
             }
         }
     }
-
-    /// `true` for the Nisan-derandomized variant.
-    pub fn is_nisan(&self) -> bool {
-        matches!(self, HashBackend::Nisan(_))
-    }
 }
 
 impl Randomness for HashBackend {

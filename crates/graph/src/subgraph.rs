@@ -9,7 +9,7 @@
 //! multiple values A_H", §4).
 
 use crate::graph::Graph;
-use gs_sketch::domain::{binomial, pair_slot};
+use gs_sketch::domain::pair_slot;
 use std::collections::BTreeSet;
 
 /// A pattern graph on `k ≤ 6` vertices, stored as an edge bitmask over the
@@ -173,21 +173,11 @@ pub fn triangle_count(g: &Graph) -> u64 {
     exact_counts(g, &Pattern::triangle()).0
 }
 
-/// Upper bound on non-empty order-3 subgraphs used by Buriol et al.'s
-/// formulation: `T_1 + T_2 + T_3 = Θ(nm)` (§4, footnote 1).
-pub fn order3_upper_bound(g: &Graph) -> u64 {
-    g.n() as u64 * g.m() as u64
-}
-
-/// Number of `k`-subsets of vertices (denominator domain of Fig. 4).
-pub fn subset_count(n: usize, k: usize) -> u64 {
-    binomial(n as u64, k as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
+    use gs_sketch::domain::binomial;
 
     #[test]
     fn triangle_iso_class_is_single_mask() {

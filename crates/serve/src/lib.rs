@@ -12,10 +12,10 @@
 //! decodes — into a server that ingests continuously and answers
 //! queries in place:
 //!
-//! - **[`server`]** — [`Server`](server::Server): listeners, the tenant
+//! - **[`server`]** — [`Server`]: listeners, the tenant
 //!   registry, the checkpoint thread, and crash recovery. std-only,
 //!   thread-per-connection with a bounded accept pool; no async runtime.
-//! - **[`client`]** — [`Client`](client::Client): a blocking one-frame-
+//! - **[`client`]** — [`Client`]: a blocking one-frame-
 //!   at-a-time client used by the CLI `client` verb, the tests, and the
 //!   benches.
 //!

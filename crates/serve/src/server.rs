@@ -63,7 +63,7 @@ use graph_sketches::frame::{
 use graph_sketches::wire::{self, SketchDelta};
 use graph_sketches::SketchFile;
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{EdgeUpdate, LinearSketch};
+use gs_sketch::{CellBanked, EdgeUpdate, LinearSketch};
 use gs_stream::engine::{BudgetClaim, WorkerBudget};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -291,7 +291,7 @@ impl Tenant {
             cached_answer_ns: self.cached_answer_ns,
             workers: self.claim.workers() as u64,
             bytes_resident: base.state.space_bytes() as u64,
-            lane_bytes_resident: base.state.resident_lane_bytes() as u64,
+            lane_bytes_resident: base.state.resident_bytes() as u64,
             lane_overflows: base.state.lane_overflow().is_some() as u64,
             dirty: self.dirty,
         }

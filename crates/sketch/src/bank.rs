@@ -23,6 +23,11 @@
 //!   bytes, geometry-checked against a spec-built receiver (see the
 //!   [`CellBanked`] visitor below).
 //!
+//! [`CellBanked`] is also a supertrait of [`crate::LinearSketch`], so a
+//! task's size questions are answered once, from its banks: the cell
+//! count behind `space_bytes`, the width-aware resident bytes and the
+//! lane-overflow mark.
+//!
 //! The lanes are plain zeroed `Vec`s of primitive elements, which the
 //! allocator hands out as untouched pages (see [`crate::lane`]). A bank
 //! therefore pays physical memory only for the pages its written cells
@@ -260,7 +265,7 @@ impl CellBank {
 
     /// Bytes of allocated lane storage (`w` and `s` at their stored
     /// widths, `f`, and the dirty bitmap) — the width-aware space
-    /// accounting behind `LinearSketch::resident_lane_bytes`. This counts
+    /// accounting behind [`CellBanked::resident_bytes`]. This counts
     /// the allocation, not the pages the OS holds: lanes are lazily
     /// zeroed, so lane pages holding no written cell take no physical
     /// memory (see [`crate::lane`]).
@@ -811,7 +816,9 @@ impl Drop for BankSplit<'_> {
 /// *structure* (hashes, seeds, parameters) is fully derivable from its
 /// spec, so shipping a sketch only requires shipping the banks and
 /// fingerprint scalars — the receiver rebuilds the structure from the spec
-/// and overlays the state, geometry-checked bank by bank.
+/// and overlays the state, geometry-checked bank by bank. It is also a
+/// supertrait of [`crate::LinearSketch`]: every size and overflow
+/// question about a task is answered here, from its banks.
 pub trait CellBanked {
     /// Every bank, in a deterministic traversal order.
     fn banks(&self) -> Vec<&CellBank>;
@@ -825,6 +832,12 @@ pub trait CellBanked {
 
     /// Mutable counterpart of [`CellBanked::fingerprints`], same order.
     fn fingerprints_mut(&mut self) -> Vec<&mut M61>;
+
+    /// Total 1-sparse cells across every bank (the space accounting of
+    /// [`crate::LinearSketch::space_bytes`]).
+    fn cell_count(&self) -> usize {
+        self.banks().iter().map(|b| b.len()).sum()
+    }
 
     /// Total cells touched across every bank since the last drain — the
     /// support size of the pending delta.

@@ -120,18 +120,6 @@ pub fn pair_slot(a: usize, b: usize, k: usize) -> u32 {
     (before + (b - a - 1)) as u32
 }
 
-/// Decodes a squashed column value back into the pair-presence bitmask
-/// (identity — the squashed entry *is* the bitmask when multiplicities are
-/// 0/1; provided for readability at call sites).
-#[inline]
-pub fn squash_mask(value: i64) -> Option<u64> {
-    if value < 0 {
-        None
-    } else {
-        Some(value as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

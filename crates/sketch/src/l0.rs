@@ -151,11 +151,6 @@ impl L0Detector {
         self.domain
     }
 
-    /// Sketch size in cells.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Applies `x[index] += delta`: hash once (fingerprint + one
     /// subsampling level per repetition), then fan the precomputed triple
     /// into the contiguous level prefix of each repetition row.
@@ -383,11 +378,6 @@ impl L0Sampler {
     /// The index-space size.
     pub fn domain(&self) -> u64 {
         self.domain
-    }
-
-    /// Sketch size in 1-sparse cells (across all level recoveries).
-    pub fn cell_count(&self) -> usize {
-        self.level_sketch.iter().map(|s| s.cell_count()).sum()
     }
 
     /// Applies `x[index] += delta`.

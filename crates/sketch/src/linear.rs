@@ -7,6 +7,11 @@
 //! sharding, serving) can be written a single time against the trait
 //! instead of once per sketch type.
 //!
+//! It is also the one place a task's ingest, decode and size are written:
+//! four required methods, the rest provided, and size and overflow
+//! questions answered by the [`CellBanked`] supertrait from the task's
+//! banks (see [`LinearSketch`]).
+//!
 //! ## The value-carrying update convention
 //!
 //! [`LinearSketch::update_edge`] takes a single signed `delta`:
@@ -23,7 +28,7 @@
 //! exactly why one trait suffices. [`EdgeUpdate`] packages an update in
 //! this convention; [`LinearSketch::absorb`] ingests a batch of them.
 
-use crate::lane::LaneOverflow;
+use crate::bank::CellBanked;
 use crate::par::DecodePlan;
 use crate::Mergeable;
 use serde::{Deserialize, Serialize};
@@ -162,7 +167,14 @@ impl std::error::Error for UpdateError {}
 /// results — bit for bit. That single property powers everything in §1.1:
 /// deletions cancel insertions, site sketches add up at a coordinator, and
 /// update order is irrelevant.
-pub trait LinearSketch: Mergeable {
+///
+/// A task writes four methods: [`LinearSketch::n`],
+/// [`LinearSketch::update_edge`], [`LinearSketch::absorb_with`] and
+/// [`LinearSketch::decode_with`]. The one-thread cases
+/// ([`LinearSketch::absorb`], [`LinearSketch::decode`]) and the size
+/// ([`LinearSketch::space_bytes`]) are provided; lane overflow and
+/// resident bytes come from the [`CellBanked`] supertrait.
+pub trait LinearSketch: Mergeable + CellBanked {
     /// What decoding yields (a forest, a sparsifier, an estimate, …).
     type Output;
 
@@ -173,70 +185,41 @@ pub trait LinearSketch: Mergeable {
     /// module docs): `delta = ±m` for unit sketches, `±w` for weighted.
     fn update_edge(&mut self, u: usize, v: usize, delta: i64);
 
-    /// Batched ingestion: applies every update in order. The default
-    /// implementation loops over [`LinearSketch::update_edge`];
-    /// implementations with a cheaper bulk path may override it.
+    /// Batched ingestion under a [`DecodePlan`]: one batch absorbed by up
+    /// to `plan.threads()` threads that write disjoint parts of this one
+    /// sketch (a forest sketch's independent rounds and nodes, a
+    /// composite's sub-sketches), in a single scoped fork-join clamped to
+    /// the machine's parallelism. **Bit-identical** at every thread count
+    /// to its one-thread case [`LinearSketch::absorb`] — lanes,
+    /// fingerprints, dirty bitmaps and the poison mark — because every
+    /// cell sees the same adds in the same order. By linearity the sketch
+    /// equals the one looping [`LinearSketch::update_edge`] builds.
+    fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan);
+
+    /// [`LinearSketch::absorb_with`] on the calling thread.
     fn absorb(&mut self, batch: &[EdgeUpdate]) {
-        for up in batch {
-            self.update_edge(up.u, up.v, up.delta);
-        }
+        self.absorb_with(batch, &DecodePlan::sequential());
     }
 
-    /// [`LinearSketch::absorb`] under a [`DecodePlan`]: one batch absorbed
-    /// by up to `plan.threads()` threads that write disjoint parts of
-    /// this one sketch (a forest sketch's independent rounds and nodes,
-    /// a composite's sub-sketches), in a single scoped fork-join clamped
-    /// to the machine's parallelism. **Bit-identical** to `absorb` at
-    /// every thread count — lanes, fingerprints, dirty bitmaps and the
-    /// poison mark — because every cell sees the same adds in the same
-    /// order; `absorb` is its one-thread case. The default
-    /// implementation ignores the plan and absorbs sequentially.
-    fn absorb_with(&mut self, batch: &[EdgeUpdate], plan: &DecodePlan) {
-        let _ = plan;
-        self.absorb(batch);
+    /// Size of the linear measurement state in bytes, charged at the
+    /// format-frozen [`CELL_BYTES`] per cell whatever the lane width
+    /// (constant-size seeds and parameters are not counted).
+    /// [`CellBanked::resident_bytes`] is the width-aware footprint.
+    fn space_bytes(&self) -> usize {
+        self.cell_count() * CELL_BYTES
     }
 
-    /// Resident size of the sketch in bytes (space accounting; counts the
-    /// linear measurement state, not constant-size seeds/parameters).
-    fn space_bytes(&self) -> usize;
+    /// Decodes under a [`DecodePlan`]. Decoding is read-only: the sketch
+    /// can keep ingesting afterwards. The answer is **bit-identical** for
+    /// every thread count — decode loops fan independent work (groups
+    /// within a Boruvka round, subsampling levels, Gomory–Hu cuts) over
+    /// scoped threads and consume the results in the sequential order
+    /// (see [`crate::par`]).
+    fn decode_with(&self, plan: &DecodePlan) -> Self::Output;
 
-    /// The sticky lane-overflow mark, if any ingest kernel ever detected
-    /// true counter overflow in this sketch's banks (see
-    /// `CellBank::lane_overflow`). A marked sketch is no longer a valid
-    /// linear measurement; boundaries that export or decode state should
-    /// check this and surface a typed error instead of trusting wrapped
-    /// counters. The default is `None` for implementations without
-    /// overflow-tracking storage; bank-backed sketches override it.
-    fn lane_overflow(&self) -> Option<LaneOverflow> {
-        None
-    }
-
-    /// Width-aware measurement bytes: the allocated lane footprint,
-    /// which shrinks when a bank's `w` lane is compacted to `i32` or its
-    /// `s` lane to `i64` (see `LaneWidth`). [`LinearSketch::space_bytes`] keeps charging the
-    /// format-frozen 32-byte wire cell regardless of lane width. Both
-    /// count allocated bytes; lanes are lazily zeroed, so the pages the
-    /// process actually holds (its RSS) can be far fewer until the cells
-    /// are written. The default is `space_bytes` for implementations
-    /// without bank-backed storage; bank-backed sketches override it.
-    fn resident_lane_bytes(&self) -> usize {
-        self.space_bytes()
-    }
-
-    /// Decodes the sketch into its answer. Decoding is read-only: the
-    /// sketch can keep ingesting afterwards.
-    fn decode(&self) -> Self::Output;
-
-    /// Decodes under a [`DecodePlan`]. The answer is **bit-identical**
-    /// to [`LinearSketch::decode`] for every thread count — decode loops
-    /// fan independent work (groups within a Boruvka round, subsampling
-    /// levels, Gomory–Hu cuts) over scoped threads and consume the
-    /// results in the sequential order (see [`crate::par`]). The default
-    /// implementation ignores the plan and decodes sequentially;
-    /// sketches with parallel decode paths override it.
-    fn decode_with(&self, plan: &DecodePlan) -> Self::Output {
-        let _ = plan;
-        self.decode()
+    /// [`LinearSketch::decode_with`] on the calling thread.
+    fn decode(&self) -> Self::Output {
+        self.decode_with(&DecodePlan::sequential())
     }
 }
 

@@ -137,12 +137,6 @@ impl SparseRecovery {
         self.k
     }
 
-    /// Size of the sketch in 1-sparse cells (the paper's `O(k log n)` with
-    /// our `rows` standing in for the `log` repetitions).
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Applies `x[index] += delta`: the fingerprint and verification
     /// hashes are computed once and fanned into one bucket per row.
     ///

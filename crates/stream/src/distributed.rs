@@ -131,9 +131,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gs_field::M61;
     use gs_graph::gen;
     use gs_sketch::domain::{edge_domain, edge_index};
-    use gs_sketch::{Mergeable, SparseRecovery};
+    use gs_sketch::par::DecodePlan;
+    use gs_sketch::{CellBank, CellBanked, Mergeable, SparseRecovery};
 
     /// Minimal LinearSketch used to test the distributed plumbing without
     /// depending on the algorithm crate: exact recovery of the net edge
@@ -160,6 +162,24 @@ mod tests {
         }
     }
 
+    impl CellBanked for EdgeVectorSketch {
+        fn banks(&self) -> Vec<&CellBank> {
+            self.inner.banks()
+        }
+
+        fn banks_mut(&mut self) -> Vec<&mut CellBank> {
+            self.inner.banks_mut()
+        }
+
+        fn fingerprints(&self) -> Vec<M61> {
+            self.inner.fingerprints()
+        }
+
+        fn fingerprints_mut(&mut self) -> Vec<&mut M61> {
+            self.inner.fingerprints_mut()
+        }
+    }
+
     impl LinearSketch for EdgeVectorSketch {
         type Output = Option<Vec<(u64, i64)>>;
 
@@ -171,11 +191,13 @@ mod tests {
             self.inner.update(edge_index(self.n, u, v), delta);
         }
 
-        fn space_bytes(&self) -> usize {
-            self.inner.cell_count() * gs_sketch::CELL_BYTES
+        fn absorb_with(&mut self, batch: &[EdgeUpdate], _plan: &DecodePlan) {
+            for up in batch {
+                self.update_edge(up.u, up.v, up.delta);
+            }
         }
 
-        fn decode(&self) -> Self::Output {
+        fn decode_with(&self, _plan: &DecodePlan) -> Self::Output {
             self.inner.decode()
         }
     }

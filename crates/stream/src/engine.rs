@@ -254,14 +254,14 @@ pub struct EngineStats {
     /// summed over shards), charged at the format-frozen wire cell.
     pub bytes_resident: usize,
     /// Width-aware lane bytes summed over shards
-    /// ([`LinearSketch::resident_lane_bytes`]): the allocated lane
+    /// ([`gs_sketch::CellBanked::resident_bytes`]): the allocated lane
     /// storage after `w`/`s` lane compaction, versus the format-frozen cell
     /// accounting of `bytes_resident`. Both count allocated bytes, not
     /// what the process holds: lanes are lazily zeroed, so the RSS of
     /// shards with few written cells can be far lower.
     pub lane_bytes_resident: usize,
     /// Shards whose sketch carries a sticky lane-overflow mark
-    /// ([`LinearSketch::lane_overflow`]): an ingest kernel detected true
+    /// ([`gs_sketch::CellBanked::lane_overflow`]): an ingest kernel detected true
     /// counter overflow, so those shards' answers must not be trusted.
     /// The engine keeps running — overflow poisons the measurement, not
     /// the worker.
@@ -580,7 +580,7 @@ impl<S: LinearSketch + Send + 'static> SketchEngine<S> {
         for slot in &self.shards {
             let shard = slot.lock().expect("shard mutex poisoned");
             bytes_resident += shard.space_bytes();
-            lane_bytes_resident += shard.resident_lane_bytes();
+            lane_bytes_resident += shard.resident_bytes();
             lane_overflows += shard.lane_overflow().is_some() as usize;
         }
         EngineStats {
@@ -810,8 +810,9 @@ fn edge_shard(seed: u64, shards: usize, u: usize, v: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gs_field::M61;
     use gs_sketch::domain::{edge_domain, edge_index};
-    use gs_sketch::Mergeable;
+    use gs_sketch::{CellBank, CellBanked, Mergeable};
 
     /// Exact edge-vector tally: the simplest possible linear sketch, so
     /// every engine assertion is bit-for-bit by construction.
@@ -839,6 +840,26 @@ mod tests {
         }
     }
 
+    /// Bank-less: the tally keeps plain `i64` counters, so its size is
+    /// its own `space_bytes`.
+    impl CellBanked for TallySketch {
+        fn banks(&self) -> Vec<&CellBank> {
+            Vec::new()
+        }
+
+        fn banks_mut(&mut self) -> Vec<&mut CellBank> {
+            Vec::new()
+        }
+
+        fn fingerprints(&self) -> Vec<M61> {
+            Vec::new()
+        }
+
+        fn fingerprints_mut(&mut self) -> Vec<&mut M61> {
+            Vec::new()
+        }
+    }
+
     impl LinearSketch for TallySketch {
         type Output = Vec<i64>;
 
@@ -850,11 +871,17 @@ mod tests {
             self.cells[edge_index(self.n, u, v) as usize] += delta;
         }
 
+        fn absorb_with(&mut self, batch: &[EdgeUpdate], _plan: &DecodePlan) {
+            for up in batch {
+                self.update_edge(up.u, up.v, up.delta);
+            }
+        }
+
         fn space_bytes(&self) -> usize {
             self.cells.len() * 8
         }
 
-        fn decode(&self) -> Vec<i64> {
+        fn decode_with(&self, _plan: &DecodePlan) -> Vec<i64> {
             self.cells.clone()
         }
     }
@@ -1188,6 +1215,24 @@ mod tests {
         }
     }
 
+    impl CellBanked for GatedSketch {
+        fn banks(&self) -> Vec<&CellBank> {
+            Vec::new()
+        }
+
+        fn banks_mut(&mut self) -> Vec<&mut CellBank> {
+            Vec::new()
+        }
+
+        fn fingerprints(&self) -> Vec<M61> {
+            Vec::new()
+        }
+
+        fn fingerprints_mut(&mut self) -> Vec<&mut M61> {
+            Vec::new()
+        }
+    }
+
     impl LinearSketch for GatedSketch {
         type Output = Vec<i64>;
 
@@ -1200,11 +1245,17 @@ mod tests {
             self.inner.update_edge(u, v, delta);
         }
 
+        fn absorb_with(&mut self, batch: &[EdgeUpdate], _plan: &DecodePlan) {
+            for up in batch {
+                self.update_edge(up.u, up.v, up.delta);
+            }
+        }
+
         fn space_bytes(&self) -> usize {
             self.inner.space_bytes()
         }
 
-        fn decode(&self) -> Vec<i64> {
+        fn decode_with(&self, _plan: &DecodePlan) -> Vec<i64> {
             self.inner.decode()
         }
     }

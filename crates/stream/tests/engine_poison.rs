@@ -10,8 +10,10 @@
 //! `graph-sketches` type (the stream crate sits below the sketch-type
 //! crate in the dependency order).
 
-use gs_sketch::bank::{BankGeometry, CellBank};
-use gs_sketch::lane::{IntWidth, LaneOverflow, LaneWidth};
+use gs_field::M61;
+use gs_sketch::bank::{BankGeometry, CellBank, CellBanked};
+use gs_sketch::lane::{IntWidth, LaneWidth};
+use gs_sketch::par::DecodePlan;
 use gs_sketch::{EdgeUpdate, LinearSketch, Mergeable};
 use gs_stream::engine::{EngineConfig, SketchEngine};
 
@@ -46,6 +48,24 @@ impl Mergeable for ToySketch {
     }
 }
 
+impl CellBanked for ToySketch {
+    fn banks(&self) -> Vec<&CellBank> {
+        vec![&self.bank]
+    }
+
+    fn banks_mut(&mut self) -> Vec<&mut CellBank> {
+        vec![&mut self.bank]
+    }
+
+    fn fingerprints(&self) -> Vec<M61> {
+        Vec::new()
+    }
+
+    fn fingerprints_mut(&mut self) -> Vec<&mut M61> {
+        Vec::new()
+    }
+}
+
 impl LinearSketch for ToySketch {
     type Output = ();
 
@@ -55,23 +75,16 @@ impl LinearSketch for ToySketch {
 
     fn update_edge(&mut self, u: usize, v: usize, delta: i64) {
         let i = (u + v) % CELLS;
-        self.bank
-            .apply(i, delta, delta as i128, gs_field::M61::new(1));
+        self.bank.apply(i, delta, delta as i128, M61::new(1));
     }
 
-    fn space_bytes(&self) -> usize {
-        self.bank.len() * gs_sketch::CELL_BYTES
+    fn absorb_with(&mut self, batch: &[EdgeUpdate], _plan: &DecodePlan) {
+        for up in batch {
+            self.update_edge(up.u, up.v, up.delta);
+        }
     }
 
-    fn lane_overflow(&self) -> Option<LaneOverflow> {
-        self.bank.lane_overflow()
-    }
-
-    fn resident_lane_bytes(&self) -> usize {
-        self.bank.resident_bytes()
-    }
-
-    fn decode(&self) {}
+    fn decode_with(&self, _plan: &DecodePlan) {}
 }
 
 #[test]
@@ -113,5 +126,5 @@ fn shard_overflow_poisons_stats_instead_of_killing_the_worker() {
     // Sealing still works — the poisoned shard is handed back with its
     // mark intact rather than panicking on the way out.
     let merged = engine.seal();
-    assert!(LinearSketch::lane_overflow(&merged).is_some());
+    assert!(CellBanked::lane_overflow(&merged).is_some());
 }

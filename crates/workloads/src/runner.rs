@@ -245,7 +245,7 @@ pub struct RunRow {
     /// The served tenant's `STATS` `decode_cache_invalidations`. 0 on
     /// the engine path.
     pub cache_invalidations: u64,
-    /// Task-specific error measure (see [`score`]); 0 is exact.
+    /// Task-specific error measure (see `score`); 0 is exact.
     pub err: f64,
     /// Whether the run met its eps target.
     pub within: bool,

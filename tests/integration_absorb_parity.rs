@@ -136,7 +136,7 @@ fn an_overflow_inside_one_parts_rows_poisons_as_the_sequential_path_does() {
             let label = format!("{task:?}, {start_name}, overflow");
             let poisoned = absorb_every_way(&label, &start, &batch);
             assert!(
-                LinearSketch::lane_overflow(&poisoned).is_some(),
+                CellBanked::lane_overflow(&poisoned).is_some(),
                 "{label}: the overflow did not poison"
             );
         }

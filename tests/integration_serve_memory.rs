@@ -11,7 +11,7 @@
 use graph_sketches::api::{SketchSpec, SketchTask};
 use graph_sketches::frame::ServiceStats;
 use gs_serve::{Client, ServeConfig, Server};
-use gs_sketch::LinearSketch;
+use gs_sketch::CellBanked;
 use serde::{Deserialize, Value};
 use std::time::Duration;
 
@@ -56,7 +56,7 @@ fn create_touches_no_lane_pages_and_holds_one_sketch() {
     let stats = ServiceStats::from_value(&Value::from_json(&stats).expect("stats JSON"))
         .expect("stats schema");
     let tenant = &stats.per_tenant[0];
-    let per_sketch = spec.build().resident_lane_bytes() as u64;
+    let per_sketch = spec.build().resident_bytes() as u64;
     assert_eq!(
         tenant.lane_bytes_resident, per_sketch,
         "a tenant holds one sketch, whatever its worker share"

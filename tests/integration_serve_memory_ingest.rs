@@ -11,7 +11,7 @@
 use graph_sketches::api::{SketchSpec, SketchTask};
 use gs_field::SplitMix64;
 use gs_serve::{Client, ServeConfig, Server};
-use gs_sketch::{EdgeUpdate, LinearSketch};
+use gs_sketch::{CellBanked, EdgeUpdate};
 use std::time::Duration;
 
 /// The process's peak resident set (`VmHWM`), in KiB.
@@ -42,7 +42,7 @@ fn two_worker_ingest_query_and_checkpoint_hold_one_sketch() {
     let mut client = Client::connect_tcp(&addr).expect("connect");
     // The ladder's ingest-powerlaw tenant: about 54 MiB of lanes (20 B a cell).
     let spec = SketchSpec::new(SketchTask::Connectivity, 4096).with_seed(41);
-    let per_sketch_kib = spec.build().resident_lane_bytes() as u64 / 1024;
+    let per_sketch_kib = spec.build().resident_bytes() as u64 / 1024;
 
     let before = peak_rss_kib();
     client.create("t", &spec.to_json()).expect("create");

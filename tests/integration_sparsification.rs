@@ -5,7 +5,7 @@
 use graph_sketches::{SimpleSparsifySketch, SparsifySketch};
 use gs_graph::cuts::{cut_family_audit, random_cut_audit};
 use gs_graph::{gen, offline_sparsify, GomoryHuTree, Graph};
-use gs_sketch::LinearSketch;
+use gs_sketch::{CellBanked, LinearSketch};
 
 fn run_simple(g: &Graph, eps: f64, seed: u64, churn: usize) -> Graph {
     let mut s = SimpleSparsifySketch::new(g.n(), eps, seed);

@@ -117,5 +117,5 @@ fn distributed_subgraph_sketches_merge() {
     }
     let mut central = SubgraphSketch::new(14, 3, 0.3, 42);
     central.absorb(&stream);
-    assert_eq!(acc.unwrap().raw_samples(), central.raw_samples());
+    assert_eq!(acc.unwrap().decode(), central.decode());
 }
