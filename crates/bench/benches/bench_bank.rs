@@ -1,9 +1,9 @@
 //! Bank-kernel micro-benchmarks with an append-only perf trajectory.
 //!
 //! Measures the hot bank kernels — **absorb** (batched edge ingest),
-//! **merge** (lane slice-add of one sketch into another), and **fan**
-//! (broadcast one update triple across a cell row) — in two lane-width
-//! configurations:
+//! **clone** (copy one sketch's lanes), **merge** (lane slice-add of one
+//! sketch into another), and **fan** (broadcast one update triple across
+//! a cell row) — in two lane-width configurations:
 //!
 //! | config   | `w` / `s` lanes | cell  |
 //! |----------|-----------------|-------|
@@ -15,10 +15,11 @@
 //! derives for a unit delta bound). Every kernel is one scalar loop per
 //! lane width. Records before the `i32` `w` lane measured `narrow` with
 //! an `i64` `w`, 24 B a cell; older records also split each width into
-//! two kernel paths, four configs in all. Before anything is timed,
-//! both configurations are asserted **bit-identical** on the exact
-//! workload being measured — a number from a kernel that diverges from
-//! the oracle is worthless.
+//! two kernel paths, four configs in all. Records before the `clone` row
+//! timed the clone of the merge's target together with the merge, both
+//! under `merge`. Before anything is timed, both configurations are
+//! asserted **bit-identical** on the exact workload being measured — a
+//! number from a kernel that diverges from the oracle is worthless.
 //!
 //! One more row times served ingest into one tenant: 1024-update
 //! batches into the n = 4096 connectivity spec (the ladder's
@@ -28,71 +29,61 @@
 //! two replicas; the merged shards are asserted equal to the single
 //! sketch, bit for bit, before anything is timed).
 //!
-//! Results append one record per run to `BENCH_bank.json` (override the
-//! path with `BENCH_BANK_OUT`): git sha, UTC date, per-kernel
-//! nanoseconds, and GB/s where the byte count is exact. The file is a
-//! JSON array and is never truncated — CI uploads it as an artifact, so
-//! the perf trajectory of the storage layer is recorded per commit
-//! instead of living in scrollback.
+//! Each run appends one record to the `BENCH_bank.json` trajectory
+//! through [`gs_bench::trajectory`]: git sha, UTC date, host,
+//! per-kernel nanoseconds, and GB/s where the byte count is exact.
 //!
-//! Method: per measurement, one warm-up run, then `RUNS` timed runs; the
-//! reported number is the minimum (least-noise estimator for a
-//! single-threaded CPU-bound kernel).
+//! Method: the configurations are interleaved over one untimed warm-up
+//! round and `RUNS` timed rounds; the reported number is each
+//! configuration's minimum (least-noise estimator for a single-threaded
+//! CPU-bound kernel).
 
 use graph_sketches::api::{AnySketch, SketchSpec, SketchTask};
 use graph_sketches::connectivity::ForestParams;
 use graph_sketches::ForestSketch;
+use gs_bench::trajectory::{self, churn, fixed, object};
 use gs_field::M61;
 use gs_sketch::bank::CellBanked;
 use gs_sketch::lane::{IntWidth, LaneWidth};
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{BankGeometry, CellBank, EdgeUpdate, LinearSketch, Mergeable};
+use gs_sketch::{BankGeometry, CellBank, LinearSketch, Mergeable};
 use gs_stream::engine::{EngineConfig, SketchEngine};
+use serde::{Serialize, Value};
 use std::hint::black_box;
-use std::process::Command;
 use std::time::Instant;
 
 const RUNS: usize = 7;
 
-fn churn(n: usize, len: usize) -> Vec<EdgeUpdate> {
-    (0..len)
-        .map(|i| {
-            let u = (i * 13) % n;
-            let v = (u + 1 + (i * 7) % (n - 1)) % n;
-            EdgeUpdate {
-                u,
-                v,
-                delta: if i % 5 == 0 { -1 } else { 1 },
-            }
-        })
-        .filter(|up| up.u != up.v)
-        .collect()
-}
+/// The timed kernels, in record order.
+const KERNELS: [&str; 4] = ["absorb", "clone", "merge", "fan"];
 
 /// One lane-width configuration under measurement.
 #[derive(Clone, Copy)]
 struct Config {
     name: &'static str,
-    narrow: bool,
+    width: LaneWidth,
 }
 
 const CONFIGS: [Config; 2] = [
     Config {
         name: "wide",
-        narrow: false,
+        width: LaneWidth::WIDE,
     },
     Config {
         name: "narrow",
-        narrow: true,
+        width: LaneWidth {
+            w: IntWidth::I32,
+            s: IntWidth::I64,
+        },
     },
 ];
 
 fn build_forest(cfg: Config, n: usize, seed: u64) -> ForestSketch {
-    if cfg.narrow {
+    if cfg.width == LaneWidth::WIDE {
+        ForestSketch::new(n, seed)
+    } else {
         // Unit-weight bound: what SketchSpec::build derives for this task.
         ForestSketch::with_bounds(n, ForestParams::for_n(n), seed, 1)
-    } else {
-        ForestSketch::new(n, seed)
     }
 }
 
@@ -109,62 +100,6 @@ fn assert_same(label: &str, a: &ForestSketch, b: &ForestSketch) {
         );
         assert_eq!(ba.f_lane(), bb.f_lane(), "{label}: f lane diverged");
     }
-}
-
-fn git_sha() -> String {
-    let sha = Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into());
-    let dirty = Command::new("git")
-        .args(["status", "--porcelain"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .is_some_and(|o| !o.stdout.is_empty());
-    if dirty {
-        format!("{sha}-dirty")
-    } else {
-        sha
-    }
-}
-
-fn utc_date() -> String {
-    Command::new("date")
-        .args(["-u", "+%Y-%m-%dT%H:%M:%SZ"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| {
-            let secs = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0);
-            format!("epoch:{secs}")
-        })
-}
-
-/// Appends `record` to the JSON array in `path`, creating the array if
-/// the file is missing or not in trajectory format. Existing records are
-/// never modified or dropped.
-fn append_record(path: &str, record: &str) {
-    let prior = std::fs::read_to_string(path).unwrap_or_default();
-    let trimmed = prior.trim();
-    let json = if trimmed.starts_with('[') && trimmed.ends_with(']') {
-        let body = trimmed[1..trimmed.len() - 1].trim_end();
-        if body.is_empty() {
-            format!("[\n{record}\n]\n")
-        } else {
-            format!("[{body},\n{record}\n]\n")
-        }
-    } else {
-        format!("[\n{record}\n]\n")
-    };
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
 }
 
 fn main() {
@@ -185,19 +120,26 @@ fn main() {
     for (cfg, s) in CONFIGS.iter().zip(&absorbed) {
         assert_same(&format!("absorb {}", cfg.name), &absorbed[0], s);
         assert!(
-            s.banks().iter().all(|b| b.width() == cfg_width(*cfg)),
+            s.banks().iter().all(|b| b.width() == cfg.width),
             "{}: the sketch does not hold the configuration's lane widths",
             cfg.name
         );
     }
-    let merged: Vec<ForestSketch> = CONFIGS
+    let merge_operands: Vec<(ForestSketch, ForestSketch)> = CONFIGS
         .iter()
         .map(|&cfg| {
             let mut a = build_forest(cfg, n, seed);
             a.absorb(&updates[..updates.len() / 2]);
             let mut b = build_forest(cfg, n, seed);
             b.absorb(&updates[updates.len() / 2..]);
-            a.merge(&b);
+            (a, b)
+        })
+        .collect();
+    let merged: Vec<ForestSketch> = merge_operands
+        .iter()
+        .map(|(a, b)| {
+            let mut a = a.clone();
+            a.merge(b);
             a
         })
         .collect();
@@ -212,22 +154,12 @@ fn main() {
     // per-configuration minimum across rounds (least-noise estimator for
     // a single-threaded CPU-bound kernel). Round 0 is an untimed warm-up.
     const FAN_LEN: usize = 1 << 16;
-    let merge_operands: Vec<(ForestSketch, ForestSketch)> = CONFIGS
-        .iter()
-        .map(|&cfg| {
-            let mut a = build_forest(cfg, n, seed);
-            a.absorb(&updates[..updates.len() / 2]);
-            let mut b = build_forest(cfg, n, seed);
-            b.absorb(&updates[updates.len() / 2..]);
-            (a, b)
-        })
-        .collect();
     let mut fan_banks: Vec<CellBank> = CONFIGS
         .iter()
-        .map(|&cfg| CellBank::with_width(BankGeometry::new(1, 1, FAN_LEN), cfg_width(cfg)))
+        .map(|&cfg| CellBank::with_width(BankGeometry::new(1, 1, FAN_LEN), cfg.width))
         .collect();
 
-    let mut mins = [[f64::INFINITY; 2]; 3]; // [kernel][config]
+    let mut mins = [[f64::INFINITY; 2]; KERNELS.len()]; // [kernel][config]
     for round in 0..=RUNS {
         for (ci, &cfg) in CONFIGS.iter().enumerate() {
             let t = Instant::now();
@@ -238,6 +170,9 @@ fn main() {
             let (a, b) = &merge_operands[ci];
             let t = Instant::now();
             let mut acc = a.clone();
+            black_box(&acc);
+            let clone_ns = t.elapsed().as_nanos() as f64;
+            let t = Instant::now();
             acc.merge(b);
             black_box(&acc);
             let merge_ns = t.elapsed().as_nanos() as f64;
@@ -247,48 +182,39 @@ fn main() {
             black_box(&bank);
             let fan_ns = t.elapsed().as_nanos() as f64;
             if round > 0 {
-                mins[0][ci] = mins[0][ci].min(absorb_ns);
-                mins[1][ci] = mins[1][ci].min(merge_ns);
-                mins[2][ci] = mins[2][ci].min(fan_ns);
+                for (min, ns) in mins.iter_mut().zip([absorb_ns, clone_ns, merge_ns, fan_ns]) {
+                    min[ci] = min[ci].min(ns);
+                }
             }
         }
     }
 
-    let mut kernel_json = Vec::new();
-    let mut speedup = [f64::NAN; 3]; // absorb, merge, fan
-    let mut baseline = [f64::NAN; 3];
-    for (ki, kernel) in ["absorb", "merge", "fan"].iter().enumerate() {
-        for (ci, &cfg) in CONFIGS.iter().enumerate() {
-            let ns = mins[ki][ci];
-            let cell_bytes = cfg_width(cfg).cell_bytes();
-            let (detail, gb_per_s) = match ki {
-                0 => (
-                    format!(", \"ns_per_update\": {:.1}", ns / updates.len() as f64),
-                    // Ingest is hash-bound, not bandwidth-bound; no
-                    // honest byte count exists, so no GB/s is reported.
-                    None,
-                ),
-                // Merge reads each cell's lanes from both operands and
-                // writes them back once; fan reads and writes each cell.
-                1 => (String::new(), Some(3.0 * (cells * cell_bytes) as f64 / ns)),
-                _ => (
-                    String::new(),
-                    Some(2.0 * (FAN_LEN * cell_bytes) as f64 / ns),
-                ),
+    let mut kernel_rows = Vec::new();
+    let mut speedup = Vec::new();
+    for (kernel, mins) in KERNELS.into_iter().zip(mins) {
+        for (cfg, ns) in CONFIGS.iter().zip(mins) {
+            let cell_bytes = cfg.width.cell_bytes();
+            let mut row = vec![
+                ("kernel", kernel.to_value()),
+                ("config", cfg.name.to_value()),
+                ("ns", fixed(ns, 0)),
+            ];
+            // Ingest is hash-bound, not bandwidth-bound; no honest byte
+            // count exists, so no GB/s is reported. A clone reads and
+            // writes each cell's lanes once, a merge reads them from both
+            // operands and writes them back once, and a fan reads and
+            // writes each cell of its row.
+            let gb_per_s = match kernel {
+                "absorb" => {
+                    row.push(("ns_per_update", fixed(ns / updates.len() as f64, 1)));
+                    None
+                }
+                "clone" => Some(2.0 * (cells * cell_bytes) as f64 / ns),
+                "merge" => Some(3.0 * (cells * cell_bytes) as f64 / ns),
+                _ => Some(2.0 * (FAN_LEN * cell_bytes) as f64 / ns),
             };
-            if cfg.narrow {
-                speedup[ki] = baseline[ki] / ns;
-            } else {
-                baseline[ki] = ns;
-            }
-            let gb = gb_per_s
-                .map(|g| format!("{g:.2}"))
-                .unwrap_or_else(|| "null".into());
-            kernel_json.push(format!(
-                "      {{ \"kernel\": \"{kernel}\", \"config\": \"{}\", \
-                 \"ns\": {ns:.0}{detail}, \"gb_per_s\": {gb} }}",
-                cfg.name
-            ));
+            row.push(("gb_per_s", gb_per_s.map_or(Value::Null, |g| fixed(g, 2))));
+            kernel_rows.push(object(row));
             println!(
                 "{kernel:>6} {:>6}: {:>12.0} ns{}",
                 cfg.name,
@@ -298,43 +224,42 @@ fn main() {
                     .unwrap_or_default()
             );
         }
+        speedup.push((kernel, mins[0] / mins[1]));
     }
 
     let served = served_ingest_row();
-
-    let record = format!(
-        "  {{\n    \"sha\": \"{}\",\n    \"date\": \"{}\",\n    \
-         \"n\": {n},\n    \"updates\": {},\n    \
-         \"cells\": {cells},\n    \"kernels\": [\n{}\n    ],\n    \
-         \"speedup_narrow_vs_wide\": {{ \"absorb\": {:.2}, \
-         \"merge\": {:.2}, \"fan\": {:.2} }},\n    \"served_ingest\": {served}\n  }}",
-        git_sha(),
-        utc_date(),
-        updates.len(),
-        kernel_json.join(",\n"),
-        speedup[0],
-        speedup[1],
-        speedup[2],
-    );
-    // cargo runs benches with the package (not workspace) root as cwd;
-    // anchor the default at the workspace root so the trajectory file is
-    // the committed one.
-    let out = std::env::var("BENCH_BANK_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_bank.json").into());
-    append_record(&out, &record);
+    let path = trajectory::append(
+        "bank",
+        [
+            ("n", n.to_value()),
+            ("updates", updates.len().to_value()),
+            ("cells", cells.to_value()),
+            ("kernels", Value::Seq(kernel_rows)),
+            (
+                "speedup_narrow_vs_wide",
+                object(speedup.iter().map(|&(k, x)| (k, fixed(x, 2)))),
+            ),
+            ("served_ingest", served),
+        ],
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
 
     println!(
-        "speedup narrow vs wide: absorb {:.2}x  merge {:.2}x  fan {:.2}x",
-        speedup[0], speedup[1], speedup[2]
+        "speedup narrow vs wide: {}",
+        speedup
+            .iter()
+            .map(|(k, x)| format!("{k} {x:.2}x"))
+            .collect::<Vec<_>>()
+            .join("  ")
     );
-    println!("appended record to {out}");
+    println!("appended record to {}", path.display());
 }
 
 /// The served-ingest row (see the module docs): nanoseconds per update,
 /// minimum over interleaved rounds, for a fresh tenant absorbing 16
 /// batches of 1024 updates each way. The engine figure covers routing,
 /// queueing and absorbing until flushed, not the later merge.
-fn served_ingest_row() -> String {
+fn served_ingest_row() -> Value {
     const N: usize = 4096;
     const BATCH: usize = 1024;
     let spec = SketchSpec::new(SketchTask::Connectivity, N).with_seed(41);
@@ -388,16 +313,20 @@ fn served_ingest_row() -> String {
     );
     drop(reference);
 
+    // Each path's time includes dropping what it built.
+    let paths: [&dyn Fn(); 3] = [
+        &|| drop(black_box(single())),
+        &|| drop(black_box(split())),
+        &|| drop(black_box(engine())),
+    ];
     let mut mins = [f64::INFINITY; 3];
     for round in 0..=RUNS {
-        let times = [
-            time(|| black_box(single())),
-            time(|| black_box(split())),
-            time(|| black_box(engine())),
-        ];
-        if round > 0 {
-            for (min, t) in mins.iter_mut().zip(times) {
-                *min = min.min(t);
+        for (min, path) in mins.iter_mut().zip(paths) {
+            let t = Instant::now();
+            path();
+            let ns = t.elapsed().as_nanos() as f64;
+            if round > 0 {
+                *min = min.min(ns);
             }
         }
     }
@@ -409,33 +338,12 @@ fn served_ingest_row() -> String {
         per(mins[1]),
         per(mins[2])
     );
-    format!(
-        "{{ \"n\": {N}, \"batch\": {BATCH}, \"updates\": {}, \
-         \"absorb_1_ns_per_update\": {:.1}, \"absorb_with_2_ns_per_update\": {:.1}, \
-         \"engine_2_shards_ns_per_update\": {:.1} }}",
-        updates.len(),
-        per(mins[0]),
-        per(mins[1]),
-        per(mins[2])
-    )
-}
-
-/// Wall-clock nanoseconds of `f`, including dropping what it returns.
-fn time<T>(f: impl FnOnce() -> T) -> f64 {
-    let t = Instant::now();
-    drop(f());
-    t.elapsed().as_nanos() as f64
-}
-
-/// The lane widths of a configuration: what a unit delta bound derives,
-/// or the unbounded default.
-fn cfg_width(cfg: Config) -> LaneWidth {
-    if cfg.narrow {
-        LaneWidth {
-            w: IntWidth::I32,
-            s: IntWidth::I64,
-        }
-    } else {
-        LaneWidth::WIDE
-    }
+    object([
+        ("n", N.to_value()),
+        ("batch", BATCH.to_value()),
+        ("updates", updates.len().to_value()),
+        ("absorb_1_ns_per_update", fixed(per(mins[0]), 1)),
+        ("absorb_with_2_ns_per_update", fixed(per(mins[1]), 1)),
+        ("engine_2_shards_ns_per_update", fixed(per(mins[2]), 1)),
+    ])
 }

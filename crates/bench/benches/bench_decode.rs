@@ -29,24 +29,24 @@
 //! return the reference's witness, and the sparse cut the dense
 //! `(value, side)`.
 //!
-//! Results append one record per run to `BENCH_decode.json` (override
-//! the path with `BENCH_DECODE_OUT`): git sha (+`-dirty` flag), UTC
-//! date, per-config rows, and the derived speedups. The file is a JSON
-//! array and is never truncated — CI uploads it as an artifact alongside
-//! `BENCH_bank.json`, so the decode perf trajectory is recorded per
-//! commit instead of living in scrollback.
+//! Each run appends one record to the `BENCH_decode.json` trajectory
+//! through [`gs_bench::trajectory`]: git sha, UTC date, host, per-config
+//! rows, and the derived speedups.
 //!
 //! Method: per measurement, one warm-up run, then `RUNS` timed runs; the
-//! reported number is the minimum (least-noise estimator).
+//! reported number is the minimum (least-noise estimator). Every
+//! one-shot row is timed by [`time_ns`]; its calls last milliseconds, so
+//! each run is one call.
 
 use graph_sketches::extras::KConnectivitySketch;
 use graph_sketches::{ForestSketch, KEdgeConnectSketch};
+use gs_bench::trajectory::{self, churn, fixed, object, time_ns};
 use gs_graph::{stoer_wagner, Graph};
 use gs_sketch::par::DecodePlan;
 use gs_sketch::{CellBanked, EdgeUpdate, LinearSketch};
 use gs_workloads::GeneratorSpec;
+use serde::{Serialize, Value};
 use std::hint::black_box;
-use std::process::Command;
 use std::time::Instant;
 
 const RUNS: usize = 3;
@@ -56,89 +56,6 @@ const RUNS: usize = 3;
 const ROUNDS: usize = 4;
 const DELTA_LEN: usize = 2;
 const QUERIES: usize = 25;
-
-/// Minimum wall time of `RUNS` runs of `f`, in nanoseconds.
-fn time_ns(mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    (0..RUNS)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as f64
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-fn churn(n: usize, len: usize) -> Vec<EdgeUpdate> {
-    (0..len)
-        .map(|i| {
-            let u = (i * 13) % n;
-            let v = (u + 1 + (i * 7) % (n - 1)) % n;
-            EdgeUpdate {
-                u,
-                v,
-                delta: if i % 5 == 0 { -1 } else { 1 },
-            }
-        })
-        .filter(|up| up.u != up.v)
-        .collect()
-}
-
-fn git_sha() -> String {
-    let sha = Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into());
-    let dirty = Command::new("git")
-        .args(["status", "--porcelain"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .is_some_and(|o| !o.stdout.is_empty());
-    if dirty {
-        format!("{sha}-dirty")
-    } else {
-        sha
-    }
-}
-
-fn utc_date() -> String {
-    Command::new("date")
-        .args(["-u", "+%Y-%m-%dT%H:%M:%SZ"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| {
-            let secs = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0);
-            format!("epoch:{secs}")
-        })
-}
-
-/// Appends `record` to the JSON array in `path`, creating the array if
-/// the file is missing or not in trajectory format. Existing records are
-/// never modified or dropped.
-fn append_record(path: &str, record: &str) {
-    let prior = std::fs::read_to_string(path).unwrap_or_default();
-    let trimmed = prior.trim();
-    let json = if trimmed.starts_with('[') && trimmed.ends_with(']') {
-        let body = trimmed[1..trimmed.len() - 1].trim_end();
-        if body.is_empty() {
-            format!("[\n{record}\n]\n")
-        } else {
-            format!("[{body},\n{record}\n]\n")
-        }
-    } else {
-        format!("[\n{record}\n]\n")
-    };
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-}
 
 /// One pass of the read-heavy workload: per round, absorb one small
 /// delta, then answer `QUERIES` queries. Returns total nanoseconds.
@@ -173,8 +90,9 @@ fn read_heavy_pass(
 
 /// KConnect's decode post-processing at `n` vertices, k = 2, on a
 /// `MinCutAdversary` stream (a barbell of two `n/2`-cliques joined by
-/// two bridges, plus decoy cross-edge churn): JSON rows and a summary.
-fn kconnect_rows(n: usize) -> (String, String) {
+/// two bridges, plus decoy cross-edge churn): prints a summary and
+/// returns the record rows.
+fn kconnect_rows(n: usize) -> Vec<Value> {
     let k = 2;
     let seed = 0xDEC2 + n as u64;
     let trace = GeneratorSpec::MinCutAdversary {
@@ -208,35 +126,31 @@ fn kconnect_rows(n: usize) -> (String, String) {
     let connected = tester.decode_with(&one);
     assert_eq!(connected, dense.0 >= k as u64, "n = {n}: verdict drifted");
 
-    let reference_ns = time_ns(|| {
-        black_box(witness.decode_witness_edges_reference(&one));
-    });
-    let peel_ns = time_ns(|| {
-        black_box(witness.decode_witness_edges_with(&one));
-    });
-    let dense_ns = time_ns(|| {
-        black_box(stoer_wagner::min_cut_dense(&h));
-    });
-    let sparse_ns = time_ns(|| {
-        black_box(stoer_wagner::min_cut(&h));
-    });
-    let full_ns = time_ns(|| {
-        black_box(tester.decode_with(&one));
-    });
-    let shape = format!(
-        "\"n\": {n}, \"k\": {k}, \"updates\": {}, \"witness_edges\": {}",
-        trace.updates.len(),
-        h.m()
-    );
-    let rows = format!(
-        "      {{ \"config\": \"kconnect-witness-reference\", \"ns\": {reference_ns:.0}, {shape} }},\n      \
-         {{ \"config\": \"kconnect-witness-peel\", \"ns\": {peel_ns:.0}, {shape} }},\n      \
-         {{ \"config\": \"kconnect-min-cut-dense\", \"ns\": {dense_ns:.0}, {shape} }},\n      \
-         {{ \"config\": \"kconnect-min-cut-sparse\", \"ns\": {sparse_ns:.0}, {shape} }},\n      \
-         {{ \"config\": \"kconnect-is-k-connected\", \"ns\": {full_ns:.0}, {shape}, \
-         \"connected\": {connected} }}"
-    );
-    let summary = format!(
+    let reference_ns = time_ns(|| witness.decode_witness_edges_reference(&one));
+    let peel_ns = time_ns(|| witness.decode_witness_edges_with(&one));
+    let dense_ns = time_ns(|| stoer_wagner::min_cut_dense(&h));
+    let sparse_ns = time_ns(|| stoer_wagner::min_cut(&h));
+    let full_ns = time_ns(|| tester.decode_with(&one));
+    let row = |config: &str, ns: f64| {
+        vec![
+            ("config", config.to_value()),
+            ("ns", fixed(ns, 0)),
+            ("n", n.to_value()),
+            ("k", k.to_value()),
+            ("updates", trace.updates.len().to_value()),
+            ("witness_edges", h.m().to_value()),
+        ]
+    };
+    let mut is_k_connected = row("kconnect-is-k-connected", full_ns);
+    is_k_connected.push(("connected", connected.to_value()));
+    let rows = vec![
+        object(row("kconnect-witness-reference", reference_ns)),
+        object(row("kconnect-witness-peel", peel_ns)),
+        object(row("kconnect-min-cut-dense", dense_ns)),
+        object(row("kconnect-min-cut-sparse", sparse_ns)),
+        object(is_k_connected),
+    ];
+    println!(
         "kconnect n = {n}, k = {k} ({} witness edges): witness reference {:>7.1} ms, \
          peel {:>7.1} ms; min cut dense {:>8.1} ms, sparse {:>7.1} ms; \
          is_k_connected {:>7.1} ms",
@@ -247,7 +161,7 @@ fn kconnect_rows(n: usize) -> (String, String) {
         sparse_ns / 1e6,
         full_ns / 1e6,
     );
-    (rows, summary)
+    rows
 }
 
 fn main() {
@@ -268,15 +182,20 @@ fn main() {
     );
     assert_eq!(seq.edges, par8.edges, "parallel decode drifted");
 
-    let reference_ns = time_ns(|| {
-        black_box(sketch.decode_reference());
-    });
-    let seq_ns = time_ns(|| {
-        black_box(sketch.decode_with(&DecodePlan::with_threads(1)));
-    });
-    let par8_ns = time_ns(|| {
-        black_box(sketch.decode_with(&DecodePlan::with_threads(8)));
-    });
+    let reference_ns = time_ns(|| sketch.decode_reference());
+    let seq_ns = time_ns(|| sketch.decode_with(&DecodePlan::with_threads(1)));
+    let par8_ns = time_ns(|| sketch.decode_with(&DecodePlan::with_threads(8)));
+    let kernel_speedup = reference_ns / seq_ns;
+    let parallel_speedup = reference_ns / par8_ns;
+    let thread_speedup = seq_ns / par8_ns;
+    println!("== decode engine (10k-vertex connectivity sketch) ==");
+    println!(
+        "reference: {:>9.1} ms   kernel x1: {:>9.1} ms ({kernel_speedup:.2}x)   \
+         kernel x8: {:>9.1} ms ({parallel_speedup:.2}x total, {thread_speedup:.2}x from threads)",
+        reference_ns / 1e6,
+        seq_ns / 1e6,
+        par8_ns / 1e6,
+    );
 
     // ---- read-heavy delta workload, on the sketch emptied of its bulk
     // load (the shape every earlier record of this row measured).
@@ -305,58 +224,44 @@ fn main() {
             fresh_ns = fresh_ns.min(ns);
         }
     }
-    let kconnect: Vec<(String, String)> = [512, 1024].into_iter().map(kconnect_rows).collect();
-    let kernel_speedup = reference_ns / seq_ns;
-    let parallel_speedup = reference_ns / par8_ns;
-    let thread_speedup = seq_ns / par8_ns;
-
-    let rows = format!(
-        "      {{ \"config\": \"reference\", \"ns\": {reference_ns:.0} }},\n      \
-         {{ \"config\": \"kernel-1thread\", \"ns\": {seq_ns:.0} }},\n      \
-         {{ \"config\": \"kernel-8threads\", \"ns\": {par8_ns:.0} }},\n      \
-         {{ \"config\": \"read-heavy-fresh\", \"ns\": {fresh_ns:.0}, \
-         \"queries\": {queries}, \"delta_updates\": {delta_updates} }},\n{}",
-        kconnect
-            .iter()
-            .map(|(rows, _)| rows.as_str())
-            .collect::<Vec<_>>()
-            .join(",\n")
-    );
-    let record = format!(
-        "  {{\n    \"sha\": \"{}\",\n    \"date\": \"{}\",\n    \"n\": {n},\n    \
-         \"updates\": {},\n    \"forest_edges\": {},\n    \"cells\": {},\n    \
-         \"host_parallelism\": {},\n    \"rows\": [\n{rows}\n    ],\n    \
-         \"speedups\": {{ \"kernel\": {kernel_speedup:.2}, \
-         \"threads\": {thread_speedup:.2}, \"total\": {parallel_speedup:.2} }},\n    \
-         \"bit_identical\": true\n  }}",
-        git_sha(),
-        utc_date(),
-        updates.len(),
-        reference.edges.len(),
-        sketch.cell_count(),
-        DecodePlan::auto().threads(),
-    );
-    // cargo runs benches with the package (not workspace) root as cwd;
-    // anchor the default at the workspace root so the trajectory file is
-    // the committed one.
-    let out = std::env::var("BENCH_DECODE_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_decode.json").into());
-    append_record(&out, &record);
-
-    println!("== decode engine (10k-vertex connectivity sketch) ==");
-    println!(
-        "reference: {:>9.1} ms   kernel x1: {:>9.1} ms ({kernel_speedup:.2}x)   \
-         kernel x8: {:>9.1} ms ({parallel_speedup:.2}x total, {thread_speedup:.2}x from threads)",
-        reference_ns / 1e6,
-        seq_ns / 1e6,
-        par8_ns / 1e6,
-    );
     println!(
         "read-heavy ({queries} queries : {delta_updates} updates): fresh {:>9.1} ms",
         fresh_ns / 1e6,
     );
-    for (_, summary) in &kconnect {
-        println!("{summary}");
-    }
-    println!("appended record to {out}");
+
+    let config = |config: &str, ns: f64| vec![("config", config.to_value()), ("ns", fixed(ns, 0))];
+    let mut read_heavy = config("read-heavy-fresh", fresh_ns);
+    read_heavy.push(("queries", queries.to_value()));
+    read_heavy.push(("delta_updates", delta_updates.to_value()));
+    let rows = [
+        object(config("reference", reference_ns)),
+        object(config("kernel-1thread", seq_ns)),
+        object(config("kernel-8threads", par8_ns)),
+        object(read_heavy),
+    ]
+    .into_iter()
+    .chain([512, 1024].into_iter().flat_map(kconnect_rows))
+    .collect();
+    let path = trajectory::append(
+        "decode",
+        [
+            ("n", n.to_value()),
+            ("updates", updates.len().to_value()),
+            ("forest_edges", reference.edges.len().to_value()),
+            ("cells", sketch.cell_count().to_value()),
+            ("host_parallelism", DecodePlan::auto().threads().to_value()),
+            ("rows", Value::Seq(rows)),
+            (
+                "speedups",
+                object([
+                    ("kernel", fixed(kernel_speedup, 2)),
+                    ("threads", fixed(thread_speedup, 2)),
+                    ("total", fixed(parallel_speedup, 2)),
+                ]),
+            ),
+            ("bit_identical", true.to_value()),
+        ],
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
+    println!("appended record to {}", path.display());
 }

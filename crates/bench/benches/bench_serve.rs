@@ -1,4 +1,4 @@
-//! `gs-serve` loopback benchmark with a machine-readable artifact.
+//! `gs-serve` loopback benchmark with an append-only perf trajectory.
 //!
 //! Boots an in-process server on `127.0.0.1:0` and measures, over one
 //! loopback TCP connection each:
@@ -6,24 +6,29 @@
 //! * **ingest throughput** — raw-update `INGEST` frames/sec (and
 //!   updates/sec), `BUSY` backpressure retried and counted rather than
 //!   hidden;
-//! * **query latency** — p50/p99 over repeated `QUERY` frames against
-//!   the loaded tenant (each query flushes, merges base + engine, and
-//!   decodes server-side).
+//! * **memo-hit query latency** — p50/p99 over repeated `QUERY` frames
+//!   against the loaded tenant. No update arrives between them, so every
+//!   one is answered from the tenant's answer memo: a frame round trip,
+//!   the memo probe and the answer's JSON, with no flush and no decode.
+//!   `STATS` must show exactly that many `decode_cache_hits` before the
+//!   percentiles are reported.
 //!
 //! Before any number is reported the served answer is asserted
 //! bit-identical to the offline single-process decode of the same
-//! updates — the service is only worth timing if it is correct. Results
-//! go to `BENCH_serve.json` (override with `BENCH_SERVE_OUT`); CI
-//! uploads the file as an artifact alongside the other bench JSONs.
+//! updates — the service is only worth timing if it is correct. Each
+//! run appends one record to the `BENCH_serve.json` trajectory through
+//! [`gs_bench::trajectory`].
 //!
 //! Loopback numbers measure protocol + scheduling overhead, not network:
 //! useful for regression tracking, not capacity planning.
 
 use graph_sketches::api::{SketchAnswer, SketchSpec, SketchTask};
+use graph_sketches::frame::ServiceStats;
+use gs_bench::trajectory::{self, churn, fixed};
 use gs_serve::{Client, Outcome, ServeConfig, Server};
 use gs_sketch::par::DecodePlan;
-use gs_sketch::{EdgeUpdate, LinearSketch};
-use serde::{Deserialize, Value};
+use gs_sketch::LinearSketch;
+use serde::{Deserialize, Serialize, Value};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -31,24 +36,17 @@ const INGEST_FRAMES: usize = 400;
 const BATCH: usize = 256;
 const QUERIES: usize = 120;
 
-fn churn(n: usize, len: usize) -> Vec<EdgeUpdate> {
-    (0..len)
-        .map(|i| {
-            let u = (i * 13) % n;
-            let v = (u + 1 + (i * 7) % (n - 1)) % n;
-            EdgeUpdate {
-                u,
-                v,
-                delta: if i % 5 == 0 { -1 } else { 1 },
-            }
-        })
-        .filter(|up| up.u != up.v)
-        .collect()
-}
-
 fn percentile(sorted_ns: &[f64], p: f64) -> f64 {
     let idx = ((sorted_ns.len() - 1) as f64 * p).round() as usize;
     sorted_ns[idx]
+}
+
+/// The tenant's `decode_cache_hits`, from its `STATS`.
+fn memo_hits(client: &mut Client, tenant: &str) -> u64 {
+    let json = client.stats(tenant).expect("stats");
+    let stats = ServiceStats::from_value(&Value::from_json(&json).expect("json")).expect("stats");
+    // A tenant's STATS holds that tenant alone.
+    stats.per_tenant[0].decode_cache_hits
 }
 
 fn main() {
@@ -56,7 +54,8 @@ fn main() {
     let spec = SketchSpec::new(SketchTask::Connectivity, n).with_seed(0x5E17E);
     let updates = churn(n, INGEST_FRAMES * BATCH);
 
-    let dir = std::env::temp_dir().join(format!("gs-bench-serve-{}", std::process::id()));
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("gs-bench-serve-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let server = Server::start(ServeConfig {
         state_dir: dir.clone(),
@@ -102,37 +101,49 @@ fn main() {
         "served answer drifted from offline decode"
     );
 
-    // Query latency distribution (each sample is one full frame round
-    // trip: flush + merge + decode + answer JSON).
+    // Memo-hit latency distribution: each sample is one frame round trip
+    // answered from the memo the parity query above filled.
+    let hits_before = memo_hits(&mut client, "bench");
     let mut samples_ns: Vec<f64> = Vec::with_capacity(QUERIES);
     for _ in 0..QUERIES {
         let t = Instant::now();
         black_box(client.query("bench", 1).expect("query"));
         samples_ns.push(t.elapsed().as_nanos() as f64);
     }
+    assert_eq!(
+        memo_hits(&mut client, "bench") - hits_before,
+        QUERIES as u64,
+        "a timed query missed the answer memo"
+    );
     samples_ns.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
     let p50_ms = percentile(&samples_ns, 0.50) / 1e6;
     let p99_ms = percentile(&samples_ns, 0.99) / 1e6;
 
-    let json = format!(
-        "{{\n  \"n\": {n},\n  \"updates\": {},\n  \"batch\": {BATCH},\n  \
-         \"ingest_frames\": {frames},\n  \"busy_retries\": {busy_retries},\n  \
-         \"ingest_frames_per_sec\": {ingest_fps:.0},\n  \
-         \"ingest_updates_per_sec\": {ingest_ups:.0},\n  \
-         \"query_samples\": {QUERIES},\n  \"query_p50_ms\": {p50_ms:.3},\n  \
-         \"query_p99_ms\": {p99_ms:.3},\n  \"parity_with_offline_decode\": true\n}}\n",
-        updates.len(),
-    );
-    let out = std::env::var("BENCH_SERVE_OUT").unwrap_or_else(|_| "BENCH_serve.json".into());
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+    let path = trajectory::append(
+        "serve",
+        [
+            ("n", n.to_value()),
+            ("updates", updates.len().to_value()),
+            ("batch", BATCH.to_value()),
+            ("ingest_frames", frames.to_value()),
+            ("busy_retries", busy_retries.to_value()),
+            ("ingest_frames_per_sec", fixed(ingest_fps, 0)),
+            ("ingest_updates_per_sec", fixed(ingest_ups, 0)),
+            ("query_samples", QUERIES.to_value()),
+            ("query_hit_p50_ms", fixed(p50_ms, 3)),
+            ("query_hit_p99_ms", fixed(p99_ms, 3)),
+            ("parity_with_offline_decode", true.to_value()),
+        ],
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
 
     println!("== gs-serve loopback ({n}-vertex connectivity tenant) ==");
     println!(
         "ingest: {frames} frames x {BATCH} updates in {ingest_secs:.2}s \
          ({ingest_fps:.0} frames/s, {ingest_ups:.0} updates/s, {busy_retries} BUSY retries)"
     );
-    println!("query:  p50 {p50_ms:.2} ms   p99 {p99_ms:.2} ms over {QUERIES} round trips");
-    println!("wrote {out}");
+    println!("memo-hit query: p50 {p50_ms:.2} ms   p99 {p99_ms:.2} ms over {QUERIES} round trips");
+    println!("appended record to {}", path.display());
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

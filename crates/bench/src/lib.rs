@@ -1,11 +1,13 @@
-//! Shared helpers for the experiment harness and criterion benches.
+//! Shared helpers for the experiment harness and the benches.
 //!
 //! The `experiments` binary (`src/bin/experiments.rs`) regenerates the
 //! validation table for every figure/theorem of the paper (see DESIGN.md
-//! §5 and EXPERIMENTS.md); the criterion benches under `benches/` measure
-//! throughput of the same code paths.
+//! §5 and EXPERIMENTS.md); the benches under `benches/` time the same
+//! code paths and record through [`trajectory`].
 
 #![forbid(unsafe_code)]
+
+pub mod trajectory;
 
 /// Prints a fixed-width table row from string cells.
 pub fn row(cells: &[String], widths: &[usize]) {
@@ -45,11 +47,6 @@ pub fn fmax(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// Mean of a float sample.
-pub fn mean(xs: &[f64]) -> f64 {
-    xs.iter().sum::<f64>() / xs.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,8 +58,7 @@ mod tests {
     }
 
     #[test]
-    fn fmax_and_mean() {
+    fn fmax_of_a_sample() {
         assert_eq!(fmax(&[1.0, 5.0, 2.0]), 5.0);
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
     }
 }
